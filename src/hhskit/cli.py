@@ -74,7 +74,6 @@ class Scenario:
             raise ConfigError("config must be a JSON object")
         self.name = cfg.get("name", "scenario")
         self.seed = int(cfg.get("seed", 0))
-        self.budget = cfg.get("budget")
         self.out = cfg.get("out", "reports")
         self.raw = cfg
         self.groups = {}
@@ -102,6 +101,7 @@ class Scenario:
         if not isinstance(self.operations, list):
             raise ConfigError("operations must be a list", field="operations")
         self._balls = {}
+        self._factor_instances = {}
 
     def group(self, name, where):
         if name not in self.groups:
@@ -122,6 +122,21 @@ class Scenario:
             self._balls[key] = cayley_ball(self.group(group_name, where),
                                            radius)
         return self._balls[key]
+
+    def factor_instance(self, op, seed, where):
+        """(ball, candidate, report, instance) of an op's coset family.
+
+        The candidate is verified and the instance built once per
+        (group, radius, subgroups, seed); later ops reuse them.
+        """
+        key = (op["group"], op["radius"], tuple(op.get("subgroups", [])),
+               seed)
+        if key not in self._factor_instances:
+            ball, cand, _ = _coset_family(self, op, where)
+            report = verify_factor_system(cand, seed=seed)
+            inst = build_hhs_from_factor_system(cand, report=report)
+            self._factor_instances[key] = (ball, cand, report, inst)
+        return self._factor_instances[key]
 
 
 def load_scenario(path):
@@ -185,8 +200,7 @@ def op_factor_system(scn, op, seed):
 
 def op_hhs_check(scn, op, seed):
     where = "operations.hhs-check"
-    ball, cand, subs = _coset_family(scn, op, where)
-    inst = build_hhs_from_factor_system(cand, verify_kwargs={"seed": seed})
+    inst = scn.factor_instance(op, seed, where)[3]
     battery = run_axiom_battery(inst, seed=seed)
     return {"indices": inst.n_indices(),
             "battery": battery.to_dict(),
@@ -196,8 +210,7 @@ def op_hhs_check(scn, op, seed):
 
 def op_distance_formula(scn, op, seed):
     where = "operations.distance-formula"
-    ball, cand, subs = _coset_family(scn, op, where)
-    inst = build_hhs_from_factor_system(cand, verify_kwargs={"seed": seed})
+    inst = scn.factor_instance(op, seed, where)[3]
     fit = distance_formula_fit(inst, s=op.get("s", 3),
                                pair_budget=op.get("pair_budget"), seed=seed)
     return {"fit": fit, "passed": fit["violations"] == 0}
@@ -205,8 +218,7 @@ def op_distance_formula(scn, op, seed):
 
 def op_hqc(scn, op, seed):
     where = "operations.hqc"
-    ball, cand, subs = _coset_family(scn, op, where)
-    inst = build_hhs_from_factor_system(cand, verify_kwargs={"seed": seed})
+    ball, _, _, inst = scn.factor_instance(op, seed, where)
     target = scn.subs([_require(op, "target_subgroup", where)], where)[0]
     member = coset_subgraph(ball, enumerate_cosets(ball, target)[0])
     eq = hqc_qc_equivalence(inst, member.vertices,
@@ -314,8 +326,7 @@ def op_export(scn, op, seed):
     elif fmt == "dot":
         text = to_dot(graph, styled_edges=styled)
     elif fmt == "instance-bundle":
-        cand = family_from_cosets(ball, scn.subs(op["subgroups"], where))
-        inst = build_hhs_from_factor_system(cand, verify_kwargs={"seed": seed})
+        inst = scn.factor_instance(op, seed, where)[3]
         text = stable_json(instance_to_bundle(inst))
     else:
         raise ConfigError(f"unknown export format {fmt!r}",
@@ -400,7 +411,7 @@ def run_scenario(path, only=None, overrides=None, stability=False):
         if "radius" in overrides and "radius" in op:
             op["radius"] = int(overrides["radius"])
         if "budget" in overrides:
-            op.setdefault("pair_budget", int(overrides["budget"]))
+            op["pair_budget"] = int(overrides["budget"])
         entry = {"op": kind, "params": {k: v for k, v in op.items()
                                         if k != "op"}}
         entry["report"] = OP_HANDLERS[kind](scn, op, seed)

@@ -5,7 +5,9 @@ The five axioms are checked literally on the built graph; quantities that
 are infinite in the limit ("finite Hausdorff distance", "infinite
 diameter") become radius-limited thresholds and the report says so.
 Pair scans follow the shared sampling policy: exhaustive below the budget,
-seeded above it, sample spec recorded either way.
+seeded above it, sample spec recorded either way.  They run over chunks of
+member pairs, one ragged distance query per chunk (graph_core.RaggedBlocks),
+and report what a pair-by-pair scan reports, in the same order.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, FactorSystemViolated
-from .graph_core import bfs_distances, connected_hull, four_point_delta
+from .graph_core import (RaggedSets, bfs_distances, connected_hull,
+                         four_point_delta, iter_ragged_blocks,
+                         ragged_diameters, ragged_hausdorff)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, sample_indices,
                        sample_ordered_pairs)
 
@@ -92,28 +96,17 @@ class FactorSystemReport:
                            "separation": self.separation.to_dict()}}
 
 
-def _pair_block(oracle, a_verts, b_verts):
-    """d_Gamma on a_verts x b_verts as a (|a|,|b|) matrix."""
-    aa = np.repeat(a_verts, len(b_verts))
-    bb = np.tile(b_verts, len(a_verts))
-    return oracle.pairs(aa, bb).reshape(len(a_verts), len(b_verts))
+def _member_sets(family):
+    return RaggedSets.from_arrays([mem.vertex_array() for mem in family])
 
 
-def _projection_from_block(block, a_verts):
-    """Tie-complete projection of the column set onto the row set."""
-    mins = block.min(axis=0)
-    hit = (block == mins[None, :]).any(axis=1)
-    return a_verts[hit]
-
-
-def _set_diameter(oracle, verts, cap=250_000):
-    verts = np.asarray(verts, dtype=np.int64)
-    if len(verts) <= 1:
-        return 0
-    if len(verts) * (len(verts) - 1) // 2 > cap:
-        raise BudgetExceeded("diameter scan over cap")
-    ii, jj = np.triu_indices(len(verts), k=1)
-    return int(oracle.pairs(verts[ii], verts[jj]).max())
+def _near_some(oracle, sub, members, bound):
+    """Whether some member lies within Hausdorff distance ``bound`` of sub."""
+    one = RaggedSets.from_arrays([sub.vertex_array()])
+    idx = np.arange(len(members))
+    return any((blocks.hausdorff() <= bound).any() for _, blocks
+               in iter_ragged_blocks(oracle, one, np.zeros_like(idx),
+                                     members, idx))
 
 
 def _containment_dag(family):
@@ -245,56 +238,48 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
     ax3_failures = []
     ax3_skipped = 0
     ax5_failures = []
-    member_arrays = [mem.vertex_array() for mem in family]
-    member_diams = {}
+    members = _member_sets(family)
+    member_diams = np.zeros(m, dtype=np.int64)
+    scanned = np.unique(us)
+    member_diams[scanned] = ragged_diameters(oracle, members, scanned)
 
-    def diam_of(i):
-        if i not in member_diams:
-            member_diams[i] = _set_diameter(oracle, member_arrays[i])
-        return member_diams[i]
+    def pair_label(i, j):
+        return (family[i].label, family[j].label)
 
-    for i, j in zip(us, vs):
-        i, j = int(i), int(j)
-        hi, hj = member_arrays[i], member_arrays[j]
-        block = _pair_block(oracle, hi, hj)
-        proj = _projection_from_block(block, hi)
-        pdiam = _set_diameter(oracle, proj)
-        if pdiam > xi_candidate:
-            found = []
-            for u, vset in enumerate(vsets):
-                if vset <= vsets[i]:
-                    hu = member_arrays[u]
-                    to_u = _pair_block(oracle, proj, hu)
-                    dh = max(int(to_u.min(axis=1).max()),
-                             int(to_u.min(axis=0).max()))
-                    if dh <= B:
-                        found.append(family[u].label)
+    for lo, blocks in iter_ragged_blocks(oracle, members, us, members, vs):
+        ci, cj = us[lo:lo + len(blocks)], vs[lo:lo + len(blocks)]
+        proj = blocks.projection()
+        pdiam = ragged_diameters(oracle, proj)
+        over = pdiam > xi_candidate
+        if not over.all():
+            xi_measured = max(xi_measured, int(pdiam[~over].max()))
+        for k in np.flatnonzero(over):
+            nested = np.array([u for u, vset in enumerate(vsets)
+                               if vset <= vsets[ci[k]]], dtype=np.int64)
+            dh = ragged_hausdorff(oracle, proj, np.full(len(nested), k),
+                                  members, nested)
+            found = [family[u].label for u in nested[dh <= B]]
+            witness = {"pair": pair_label(ci[k], cj[k]), "diam": int(pdiam[k])}
             if found:
-                ax2_witnesses.append({"pair": (family[i].label, family[j].label),
-                                      "diam": pdiam, "nested": found})
+                ax2_witnesses.append({**witness, "nested": found})
             else:
-                ax2_failures.append({"pair": (family[i].label, family[j].label),
-                                     "diam": pdiam})
-        else:
-            xi_measured = max(xi_measured, pdiam)
+                ax2_failures.append(witness)
 
         # axiom 3, hypothesis guarded by member size
-        if diam_of(i) > 2 * B:
-            within = _pair_block(oracle, hi, proj)
-            dh3 = max(int(within.min(axis=1).max()),
-                      int(within.min(axis=0).max()))
-            if dh3 <= B and not (vsets[i] <= vsets[j]):
-                ax3_failures.append({"pair": (family[i].label, family[j].label),
-                                     "hausdorff": dh3})
-        else:
-            ax3_skipped += 1
+        big = np.flatnonzero(member_diams[ci] > 2 * B)
+        ax3_skipped += len(ci) - len(big)
+        dh3 = ragged_hausdorff(oracle, members, ci[big], proj, big)
+        for k, d in zip(big, dh3):
+            if d <= B and not (vsets[ci[k]] <= vsets[cj[k]]):
+                ax3_failures.append({"pair": pair_label(ci[k], cj[k]),
+                                     "hausdorff": int(d)})
 
         # axiom 5 on unordered pairs
-        if i < j:
-            dh5 = max(int(block.min(axis=1).max()), int(block.min(axis=0).max()))
-            if dh5 <= axiom5_threshold and vsets[i] != vsets[j]:
-                ax5_failures.append({"pair": (family[i].label, family[j].label),
-                                     "hausdorff": dh5})
+        dh5 = blocks.hausdorff()
+        for k in np.flatnonzero((ci < cj) & (dh5 <= axiom5_threshold)):
+            if vsets[ci[k]] != vsets[cj[k]]:
+                ax5_failures.append({"pair": pair_label(ci[k], cj[k]),
+                                     "hausdorff": int(dh5[k])})
 
     ax2 = AxiomOutcome(not ax2_failures, xi_measured,
                        ax2_failures or ax2_witnesses, spec_pairs,
@@ -324,30 +309,34 @@ def simple_family_check(cand, eps_grid=(0, 1, 2), pair_budget=DEFAULT_PAIR_BUDGE
     eps_grid = sorted(set(int(e) for e in eps_grid))
     table = {e: 0 for e in eps_grid}
     witnesses = {e: None for e in eps_grid}
-    member_arrays = [mem.vertex_array() for mem in family]
+    members = _member_sets(family)
 
     us, vs, spec = sample_ordered_pairs(m, m, pair_budget, seed,
                                         skip_diagonal=True)
-    for i, j in zip(us, vs):
-        i, j = int(i), int(j)
-        block = _pair_block(oracle, member_arrays[i], member_arrays[j])
-        col_min = block.min(axis=0)
+    for lo, blocks in iter_ragged_blocks(oracle, members, us, members, vs):
+        col_min = blocks.col_min()
         for e in eps_grid:
-            inside = member_arrays[j][col_min <= e]
-            if len(inside) > 1:
-                d = _set_diameter(oracle, inside)
-                if d > table[e]:
-                    table[e] = d
-                    witnesses[e] = (family[i].label, family[j].label)
+            inside = RaggedSets.from_mask(blocks.col_verts, col_min <= e,
+                                          blocks.pair_cols)
+            ks = np.flatnonzero(inside.sizes() > 1)
+            if len(ks) == 0:
+                continue
+            d = ragged_diameters(oracle, inside, ks)
+            best = int(np.argmax(d))   # first maximum in scan order
+            if d[best] > table[e]:
+                table[e] = int(d[best])
+                k = lo + ks[best]
+                witnesses[e] = (family[us[k]].label, family[vs[k]].label)
 
     flags = []
     small_members = []
     if cand.radius is not None:
         base_row = oracle.row(0)
-        for mem in family:
+        diams = ragged_diameters(oracle, members)
+        for mem, diam in zip(family, diams):
             access = int(base_row[mem.vertex_array()].min())
             diam_needed = cand.radius - access
-            if _set_diameter(oracle, mem.vertex_array()) < diam_needed:
+            if diam < diam_needed:
                 small_members.append(mem.label)
         if small_members:
             flags.append("diameter-proxy-violations")
@@ -404,32 +393,22 @@ def build_group_factor_closure(ball, subs, budget=3,
     history = []
     family = list(cand.family)
     for rounds in range(budget + 1):
-        member_arrays = [mem.vertex_array() for mem in family]
+        members = _member_sets(family)
         m = len(family)
         us, vs, spec = sample_ordered_pairs(m, m, pair_budget, seed,
                                             skip_diagonal=True)
         new_members = []
-        for i, j in zip(us, vs):
-            i, j = int(i), int(j)
-            block = _pair_block(oracle, member_arrays[i], member_arrays[j])
-            proj = _projection_from_block(block, member_arrays[i])
-            if _set_diameter(oracle, proj) > xi_candidate:
-                new_members.append((i, j, proj))
+        for lo, blocks in iter_ragged_blocks(oracle, members, us, members, vs):
+            proj = blocks.projection()
+            over = np.flatnonzero(ragged_diameters(oracle, proj) > xi_candidate)
+            new_members.extend((us[lo + k], vs[lo + k], proj[k]) for k in over)
         added = 0
         for i, j, proj in new_members:
             hull = connected_hull(graph, proj,
                                   label=f"proj[{family[i].label}<-{family[j].label}]")
-            duplicate = False
-            for mem in family:
-                to_mem = _pair_block(oracle, hull.vertex_array(),
-                                     mem.vertex_array())
-                dh = max(int(to_mem.min(axis=1).max()),
-                         int(to_mem.min(axis=0).max()))
-                if dh <= 1:
-                    duplicate = True
-                    break
-            if not duplicate:
+            if not _near_some(oracle, hull, members, 1):
                 family.append(hull)
+                members = _member_sets(family)
                 added += 1
         history.append({"round": rounds, "projections_over_xi": len(new_members),
                         "added": added, "family_size": len(family)})

@@ -4,7 +4,8 @@ Everything downstream (Cayley balls, cone-offs, coordinate spaces of
 hierarchical structures) is one of these graphs, so the module carries the
 shared machinery: BFS distances, deterministic geodesics, a distance oracle
 with a fast path for trees, hyperbolicity and quasi-convexity estimation,
-closest-point projections and Hausdorff distances.
+closest-point projections and Hausdorff distances, and ragged distance
+blocks that answer many small set-to-set queries in one oracle call.
 
 Distances are integers; hyperbolicity deltas are half-integers.  All "sup
 over the infinite space" quantities are maxima over the built graph and the
@@ -617,6 +618,153 @@ def hausdorff_distance(graph, a, b):
     if (to_b < 0).any() or (to_a < 0).any():
         raise Disconnected("sets are not mutually reachable")
     return int(max(to_b.max(), to_a.max()))
+
+
+# ---------------------------------------------------------------------------
+# ragged distance blocks: many small set-to-set blocks per oracle call
+
+# Most distances one ragged-block query asks the oracle for.  Larger chunks
+# scan no faster and only raise peak memory.
+RAGGED_CHUNK = 1 << 14
+# Most vertex pairs a single set diameter may scan.
+DIAMETER_PAIR_CAP = 250_000
+
+
+def _starts(sizes):
+    """Start offset of each segment of the given sizes."""
+    return np.cumsum(sizes) - sizes
+
+
+class RaggedSets:
+    """Vertex sets in CSR form: set s is ``flat[offsets[s]:offsets[s+1]]``."""
+
+    def __init__(self, flat, offsets):
+        self.flat = np.asarray(flat, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in arrays], out=offsets[1:])
+        flat = np.concatenate(arrays) if arrays else np.empty(0)
+        return cls(flat, offsets)
+
+    @classmethod
+    def from_mask(cls, verts, mask, starts):
+        """``verts[mask]`` cut into one set per segment starting at ``starts``."""
+        kept = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask, out=kept[1:])
+        offsets = np.append(kept[starts], kept[-1])
+        return cls(verts[mask], offsets)
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, s):
+        return self.flat[self.offsets[s]:self.offsets[s + 1]]
+
+    def sizes(self):
+        return np.diff(self.offsets)
+
+
+class RaggedBlocks:
+    """The blocks d(A[a_k], B[b_k]) for a chunk of set pairs, one oracle call.
+
+    Block k is stored row-major in ``d``: a row is one vertex of A[a_k]
+    against every vertex of B[b_k], a column one vertex of B[b_k].  Rows
+    and columns are numbered across the chunk; ``pair_rows`` and
+    ``pair_cols`` hold where each pair's rows and columns start.  All sets
+    must be nonempty.
+    """
+
+    def __init__(self, oracle, A, a_idx, B, b_idx):
+        a_len, b_len = A.sizes()[a_idx], B.sizes()[b_idx]
+        pairs = np.arange(len(a_idx))
+        self.pair_rows, self.pair_cols = _starts(a_len), _starts(b_len)
+        row_pair = np.repeat(pairs, a_len)
+        col_pair = np.repeat(pairs, b_len)
+        row_local = np.arange(len(row_pair)) - self.pair_rows[row_pair]
+        col_local = np.arange(len(col_pair)) - self.pair_cols[col_pair]
+        self.row_verts = A.flat[A.offsets[a_idx][row_pair] + row_local]
+        self.col_verts = B.flat[B.offsets[b_idx][col_pair] + col_local]
+        row_len = b_len[row_pair]
+        self.row_starts = _starts(row_len)
+        entry_row = np.repeat(np.arange(len(row_len)), row_len)
+        self.entry_col = (self.pair_cols[row_pair][entry_row]
+                          + np.arange(len(entry_row))
+                          - self.row_starts[entry_row])
+        self.d = oracle.pairs(self.row_verts[entry_row],
+                              self.col_verts[self.entry_col])
+        self._col_min = None
+
+    def __len__(self):
+        return len(self.pair_rows)
+
+    def col_min(self):
+        """Distance from each column vertex to its pair's row set."""
+        if self._col_min is None:
+            out = np.full(len(self.col_verts), np.iinfo(self.d.dtype).max,
+                          dtype=self.d.dtype)
+            np.minimum.at(out, self.entry_col, self.d)
+            self._col_min = out
+        return self._col_min
+
+    def max(self):
+        """Largest entry of each block."""
+        return np.maximum.reduceat(self.d, self.row_starts[self.pair_rows])
+
+    def hausdorff(self):
+        """Hausdorff distance between the two sets of each pair."""
+        row_min = np.minimum.reduceat(self.d, self.row_starts)
+        return np.maximum(np.maximum.reduceat(row_min, self.pair_rows),
+                          np.maximum.reduceat(self.col_min(), self.pair_cols))
+
+    def projection(self):
+        """Tie-complete closest-point projection of B[b_k] onto A[a_k].
+
+        A row vertex belongs when it is nearest to some column vertex.
+        """
+        tie = self.d == self.col_min()[self.entry_col]
+        hit = np.logical_or.reduceat(tie, self.row_starts)
+        return RaggedSets.from_mask(self.row_verts, hit, self.pair_rows)
+
+
+def iter_ragged_blocks(oracle, A, a_idx, B, b_idx):
+    """(offset, RaggedBlocks) over consecutive chunks of the pairs.
+
+    Each chunk holds at most RAGGED_CHUNK distances, or a single pair.
+    """
+    a_idx = np.asarray(a_idx, dtype=np.int64)
+    b_idx = np.asarray(b_idx, dtype=np.int64)
+    total = np.zeros(len(a_idx) + 1, dtype=np.int64)
+    np.cumsum(A.sizes()[a_idx] * B.sizes()[b_idx], out=total[1:])
+    lo = 0
+    while lo < len(a_idx):
+        hi = int(np.searchsorted(total, total[lo] + RAGGED_CHUNK,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, RaggedBlocks(oracle, A, a_idx[lo:hi], B, b_idx[lo:hi])
+        lo = hi
+
+
+def _per_pair(reduce, oracle, A, a_idx, B, b_idx):
+    parts = [reduce(blocks) for _, blocks
+             in iter_ragged_blocks(oracle, A, a_idx, B, b_idx)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+
+
+def ragged_hausdorff(oracle, A, a_idx, B, b_idx):
+    """Hausdorff distance between A[a_k] and B[b_k] for every k."""
+    return _per_pair(RaggedBlocks.hausdorff, oracle, A, a_idx, B, b_idx)
+
+
+def ragged_diameters(oracle, sets, idx=None):
+    """Diameter of each set (of ``sets[idx]`` when given)."""
+    idx = np.arange(len(sets)) if idx is None else np.asarray(idx)
+    sizes = sets.sizes()[idx]
+    if (sizes * (sizes - 1) // 2 > DIAMETER_PAIR_CAP).any():
+        raise BudgetExceeded("diameter scan over cap")
+    return _per_pair(RaggedBlocks.max, oracle, sets, idx, sets, idx)
 
 
 # ---------------------------------------------------------------------------

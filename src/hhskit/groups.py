@@ -361,9 +361,10 @@ def _abelianize(word, rank):
 
 
 def subgroup_membership(model, sub, word, budget=200_000):
-    """Decide word in sub; exact for free and free-abelian ambients.
+    """Decide word in sub; exact for free and free-abelian ambients, and
+    for special subgroups of a RAAG (generated by standard generators).
 
-    Other kinds fall back to enumerating subgroup elements by word length
+    Other cases fall back to enumerating subgroup elements by word length
     and raise Inconclusive when the element is not found but the
     enumeration had to be cut off.
     """
@@ -382,6 +383,11 @@ def subgroup_membership(model, sub, word, budget=200_000):
             sub._abelian_basis = _integer_basis(
                 [_abelianize(g, model.rank()) for g in sub.generators])
         return _lattice_contains(sub._abelian_basis, _abelianize(word, model.rank()))
+    if model.kind == "raag" and all(len(g) == 1 for g in sub.generators):
+        # special subgroup: reduced words of one element share their
+        # letters, so membership is support containment
+        letters = {abs(g[0]) for g in sub.generators}
+        return all(abs(x) in letters for x in word)
 
     # radius-limited fallback: breadth-first closure over subgroup generators
     length_cap = len(word) + 4

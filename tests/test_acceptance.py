@@ -6,6 +6,7 @@ criterion prints one pass line (visible with pytest -s or in failure
 output).
 """
 
+import hashlib
 import itertools
 import time
 from collections import deque
@@ -315,6 +316,22 @@ def test_criterion_9_pipeline():
           f"witness g={witness['g']})")
 
 
+# sha256 of the bundled scenarios' report.json and summary.csv at their own
+# seeds, pinned so that a change which moves any byte of a bundle fails here
+GOLDEN_SHA256 = {
+    "tree-factor-system.json": {
+        "report.json":
+            "378f27fd16c663a9d2f4235a50191e5e4e0a13c4814d4a121e3f679abaae8355",
+        "summary.csv":
+            "363376bc62539e225d59bc4f2121736ac8b64ae8278326d12c169dda082f0def"},
+    "amalgam-pipeline.json": {
+        "report.json":
+            "f192999dbb8f8a248ac252924d445e966abb0fc995820c4a27e458f983f9705d",
+        "summary.csv":
+            "e231b5bf7ed728107ed8bdf7fb5a061a74a32c9a3003ad1faf48c4e25912298f"},
+}
+
+
 def test_criterion_10_determinism(tmp_path):
     for name in ("tree-factor-system.json", "amalgam-pipeline.json"):
         outs = []
@@ -327,4 +344,8 @@ def test_criterion_10_determinism(tmp_path):
             b1 = (outs[0] / fname).read_bytes()
             b2 = (outs[1] / fname).read_bytes()
             assert b1 == b2, f"{name}/{fname} not byte-identical"
-    print("criterion 10: PASS (both bundled scenarios byte-identical on rerun)")
+            if fname in GOLDEN_SHA256[name]:
+                assert (hashlib.sha256(b1).hexdigest()
+                        == GOLDEN_SHA256[name][fname]), f"{name}/{fname} moved"
+    print("criterion 10: PASS (both bundled scenarios byte-identical on "
+          "rerun and to the pinned digests)")

@@ -161,6 +161,19 @@ def test_env_budget_override(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "envout" / "report.json").read_text())
     assert report["results"][0]["params"]["pair_budget"] == 500
 
+    # the override also replaces a pair budget the op sets itself
+    path = small_config(tmp_path, operations=[
+        {"op": "factor-system", "group": "F", "radius": 2,
+         "subgroups": ["A"], "pair_budget": 10}])
+    code = main(["factor-system", "--config", str(path),
+                 "--out", str(tmp_path / "envout2")])
+    assert code == 0
+    report = json.loads((tmp_path / "envout2" / "report.json").read_text())
+    result = report["results"][0]
+    assert result["params"]["pair_budget"] == 500
+    sample = result["report"]["report"]["axioms"]["projections"]["sample"]
+    assert sample["mode"] == "exhaustive"
+
 
 def test_instance_bundle_round_trip():
     F = G.free_group(["a", "b"])

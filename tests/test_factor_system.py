@@ -3,16 +3,20 @@
 import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 
+from hhskit import graph_core
 from hhskit import groups as G
 from hhskit.errors import FactorSystemViolated
-from hhskit.factor_system import (FactorSystemCandidate, build_group_factor_closure,
+from hhskit.factor_system import (AxiomOutcome, FactorSystemCandidate,
+                                  build_group_factor_closure,
                                   build_hhs_from_factor_system, connected_hull,
                                   family_from_cosets, simple_family_check,
                                   verify_factor_system)
 from hhskit.graph_core import MetricGraph, Subgraph
 from hhskit.groups import SubgroupSpec
+from hhskit.sampling import sample_ordered_pairs
 
 F2 = G.free_group(["a", "b"])
 SUB_A = SubgroupSpec(F2, ["a"], label="A")
@@ -57,6 +61,39 @@ def oracle_diam(rows, verts):
 def oracle_hausdorff(rows, a, b):
     return max(max(min(rows[x][y] for y in b) for x in a),
                max(min(rows[x][y] for x in a) for y in b))
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+def _ladder():
+    n = 6
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(n + i, n + i + 1) for i in range(n - 1)]
+    edges += [(i, n + i) for i in range(n)]
+    g = MetricGraph(2 * n, edges)
+    return FactorSystemCandidate(g, [Subgraph(g, range(n), label="bottom"),
+                                     Subgraph(g, range(n, 2 * n), label="top")],
+                                 radius=n), {}
+
+
+def _segments():
+    g = MetricGraph(9, [(i, i + 1) for i in range(8)])
+    fam = [Subgraph(g, [2, 3, 4], label="short"),
+           Subgraph(g, [1, 2, 3, 4, 5, 6], label="long")]
+    return FactorSystemCandidate(g, fam, radius=8), {}
+
+
+def _cycle_arcs(with_gate):
+    g = MetricGraph(16, [(i, (i + 1) % 16) for i in range(16)])
+    fam = [Subgraph(g, range(0, 7), label="arc1"),
+           Subgraph(g, range(8, 15), label="arc2")]
+    kwargs = {"xi_candidate": 2, "axiom5_threshold": 1}
+    if with_gate:
+        # the hull of the 2-point projection, Hausdorff distance 3 from it
+        fam.append(connected_hull(g, [0, 6], label="gate"))
+        kwargs["B"] = 3
+    return FactorSystemCandidate(g, fam, radius=8), kwargs
 
 
 def test_cosets_match_naive_oracle_small_radius():
@@ -105,14 +142,7 @@ def test_cosets_match_naive_oracle_small_radius():
 
 def test_parallel_copies_fail_separation():
     # ladder: two parallel paths at Hausdorff distance 1
-    n = 6
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges += [(n + i, n + i + 1) for i in range(n - 1)]
-    edges += [(i, n + i) for i in range(n)]
-    g = MetricGraph(2 * n, edges)
-    fam = [Subgraph(g, range(n), label="bottom"),
-           Subgraph(g, range(n, 2 * n), label="top")]
-    report = verify_factor_system(FactorSystemCandidate(g, fam, radius=n))
+    report = verify_factor_system(_ladder()[0])
     assert not report.separation.passed
     w = report.separation.witnesses[0]
     assert w["hausdorff"] == 1
@@ -131,10 +161,7 @@ def test_nested_segments_fail_and_build_refuses():
     # catches this through the coarse-containment axiom (the projection of
     # the short segment is Hausdorff-close to it without containment) and
     # the build refuses
-    g = MetricGraph(9, [(i, i + 1) for i in range(8)])
-    fam = [Subgraph(g, [2, 3, 4], label="short"),
-           Subgraph(g, [1, 2, 3, 4, 5, 6], label="long")]
-    cand = FactorSystemCandidate(g, fam, radius=8)
+    cand = _segments()[0]
     report = verify_factor_system(cand)
     assert not report.passed
     assert not report.coarse_containment.passed
@@ -215,3 +242,203 @@ def test_verify_deterministic_with_seed():
     r2 = verify_factor_system(cand, pair_budget=5000, seed=3)
     assert r1.to_dict() == r2.to_dict()
     assert r1.projections.sample.mode == "sampled"
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference scans: one small distance block per member pair, the
+# loops the chunked ragged-block scans replaced
+
+def ref_block(oracle, a, b):
+    aa = np.repeat(a, len(b))
+    bb = np.tile(b, len(a))
+    return oracle.pairs(aa, bb).reshape(len(a), len(b))
+
+
+def ref_projection(block, a):
+    mins = block.min(axis=0)
+    return a[(block == mins[None, :]).any(axis=1)]
+
+
+def ref_diameter(oracle, verts):
+    if len(verts) <= 1:
+        return 0
+    ii, jj = np.triu_indices(len(verts), k=1)
+    return int(oracle.pairs(verts[ii], verts[jj]).max())
+
+
+def ref_hausdorff(block):
+    return max(int(block.min(axis=1).max()), int(block.min(axis=0).max()))
+
+
+def ref_pair_scan(cand, report, pair_budget, seed):
+    """Axioms 2, 3 and 5 of ``verify_factor_system``, pair by pair."""
+    family = cand.family
+    oracle = cand.graph.oracle()
+    xi_candidate, B = report.xi_candidate, report.B
+    threshold = report.separation.constant
+    arrays = [mem.vertex_array() for mem in family]
+    vsets = [frozenset(mem.vertices) for mem in family]
+    us, vs, spec = sample_ordered_pairs(len(family), len(family), pair_budget,
+                                        seed, skip_diagonal=True)
+    xi, ax2_witnesses, ax2_failures = 0, [], []
+    ax3_failures, ax3_skipped, ax5_failures = [], 0, []
+    for i, j in zip(us, vs):
+        i, j = int(i), int(j)
+        pair = (family[i].label, family[j].label)
+        block = ref_block(oracle, arrays[i], arrays[j])
+        proj = ref_projection(block, arrays[i])
+        pdiam = ref_diameter(oracle, proj)
+        if pdiam > xi_candidate:
+            found = [family[u].label for u, vset in enumerate(vsets)
+                     if vset <= vsets[i]
+                     and ref_hausdorff(ref_block(oracle, proj, arrays[u])) <= B]
+            if found:
+                ax2_witnesses.append({"pair": pair, "diam": pdiam,
+                                      "nested": found})
+            else:
+                ax2_failures.append({"pair": pair, "diam": pdiam})
+        else:
+            xi = max(xi, pdiam)
+        if ref_diameter(oracle, arrays[i]) > 2 * B:
+            dh3 = ref_hausdorff(ref_block(oracle, arrays[i], proj))
+            if dh3 <= B and not vsets[i] <= vsets[j]:
+                ax3_failures.append({"pair": pair, "hausdorff": dh3})
+        else:
+            ax3_skipped += 1
+        if i < j:
+            dh5 = ref_hausdorff(block)
+            if dh5 <= threshold and vsets[i] != vsets[j]:
+                ax5_failures.append({"pair": pair, "hausdorff": dh5})
+    ax2 = AxiomOutcome(not ax2_failures, xi, ax2_failures or ax2_witnesses,
+                       spec, {"xi_candidate": xi_candidate, "B": B,
+                              "nested_witness_pairs": len(ax2_witnesses)})
+    ax3 = AxiomOutcome(not ax3_failures, B, ax3_failures, spec,
+                       {"skipped_small_members": ax3_skipped,
+                        "guard": "diam(H1) > 2B"})
+    ax5 = AxiomOutcome(not ax5_failures, threshold, ax5_failures, spec,
+                       {"threshold": threshold})
+    return ax2, ax3, ax5
+
+
+def ref_simple_family(cand, eps_grid, pair_budget, seed):
+    """R(eps) table, witnesses and small members, pair by pair."""
+    family = cand.family
+    oracle = cand.graph.oracle()
+    arrays = [mem.vertex_array() for mem in family]
+    table = {e: 0 for e in eps_grid}
+    witnesses = {e: None for e in eps_grid}
+    us, vs, _ = sample_ordered_pairs(len(family), len(family), pair_budget,
+                                     seed, skip_diagonal=True)
+    for i, j in zip(us, vs):
+        i, j = int(i), int(j)
+        col_min = ref_block(oracle, arrays[i], arrays[j]).min(axis=0)
+        for e in eps_grid:
+            inside = arrays[j][col_min <= e]
+            if len(inside) > 1:
+                d = ref_diameter(oracle, inside)
+                if d > table[e]:
+                    table[e] = d
+                    witnesses[e] = (family[i].label, family[j].label)
+    base_row = oracle.row(0)
+    small = [mem.label for mem, verts in zip(family, arrays)
+             if ref_diameter(oracle, verts)
+             < cand.radius - int(base_row[verts].min())]
+    return table, witnesses, small
+
+
+def ref_closure(ball, subs, xi_candidate, budget=3):
+    """Family of ``build_group_factor_closure`` after at most budget rounds."""
+    graph = ball.graph
+    oracle = graph.oracle()
+    family = list(family_from_cosets(ball, subs).family)
+    history = []
+    for rounds in range(budget + 1):
+        arrays = [mem.vertex_array() for mem in family]
+        us, vs, _ = sample_ordered_pairs(len(family), len(family), 200_000, 0,
+                                         skip_diagonal=True)
+        new_members = []
+        for i, j in zip(us, vs):
+            i, j = int(i), int(j)
+            proj = ref_projection(ref_block(oracle, arrays[i], arrays[j]),
+                                  arrays[i])
+            if ref_diameter(oracle, proj) > xi_candidate:
+                new_members.append((i, j, proj))
+        added = 0
+        for i, j, proj in new_members:
+            hull = connected_hull(
+                graph, proj, label=f"proj[{family[i].label}<-{family[j].label}]")
+            if not any(ref_hausdorff(ref_block(oracle, hull.vertex_array(),
+                                               mem.vertex_array())) <= 1
+                       for mem in family):
+                family.append(hull)
+                added += 1
+        history.append({"round": rounds, "projections_over_xi": len(new_members),
+                        "added": added, "family_size": len(family)})
+        if added == 0:
+            break
+    return [(mem.label, mem.vertices) for mem in family], history
+
+
+SCAN_FIXTURES = {
+    "f2-r3-exhaustive": lambda: (
+        family_from_cosets(G.cayley_ball(F2, 3), [SUB_A, SUB_B]), {}),
+    "f2-r5-sampled": lambda: (
+        family_from_cosets(G.cayley_ball(F2, 5), [SUB_A, SUB_B]),
+        {"pair_budget": 3000, "seed": 3}),
+    "z2-r3-ties": lambda: (
+        family_from_cosets(G.cayley_ball(G.free_abelian_group(["a", "b"]), 3),
+                           [SubgroupSpec(G.free_abelian_group(["a", "b"]),
+                                         ["a"], label="A")]),
+        {"xi_candidate": 0}),
+    "ladder-axiom5": _ladder,
+    "segments-axiom3": _segments,
+    "arcs-axiom2-failure": lambda: _cycle_arcs(False),
+    "arcs-axiom2-nested": lambda: _cycle_arcs(True),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_batched_scans_match_per_pair_reference(name, chunk, monkeypatch):
+    if chunk is not None:
+        # chunk boundaries then fall inside the scan, mid-member
+        monkeypatch.setattr(graph_core, "RAGGED_CHUNK", chunk)
+    cand, kwargs = SCAN_FIXTURES[name]()
+    pair_budget = kwargs.get("pair_budget", 200_000)
+    seed = kwargs.get("seed", 0)
+    report = verify_factor_system(cand, **kwargs)
+    expected = ref_pair_scan(cand, report, pair_budget, seed)
+    got = (report.projections, report.coarse_containment, report.separation)
+    for ax_got, ax_ref in zip(got, expected):
+        assert ax_got.witnesses == ax_ref.witnesses
+        assert ax_got.to_dict() == ax_ref.to_dict()
+
+    sf = simple_family_check(cand, (0, 1, 2), pair_budget=pair_budget,
+                             seed=seed)
+    table, witnesses, small = ref_simple_family(cand, (0, 1, 2), pair_budget,
+                                                seed)
+    assert (sf["R"], sf["witnesses"], sf["small_members"]) == (
+        table, witnesses, small)
+
+
+CLOSURE_FIXTURES = {
+    # projections over xi, all identified with existing members
+    "f2-words": (F2, ["a b", "b a"], 3, None),
+    # the closure adjoins a member, then reaches its fixpoint
+    "z2-axis-grows": (G.free_abelian_group(["a", "b"]), ["a"], 3, 0),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("name", sorted(CLOSURE_FIXTURES))
+def test_batched_closure_matches_per_pair_reference(name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(graph_core, "RAGGED_CHUNK", chunk)
+    model, gens, radius, xi = CLOSURE_FIXTURES[name]
+    ball = G.cayley_ball(model, radius)
+    subs = [SubgroupSpec(model, [g], label=f"S{i}") for i, g in enumerate(gens)]
+    cand, info = build_group_factor_closure(ball, subs, budget=3,
+                                            xi_candidate=xi)
+    family, history = ref_closure(ball, subs, info["xi_candidate"])
+    assert [(mem.label, mem.vertices) for mem in cand.family] == family
+    assert info["history"] == history

@@ -3,16 +3,19 @@
 import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhskit import graph_core
 from hhskit.errors import Disconnected
-from hhskit.graph_core import (MetricGraph, Subgraph, closest_point_projection,
-                               four_point_delta, four_point_value,
-                               hausdorff_distance, quasiconvexity_constant,
-                               read_edge_list, shortest_path, to_dot,
-                               write_edge_list)
+from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
+                               closest_point_projection, four_point_delta,
+                               four_point_value, hausdorff_distance,
+                               quasiconvexity_constant, ragged_diameters,
+                               ragged_hausdorff, read_edge_list, shortest_path,
+                               to_dot, write_edge_list)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +298,37 @@ def test_hausdorff_symmetric_zero_iff_equal(g):
     assert hausdorff_distance(g, a, a) == 0
     if set(a) != set(b):
         assert hausdorff_distance(g, a, b) > 0
+
+
+# ---------------------------------------------------------------------------
+# ragged distance blocks
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@given(connected_graphs())
+@settings(max_examples=30, deadline=None)
+def test_ragged_blocks_match_per_set_queries(chunk, g):
+    sets = [list(range(s, g.n, k)) for k in (1, 2, 3) for s in range(k)
+            if s < g.n]
+    ragged = RaggedSets.from_arrays([np.asarray(x) for x in sets])
+    a_idx, b_idx = (np.asarray(x) for x in zip(
+        *itertools.product(range(len(sets)), repeat=2)))
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            # chunk boundaries then split the pairs into many chunks
+            mp.setattr(graph_core, "RAGGED_CHUNK", chunk)
+        haus = ragged_hausdorff(g.oracle(), ragged, a_idx, ragged, b_idx)
+        diams = ragged_diameters(g.oracle(), ragged)
+    for k, (a, b) in enumerate(zip(a_idx, b_idx)):
+        assert haus[k] == hausdorff_distance(g, sets[a], sets[b])
+    for x, d in zip(sets, diams):
+        assert d == max(rows[u][v] for u in x for v in x)
+    proj = RaggedBlocks(g.oracle(), ragged, a_idx, ragged, b_idx).projection()
+    for k, (a, b) in enumerate(zip(a_idx, b_idx)):
+        expect = set()
+        for x in sets[b]:
+            expect |= set(closest_point_projection(g, sets[a], x))
+        assert list(proj[k]) == sorted(expect)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhskit.errors import UnknownGenerator
+from hhskit.factor_system import family_from_cosets
 from hhskit.graph_core import shortest_path
 from hhskit.groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
                            coset_subgraph, coset_vertices, enumerate_cosets,
@@ -198,6 +199,26 @@ def test_membership_abelian_lattice():
     assert subgroup_membership(Z2, h, Z2.parse("a a b b"))
     assert not subgroup_membership(Z2, h, Z2.parse("a b b"))
     assert subgroup_membership(Z2, h, Z2.parse("a a a a"))
+
+
+def test_membership_raag_special_subgroup_matches_enumeration():
+    R = raag_group(["a", "b", "c"], [("a", "b")])
+    assert not subgroup_membership(R, SubgroupSpec(R, ["c"]), R.parse("a"))
+    h = SubgroupSpec(R, ["a", "c'"], label="AC")
+    elements = naive_subgroup_elements(R, h, 4)
+    for n in range(5):
+        for w in itertools.product([1, -1, 2, -2, 3, -3], repeat=n):
+            nf = R.normal_form(w)
+            if len(nf) <= 4:
+                assert subgroup_membership(R, h, nf) == (nf in elements)
+
+
+def test_raag_multi_generator_coset_family_builds():
+    R = raag_group(["a", "b", "c"], [("a", "b")])
+    ball = cayley_ball(R, 3)
+    cand = family_from_cosets(ball, [SubgroupSpec(R, ["a", "c"], label="AC")])
+    covered = sorted(v for m in cand.family for v in m.vertices)
+    assert covered == list(range(ball.graph.n))
 
 
 def test_membership_abelian_matches_enumeration():
