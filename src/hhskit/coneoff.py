@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, TruncatedPiece
-from .graph_core import MetricGraph, PathRecord, four_point_delta
+from .graph_core import MetricGraph, PathRecord, bfs_parents, four_point_delta
 from .sampling import SampleSpec, rng_for
 
 DEFAULT_CONE_EDGE_CAP = 2_000_000
@@ -179,11 +179,6 @@ def tau_quasigeodesic_check(cg, x, y):
     return {"tau1": tau1, "tau2": tau2, "record": record}
 
 
-def _hausdorff_between(mat, a, b):
-    sub = mat[np.ix_(a, b)]
-    return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
-
 def kapovich_rafi_report(cg, pair_budget=None, seed=0,
                          delta_budget=DEFAULT_DELTA_BUDGET):
     """Coned hyperbolicity plus the geodesic-drift constant.
@@ -195,9 +190,6 @@ def kapovich_rafi_report(cg, pair_budget=None, seed=0,
     base, coned = cg.base, cg.coned
     n = base.n
     bo, co = base.oracle(), coned.oracle()
-    dmat = co.matrix() if coned.n <= 4096 else None
-    if dmat is None:
-        raise BudgetExceeded("coned graph too large for the pair scan")
 
     population = n * (n - 1) // 2
     if pair_budget is None or population <= pair_budget:
@@ -229,22 +221,23 @@ def kapovich_rafi_report(cg, pair_budget=None, seed=0,
             while w != u:
                 w = int(coned_parent[w])
                 b.append(w)
-            h = _hausdorff_between(dmat, a, b)
+            d = co.block(a, b)
+            h = int(max(d.min(axis=1).max(), d.min(axis=0).max()))
             if h > best:
                 best = h
                 witness = (int(u), int(v))
 
+    # coned parents are one-shot per source, so they skip the oracle cache
     if sampled_pairs is None:
         for u in range(n - 1):
-            scan(u, range(u + 1, n), bo.parents_from(u), co.parents_from(u))
-            co._parents.clear()  # one-shot rows, keep memory flat
+            scan(u, range(u + 1, n), bo.parents_from(u),
+                 bfs_parents(coned, u)[1])
     else:
         by_source = {}
         for u, v in sampled_pairs:
             by_source.setdefault(int(u), []).append(int(v))
         for u, targets in by_source.items():
-            scan(u, targets, bo.parents_from(u), co.parents_from(u))
-            co._parents.clear()
+            scan(u, targets, bo.parents_from(u), bfs_parents(coned, u)[1])
 
     delta = four_point_delta(coned, budget=delta_budget, seed=seed)
     return {"delta_coned": delta.delta,

@@ -28,7 +28,8 @@ from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      coset_vertices, enumerate_cosets, inverse_word,
                      subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
-                       ProjectionTable, run_axiom_battery)
+                       ProjectionTable, _projection_sets_onto,
+                       run_axiom_battery)
 from .sampling import rng_for, sample_indices
 
 
@@ -330,8 +331,7 @@ def projection_uniform_bound(base, sub, pair_budget=20_000, seed=0):
         if ci not in coset_verts:
             coset_verts[ci], _ = coset_vertices(ball, cosets[ci])
         verts = coset_verts[ci]
-        table = base.projections[u]
-        image = sorted({int(p) for v in verts for p in table.get(int(v))})
+        image = base.projections[u].image(verts)
         d = base.space_oracle(u).diameter_of_set(image)
         if d > C:
             C = d
@@ -391,7 +391,6 @@ def build_augmented_structure(base, subgroup_structures, force=False,
             "pass force=True to build anyway")
 
     X = base.X
-    xmatrix = X.oracle().matrix()
     S_old = base.maximal
     cs_graph = base.spaces[S_old]
     if cs_graph.n != X.n:
@@ -435,19 +434,13 @@ def build_augmented_structure(base, subgroup_structures, force=False,
 
         # projection tables: pi_(U,g) = pi_U o (pull back of the coset gate)
         sub_ball = sub_inst.meta["ball"]
-        gate = _projection_sets(xmatrix, verts)
+        gate = _projection_sets_onto(X.oracle(), verts)
         pull = np.asarray([_sub_vertex_of(sub_ball, ball.model, rep,
                                           ball.words[int(v)], clamp_log)
                            for v in verts], dtype=np.int64)
         for u in range(sub_inst.n_indices()):
             table = sub_inst.projections[u]
-            sets = []
-            for x in range(X.n):
-                gset = gate[x]
-                vals = set()
-                for gv in gset:
-                    vals.update(int(p) for p in table.get(int(pull[gv])))
-                sets.append(sorted(vals))
+            sets = [table.image(pull[gate.get(x)]) for x in range(X.n)]
             projections.append(ProjectionTable.from_sets(sets))
 
     n_idx = len(labels)
@@ -484,16 +477,8 @@ def build_augmented_structure(base, subgroup_structures, force=False,
         rho_up = _rho_into_top(inst, u)
         if rho_up is None or len(rho_up) == 0:
             return None
-        if v_new:
-            table = inst.projections[v]
-        elif not u_new and v == S:
-            return base.rho(u, v)
-        else:
-            table = inst.projections[v]
-        out = set()
-        for x in np.asarray(rho_up, dtype=np.int64):
-            out.update(int(p) for p in table.get(int(x)))
-        return np.asarray(sorted(out), dtype=np.int32) if out else None
+        out = inst.projections[v].image(rho_up)
+        return out if len(out) else None
 
     def _rho_into_top(inst, u):
         """rho^u_S as X-vertices (the coset for new top indices)."""
@@ -524,11 +509,7 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     def rho_down_provider(inst, w, v, verts_in):
         if w == S:
             # top-space vertices are X vertices: project straight down
-            out = set()
-            table = inst.projections[v]
-            for x in np.asarray(verts_in, dtype=np.int64):
-                out.update(int(p) for p in table.get(int(x)))
-            return np.asarray(sorted(out), dtype=np.int32)
+            return inst.projections[v].image(verts_in)
         if w in sub_of_index and v in sub_of_index:
             ci, ww = sub_of_index[w]
             cj, vv = sub_of_index[v]
@@ -557,14 +538,6 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     return AugmentedStructure(base, list(subgroup_structures), result,
                               provenance, phi_records, coned,
                               len(clamp_log))
-
-
-def _projection_sets(xmatrix, member_verts):
-    """Tie-complete closest-point projection sets onto a vertex set."""
-    block = xmatrix[:, member_verts]
-    mins = block.min(axis=1)
-    mask = block == mins[:, None]
-    return [np.flatnonzero(mask[x]) for x in range(xmatrix.shape[0])]
 
 
 def verify_augmented(aug, seed=0, equivariance_samples=100, battery_kwargs=None):
@@ -722,8 +695,7 @@ def decomposition_projection_check(aug, x, y, theta):
             table = result.projections[u]
 
             def diam_of(seg):
-                image = sorted({int(p) for v in seg
-                                for p in table.get(int(xmap[v]))})
+                image = table.image(xmap[np.asarray(seg, dtype=np.int64)])
                 return result.space_oracle(u).diameter_of_set(image)
 
             whole = diam_of(verts)

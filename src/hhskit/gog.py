@@ -372,8 +372,9 @@ def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
                         blab = vert_inst.labels[int(bidx)]
                         if blab in image_labels:
                             continue
-                        diam = vert_inst.spaces[int(bidx)].oracle().matrix().max() \
-                            if vert_inst.spaces[int(bidx)].n <= 64 else bounded_cutoff + 1
+                        space = vert_inst.spaces[int(bidx)]
+                        diam = (space.oracle().diameter_of_set(range(space.n))
+                                if space.n <= 64 else bounded_cutoff + 1)
                         if int(diam) <= bounded_cutoff:
                             exempt += 1
                         else:

@@ -23,6 +23,9 @@ from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
 
 # Largest vertex count for which an all-pairs matrix is materialized.
 MATRIX_CAP = 4096
+# Trees with more vertices than this answer from LCA arithmetic; smaller
+# ones get the matrix, which beats per-query LCA overhead on tiny trees.
+TREE_LCA_CUT = 256
 # Largest quadruple count enumerated exhaustively by four_point_delta.
 EXHAUSTIVE_QUADRUPLE_CAP = 2_000_000
 
@@ -229,25 +232,29 @@ class _TreeMetric:
 
 
 class DistanceOracle:
-    """Exact distance queries with a strategy chosen per graph.
+    """Exact distance queries with a strategy chosen from the graph alone.
 
-    Trees use LCA arithmetic, graphs up to MATRIX_CAP vertices get a cached
-    all-pairs matrix, anything larger answers from per-source BFS rows
-    cached on demand.
+    Trees above TREE_LCA_CUT vertices use LCA arithmetic, every other graph
+    up to MATRIX_CAP vertices gets a cached all-pairs matrix, anything
+    larger answers from per-source BFS rows cached on demand.  This class
+    is the only code that knows which; callers ask through ``pairs``,
+    ``block``, ``row``, ``dist_to_set`` and ``diameter_of_set``.
     """
 
-    def __init__(self, graph, matrix_cap=MATRIX_CAP):
+    def __init__(self, graph):
         self.graph = graph
         self.n = graph.n
-        self._tree = _TreeMetric(graph) if graph.is_tree() and graph.n > 0 else None
+        lca = graph.is_tree() and graph.n > TREE_LCA_CUT
+        self._tree = _TreeMetric(graph) if lca else None
         self._matrix = None
-        self._use_matrix = self._tree is None and graph.n <= matrix_cap
+        self._use_matrix = self._tree is None and graph.n <= MATRIX_CAP
         self._rows = {}
         self._parents = {}
 
     def matrix(self):
+        """The cached all-pairs matrix; internal to the matrix strategy."""
         if self._matrix is None:
-            if self.n > MATRIX_CAP and not self._use_matrix:
+            if not self._use_matrix:
                 raise BudgetExceeded(f"distance matrix for n={self.n} over cap")
             m = np.empty((self.n, self.n), dtype=np.int16)
             for u in range(self.n):
@@ -277,11 +284,28 @@ class DistanceOracle:
             out[mask] = self.row(int(u))[vs[mask]]
         return out
 
+    def block(self, a, b):
+        """The distances d(a[i], b[j]) as an array of shape (len(a), len(b))."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self._use_matrix:
+            return self.matrix()[np.ix_(a, b)].astype(np.int32)
+        if self._tree is not None:
+            d = self._tree.pair_dist(np.repeat(a, len(b)), np.tile(b, len(a)))
+            return d.reshape(len(a), len(b))
+        if len(b) < len(a):
+            return self.block(b, a).T
+        return np.asarray([self.row(int(u))[b] for u in a],
+                          dtype=np.int32).reshape(len(a), len(b))
+
     def dist(self, u, v):
         return int(self.pairs([u], [v])[0])
 
     def dist_to_set(self, verts):
         """Distances from every vertex to the nearest vertex of the set."""
+        verts = np.asarray(list(verts), dtype=np.int64)
+        if self._matrix is not None and self.graph.is_connected and len(verts):
+            return self._matrix[verts].min(axis=0).astype(np.int32)
         return bfs_distances(self.graph, verts)
 
     def parents_from(self, u):
@@ -295,8 +319,6 @@ class DistanceOracle:
     def geodesic(self, u, v):
         """A deterministic geodesic from u to v as a vertex list."""
         if self._tree is not None:
-            parent = None
-            path = [v]
             tm = self._tree
             l = int(tm.lca([u], [v])[0])
             up_u = [u]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, EmptyIntersection, Inconclusive,
                      UnknownGenerator)
-from .graph_core import MetricGraph, Subgraph
+from .graph_core import MetricGraph, connected_hull
 
 DEFAULT_BALL_CAP = 300_000
 POSTMERGE_CAP = 2000
@@ -630,32 +630,5 @@ def coset_subgraph(ball, descriptor):
     components and flagged 'hull-completed'.
     """
     verts, truncated = coset_vertices(ball, descriptor)
-    flags = ["truncated"] if truncated else []
-    try:
-        return Subgraph(ball.graph, verts, label=descriptor.label(),
-                        flags=flags)
-    except ValueError:
-        pass
-    vset = set(verts)
-    comps = []
-    unseen = set(verts)
-    while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for nb in ball.graph.neighbors(w):
-                nb = int(nb)
-                if nb in vset and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-        unseen -= comp
-    oracle = ball.graph.oracle()
-    filled = set(verts)
-    for comp in comps[1:]:
-        filled.update(oracle.geodesic(comps[0][0], comp[0]))
-    flags.append("hull-completed")
-    return Subgraph(ball.graph, sorted(filled), label=descriptor.label(),
-                    flags=flags)
+    return connected_hull(ball.graph, verts, label=descriptor.label(),
+                          flags=["truncated"] if truncated else [])

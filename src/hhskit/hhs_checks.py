@@ -21,6 +21,7 @@ from .graph_core import bfs_distances, four_point_delta, quasiconvexity_constant
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
+# relation codes between indices
 EQUAL, NESTED, CONTAINS, ORTHOGONAL, TRANSVERSE = 0, 1, 2, 3, 4
 
 DEFAULT_E_GRID = (1, 2, 3, 4, 6, 8)
@@ -37,22 +38,15 @@ def _carrier(inst, u):
     return inst._reverse_projection(u)
 
 
-def _space_matrix(inst, u):
-    return inst.space_oracle(u).matrix()
-
-
 def _pi_rep_distance(inst, u, xs, ys):
     """d_{C(u)} between projection representatives of X-vertex arrays."""
     rep = inst.pi_rep(u)
-    mat = _space_matrix(inst, u)
-    return mat[rep[xs], rep[ys]].astype(np.int32)
+    return inst.space_oracle(u).pairs(rep[xs], rep[ys])
 
 
 def _dist_to_target(inst, u, target):
     """Distance from every C(u)-vertex to a target vertex set, exactly."""
-    mat = _space_matrix(inst, u)
-    target = np.asarray(target, dtype=np.int64)
-    return mat[target].min(axis=0).astype(np.int64)
+    return inst.space_oracle(u).dist_to_set(target).astype(np.int64)
 
 
 def _pi_min_to_target(inst, u, xs, target):
@@ -262,7 +256,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
         # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level
         carrier = _carrier(inst, w)
         down = inst.pi_rep(v)[carrier[inst.pi_rep(w)[xs]]]
-        mv = _space_matrix(inst, v)[inst.pi_rep(v)[xs], down].astype(np.int64)
+        mv = inst.space_oracle(v).pairs(inst.pi_rep(v)[xs], down)
         m = np.minimum(mw, mv)
         i = int(np.argmax(m))
         if m[i] > kappa:
@@ -287,7 +281,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
         if ru is None or rv is None:
             unreached += 1
             continue
-        d = int(_space_matrix(inst, w)[np.ix_(ru, rv)].min())
+        d = int(inst.space_oracle(w).block(ru, rv).min())
         if d > kappa:
             kappa = d
             witness = {"kind": "rho-chain",
@@ -326,7 +320,7 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         dw = _pi_rep_distance(inst, w, us, vs)
         rhos = [inst.rho(int(t), w) for t in children]
         rel_sub = inst.rel[np.ix_(children, children)]
-        mat = _space_matrix(inst, w)
+        oracle_w = inst.space_oracle(w)
         for pi in range(len(us)):
             col = ds[:, pi]
             pi_set = inst.pi(w, int(us[pi]))
@@ -343,7 +337,7 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
                     continue
                 lam1 = len(maximal) / (dw[pi] + 1.0)
                 dist_side = max(
-                    int(mat[np.ix_(pi_set, rhos[ci])].min())
+                    int(oracle_w.block(pi_set, rhos[ci]).min())
                     for ci in maximal)
                 lam2 = dist_side / (dw[pi] + 1.0)
                 need = max(lam1, lam2)
@@ -628,7 +622,7 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), qc_pair_budget=20_000, seed=0):
     worst_gap = np.zeros(inst.X.n, dtype=np.int64)
     for u in range(n):
         table = inst.projections[u]
-        proj = np.unique(np.concatenate([table.get(int(v)) for v in yverts]))
+        proj = table.image(yverts)
         rep = quasiconvexity_constant(inst.spaces[u], proj,
                                       pair_budget=qc_pair_budget, seed=seed)
         if rep.q > k0:

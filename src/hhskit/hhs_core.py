@@ -18,11 +18,16 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .graph_core import MetricGraph, Subgraph, connected_hull
-
-# relation codes
-EQUAL, NESTED, CONTAINS, ORTHOGONAL, TRANSVERSE = 0, 1, 2, 3, 4
-REL_NAMES = {EQUAL: "equal", NESTED: "nested", CONTAINS: "contains",
-             ORTHOGONAL: "orthogonal", TRANSVERSE: "transverse"}
+# the battery is re-exported so callers only deal with this module; it also
+# owns the relation codes
+from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
+                         TRANSVERSE, AxiomBatteryReport, HierarchyPathResult,
+                         HQCReport, check_bgi, check_consistency, check_hqc,
+                         check_large_links, check_partial_realization,
+                         check_structural, check_uniqueness, constants_bundle,
+                         distance_formula_fit, find_hierarchy_path,
+                         hqc_qc_equivalence, realization_gap,
+                         run_axiom_battery)
 
 
 class ProjectionTable:
@@ -41,6 +46,13 @@ class ProjectionTable:
 
     def get(self, x):
         return self.data[self.indptr[x]:self.indptr[x + 1]]
+
+    def image(self, xs):
+        """Union of the projection sets of the vertices xs, sorted."""
+        out = set()
+        for x in np.asarray(xs, dtype=np.int64).tolist():
+            out.update(self.get(x).tolist())
+        return np.asarray(sorted(out), dtype=np.int32)
 
     def all_singletons(self):
         if not hasattr(self, "_all_singletons"):
@@ -165,10 +177,7 @@ class HHSInstance:
         else:
             rev = self._reverse_projection(w)
             xs = rev[np.asarray(verts, dtype=np.int64)]
-        out = set()
-        for x in np.unique(xs):
-            out.update(int(p) for p in self.pi(v, int(x)))
-        return np.asarray(sorted(out), dtype=np.int32)
+        return self.projections[v].image(xs)
 
     def _reverse_projection(self, u):
         """One X-vertex per C(u)-vertex whose projection contains it."""
@@ -230,12 +239,15 @@ def instance_from_ball(ball, label="S", meta=None):
     return inst
 
 
-def _projection_sets_onto(member_verts, xmatrix):
-    """Tie-complete closest-point projections onto a member, via X distances."""
-    block = xmatrix[:, member_verts]
+def _projection_sets_onto(oracle, member_verts):
+    """Tie-complete closest-point projections onto a member, via X distances.
+
+    Set x holds the positions in ``member_verts`` nearest to X-vertex x.
+    """
+    block = oracle.block(np.arange(oracle.n), member_verts)
     mins = block.min(axis=1)
     sets = block == mins[:, None]
-    indptr = np.zeros(xmatrix.shape[0] + 1, dtype=np.int64)
+    indptr = np.zeros(oracle.n + 1, dtype=np.int64)
     counts = sets.sum(axis=1)
     np.cumsum(counts, out=indptr[1:])
     data = np.flatnonzero(sets.ravel()) % len(member_verts)
@@ -256,7 +268,6 @@ def instance_from_factor_system(cand, report=None):
     graph, family = cand.graph, cand.family
     m = len(family)
     oracle = graph.oracle()
-    xmatrix = oracle.matrix()
 
     above, vsets = _containment_dag(family)
     n_idx = m + 1
@@ -282,7 +293,7 @@ def instance_from_factor_system(cand, report=None):
         coned = build_coneoff(mem.induced_graph(), contained).coned
         spaces.append(coned)
         space_to_x.append(mem.vertex_array())
-        projections.append(_projection_sets_onto(mem.vertex_array(), xmatrix))
+        projections.append(_projection_sets_onto(oracle, mem.vertex_array()))
     cs = build_coneoff(graph, family).coned
     spaces.append(cs)
     space_to_x.append(np.arange(graph.n, dtype=np.int64))
@@ -295,20 +306,11 @@ def instance_from_factor_system(cand, report=None):
             return None
         if v == S:
             return member_arrays[u].astype(np.int32)
-        verts = member_arrays[u]
-        out = set()
-        table = inst.projections[v]
-        for x in verts:
-            out.update(int(p) for p in table.get(int(x)))
-        return np.asarray(sorted(out), dtype=np.int32)
+        return inst.projections[v].image(member_arrays[u])
 
     def rho_down_provider(inst, w, v, verts):
         xs = inst.space_to_x[w][np.asarray(verts, dtype=np.int64)]
-        out = set()
-        table = inst.projections[v]
-        for x in np.unique(xs):
-            out.update(int(p) for p in table.get(int(x)))
-        return np.asarray(sorted(out), dtype=np.int32)
+        return inst.projections[v].image(xs)
 
     labels = [mem.label or f"member{i}" for i, mem in enumerate(family)] + ["S"]
     meta = {"construction": "factor-system", "radius": cand.radius}
@@ -515,16 +517,6 @@ def product_hhs(a, b, cap=200_000):
             "split": (n_a, n_b)}
     return HHSInstance(X, labels_idx, spaces, rel, S, projections,
                        rho_provider, rho_down_provider, space_to_x, meta)
-
-
-# re-export the battery so callers only deal with this module
-from .hhs_checks import (AxiomBatteryReport, HierarchyPathResult, HQCReport,  # noqa: E402,F401
-                         check_bgi, check_consistency, check_hqc,
-                         check_large_links, check_partial_realization,
-                         check_structural, check_uniqueness, constants_bundle,
-                         distance_formula_fit, find_hierarchy_path,
-                         hqc_qc_equivalence, realization_gap,
-                         run_axiom_battery)
 
 
 # ---------------------------------------------------------------------------

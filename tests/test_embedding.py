@@ -175,13 +175,14 @@ def test_augmented_projection_factors_through_gate(aug5):
     ball = result.meta["ball"]
     rng = np.random.default_rng(5)
     levels = aug5.coset_level_indices()
-    xmat = result.X.oracle().matrix()
+    oracle = result.X.oracle()
     for u in rng.choice(levels, size=12, replace=False):
         u = int(u)
         rho_set = np.asarray(result.rho(u, result.maximal), dtype=np.int64)
         for x in rng.integers(0, result.X.n, size=8):
             x = int(x)
-            gates = rho_set[xmat[x, rho_set] == xmat[x, rho_set].min()]
+            d = oracle.block([x], rho_set)[0]
+            gates = rho_set[d == d.min()]
             direct = set(int(p) for p in result.pi(u, x))
             via_gate = set(int(p) for g in gates for p in result.pi(u, int(g)))
             assert direct == via_gate

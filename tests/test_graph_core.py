@@ -1,6 +1,8 @@
 """graph_core against independent brute-force oracles."""
 
 import itertools
+import pathlib
+import re
 from collections import deque
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhskit import graph_core
-from hhskit.errors import Disconnected
+from hhskit.errors import BudgetExceeded, Disconnected
 from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
                                closest_point_projection, four_point_delta,
                                four_point_value, hausdorff_distance,
@@ -142,6 +144,62 @@ def test_geodesic_is_valid_and_minimal(g):
             assert path[0] == u and path[-1] == v
             assert len(path) - 1 == bfs_oracle(g.edges, g.n, u)[v]
             assert rec.length() == len(path) - 1
+
+
+# (MATRIX_CAP, TREE_LCA_CUT) that force each distance strategy: LCA on trees
+# (matrix otherwise), the matrix on every graph, BFS rows on every graph.
+STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}
+
+
+def oracle_with(g, matrix_cap, tree_cut):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
+        mp.setattr(graph_core, "TREE_LCA_CUT", tree_cut)
+        return graph_core.DistanceOracle(g)
+
+
+@given(st.one_of(connected_graphs(), trees()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_strategy_answers_like_bfs(g, data):
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    verts = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)
+    a, b = data.draw(verts), data.draw(verts)
+    to_b = [min(rows[v][w] for w in b) for v in range(g.n)]
+    for caps in STRATEGIES.values():
+        oracle = oracle_with(g, *caps)
+        assert list(oracle.dist_to_set(b)) == to_b
+        block = oracle.block(a, b)
+        assert block.shape == (len(a), len(b))
+        assert block.tolist() == [[rows[u][v] for v in b] for u in a]
+        assert list(oracle.pairs(a, a[::-1])) == [
+            rows[u][v] for u, v in zip(a, a[::-1])]
+        # with the matrix built (where the strategy has one) the set
+        # distances come from its rows
+        assert list(oracle.dist_to_set(b)) == to_b
+        assert oracle.diameter_of_set(a) == max(rows[u][v] for u in a for v in a)
+
+
+def test_strategy_follows_graph_size():
+    cut = graph_core.TREE_LCA_CUT
+    small = path_graph(cut).oracle()
+    assert small.matrix().shape == (cut, cut)
+    assert small.dist(0, cut - 1) == cut - 1
+    with pytest.raises(BudgetExceeded):
+        path_graph(cut + 1).oracle().matrix()
+    assert path_graph(cut + 1).oracle().dist(0, cut) == cut
+
+
+def test_only_graph_core_reaches_oracle_internals():
+    """Every other module asks the oracle through its public queries."""
+    internal = re.compile(r"\.(matrix\(|_matrix\b|_rows\b|_parents\b|_tree\b"
+                          r"|_use_matrix\b)")
+    src = pathlib.Path(graph_core.__file__).parent
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "graph_core.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if internal.search(line)]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

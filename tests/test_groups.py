@@ -284,7 +284,8 @@ def test_coset_subgraph_hull_completion_for_word_generators():
     ball = cayley_ball(F2, 4)
     h = SubgroupSpec(F2, ["a b"], label="AB")
     sub = coset_subgraph(ball, CosetDescriptor(h, ()))
-    assert "hull-completed" in sub.flags
+    # the walk leaves the ball at (ab)^3, so the coset is also truncated
+    assert sub.flags == ("truncated", "hull-completed")
     # the walk points (ab)^k stay inside, joined by geodesics
     assert ball.id_of_text("a b") in sub.vertices
     assert ball.id_of_text("a") in sub.vertices  # geodesic interior

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from hhskit import graph_core
 from hhskit import groups as G
+from hhskit.errors import BudgetExceeded
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.graph_core import MetricGraph, bfs_distances
 from hhskit.groups import SubgroupSpec
@@ -13,7 +15,7 @@ from hhskit.hhs_core import (HHSInstance, ProjectionTable, check_bgi,
                              check_structural, check_uniqueness,
                              distance_formula_fit, find_hierarchy_path,
                              hqc_qc_equivalence, instance_from_ball,
-                             normalize, product_hhs, realization_gap,
+                             instances_structurally_equal, normalize, product_hhs, realization_gap,
                              run_axiom_battery, trivial_instance)
 
 F2 = G.free_group(["a", "b"])
@@ -110,6 +112,12 @@ def test_uniqueness_flags_collapsed_projection():
     assert uniq["saturated_at_grid_max"]
 
 
+def test_projection_image_is_sorted_union():
+    table = ProjectionTable.from_sets([[3], [0, 2], [2, 3], [1]])
+    assert table.image(np.asarray([2, 1, 2])).tolist() == [0, 2, 3]
+    assert table.image([]).tolist() == []
+
+
 # ---------------------------------------------------------------------------
 # partial realization and products
 
@@ -174,8 +182,8 @@ def test_distance_formula_summand_example():
     assert int(inst.X.oracle().dist(e, x)) == 5
     total = 0
     for u in range(inst.n_indices()):
-        d = int(inst.space_oracle(u).matrix()[inst.pi_rep(u)[e],
-                                              inst.pi_rep(u)[x]])
+        d = inst.space_oracle(u).dist(int(inst.pi_rep(u)[e]),
+                                      int(inst.pi_rep(u)[x]))
         total += d if d >= 1 else 0
     # oracle: a-axis contributes 3, the b-coset at a3 contributes 2, the
     # coned top space contributes 2, gates elsewhere contribute 0
@@ -304,3 +312,24 @@ def test_battery_stable_across_radii_small():
             family_from_cosets(G.cayley_ball(F2, r), [SUB_A, SUB_B]))
         stable[r] = run_axiom_battery(inst, seed=5).stable_constants()
     assert stable[3] == stable[4]
+
+
+def test_no_matrix_path_matches_matrix_path(monkeypatch):
+    """With matrices capped away the oracles answer from LCA and BFS rows,
+    and the instance and its battery come out the same."""
+    def build():
+        inst = build_hhs_from_factor_system(
+            family_from_cosets(G.cayley_ball(F2, 4), [SUB_A, SUB_B]))
+        return inst, run_axiom_battery(inst, seed=3)
+
+    inst, battery = build()
+    monkeypatch.setattr(graph_core, "MATRIX_CAP", 8)
+    monkeypatch.setattr(graph_core, "TREE_LCA_CUT", 8)
+    capped, capped_battery = build()
+    with pytest.raises(BudgetExceeded):
+        capped.X.oracle().matrix()
+    with pytest.raises(BudgetExceeded):
+        capped.spaces[capped.maximal].oracle().matrix()
+    assert instances_structurally_equal(capped, inst)
+    assert capped_battery.headline() == battery.headline()
+    assert capped_battery.to_dict() == battery.to_dict()
