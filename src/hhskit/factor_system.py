@@ -198,7 +198,7 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
         verts = mem.vertex_array()
         if len(verts) == 1:
             continue
-        rows = np.stack([oracle.row(int(v)) for v in verts])
+        rows = oracle.block(verts, np.arange(graph.n))
         inner = mem.induced_graph().oracle()
         dist_to = bfs_distances(graph, verts)
         ii, jj = np.triu_indices(len(verts), k=1)

@@ -132,6 +132,65 @@ def bfs_distances(graph, sources):
     return dist
 
 
+# Sources per bfs_many sweep: one bit each of a vertex's uint64 word.
+WORD = 64
+
+
+def bfs_many(graph, sources):
+    """Single-source distance rows of up to WORD sources in one sweep.
+
+    Row i equals ``bfs_distances(graph, [sources[i]])``: shape
+    ``(len(sources), n)``, int32, -1 = unreached.  Every vertex carries a
+    uint64 word whose bit i means "reached from sources[i]"; one level is a
+    gather over the CSR neighbour array and an OR over each vertex's
+    neighbours, so all rows advance together.  Levels are kept bit-sliced
+    (plane p holds bit p of the level at which each bit was reached) and
+    unpacked into rows once, at the end.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    k, n = len(sources), graph.n
+    if k > WORD:
+        raise ValueError(f"bfs_many takes at most {WORD} sources, got {k}")
+    if k == 0:
+        return np.full((0, n), -1, dtype=np.int32)
+    frontier = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(frontier, sources,
+                     np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64)))
+    seen = frontier.copy()
+    planes = []
+    # reduceat needs a nonempty segment at every offset, so degree-0
+    # vertices (which no level reaches) are left out of the reduction.
+    has_nbrs = np.diff(graph.indptr) > 0
+    starts = graph.indptr[:-1][has_nbrs]
+    level = 0
+    while starts.size:
+        level += 1
+        nxt = np.zeros(n, dtype=np.uint64)
+        nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
+        nxt &= ~seen
+        if not nxt.any():
+            break
+        seen |= nxt
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros(n, dtype=np.uint64))
+        for p, plane in enumerate(planes):
+            if level >> p & 1:
+                plane |= nxt
+        frontier = nxt
+
+    def bits(words):
+        """(n, k) array of the low k bits of every vertex's word."""
+        return np.unpackbits(words.astype("<u8").view(np.uint8),
+                             bitorder="little").reshape(n, WORD)[:, :k]
+
+    # vertex-major: unpacking fills (n, k) without a transpose
+    cols = np.zeros((n, k), dtype=np.int32)
+    for p, plane in enumerate(planes):
+        cols |= np.left_shift(bits(plane), p, dtype=np.int32)
+    cols -= bits(~seen)
+    return cols.T
+
+
 def bfs_parents(graph, source):
     """BFS tree from one source with smallest-id parents.
 
@@ -163,6 +222,10 @@ def bfs_parents(graph, source):
         parent[fresh] = fresh_par
         frontier = fresh
     return dist, parent
+
+
+# Most pairs one LCA pass lifts at a time.
+LCA_CHUNK = 1 << 14
 
 
 class _TreeMetric:
@@ -204,8 +267,15 @@ class _TreeMetric:
         return out
 
     def pair_dist(self, us, vs):
-        l = self.lca(us, vs)
-        return (self.depth[us] + self.depth[vs] - 2 * self.depth[l]).astype(np.int32)
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        out = np.empty(len(us), dtype=np.int32)
+        # the lifting temporaries grow with the call; bound them by chunking
+        for lo in range(0, len(us), LCA_CHUNK):
+            u, v = us[lo:lo + LCA_CHUNK], vs[lo:lo + LCA_CHUNK]
+            out[lo:lo + LCA_CHUNK] = (self.depth[u] + self.depth[v]
+                                      - 2 * self.depth[self.lca(u, v)])
+        return out
 
     def row(self, u):
         all_v = np.arange(self.graph.n, dtype=np.int64)
@@ -235,10 +305,13 @@ class DistanceOracle:
     """Exact distance queries with a strategy chosen from the graph alone.
 
     Trees above TREE_LCA_CUT vertices use LCA arithmetic, every other graph
-    up to MATRIX_CAP vertices gets a cached all-pairs matrix, anything
-    larger answers from per-source BFS rows cached on demand.  This class
-    is the only code that knows which; callers ask through ``pairs``,
-    ``block``, ``row``, ``dist_to_set`` and ``diameter_of_set``.
+    up to MATRIX_CAP vertices gets a cached all-pairs matrix filled WORD
+    rows per ``bfs_many`` sweep, and anything larger caches no rows:
+    ``pairs`` and ``block`` sweep their distinct sources WORD at a time,
+    ``row`` runs one BFS, so callers that ask many rows should ask them
+    as one ``block``.  This class is the only code that knows which;
+    callers ask through ``pairs``, ``block``, ``row``, ``dist_to_set`` and
+    ``diameter_of_set``.
     """
 
     def __init__(self, graph):
@@ -248,7 +321,6 @@ class DistanceOracle:
         self._tree = _TreeMetric(graph) if lca else None
         self._matrix = None
         self._use_matrix = self._tree is None and graph.n <= MATRIX_CAP
-        self._rows = {}
         self._parents = {}
 
     def matrix(self):
@@ -257,19 +329,33 @@ class DistanceOracle:
             if not self._use_matrix:
                 raise BudgetExceeded(f"distance matrix for n={self.n} over cap")
             m = np.empty((self.n, self.n), dtype=np.int16)
-            for u in range(self.n):
-                m[u] = bfs_distances(self.graph, [u]).astype(np.int16)
+            for lo in range(0, self.n, WORD):
+                m[lo:lo + WORD] = bfs_many(
+                    self.graph, np.arange(lo, min(lo + WORD, self.n)))
             self._matrix = m
         return self._matrix
+
+    def _sweeps(self, us):
+        """(sel, rows, r) per sweep over the distinct sources in ``us``.
+
+        ``rows[r[i]]`` is the distance row of ``us[sel[i]]``; each batch of
+        WORD distinct sources is swept once and its rows dropped after.
+        """
+        src, inv = np.unique(us, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        cuts = np.append(np.searchsorted(inv[order],
+                                         np.arange(0, len(src), WORD)),
+                         len(us))
+        for b, lo in enumerate(range(0, len(src), WORD)):
+            sel = order[cuts[b]:cuts[b + 1]]
+            yield sel, bfs_many(self.graph, src[lo:lo + WORD]), inv[sel] - lo
 
     def row(self, u):
         if self._tree is not None:
             return self._tree.row(u).astype(np.int32)
         if self._use_matrix:
             return self.matrix()[u].astype(np.int32)
-        if u not in self._rows:
-            self._rows[u] = bfs_distances(self.graph, [u])
-        return self._rows[u]
+        return bfs_distances(self.graph, [u])
 
     def pairs(self, us, vs):
         us = np.asarray(us, dtype=np.int64)
@@ -279,9 +365,8 @@ class DistanceOracle:
         if self._use_matrix:
             return self.matrix()[us, vs].astype(np.int32)
         out = np.empty(len(us), dtype=np.int32)
-        for u in np.unique(us):
-            mask = us == u
-            out[mask] = self.row(int(u))[vs[mask]]
+        for sel, rows, r in self._sweeps(us):
+            out[sel] = rows[r, vs[sel]]
         return out
 
     def block(self, a, b):
@@ -295,8 +380,10 @@ class DistanceOracle:
             return d.reshape(len(a), len(b))
         if len(b) < len(a):
             return self.block(b, a).T
-        return np.asarray([self.row(int(u))[b] for u in a],
-                          dtype=np.int32).reshape(len(a), len(b))
+        out = np.empty((len(a), len(b)), dtype=np.int32)
+        for sel, rows, r in self._sweeps(a):
+            out[sel] = rows[:, b][r]
+        return out
 
     def dist(self, u, v):
         return int(self.pairs([u], [v])[0])
@@ -501,12 +588,16 @@ def shortest_path(graph, u, v):
 
 
 def _quad_deltas(oracle, quads):
-    """Half the gap between the largest and middle pair sums, per quadruple."""
-    x, y, z, w = (quads[:, i] for i in range(4))
-    s1 = oracle.pairs(x, y).astype(np.int64) + oracle.pairs(z, w)
-    s2 = oracle.pairs(x, z).astype(np.int64) + oracle.pairs(y, w)
-    s3 = oracle.pairs(x, w).astype(np.int64) + oracle.pairs(y, z)
-    sums = np.sort(np.stack([s1, s2, s3], axis=1), axis=1)
+    """Half the gap between the largest and middle pair sums, per quadruple.
+
+    The six pair lists go to the oracle as one query, so the sweep strategy
+    visits each distinct source once.
+    """
+    x, y, z, w = quads.T
+    d = oracle.pairs(np.concatenate([x, z, x, y, x, y]),
+                     np.concatenate([y, w, z, w, w, z])).reshape(6, -1)
+    sums = np.sort(np.stack([d[0] + d[1], d[2] + d[3], d[4] + d[5]], axis=1),
+                   axis=1)
     return (sums[:, 2] - sums[:, 1]) / 2.0
 
 
@@ -611,21 +702,26 @@ def quasiconvexity_constant(graph, h, pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     witness_pair = None
     witness_vertex = None
     rows = {}
-    for ui, vi in zip(us, vs):
-        u, v = int(verts[ui]), int(verts[vi])
-        for w in (u, v):
-            if w not in rows:
-                rows[w] = oracle.row(w)
-        d = rows[u][v]
-        on_geo = rows[u] + rows[v] == d
-        local = dist_to_h[on_geo]
-        zi = int(np.argmax(local))
-        if local[zi] > q:
-            q = int(local[zi])
-            witness_pair = (u, v)
-            witness_vertex = int(np.flatnonzero(on_geo)[zi])
+    all_v = np.arange(graph.n)
+    # WORD // 2 pairs at a time, so one query (one sweep) fetches every
+    # endpoint row the window still lacks
+    for lo in range(0, len(us), WORD // 2):
+        wu = verts[us[lo:lo + WORD // 2]].tolist()
+        wv = verts[vs[lo:lo + WORD // 2]].tolist()
         if len(rows) > 4096:
             rows.clear()
+        need = [w for w in dict.fromkeys(wu + wv) if w not in rows]
+        if need:
+            rows.update(zip(need, oracle.block(need, all_v)))
+        for u, v in zip(wu, wv):
+            d = rows[u][v]
+            on_geo = rows[u] + rows[v] == d
+            local = dist_to_h[on_geo]
+            zi = int(np.argmax(local))
+            if local[zi] > q:
+                q = int(local[zi])
+                witness_pair = (u, v)
+                witness_vertex = int(np.flatnonzero(on_geo)[zi])
     return QuasiconvexityReport(max(q, 0), witness_pair, witness_vertex, spec)
 
 

@@ -161,11 +161,10 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
         counts = np.diff(table.indptr)
         if (counts > 1).any():
             xi = max(xi, table.max_set_diameter(inst.space_oracle(u)))
-    pairs = inst.eligible_rho_pairs()
-    idx, spec = sample_indices(len(pairs), rho_pair_budget, seed)
+    us, vs = inst.eligible_rho_pairs()
+    idx, spec = sample_indices(len(us), rho_pair_budget, seed)
     unreached = 0
-    for k in idx:
-        u, v = pairs[int(k)]
+    for u, v in zip(us[idx].tolist(), vs[idx].tolist()):
         r = inst.rho(u, v)
         if r is None or len(r) == 0:
             unreached += 1

@@ -193,14 +193,12 @@ class HHSInstance:
         return self._reverse_proj[u]
 
     def eligible_rho_pairs(self):
-        """Ordered pairs (u, v) with rho^u_v defined: u nested in v or transverse."""
-        n = self.n_indices()
-        out = []
-        for u in range(n):
-            for v in range(n):
-                if self.rel[u, v] in (NESTED, TRANSVERSE):
-                    out.append((u, v))
-        return out
+        """Ordered pairs (u, v) with rho^u_v defined: u nested in v or transverse.
+
+        Two int32 arrays ``(us, vs)``, in row-major order of ``rel``.
+        """
+        us, vs = np.nonzero((self.rel == NESTED) | (self.rel == TRANSVERSE))
+        return us.astype(np.int32), vs.astype(np.int32)
 
     def index_of_label(self, label):
         return self.labels.index(label)
@@ -528,9 +526,9 @@ def instance_to_bundle(inst, rho_cap=250_000):
     Refuses on instances whose rho table would explode; the cap counts
     eligible ordered pairs.
     """
-    pairs = inst.eligible_rho_pairs()
-    if len(pairs) > rho_cap:
-        raise BudgetExceeded(f"{len(pairs)} rho pairs exceed bundle cap")
+    us, vs = inst.eligible_rho_pairs()
+    if len(us) > rho_cap:
+        raise BudgetExceeded(f"{len(us)} rho pairs exceed bundle cap")
     bundle = {
         "labels": list(inst.labels),
         "maximal": int(inst.maximal),
@@ -546,7 +544,7 @@ def instance_to_bundle(inst, rho_cap=250_000):
         "meta": {k: v for k, v in inst.meta.items()
                  if isinstance(v, (str, int, float, bool, list))},
     }
-    for u, v in pairs:
+    for u, v in zip(us.tolist(), vs.tolist()):
         r = inst.rho(u, v)
         bundle["rho"][f"{u},{v}"] = (None if r is None
                                      else [int(x) for x in r])
@@ -591,7 +589,8 @@ def instances_structurally_equal(a, b):
         if not ((ta.indptr == tb.indptr).all()
                 and (ta.data == tb.data).all()):
             return False
-    for u, v in a.eligible_rho_pairs():
+    us, vs = a.eligible_rho_pairs()
+    for u, v in zip(us.tolist(), vs.tolist()):
         ra, rb = a.rho(u, v), b.rho(u, v)
         if (ra is None) != (rb is None):
             return False

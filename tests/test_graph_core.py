@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhskit import graph_core
+from hhskit import graph_core, groups
 from hhskit.errors import BudgetExceeded, Disconnected
 from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
+                               bfs_distances, bfs_many,
                                closest_point_projection, four_point_delta,
                                four_point_value, hausdorff_distance,
                                quasiconvexity_constant, ragged_diameters,
                                ragged_hausdorff, read_edge_list, shortest_path,
                                to_dot, write_edge_list)
+from hhskit.sampling import sample_unordered_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +75,8 @@ def grid_graph(rows, cols):
 
 
 @st.composite
-def connected_graphs(draw, max_n=11):
-    n = draw(st.integers(min_value=2, max_value=max_n))
+def connected_graphs(draw, max_n=11, min_n=2):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     extra = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
     edges = {(i, i + 1) for i in range(n - 1)}
@@ -81,6 +84,16 @@ def connected_graphs(draw, max_n=11):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return MetricGraph(n, sorted(edges))
+
+
+@st.composite
+def scattered_graphs(draw, max_n=12):
+    """Graphs with components and isolated vertices; the last one is isolated."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    ends = st.integers(0, n - 2)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=14))
+    return MetricGraph(n, sorted({(min(u, v), max(u, v))
+                                  for u, v in pairs if u != v}))
 
 
 @st.composite
@@ -146,6 +159,19 @@ def test_geodesic_is_valid_and_minimal(g):
             assert rec.length() == len(path) - 1
 
 
+@given(st.one_of(scattered_graphs(), st.just(MetricGraph(1, []))),
+       st.sampled_from([1, 63, 64]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bfs_many_equals_stacked_bfs(g, k, data):
+    sources = data.draw(st.lists(st.integers(0, g.n - 1),
+                                 min_size=k, max_size=k))
+    rows = bfs_many(g, sources)
+    assert rows.dtype == np.int32
+    assert rows.tolist() == [bfs_distances(g, [u]).tolist() for u in sources]
+    with pytest.raises(ValueError):
+        bfs_many(g, [0] * (graph_core.WORD + 1))
+
+
 # (MATRIX_CAP, TREE_LCA_CUT) that force each distance strategy: LCA on trees
 # (matrix otherwise), the matrix on every graph, BFS rows on every graph.
 STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}
@@ -177,6 +203,68 @@ def test_every_strategy_answers_like_bfs(g, data):
         # distances come from its rows
         assert list(oracle.dist_to_set(b)) == to_b
         assert oracle.diameter_of_set(a) == max(rows[u][v] for u in a for v in a)
+    # one rows-strategy query over more distinct sources than one sweep holds
+    wide = data.draw(connected_graphs(min_n=graph_core.WORD + 2, max_n=150))
+    rows = [bfs_oracle(wide.edges, wide.n, v) for v in range(wide.n)]
+    order = st.permutations(range(wide.n))
+    a = data.draw(order) + data.draw(verts.map(list))
+    b = data.draw(order)[:graph_core.WORD + 1] * 2
+    oracle = oracle_with(wide, *STRATEGIES["rows"])
+    assert list(oracle.pairs(a, a[::-1])) == [
+        rows[u][v] for u, v in zip(a, a[::-1])]
+    assert oracle.block(a, b).tolist() == [[rows[u][v] for v in b] for u in a]
+
+
+def six_call_deltas(oracle, quads):
+    """Reference four-point gaps: one oracle call per pair list."""
+    x, y, z, w = (quads[:, i] for i in range(4))
+    s1 = oracle.pairs(x, y).astype(np.int64) + oracle.pairs(z, w)
+    s2 = oracle.pairs(x, z).astype(np.int64) + oracle.pairs(y, w)
+    s3 = oracle.pairs(x, w).astype(np.int64) + oracle.pairs(y, z)
+    sums = np.sort(np.stack([s1, s2, s3], axis=1), axis=1)
+    return (sums[:, 2] - sums[:, 1]) / 2.0
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@given(st.one_of(connected_graphs(min_n=4),
+                 trees().filter(lambda t: t.n >= 4)), st.integers(0, 9))
+@settings(max_examples=20, deadline=None)
+def test_one_call_quad_deltas_match_six_calls(strategy, g, seed):
+    def delta(**kw):
+        fresh = MetricGraph(g.n, g.edges)
+        return [(r.delta, r.witness) for r in (
+            four_point_delta(fresh, **kw),
+            four_point_delta(fresh, budget=40, seed=seed, **kw))]
+
+    matrix_cap, tree_cut = STRATEGIES[strategy]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
+        mp.setattr(graph_core, "TREE_LCA_CUT", tree_cut)
+        # LCA passes split mid-list, so chunk boundaries fall inside queries
+        mp.setattr(graph_core, "LCA_CHUNK", 6 * 5 + 1)
+        one_call = delta()
+        mp.setattr(graph_core, "_quad_deltas", six_call_deltas)
+        assert one_call == delta()
+
+
+def test_rows_strategy_caches_no_rows():
+    """The sampled delta above MATRIX_CAP holds no more than a few sweeps."""
+    raag = groups.raag_group(["a", "b", "c"], [("a", "b")])
+    expect = four_point_delta(groups.cayley_ball(raag, 5).graph,
+                              budget=3000, seed=1)
+    g = groups.cayley_ball(raag, 5).graph
+    assert g.n == 2583
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "MATRIX_CAP", 8)
+        tracemalloc.start()
+        try:
+            got = four_point_delta(g, budget=3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a quarter of an int32 all-pairs matrix; caching every row is 26 MB
+    assert peak < g.n * g.n * 4 / 4
+    assert (got.delta, got.witness) == (expect.delta, expect.witness)
 
 
 def test_strategy_follows_graph_size():
@@ -326,6 +414,31 @@ def test_grid_boundary_row_matches_enumeration_oracle():
     z = rep.witness_vertex
     assert rows[u][z] + rows[z][v] == rows[u][v]
     assert to_h[z] == rep.q
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@given(st.one_of(connected_graphs(min_n=10, max_n=30),
+                 trees(max_n=30).filter(lambda t: t.n >= 10)),
+       st.data())
+@settings(max_examples=15, deadline=None)
+def test_quasiconvexity_matches_per_pair_scan(strategy, g, data):
+    """Windowed row fetches give the q and witnesses of a per-pair scan."""
+    h = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=9)))
+    budget = data.draw(st.sampled_from([None, 40]))
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    to_h = [min(rows[v][x] for x in h) for v in range(g.n)]
+    expect = (-1, None, None)
+    us, vs, _ = sample_unordered_pairs(len(h), budget, 3)
+    for u, v in zip((h[i] for i in us), (h[j] for j in vs)):
+        for z in range(g.n):
+            if rows[u][z] + rows[z][v] == rows[u][v] and to_h[z] > expect[0]:
+                expect = (to_h[z], (u, v), z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy][0])
+        mp.setattr(graph_core, "TREE_LCA_CUT", STRATEGIES[strategy][1])
+        rep = quasiconvexity_constant(MetricGraph(g.n, g.edges), h,
+                                      pair_budget=budget, seed=3)
+    assert (rep.q, rep.witness_pair, rep.witness_vertex) == expect
 
 
 def test_hausdorff_basics():

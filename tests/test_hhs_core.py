@@ -9,6 +9,7 @@ from hhskit.errors import BudgetExceeded
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.graph_core import MetricGraph, bfs_distances
 from hhskit.groups import SubgroupSpec
+from hhskit.hhs_checks import NESTED, TRANSVERSE
 from hhskit.hhs_core import (HHSInstance, ProjectionTable, check_bgi,
                              check_consistency, check_hqc,
                              check_large_links, check_partial_realization,
@@ -57,6 +58,16 @@ def test_factor_instance_structural_exact(factor4):
     assert rep.complexity == 3
     assert rep.xi == 1           # members are coned to diameter 1 in CS
     assert rep.rho_sample.mode == "exhaustive" or rep.rho_sample.drawn > 0
+
+
+def test_eligible_rho_pairs_in_loop_order(factor4):
+    """The pair arrays list (u, v) in the order of a row-major scan."""
+    n = factor4.n_indices()
+    ref = [(u, v) for u in range(n) for v in range(n)
+           if factor4.rel[u, v] in (NESTED, TRANSVERSE)]
+    us, vs = factor4.eligible_rho_pairs()
+    assert us.dtype == vs.dtype == np.int32
+    assert list(zip(us.tolist(), vs.tolist())) == ref
 
 
 def test_structural_catches_broken_relation(factor4):
