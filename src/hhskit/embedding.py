@@ -28,8 +28,7 @@ from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      coset_vertices, enumerate_cosets, inverse_word,
                      subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
-                       ProjectionTable, _projection_sets_onto,
-                       run_axiom_battery)
+                       _projection_sets_onto, run_axiom_battery)
 from .sampling import rng_for, sample_indices
 
 
@@ -238,7 +237,7 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
     for sub_j in subs:
         for c in enumerate_cosets(ball, sub_j):
             coset = coset_subgraph(ball, c)
-            dist = bfs_distances(ball.graph, coset.vertex_array())
+            dist = oracle.dist_to_set(coset.vertex_array())
             for sub_i in subs:
                 if (sub_i is sub_j and c.representative == ()):
                     continue
@@ -438,10 +437,8 @@ def build_augmented_structure(base, subgroup_structures, force=False,
         pull = np.asarray([_sub_vertex_of(sub_ball, ball.model, rep,
                                           ball.words[int(v)], clamp_log)
                            for v in verts], dtype=np.int64)
-        for u in range(sub_inst.n_indices()):
-            table = sub_inst.projections[u]
-            sets = [table.image(pull[gate.get(x)]) for x in range(X.n)]
-            projections.append(ProjectionTable.from_sets(sets))
+        projections += [table.compose(gate, pull)
+                        for table in sub_inst.projections]
 
     n_idx = len(labels)
     S = S_old

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, FactorSystemViolated
-from .graph_core import (RaggedSets, bfs_distances, connected_hull,
+from .graph_core import (RaggedSets, connected_hull,
                          four_point_delta, iter_ragged_blocks,
                          ragged_diameters, ragged_hausdorff)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, sample_indices,
@@ -200,7 +200,7 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
             continue
         rows = oracle.block(verts, np.arange(graph.n))
         inner = mem.induced_graph().oracle()
-        dist_to = bfs_distances(graph, verts)
+        dist_to = oracle.dist_to_set(verts)
         ii, jj = np.triu_indices(len(verts), k=1)
         d_outer = rows[ii, verts[jj]].astype(np.float64)
         d_inner = inner.pairs(ii, jj).astype(np.float64)

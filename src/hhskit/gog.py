@@ -18,8 +18,8 @@ from .factor_system import build_group_factor_closure, verify_factor_system
 from .graph_core import MetricGraph, quasiconvexity_constant
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word)
-from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, ProjectionTable,
-                       check_hqc, check_structural, instance_from_ball)
+from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, check_hqc,
+                       check_structural, instance_from_ball)
 from .factor_system import build_hhs_from_factor_system
 
 
@@ -226,11 +226,8 @@ def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     spaces = [vertex_instance.spaces[u] for u in keep]
     pos = {u: i for i, u in enumerate(keep)}
     rel = vertex_instance.rel[np.ix_(keep, keep)].copy()
-    projections = []
-    for u in keep:
-        table = vertex_instance.projections[u]
-        projections.append(ProjectionTable.from_sets(
-            [table.get(int(embed[x])) for x in range(edge_ball.graph.n)]))
+    projections = [vertex_instance.projections[u].pullback(embed)
+                   for u in keep]
 
     def rho_provider(inst, a, b):
         return vertex_instance.rho(keep[a], keep[b])
@@ -555,11 +552,7 @@ def _absorbed_edge_instance(gog, edge, vertex, sub, sub_inst, aug):
     index_map = dict(record["index_map"])
     labels = list(sub_inst.labels)
     keep = [result.index_of_label(index_map[lab]) for lab in labels]
-    projections = []
-    for u in keep:
-        table = result.projections[u]
-        projections.append(ProjectionTable.from_sets(
-            [table.get(int(embed[x])) for x in range(edge_ball.graph.n)]))
+    projections = [result.projections[u].pullback(embed) for u in keep]
 
     def rho_provider(inst, a, b):
         return result.rho(keep[a], keep[b])

@@ -100,19 +100,30 @@ class MetricGraph:
         return self.labels[v] if self.labels is not None else str(v)
 
 
+def _starts(sizes):
+    """Start offset of each segment of the given sizes."""
+    return np.cumsum(sizes) - sizes
+
+
+def segments(indptr, rows):
+    """The CSR segments of ``rows``, concatenated in order.
+
+    ``pos`` holds the flat positions ``indptr[r]`` .. ``indptr[r+1] - 1`` of
+    each row r of ``rows`` in turn; ``owner[i]`` is the index into ``rows``
+    of the row whose segment holds ``pos[i]``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    pos = np.arange(len(owner)) + (starts - _starts(counts))[owner]
+    return owner, pos
+
+
 def _frontier_neighbors(graph, frontier):
     """Flattened neighbor and source arrays for a frontier of vertices."""
-    starts = graph.indptr[frontier]
-    counts = graph.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    base = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.repeat(starts, counts) + (np.arange(total, dtype=np.int64) - base)
-    nbrs = graph.indices[flat].astype(np.int64)
-    srcs = np.repeat(frontier, counts)
-    return nbrs, srcs
+    owner, pos = segments(graph.indptr, frontier)
+    return graph.indices[pos].astype(np.int64), frontier[owner]
 
 
 def bfs_distances(graph, sources):
@@ -748,11 +759,6 @@ RAGGED_CHUNK = 1 << 14
 DIAMETER_PAIR_CAP = 250_000
 
 
-def _starts(sizes):
-    """Start offset of each segment of the given sizes."""
-    return np.cumsum(sizes) - sizes
-
-
 class RaggedSets:
     """Vertex sets in CSR form: set s is ``flat[offsets[s]:offsets[s+1]]``."""
 
@@ -797,20 +803,14 @@ class RaggedBlocks:
 
     def __init__(self, oracle, A, a_idx, B, b_idx):
         a_len, b_len = A.sizes()[a_idx], B.sizes()[b_idx]
-        pairs = np.arange(len(a_idx))
         self.pair_rows, self.pair_cols = _starts(a_len), _starts(b_len)
-        row_pair = np.repeat(pairs, a_len)
-        col_pair = np.repeat(pairs, b_len)
-        row_local = np.arange(len(row_pair)) - self.pair_rows[row_pair]
-        col_local = np.arange(len(col_pair)) - self.pair_cols[col_pair]
-        self.row_verts = A.flat[A.offsets[a_idx][row_pair] + row_local]
-        self.col_verts = B.flat[B.offsets[b_idx][col_pair] + col_local]
-        row_len = b_len[row_pair]
-        self.row_starts = _starts(row_len)
-        entry_row = np.repeat(np.arange(len(row_len)), row_len)
-        self.entry_col = (self.pair_cols[row_pair][entry_row]
-                          + np.arange(len(entry_row))
-                          - self.row_starts[entry_row])
+        row_pair, row_pos = segments(A.offsets, a_idx)
+        _, col_pos = segments(B.offsets, b_idx)
+        self.row_verts, self.col_verts = A.flat[row_pos], B.flat[col_pos]
+        # row r spans the columns of its pair
+        self.row_starts = _starts(b_len[row_pair])
+        entry_row, self.entry_col = segments(
+            np.append(self.pair_cols, len(col_pos)), row_pair)
         self.d = oracle.pairs(self.row_verts[entry_row],
                               self.col_verts[self.entry_col])
         self._col_min = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import bfs_distances, four_point_delta, quasiconvexity_constant
+from .graph_core import four_point_delta, quasiconvexity_constant
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -158,8 +158,7 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     xi = 0
     for u in range(n):
         table = inst.projections[u]
-        counts = np.diff(table.indptr)
-        if (counts > 1).any():
+        if not table.all_singletons():
             xi = max(xi, table.max_set_diameter(inst.space_oracle(u)))
     us, vs = inst.eligible_rho_pairs()
     idx, spec = sample_indices(len(us), rho_pair_budget, seed)
@@ -211,6 +210,28 @@ class ConsistencyReport:
     def to_dict(self):
         return {"kappa0": self.kappa0, "witness": self.witness,
                 "samples": self.samples, "unreached": self.unreached}
+
+
+# Most relation entries one eligibility mask of check_consistency holds.
+TRIPLE_MASK_CAP = 1 << 22
+
+
+def _rho_chain_triples(rel, nested):
+    """Rho-chain triples (U, V, W) over the nested pairs (U, V).
+
+    W is nested in V, or transverse to V and not orthogonal to U.  Two int32
+    arrays: the row of (U, V) in ``nested`` and W, in the order of a scan
+    over ``nested`` and then over W.
+    """
+    chunk = max(1, TRIPLE_MASK_CAP // len(rel))
+    parts = [np.empty((2, 0), dtype=np.int32)]
+    for lo in range(0, len(nested), chunk):
+        u, v = nested[lo:lo + chunk].T
+        eligible = (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
+                                         & (rel[:, u].T != ORTHOGONAL))
+        k, w = np.nonzero(eligible)
+        parts.append(np.stack([k + lo, w]).astype(np.int32))
+    return np.concatenate(parts, axis=1)
 
 
 def check_consistency(inst, pair_budget=20_000, point_budget=60,
@@ -265,17 +286,10 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
                        "x": int(xs[i])}
 
     # rho-consistency: U nested in V, W sees both
-    triples = []
-    for k in range(len(nested)):
+    tk, tw = _rho_chain_triples(inst.rel, nested)
+    tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
+    for k, w in zip(tk[tridx].tolist(), tw[tridx].tolist()):
         u, v = int(nested[k][0]), int(nested[k][1])
-        eligible = np.flatnonzero(
-            ((inst.rel[v] == NESTED))
-            | ((inst.rel[v] == TRANSVERSE) & (inst.rel[:, u] != ORTHOGONAL).T))
-        for w in eligible:
-            triples.append((u, v, int(w)))
-    tridx, trspec = sample_indices(len(triples), triple_budget, seed + 2)
-    for k in tridx:
-        u, v, w = triples[int(k)]
         ru, rv = inst.rho(u, w), inst.rho(v, w)
         if ru is None or rv is None:
             unreached += 1
@@ -369,10 +383,10 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
             unreached += 1
             continue
         cw = inst.spaces[w]
-        dist_rho = bfs_distances(cw, rho)
+        oracle_w = inst.space_oracle(w)
+        dist_rho = oracle_w.dist_to_set(rho)
         carrier = _carrier(inst, w)
         rep_v = inst.pi_rep(v)
-        oracle_w = inst.space_oracle(w)
         oracle_v = inst.space_oracle(v)
         for _ in range(geodesics_per_pair):
             a, b = int(rng.integers(0, cw.n)), int(rng.integers(0, cw.n))
@@ -627,10 +641,10 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), qc_pair_budget=20_000, seed=0):
         if rep.q > k0:
             k0 = rep.q
             k0_witness = inst.labels[u]
-        dist_proj = bfs_distances(inst.spaces[u], proj).astype(np.int64)
+        dist_proj = inst.space_oracle(u).dist_to_set(proj).astype(np.int64)
         np.maximum(worst_gap, table.min_over_sets(all_x, dist_proj),
                    out=worst_gap)
-    dist_y = bfs_distances(inst.X, yverts)
+    dist_y = inst.X.oracle().dist_to_set(yverts)
     k_table = {}
     witnesses = {}
     for r in r_grid:

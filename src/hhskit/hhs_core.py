@@ -17,7 +17,7 @@ here.
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import MetricGraph, Subgraph, connected_hull
+from .graph_core import MetricGraph, Subgraph, connected_hull, segments
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -64,37 +64,41 @@ class ProjectionTable:
         xs = np.asarray(xs, dtype=np.int64)
         if self.all_singletons():
             return values[self.rep[xs]]
-        starts = self.indptr[xs]
-        counts = self.indptr[xs + 1] - starts
-        total = int(counts.sum())
-        base = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.repeat(starts, counts) + (np.arange(total) - base)
-        vals = values[self.data[flat]]
-        offsets = (np.cumsum(counts) - counts)
-        return np.minimum.reduceat(vals, offsets)
+        owner, pos = segments(self.indptr, xs)
+        return np.minimum.reduceat(values[self.data[pos]],
+                                   np.searchsorted(owner, np.arange(len(xs))))
 
     def max_set_diameter(self, space_oracle):
-        best = 0
-        n = len(self.indptr) - 1
-        for x in range(n):
-            s = self.get(x)
-            if len(s) > 1:
-                best = max(best, space_oracle.diameter_of_set(s))
-        return best
+        big = np.flatnonzero(np.diff(self.indptr) > 1)
+        return max((space_oracle.diameter_of_set(self.get(x))
+                    for x in big.tolist()), default=0)
+
+    def owners(self):
+        """The x whose set holds each entry of ``data``."""
+        return np.repeat(np.arange(len(self.rep)), np.diff(self.indptr))
+
+    def pullback(self, embed):
+        """The table x -> set of ``embed[x]``."""
+        owner, pos = segments(self.indptr, embed)
+        return ProjectionTable.from_entries(owner, self.data[pos], len(embed))
+
+    def compose(self, gate, pull):
+        """The table x -> sorted union of the sets of ``pull[g]``, g in the
+        set of x in ``gate``."""
+        owner, pos = segments(self.indptr, pull[gate.data])
+        width = int(self.data.max()) + 1
+        keys = np.unique(gate.owners()[owner] * width + self.data[pos])
+        return ProjectionTable.from_entries(keys // width, keys % width,
+                                            len(gate.rep))
+
+    @staticmethod
+    def from_entries(xs, data, n):
+        """The n sets holding ``data[i]`` in set ``xs[i]`` (xs sorted)."""
+        return ProjectionTable(np.searchsorted(xs, np.arange(n + 1)), data)
 
     @staticmethod
     def identity(n):
         return ProjectionTable(np.arange(n + 1), np.arange(n))
-
-    @staticmethod
-    def from_sets(sets):
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        data = []
-        for i, s in enumerate(sets):
-            vals = sorted(int(v) for v in s)
-            data.extend(vals)
-            indptr[i + 1] = len(data)
-        return ProjectionTable(indptr, np.asarray(data, dtype=np.int32))
 
 
 class HHSInstance:
@@ -183,12 +187,9 @@ class HHSInstance:
         """One X-vertex per C(u)-vertex whose projection contains it."""
         if u not in self._reverse_proj:
             table = self.projections[u]
-            rev = np.full(self.spaces[u].n, -1, dtype=np.int64)
-            for x in range(self.X.n - 1, -1, -1):
-                rev[table.get(x)] = x
-            missing = rev < 0
-            if missing.any():
-                rev[missing] = 0
+            rev = np.full(self.spaces[u].n, self.X.n, dtype=np.int64)
+            np.minimum.at(rev, table.data, table.owners())
+            rev[rev == self.X.n] = 0
             self._reverse_proj[u] = rev
         return self._reverse_proj[u]
 
@@ -243,13 +244,8 @@ def _projection_sets_onto(oracle, member_verts):
     Set x holds the positions in ``member_verts`` nearest to X-vertex x.
     """
     block = oracle.block(np.arange(oracle.n), member_verts)
-    mins = block.min(axis=1)
-    sets = block == mins[:, None]
-    indptr = np.zeros(oracle.n + 1, dtype=np.int64)
-    counts = sets.sum(axis=1)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.flatnonzero(sets.ravel()) % len(member_verts)
-    return ProjectionTable(indptr, data.astype(np.int32))
+    xs, data = np.nonzero(block == block.min(axis=1)[:, None])
+    return ProjectionTable.from_entries(xs, data, oracle.n)
 
 
 def instance_from_factor_system(cand, report=None):
@@ -342,6 +338,7 @@ def normalize(inst):
     new_space_to_x = []
     changed = []
     keep_maps = []
+    kept_verts = []
     for u in range(n_idx):
         space = inst.spaces[u]
         table = inst.projections[u]
@@ -351,22 +348,23 @@ def normalize(inst):
             new_projections.append(table)
             new_space_to_x.append(inst.space_to_x[u])
             keep_maps.append(None)
+            kept_verts.append(None)
             continue
         sub = connected_hull(space, image, label=inst.labels[u])
         repaired = "hull-completed" in sub.flags
-        local = sub.to_local()
+        kept = sub.vertex_array()
         remap = np.full(space.n, -1, dtype=np.int32)
-        for v in sub.vertices:
-            remap[v] = local[v]
+        remap[kept] = np.arange(len(kept))
         new_data = remap[table.data]
         new_spaces.append(sub.induced_graph())
         new_projections.append(ProjectionTable(table.indptr, new_data))
         if inst.space_to_x[u] is not None:
-            new_space_to_x.append(inst.space_to_x[u][np.asarray(sub.vertices)])
+            new_space_to_x.append(inst.space_to_x[u][kept])
         else:
             new_space_to_x.append(None)
         keep_maps.append(remap)
-        changed.append({"index": inst.labels[u], "removed": int(space.n - len(sub.vertices)),
+        kept_verts.append(kept)
+        changed.append({"index": inst.labels[u], "removed": int(space.n - len(kept)),
                         "hull_repaired": repaired})
 
     def rho_provider(new_inst, u, v):
@@ -383,12 +381,7 @@ def normalize(inst):
 
     def rho_down_provider(new_inst, w, v, verts):
         verts = np.asarray(verts, dtype=np.int64)
-        if keep_maps[w] is not None:
-            back = np.asarray(
-                [np.flatnonzero(keep_maps[w] == lv)[0] for lv in verts],
-                dtype=np.int64)
-        else:
-            back = verts
+        back = verts if kept_verts[w] is None else kept_verts[w][verts]
         out = inst.rho_down(w, v, back)
         if keep_maps[v] is not None:
             out = keep_maps[v][np.asarray(out, dtype=np.int64)]
@@ -460,21 +453,13 @@ def product_hhs(a, b, cap=200_000):
     coord_a = np.repeat(np.arange(na, dtype=np.int64), nb)
     coord_b = np.tile(np.arange(nb, dtype=np.int64), na)
 
-    projections = []
-    for u in range(n_a):
-        t = a.projections[u]
-        sets = [t.get(int(coord_a[x])) for x in range(X.n)]
-        projections.append(ProjectionTable.from_sets(sets))
-    for u in range(n_b):
-        t = b.projections[u]
-        sets = [t.get(int(coord_b[x])) for x in range(X.n)]
-        projections.append(ProjectionTable.from_sets(sets))
-    top_sets = []
-    rep_a = a.projections[a.maximal].rep
-    rep_b = b.projections[b.maximal].rep
-    for x in range(X.n):
-        top_sets.append([int(rep_a[coord_a[x]]), int(rep_b[coord_b[x]]) + csa.n])
-    projections.append(ProjectionTable.from_sets(top_sets))
+    projections = ([t.pullback(coord_a) for t in a.projections]
+                   + [t.pullback(coord_b) for t in b.projections])
+    # top sets are the pairs (rep_a, rep_b + csa.n), already sorted
+    rep_a = a.projections[a.maximal].rep[coord_a]
+    rep_b = b.projections[b.maximal].rep[coord_b] + csa.n
+    top = np.column_stack([rep_a, rep_b]).ravel()
+    projections.append(ProjectionTable(np.arange(0, 2 * X.n + 1, 2), top))
 
     def rho_provider(inst, u, v):
         if inst.rel[u, v] not in (NESTED, TRANSVERSE):

@@ -172,6 +172,30 @@ def test_bfs_many_equals_stacked_bfs(g, k, data):
         bfs_many(g, [0] * (graph_core.WORD + 1))
 
 
+def frontier_neighbors_loop(graph, frontier):
+    """Reference: the neighbors and sources of a frontier, vertex by vertex."""
+    nbrs = [int(w) for u in frontier for w in graph.neighbors(u)]
+    srcs = [int(u) for u in frontier for _ in graph.neighbors(u)]
+    return nbrs, srcs
+
+
+@given(scattered_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_segments_gather_frontier_neighbors(g, data):
+    """One CSR gather: positions in row order, owners as row indices."""
+    rows = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1),
+                                         max_size=15)), dtype=np.int64)
+    owner, pos = graph_core.segments(g.indptr, rows)
+    assert pos.tolist() == [p for r in rows
+                            for p in range(g.indptr[r], g.indptr[r + 1])]
+    assert rows[owner].tolist() == frontier_neighbors_loop(g, rows)[1]
+    frontier = np.unique(rows)
+    nbrs, srcs = graph_core._frontier_neighbors(g, frontier)
+    assert nbrs.dtype == srcs.dtype == np.int64
+    assert (nbrs.tolist(), srcs.tolist()) == \
+        frontier_neighbors_loop(g, frontier)
+
+
 # (MATRIX_CAP, TREE_LCA_CUT) that force each distance strategy: LCA on trees
 # (matrix otherwise), the matrix on every graph, BFS rows on every graph.
 STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}

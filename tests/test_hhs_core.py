@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhskit import graph_core
+from hhskit import graph_core, hhs_checks
 from hhskit import groups as G
 from hhskit.errors import BudgetExceeded
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
@@ -70,6 +72,51 @@ def test_eligible_rho_pairs_in_loop_order(factor4):
     assert list(zip(us.tolist(), vs.tolist())) == ref
 
 
+def rho_chain_triples_loop(rel, nested):
+    """Reference: the rho-consistency triples as a nested Python scan."""
+    triples = []
+    for k in range(len(nested)):
+        u, v = int(nested[k][0]), int(nested[k][1])
+        eligible = np.flatnonzero(
+            (rel[v] == NESTED)
+            | ((rel[v] == TRANSVERSE) & (rel[:, u] != hhs_checks.ORTHOGONAL)))
+        triples.extend((k, int(w)) for w in eligible)
+    return triples
+
+
+@pytest.mark.parametrize("cap", [None, 1, 500])
+def test_rho_chain_triples_in_loop_order(factor4, monkeypatch, cap):
+    """Chunked mask scan lists the triples as the loop does, also when the
+    chunks (one nested pair, three nested pairs) split the scan."""
+    if cap is not None:
+        monkeypatch.setattr(hhs_checks, "TRIPLE_MASK_CAP", cap)
+    nested = np.argwhere(factor4.rel == NESTED)
+    ks, ws = hhs_checks._rho_chain_triples(factor4.rel, nested)
+    assert ks.dtype == ws.dtype == np.int32
+    assert list(zip(ks.tolist(), ws.tolist())) == \
+        rho_chain_triples_loop(factor4.rel, nested)
+
+
+@given(st.integers(1, 9), st.data(), st.sampled_from([1, 7, 1 << 22]))
+@settings(max_examples=60, deadline=None)
+def test_rho_chain_triples_on_any_relation_matrix(n, data, cap):
+    """Every relation code, orthogonality included, against the loop."""
+    codes = [hhs_checks.EQUAL, NESTED, hhs_checks.CONTAINS,
+             hhs_checks.ORTHOGONAL, TRANSVERSE]
+    rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
+                                        min_size=n * n, max_size=n * n)),
+                     dtype=np.int8).reshape(n, n)
+    nested = np.argwhere(rel == NESTED)
+    saved = hhs_checks.TRIPLE_MASK_CAP
+    hhs_checks.TRIPLE_MASK_CAP = cap
+    try:
+        ks, ws = hhs_checks._rho_chain_triples(rel, nested)
+    finally:
+        hhs_checks.TRIPLE_MASK_CAP = saved
+    assert list(zip(ks.tolist(), ws.tolist())) == \
+        rho_chain_triples_loop(rel, nested)
+
+
 def test_structural_catches_broken_relation(factor4):
     rel = factor4.rel.copy()
     # make orthogonality asymmetric between two transverse indices
@@ -124,9 +171,78 @@ def test_uniqueness_flags_collapsed_projection():
 
 
 def test_projection_image_is_sorted_union():
-    table = ProjectionTable.from_sets([[3], [0, 2], [2, 3], [1]])
+    # sets [3], [0, 2], [2, 3], [1]
+    table = ProjectionTable([0, 1, 3, 5, 6], [3, 0, 2, 2, 3, 1])
     assert table.image(np.asarray([2, 1, 2])).tolist() == [0, 2, 3]
     assert table.image([]).tolist() == []
+
+
+def table_from_sets(sets):
+    """Reference CSR build: one sorted set per X-vertex, in a Python loop."""
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    data = []
+    for i, s in enumerate(sets):
+        data.extend(sorted(int(v) for v in s))
+        indptr[i + 1] = len(data)
+    return ProjectionTable(indptr, np.asarray(data, dtype=np.int32))
+
+
+def reverse_projection_loop(table, n_space):
+    """Reference: the smallest x whose set holds each vertex, 0 if none."""
+    rev = np.full(n_space, -1, dtype=np.int64)
+    for x in range(len(table.indptr) - 2, -1, -1):
+        rev[table.get(x)] = x
+    rev[rev < 0] = 0
+    return rev
+
+
+def same_table(a, b):
+    return (a.indptr.dtype == b.indptr.dtype and a.data.dtype == b.data.dtype
+            and a.indptr.tolist() == b.indptr.tolist()
+            and a.data.tolist() == b.data.tolist()
+            and a.rep.tolist() == b.rep.tolist())
+
+
+@st.composite
+def projection_tables(draw, max_rows=10, max_space=9):
+    """(table, space size): sorted nonempty sets, sometimes all singletons."""
+    m = draw(st.integers(1, max_space))
+    rows = draw(st.integers(1, max_rows))
+    size = 1 if draw(st.booleans()) else m
+    sets = [draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=size))
+            for _ in range(rows)]
+    return table_from_sets(sets), m
+
+
+@given(projection_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_table_operations_match_per_vertex_loops(tm, data):
+    t, m = tm
+    rows = len(t.indptr) - 1
+    embed = np.asarray(data.draw(st.lists(st.integers(0, rows - 1),
+                                          max_size=15)), dtype=np.int64)
+    assert same_table(t.pullback(embed),
+                      table_from_sets([t.get(e) for e in embed]))
+
+    # gate: X-vertex -> positions of a coset; pull: position -> t's row
+    gate, n_pos = data.draw(projection_tables(max_rows=12, max_space=6))
+    pull = np.asarray(data.draw(st.lists(st.integers(0, rows - 1),
+                                         min_size=n_pos, max_size=n_pos)),
+                      dtype=np.int64)
+    assert same_table(t.compose(gate, pull), table_from_sets(
+        [t.image(pull[gate.get(x)]) for x in range(len(gate.indptr) - 1)]))
+
+    values = np.asarray(data.draw(st.lists(st.integers(-5, 20), min_size=m,
+                                           max_size=m)), dtype=np.int64)
+    xs = embed if len(embed) else np.zeros(1, dtype=np.int64)
+    assert t.min_over_sets(xs, values).tolist() == [
+        int(values[t.get(x)].min()) for x in xs]
+
+    inst = HHSInstance(MetricGraph(rows, []), ["S"], [MetricGraph(m, [])],
+                       np.zeros((1, 1), dtype=np.int8), 0, [t],
+                       lambda inst, u, v: None)
+    assert inst._reverse_projection(0).tolist() == \
+        reverse_projection_loop(t, m).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +410,25 @@ def test_normalize_removes_spur():
     assert record["changed"][0]["removed"] == 1
     rep = check_structural(out, rho_pair_budget=10)
     assert rep.passed
+
+
+def test_normalize_maps_rho_down_through_kept_vertices():
+    """Local ids of a restricted space map back to the kept vertices."""
+    x = path_graph(4)
+    rel = np.asarray([[hhs_checks.EQUAL, NESTED],
+                      [hhs_checks.CONTAINS, hhs_checks.EQUAL]], dtype=np.int8)
+    # S's space has a spur at 0 that no projection reaches
+    inst = HHSInstance(
+        x, ["U", "S"], [x, path_graph(5)], rel, 1,
+        [ProjectionTable.identity(4),
+         ProjectionTable(np.arange(5), np.arange(1, 5))],
+        lambda i, u, v: None,
+        space_to_x=[np.arange(4), np.asarray([0, 0, 1, 2, 3])])
+    out, record = normalize(inst)
+    assert record["changed"][0]["index"] == "S"
+    assert out.pi(1, 0).tolist() == [0]
+    # local 0 and 2 of the restricted S are vertices 1 and 3, over X 0 and 2
+    assert out.rho_down(1, 0, [0, 2]).tolist() == [0, 2]
 
 
 # ---------------------------------------------------------------------------
