@@ -1,0 +1,88 @@
+"""Run a layer bench at two commits and write one BENCH_*.json file.
+
+    python bench/run_bench.py PARENT CHANGE bench/bench_hhs_core.py BENCH_6.json
+
+Run from the repository root.  Both sides run the bench file of the
+working tree against the ``src`` of their own commit, exported with
+``git archive`` into a temporary directory, one side after the other on
+the same machine.  Each side records its commit's full SHA, the
+pytest-benchmark statistics of every case (seconds), and per case the peak
+RSS of a fresh process that runs the case once (``--benchmark-disable``),
+read from ``os.wait4``: it covers the interpreter, pytest, the case's
+set-up and the timed call.
+"""
+
+import datetime
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+
+STATS = ("min", "median", "mean", "max", "iqr", "stddev")
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+
+
+def machine():
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "cores": os.cpu_count(),
+            "python": platform.python_version(), "system": platform.system()}
+
+
+def peak_rss_mb(nodeid, env):
+    """Peak RSS of a fresh process that runs one case once."""
+    proc = subprocess.Popen(PYTEST + [nodeid, "--benchmark-disable"], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise RuntimeError(f"{nodeid} failed")
+    return round(usage.ru_maxrss / 1024, 1)
+
+
+def run_side(rev, bench):
+    sha = subprocess.check_output(["git", "rev-parse", rev], text=True).strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", sha, "src"], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        out = os.path.join(tmp, "bench.json")
+        subprocess.run(PYTEST + [bench, "--benchmark-json", out], env=env,
+                       check=True)
+        with open(out) as f:
+            data = json.load(f)
+        cases = {}
+        for case in data["benchmarks"]:
+            stats = case["stats"]
+            cases[case["name"]] = dict(
+                rounds=stats["rounds"], **{k: stats[k] for k in STATS},
+                peak_rss_mb=peak_rss_mb(case["fullname"], env))
+    return {"commit": sha, "machine": machine(),
+            "datetime": datetime.datetime.now(datetime.timezone.utc)
+            .isoformat(), "benchmarks": cases}
+
+
+def main():
+    parent, change, bench, out = sys.argv[1:5]
+    result = {"command": "python bench/run_bench.py " + " ".join(sys.argv[1:5]),
+              "unit": "s",
+              "note": "both sides run the bench file of the change, one "
+                      "after the other; peak_rss_mb is one fresh process "
+                      "per case",
+              "parent": run_side(parent, bench),
+              "change": run_side(change, bench)}
+    with open(out, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()

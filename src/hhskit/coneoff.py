@@ -34,12 +34,6 @@ class ConedGraph:
     apex_of: dict                  # family index -> apex vertex id
     flags: tuple
 
-    def owner_of(self, u, v):
-        return self.cone_edge_owner.get((u, v) if u < v else (v, u))
-
-    def is_base_vertex(self, v):
-        return v < self.base.n
-
 
 def build_coneoff(base, family, clique_threshold=DEFAULT_CLIQUE_THRESHOLD,
                   edge_cap=DEFAULT_CONE_EDGE_CAP):

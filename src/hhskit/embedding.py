@@ -22,13 +22,14 @@ import numpy as np
 
 from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
-from .graph_core import (MetricGraph, Subgraph, bfs_distances,
+from .graph_core import (MetricGraph, RaggedSets, Subgraph, bfs_distances,
                          four_point_delta)
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      coset_vertices, enumerate_cosets, inverse_word,
                      subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
-                       _projection_sets_onto, run_axiom_battery)
+                       _projection_sets_onto, assemble_column,
+                       run_axiom_battery)
 from .sampling import rng_for, sample_indices
 
 
@@ -419,7 +420,8 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     space_to_x = list(base.space_to_x)
     projections = list(base.projections)
     block_of = {}      # coset id -> (start, count) in the new index range
-    sub_of_index = {}
+    coset_of = [-1] * len(labels)    # per index: its coset, -1 for old ones
+    local_of = [-1] * len(labels)    # and its index in the sub-structure
     for ci, (si, sub, sub_inst, rep, verts) in enumerate(coset_data):
         start = len(labels)
         block_of[ci] = (start, sub_inst.n_indices())
@@ -429,7 +431,8 @@ def build_augmented_structure(base, subgroup_structures, force=False,
             provenance.append(("coset", sub.label, rep, sub_inst.labels[u]))
             spaces.append(sub_inst.spaces[u])
             space_to_x.append(None)
-            sub_of_index[start + u] = (ci, u)
+            coset_of.append(ci)
+            local_of.append(u)
 
         # projection tables: pi_(U,g) = pi_U o (pull back of the coset gate)
         sub_ball = sub_inst.meta["ball"]
@@ -454,65 +457,60 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     np.fill_diagonal(rel, EQUAL)
 
     coset_arrays = [verts for *_rest, verts in coset_data]
+    cosets = RaggedSets.from_arrays(coset_arrays)
+    coset_of, local_of = np.asarray(coset_of), np.asarray(local_of)
 
-    def rho_provider(inst, u, v):
-        if inst.rel[u, v] not in (NESTED, TRANSVERSE):
-            return None
-        u_new, v_new = u in sub_of_index, v in sub_of_index
-        if not u_new and not v_new:
-            return base.rho(u, v)
-        if u_new and v == S:
-            ci, uu = sub_of_index[u]
-            return coset_arrays[ci].astype(np.int32)
-        if u_new and v_new:
-            ci, uu = sub_of_index[u]
-            cj, vv = sub_of_index[v]
-            if ci == cj:
-                sub_inst = coset_data[ci][2]
-                return sub_inst.rho(uu, vv)
-        # cross pairs: compose through the gate of S_v
-        rho_up = _rho_into_top(inst, u)
-        if rho_up is None or len(rho_up) == 0:
-            return None
-        out = inst.projections[v].image(rho_up)
-        return out if len(out) else None
-
-    def _rho_into_top(inst, u):
+    def rho_into_top(u):
         """rho^u_S as X-vertices (the coset for new top indices)."""
-        if u in sub_of_index:
-            ci, uu = sub_of_index[u]
-            si, sub, sub_inst, rep, verts = coset_data[ci]
-            if uu == sub_inst.maximal:
-                return coset_arrays[ci]
-            r = sub_inst.rho(uu, sub_inst.maximal)
-            if r is None:
-                return None
-            sub_ball = sub_inst.meta["ball"]
-            carrier = sub_inst.space_to_x[sub_inst.maximal]
-            if carrier is None:
-                carrier = np.arange(sub_ball.graph.n)
-            out = []
-            for sv in np.asarray(r, dtype=np.int64):
-                w = ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
-                j = ball.index.get(w)
-                if j is not None:
-                    out.append(j)
-            return np.asarray(sorted(out), dtype=np.int64) if out else None
-        if u == S:
-            return np.arange(X.n, dtype=np.int64)
-        r = base.rho(u, S_old)
-        return None if r is None else np.asarray(r, dtype=np.int64)
+        if coset_of[u] < 0:
+            r = base.rho(u, S_old)
+            return np.zeros(0) if r is None else r
+        ci, uu = coset_of[u], local_of[u]
+        si, sub, sub_inst, rep, verts = coset_data[ci]
+        if uu == sub_inst.maximal:
+            return coset_arrays[ci]
+        r = sub_inst.rho(uu, sub_inst.maximal)
+        sub_ball = sub_inst.meta["ball"]
+        carrier = sub_inst.space_to_x[sub_inst.maximal]
+        if carrier is None:
+            carrier = np.arange(sub_ball.graph.n)
+        words = (ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
+                 for sv in ([] if r is None else r))
+        return sorted({ball.index[w] for w in words if w in ball.index})
+
+    # an empty one leaves the cross pairs of its index unreached
+    tops = RaggedSets.from_arrays([np.asarray(rho_into_top(u), dtype=np.int64)
+                                   for u in range(n_idx)])
+
+    def rho_provider(inst, us, v):
+        if v < nb:
+            old = np.flatnonzero(coset_of[us] < 0)
+            parts = [(old, *base.rho_sets(us[old], v))]
+            cross = np.flatnonzero(coset_of[us] >= 0)
+            if v == S:
+                return assemble_column(len(us), parts + [
+                    (cross, cosets.take(coset_of[us[cross]]), True)])
+        else:
+            same = np.flatnonzero(coset_of[us] == coset_of[v])
+            sub_inst = coset_data[coset_of[v]][2]
+            parts = [(same, *sub_inst.rho_sets(local_of[us[same]],
+                                               local_of[v]))]
+            cross = np.flatnonzero(coset_of[us] != coset_of[v])
+        # cross pairs: compose through the gate of S_v
+        cross = cross[tops.sizes()[us[cross]] > 0]
+        parts.append((cross, inst.projections[v].images(tops.take(us[cross])),
+                      True))
+        return assemble_column(len(us), parts)
 
     def rho_down_provider(inst, w, v, verts_in):
         if w == S:
             # top-space vertices are X vertices: project straight down
             return inst.projections[v].image(verts_in)
-        if w in sub_of_index and v in sub_of_index:
-            ci, ww = sub_of_index[w]
-            cj, vv = sub_of_index[v]
-            if ci == cj:
-                return coset_data[ci][2].rho_down(ww, vv, verts_in)
-        if w not in sub_of_index and v not in sub_of_index:
+        ci, cj = coset_of[w], coset_of[v]
+        if ci >= 0 and ci == cj:
+            return coset_data[ci][2].rho_down(local_of[w], local_of[v],
+                                              verts_in)
+        if ci < 0 and cj < 0:
             return base.rho_down(w, v, verts_in)
         return None
 

@@ -229,8 +229,8 @@ def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     projections = [vertex_instance.projections[u].pullback(embed)
                    for u in keep]
 
-    def rho_provider(inst, a, b):
-        return vertex_instance.rho(keep[a], keep[b])
+    def rho_provider(inst, us, v):
+        return vertex_instance.rho_sets(np.asarray(keep)[us], keep[v])
 
     def rho_down_provider(inst, w, v, verts):
         return vertex_instance.rho_down(keep[w], keep[v], verts)
@@ -419,13 +419,11 @@ def check_bounded_supports(gog):
         present = {}
         for e in incident:
             tag = f"{e.name}@{vname}"
-            orbit = set()
-            for u, lab in enumerate(inst.labels):
-                if lab.startswith(tag + "[") or lab.startswith(tag + "-coset["):
-                    r = inst.rho(u, S)
-                    if r is not None:
-                        orbit.add(frozenset(int(x) for x in r))
-            present[e.name] = orbit
+            us = [u for u, lab in enumerate(inst.labels)
+                  if lab.startswith(tag + "[") or lab.startswith(tag + "-coset[")]
+            sets, reached = inst.rho_sets(us, S)
+            present[e.name] = {frozenset(sets[i].tolist())
+                               for i in np.flatnonzero(reached)}
         conflicts = []
         names = sorted(present)
         for i, a in enumerate(names):
@@ -554,8 +552,8 @@ def _absorbed_edge_instance(gog, edge, vertex, sub, sub_inst, aug):
     keep = [result.index_of_label(index_map[lab]) for lab in labels]
     projections = [result.projections[u].pullback(embed) for u in keep]
 
-    def rho_provider(inst, a, b):
-        return result.rho(keep[a], keep[b])
+    def rho_provider(inst, us, v):
+        return result.rho_sets(np.asarray(keep)[us], keep[v])
 
     def rho_down_provider(inst, w, v, verts):
         return result.rho_down(keep[w], keep[v], verts)

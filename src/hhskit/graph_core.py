@@ -147,26 +147,25 @@ def bfs_distances(graph, sources):
 WORD = 64
 
 
-def bfs_many(graph, sources):
-    """Single-source distance rows of up to WORD sources in one sweep.
+def bfs_many(graph, sets):
+    """Distance rows to up to WORD vertex sets (``RaggedSets``) in one sweep.
 
-    Row i equals ``bfs_distances(graph, [sources[i]])``: shape
-    ``(len(sources), n)``, int32, -1 = unreached.  Every vertex carries a
-    uint64 word whose bit i means "reached from sources[i]"; one level is a
-    gather over the CSR neighbour array and an OR over each vertex's
-    neighbours, so all rows advance together.  Levels are kept bit-sliced
-    (plane p holds bit p of the level at which each bit was reached) and
-    unpacked into rows once, at the end.
+    Row i equals ``bfs_distances(graph, sets[i])``: shape ``(len(sets), n)``,
+    int32, -1 = unreached (every entry, for an empty set).  Every vertex
+    carries a uint64 word whose bit i means "reached from set i", seeded at
+    every vertex of set i; one level is a gather over the CSR neighbour
+    array and an OR over each vertex's neighbours, so all rows advance
+    together.  Levels are kept bit-sliced (plane p holds bit p of the level
+    at which each bit was reached) and unpacked into rows once, at the end.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    k, n = len(sources), graph.n
+    k, n = len(sets), graph.n
     if k > WORD:
-        raise ValueError(f"bfs_many takes at most {WORD} sources, got {k}")
+        raise ValueError(f"bfs_many takes at most {WORD} sets, got {k}")
     if k == 0:
         return np.full((0, n), -1, dtype=np.int32)
     frontier = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(frontier, sources,
-                     np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64)))
+    bit = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    np.bitwise_or.at(frontier, sets.flat, np.repeat(bit, sets.sizes()))
     seen = frontier.copy()
     planes = []
     # reduceat needs a nonempty segment at every offset, so degree-0
@@ -321,8 +320,8 @@ class DistanceOracle:
     ``pairs`` and ``block`` sweep their distinct sources WORD at a time,
     ``row`` runs one BFS, so callers that ask many rows should ask them
     as one ``block``.  This class is the only code that knows which;
-    callers ask through ``pairs``, ``block``, ``row``, ``dist_to_set`` and
-    ``diameter_of_set``.
+    callers ask through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
+    ``dist_to_set`` and ``diameter_of_set``.
     """
 
     def __init__(self, graph):
@@ -341,8 +340,8 @@ class DistanceOracle:
                 raise BudgetExceeded(f"distance matrix for n={self.n} over cap")
             m = np.empty((self.n, self.n), dtype=np.int16)
             for lo in range(0, self.n, WORD):
-                m[lo:lo + WORD] = bfs_many(
-                    self.graph, np.arange(lo, min(lo + WORD, self.n)))
+                m[lo:lo + WORD] = bfs_many(self.graph, RaggedSets.singletons(
+                    np.arange(lo, min(lo + WORD, self.n))))
             self._matrix = m
         return self._matrix
 
@@ -359,7 +358,9 @@ class DistanceOracle:
                          len(us))
         for b, lo in enumerate(range(0, len(src), WORD)):
             sel = order[cuts[b]:cuts[b + 1]]
-            yield sel, bfs_many(self.graph, src[lo:lo + WORD]), inv[sel] - lo
+            rows = bfs_many(self.graph,
+                            RaggedSets.singletons(src[lo:lo + WORD]))
+            yield sel, rows, inv[sel] - lo
 
     def row(self, u):
         if self._tree is not None:
@@ -399,12 +400,29 @@ class DistanceOracle:
     def dist(self, u, v):
         return int(self.pairs([u], [v])[0])
 
+    def dist_to_sets(self, sets):
+        """Distances from every vertex to the nearest vertex of each set.
+
+        Shape ``(len(sets), n)``, int32, -1 = unreached (the whole row of an
+        empty set).  A held matrix on a connected graph answers with row
+        minima; otherwise the sets are swept WORD at a time.
+        """
+        out = np.full((len(sets), self.n), -1, dtype=np.int32)
+        if self._matrix is not None and self.graph.is_connected:
+            full = np.flatnonzero(sets.sizes() > 0)
+            if len(full):
+                out[full] = np.minimum.reduceat(
+                    self._matrix[sets.flat], sets.offsets[full], axis=0)
+            return out
+        for lo in range(0, len(sets), WORD):
+            out[lo:lo + WORD] = bfs_many(
+                self.graph, sets.take(np.arange(lo, min(lo + WORD, len(sets)))))
+        return out
+
     def dist_to_set(self, verts):
         """Distances from every vertex to the nearest vertex of the set."""
         verts = np.asarray(list(verts), dtype=np.int64)
-        if self._matrix is not None and self.graph.is_connected and len(verts):
-            return self._matrix[verts].min(axis=0).astype(np.int32)
-        return bfs_distances(self.graph, verts)
+        return self.dist_to_sets(RaggedSets(verts, [0, len(verts)]))[0]
 
     def parents_from(self, u):
         if self._tree is not None:
@@ -774,6 +792,23 @@ class RaggedSets:
         return cls(flat, offsets)
 
     @classmethod
+    def singletons(cls, verts):
+        return cls(verts, np.arange(len(verts) + 1))
+
+    @classmethod
+    def union(cls, owner, values, k):
+        """Set i holds the distinct ``values[j]`` with ``owner[j] == i``, sorted.
+
+        ``values`` are nonnegative; one ``np.unique`` over
+        ``owner * width + value`` keys sorts and deduplicates every set.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        width = int(values.max()) + 1 if len(values) else 1
+        keys = np.unique(np.asarray(owner, dtype=np.int64) * width + values)
+        return cls(keys % width, np.searchsorted(keys // width,
+                                                 np.arange(k + 1)))
+
+    @classmethod
     def from_mask(cls, verts, mask, starts):
         """``verts[mask]`` cut into one set per segment starting at ``starts``."""
         kept = np.zeros(len(mask) + 1, dtype=np.int64)
@@ -789,6 +824,16 @@ class RaggedSets:
 
     def sizes(self):
         return np.diff(self.offsets)
+
+    def owners(self):
+        """The set holding each entry of ``flat``."""
+        return np.repeat(np.arange(len(self)), self.sizes())
+
+    def take(self, idx):
+        """The sets ``idx`` (repeats allowed), in that order."""
+        owner, pos = segments(self.offsets, idx)
+        return RaggedSets(self.flat[pos],
+                          np.searchsorted(owner, np.arange(len(idx) + 1)))
 
 
 class RaggedBlocks:
@@ -830,6 +875,10 @@ class RaggedBlocks:
     def max(self):
         """Largest entry of each block."""
         return np.maximum.reduceat(self.d, self.row_starts[self.pair_rows])
+
+    def min(self):
+        """Smallest entry of each block: the distance between its two sets."""
+        return np.minimum.reduceat(self.d, self.row_starts[self.pair_rows])
 
     def hausdorff(self):
         """Hausdorff distance between the two sets of each pair."""
@@ -874,6 +923,11 @@ def _per_pair(reduce, oracle, A, a_idx, B, b_idx):
 def ragged_hausdorff(oracle, A, a_idx, B, b_idx):
     """Hausdorff distance between A[a_k] and B[b_k] for every k."""
     return _per_pair(RaggedBlocks.hausdorff, oracle, A, a_idx, B, b_idx)
+
+
+def ragged_set_distances(oracle, A, a_idx, B, b_idx):
+    """Distance between A[a_k] and B[b_k] (closest vertices) for every k."""
+    return _per_pair(RaggedBlocks.min, oracle, A, a_idx, B, b_idx)
 
 
 def ragged_diameters(oracle, sets, idx=None):

@@ -448,9 +448,6 @@ class BallGraph:
     def id_of_text(self, text):
         return self.id_of(self.model.parse(text))
 
-    def contains_word(self, word):
-        return self.model.normal_form(tuple(word)) in self.index
-
 
 def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
     """Breadth-first Cayley ball over the given generator labels."""
@@ -508,14 +505,6 @@ class CosetDescriptor:
     def label(self):
         return (f"{self.subgroup.label}-coset"
                 f"[{self.subgroup.ambient.format(self.representative)}]")
-
-    def same_coset(self, other, budget=200_000):
-        if self.subgroup is not other.subgroup:
-            return False
-        diff = self.subgroup.ambient.multiply(
-            inverse_word(self.representative), other.representative)
-        return subgroup_membership(self.subgroup.ambient, self.subgroup,
-                                   diff, budget)
 
 
 def _walk_classes(ball, sub):

@@ -5,6 +5,13 @@ needs one) satisfying all scanned configurations, with witnesses, and
 records the sample spec.  Nothing here proves an axiom; the battery is a
 measurement device and the reports say exactly what was scanned.
 
+The checks batch their relative projections per target index: the needs
+(u, v) of a check are grouped by v, and each group asks for one column
+rho^u_v over many u (``HHSInstance.rho_sets``), one set-seeded distance
+sweep per WORD sets (``DistanceOracle.dist_to_sets``) and one
+``min_over_sets`` over the sampled points.  Witnesses stay the first
+strict maximum in sample order.
+
 Set-distance conventions, applied uniformly and recorded here: distances
 from a projection set to a relative-projection set (or any fixed target
 set) are exact minima over both sets; pairwise distances between two
@@ -17,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import four_point_delta, quasiconvexity_constant
+from .graph_core import (WORD, four_point_delta, quasiconvexity_constant,
+                         ragged_diameters, ragged_set_distances, segments)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -44,14 +52,79 @@ def _pi_rep_distance(inst, u, xs, ys):
     return inst.space_oracle(u).pairs(rep[xs], rep[ys])
 
 
-def _dist_to_target(inst, u, target):
-    """Distance from every C(u)-vertex to a target vertex set, exactly."""
-    return inst.space_oracle(u).dist_to_set(target).astype(np.int64)
+def _by_target(tgt):
+    """(t, rows) for every distinct t in ``tgt``; rows ascending."""
+    order = np.argsort(tgt, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(tgt[order])) + 1):
+        if len(rows):
+            yield int(tgt[rows[0]]), rows
 
 
-def _pi_min_to_target(inst, u, xs, target):
-    """min over pi_u(x) of the distance to the target set, per x in xs."""
-    return inst.projections[u].min_over_sets(xs, _dist_to_target(inst, u, target))
+def _rho_sweeps(inst, src, tgt):
+    """Distances to rho^s_t for the needs (s, t), grouped by target t.
+
+    Yields ``(t, rows, reached, dist)`` for up to WORD needs at a time: one
+    column of relative projections per t, and one set-seeded sweep per
+    chunk giving ``dist``, shape ``(len(rows), n_t)``, -1 rows where rho is
+    unreached or empty.
+    """
+    for t, rows in _by_target(tgt):
+        sets, reached = inst.rho_sets(src[rows], t)
+        for lo in range(0, len(rows), WORD):
+            part = np.arange(lo, min(lo + WORD, len(rows)))
+            yield (t, rows[part], reached[part],
+                   inst.space_oracle(t).dist_to_sets(sets.take(part)))
+
+
+def _pi_min_to_rho(inst, src, tgt, xs):
+    """min over pi_t(x) of d_t(., rho^s_t), per need (s, t) and x in xs.
+
+    Also says which rho were reached; rows whose rho is not are -1.
+    """
+    out = np.full((len(src), len(xs)), -1, dtype=np.int32)
+    reached = np.zeros(len(src), dtype=bool)
+    for t, rows, hit, dist in _rho_sweeps(inst, src, tgt):
+        reached[rows] = hit
+        out[rows] = inst.projections[t].min_over_sets(xs, dist)
+    return out, reached
+
+
+def _first_max(values, kappa):
+    """Index of the first strict maximum above kappa, else None."""
+    if len(values) == 0:
+        return None
+    i = int(np.argmax(values))
+    return i if values[i] > kappa else None
+
+
+def _sample_pairs(mask_row, n, budget, seed):
+    """Sampled (u, v) with ``mask_row(u)[v]``, in row-major order.
+
+    The ranks ``sample_indices`` draws are unranked from per-row counts, so
+    the full pair list is never built.
+    """
+    counts = np.asarray([np.count_nonzero(mask_row(u)) for u in range(n)],
+                        dtype=np.int64)
+    ends = np.cumsum(counts)
+    idx, spec = sample_indices(int(ends[-1]) if n else 0, budget, seed)
+    us = np.searchsorted(ends, idx, side="right")
+    vs = np.empty_like(us)
+    cuts = np.searchsorted(us, np.arange(n + 1))
+    for u in np.unique(us).tolist():
+        lo, hi = cuts[u], cuts[u + 1]
+        vs[lo:hi] = np.flatnonzero(mask_row(u))[idx[lo:hi] - ends[u]
+                                                + counts[u]]
+    return us, vs, spec
+
+
+def _composed(first, second, n):
+    """(u, w) for every (u, v) in ``first`` and (v, w) in ``second``.
+
+    Both are (k, 2) pair arrays; ``second`` is sorted by its first column.
+    """
+    owner, pos = segments(np.searchsorted(second[:, 0], np.arange(n + 1)),
+                          first[:, 1])
+    return first[owner, 0], second[pos, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,22 +171,23 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
         failures.append({"check": "transversality-symmetric"})
     if (N & N.T).any():
         failures.append({"check": "nesting-antisymmetric"})
-    reach = (N.astype(np.float32) @ N.astype(np.float32)) > 0
-    bad = reach & ~N
+    # joins over the nested pair list: U < V < W needs U < W, and U < V
+    # orthogonal to W needs U orthogonal to W
+    nested = np.argwhere(N)
+    cu, cw = _composed(nested, nested, n)
+    bad = ~N[cu, cw]
     if bad.any():
-        u, v = np.argwhere(bad)[0]
+        u, v = divmod(int((cu * n + cw)[bad].min()), n)
         failures.append({"check": "nesting-transitive",
                          "witness": (inst.labels[u], inst.labels[v])})
     maximal = np.flatnonzero(~N.any(axis=1))
     if len(maximal) != 1 or maximal[0] != inst.maximal:
         failures.append({"check": "unique-maximal",
                          "witness": [inst.labels[m] for m in maximal]})
-    # nested into orthogonal stays orthogonal
-    prop = (N.astype(np.float32) @ O.astype(np.float32)) > 0
-    bad = prop & ~O
-    np.fill_diagonal(bad, False)
+    cu, cw = _composed(nested, np.argwhere(O), n)
+    bad = ~O[cu, cw] & (cu != cw)
     if bad.any():
-        u, v = np.argwhere(bad)[0]
+        u, v = divmod(int((cu * n + cw)[bad].min()), n)
         failures.append({"check": "orthogonality-inherited",
                          "witness": (inst.labels[u], inst.labels[v])})
     if (O & (N | C)).any():
@@ -160,18 +234,17 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
         table = inst.projections[u]
         if not table.all_singletons():
             xi = max(xi, table.max_set_diameter(inst.space_oracle(u)))
-    us, vs = inst.eligible_rho_pairs()
-    idx, spec = sample_indices(len(us), rho_pair_budget, seed)
+    us, vs, spec = _sample_pairs(
+        lambda u: (rel[u] == NESTED) | (rel[u] == TRANSVERSE), n,
+        rho_pair_budget, seed)
     unreached = 0
-    for u, v in zip(us[idx].tolist(), vs[idx].tolist()):
-        r = inst.rho(u, v)
-        if r is None or len(r) == 0:
-            unreached += 1
-            continue
-        if len(r) > 1:
-            d = inst.space_oracle(v).diameter_of_set(r)
-            if d > xi:
-                xi = d
+    for v, rows in _by_target(vs):
+        sets, reached = inst.rho_sets(us[rows], v)
+        unreached += int((~reached | (sets.sizes() == 0)).sum())
+        big = np.flatnonzero(reached & (sets.sizes() > 1))
+        if len(big):
+            xi = max(xi, int(ragged_diameters(inst.space_oracle(v), sets,
+                                              big).max()))
     return StructuralReport(not failures, complexity, xi, failures, spec,
                             unreached,
                             {"container_cases": container_checked})
@@ -241,65 +314,76 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     rng = rng_for(seed)
     xs = (np.arange(inst.X.n) if inst.X.n <= point_budget
           else np.sort(rng.choice(inst.X.n, size=point_budget, replace=False)))
+    rel = inst.rel
     kappa = 0
     witness = None
-    unreached = 0
 
-    trans = np.argwhere(np.triu(inst.rel == TRANSVERSE, k=1))
-    tidx, tspec = sample_indices(len(trans), pair_budget, seed)
-    for k in tidx:
-        u, v = int(trans[int(k)][0]), int(trans[int(k)][1])
-        rho_vu, rho_uv = inst.rho(v, u), inst.rho(u, v)
-        if rho_vu is None or rho_uv is None:
-            unreached += 1
-            continue
-        mu = _pi_min_to_target(inst, u, xs, rho_vu)
-        mv = _pi_min_to_target(inst, v, xs, rho_uv)
-        m = np.minimum(mu, mv)
-        i = int(np.argmax(m))
-        if m[i] > kappa:
-            kappa = int(m[i])
-            witness = {"kind": "transverse",
-                       "pair": (inst.labels[u], inst.labels[v]),
-                       "x": int(xs[i])}
+    # transverse: both directions of each pair, min over them per point
+    tu, tv, tspec = _sample_pairs(
+        lambda u: (rel[u] == TRANSVERSE) & (np.arange(n) > u), n,
+        pair_budget, seed)
+    m, reached = _pi_min_to_rho(inst, np.concatenate([tv, tu]),
+                                np.concatenate([tu, tv]), xs)
+    ok = reached[:len(tu)] & reached[len(tu):]
+    unreached = int((~ok).sum())
+    m = np.minimum(m[:len(tu)], m[len(tu):], out=m[:len(tu)])
+    m[~ok] = -1
+    # the first maximum in row-major order: first pair, then first point
+    k = _first_max(m.ravel(), kappa)
+    if k is not None:
+        (k, i), kappa = divmod(k, len(xs)), int(m.flat[k])
+        witness = {"kind": "transverse",
+                   "pair": (inst.labels[tu[k]], inst.labels[tv[k]]),
+                   "x": int(xs[i])}
 
-    nested = np.argwhere(inst.rel == NESTED)
+    nested = np.argwhere(rel == NESTED)
     nidx, nspec = sample_indices(len(nested), pair_budget, seed + 1)
-    for k in nidx:
-        v, w = int(nested[int(k)][0]), int(nested[int(k)][1])
-        rho_vw = inst.rho(v, w)
-        if rho_vw is None:
-            unreached += 1
-            continue
-        # first term: d_W(pi_W(x), rho^V_W), exact set minimum
-        mw = _pi_min_to_target(inst, w, xs, rho_vw)
-        # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level
-        carrier = _carrier(inst, w)
-        down = inst.pi_rep(v)[carrier[inst.pi_rep(w)[xs]]]
-        mv = inst.space_oracle(v).pairs(inst.pi_rep(v)[xs], down)
-        m = np.minimum(mw, mv)
-        i = int(np.argmax(m))
-        if m[i] > kappa:
-            kappa = int(m[i])
-            witness = {"kind": "nested",
-                       "pair": (inst.labels[v], inst.labels[w]),
-                       "x": int(xs[i])}
+    nv, nw = nested[nidx].T
+    # first term: d_W(pi_W(x), rho^V_W), exact set minimum
+    mw, ok = _pi_min_to_rho(inst, nv, nw, xs)
+    unreached += int((~ok).sum())
+    # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
+    # one pairs query per V
+    ws, w_of = np.unique(nw, return_inverse=True)
+    down_x = np.asarray([_carrier(inst, w)[inst.pi_rep(w)[xs]] for w in ws],
+                        dtype=np.int64).reshape(len(ws), len(xs))
+    mv = np.zeros_like(mw)
+    for v, rows in _by_target(nv):
+        rep = inst.pi_rep(v)
+        mv[rows] = inst.space_oracle(v).pairs(
+            np.tile(rep[xs], len(rows)),
+            rep[down_x[w_of[rows]]].ravel()).reshape(len(rows), len(xs))
+    m = np.minimum(mw, mv, out=mw)
+    m[~ok] = -1
+    k = _first_max(m.ravel(), kappa)
+    if k is not None:
+        (k, i), kappa = divmod(k, len(xs)), int(m.flat[k])
+        witness = {"kind": "nested",
+                   "pair": (inst.labels[nv[k]], inst.labels[nw[k]]),
+                   "x": int(xs[i])}
 
-    # rho-consistency: U nested in V, W sees both
-    tk, tw = _rho_chain_triples(inst.rel, nested)
+    # rho-consistency: U nested in V, W sees both; an empty rho has no
+    # distance to the other one, so it counts as unreached here
+    tk, tw = _rho_chain_triples(rel, nested)
     tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
-    for k, w in zip(tk[tridx].tolist(), tw[tridx].tolist()):
-        u, v = int(nested[k][0]), int(nested[k][1])
-        ru, rv = inst.rho(u, w), inst.rho(v, w)
-        if ru is None or rv is None:
-            unreached += 1
-            continue
-        d = int(inst.space_oracle(w).block(ru, rv).min())
-        if d > kappa:
-            kappa = d
-            witness = {"kind": "rho-chain",
-                       "triple": (inst.labels[u], inst.labels[v],
-                                  inst.labels[w])}
+    (cu, cv), cw = nested[tk[tridx]].T, tw[tridx]
+    d = np.full(len(cw), -1, dtype=np.int64)
+    for w, rows in _by_target(cw):
+        src, inv = np.unique(np.concatenate([cu[rows], cv[rows]]),
+                             return_inverse=True)
+        sets, reached = inst.rho_sets(src, w)
+        full = reached & (sets.sizes() > 0)
+        a, b = inv[:len(rows)], inv[len(rows):]
+        hit = full[a] & full[b]
+        unreached += int((~hit).sum())
+        d[rows[hit]] = ragged_set_distances(inst.space_oracle(w), sets,
+                                            a[hit], sets, b[hit])
+    k = _first_max(d, kappa)
+    if k is not None:
+        kappa = int(d[k])
+        witness = {"kind": "rho-chain",
+                   "triple": (inst.labels[cu[k]], inst.labels[cv[k]],
+                              inst.labels[cw[k]])}
 
     samples = {"transverse": tspec.to_dict(), "nested": nspec.to_dict(),
                "rho_chain": trspec.to_dict(), "points": len(xs)}
@@ -331,7 +415,8 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
         dw = _pi_rep_distance(inst, w, us, vs)
-        rhos = [inst.rho(int(t), w) for t in children]
+        rhos, reached = inst.rho_sets(children, w)
+        reached &= rhos.sizes() > 0
         rel_sub = inst.rel[np.ix_(children, children)]
         oracle_w = inst.space_oracle(w)
         for pi in range(len(us)):
@@ -343,8 +428,7 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
                     continue
                 sub = rel_sub[np.ix_(viol, viol)]
                 maximal = viol[~(sub == NESTED).any(axis=1)]
-                if any(rhos[ci] is None or len(rhos[ci]) == 0
-                       for ci in maximal):
+                if not reached[maximal].all():
                     no_finite.append({"W": inst.labels[w], "E": int(E),
                                       "detail": "unreached rho for cover"})
                     continue
@@ -374,29 +458,34 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
     rng = rng_for(seed)
     nested = np.argwhere(inst.rel == NESTED)
     idx, spec = sample_indices(len(nested), pair_budget, seed)
-    observations = []   # (avoid_dist, image_diam)
-    unreached = 0
-    for k in idx:
-        v, w = int(nested[int(k)][0]), int(nested[int(k)][1])
-        rho = inst.rho(v, w)
-        if rho is None or len(rho) == 0:
-            unreached += 1
-            continue
-        cw = inst.spaces[w]
+    vs, ws = nested[idx].T
+    full = np.zeros(len(vs), dtype=bool)
+    for w, rows in _by_target(ws):
+        sets, reached = inst.rho_sets(vs[rows], w)
+        full[rows] = reached & (sets.sizes() > 0)
+    keep = np.flatnonzero(full)
+    unreached = len(vs) - len(keep)
+    # endpoints are drawn in sample order, as a per-pair scan draws them
+    ends = {k: [(int(rng.integers(0, inst.spaces[ws[k]].n)),
+                 int(rng.integers(0, inst.spaces[ws[k]].n)))
+                for _ in range(geodesics_per_pair)] for k in keep.tolist()}
+    observations = []   # (sample position, avoid_dist, image_diam, V, W)
+    for w, rows, _, dist_rho in _rho_sweeps(inst, vs[keep], ws[keep]):
         oracle_w = inst.space_oracle(w)
-        dist_rho = oracle_w.dist_to_set(rho)
         carrier = _carrier(inst, w)
-        rep_v = inst.pi_rep(v)
-        oracle_v = inst.space_oracle(v)
-        for _ in range(geodesics_per_pair):
-            a, b = int(rng.integers(0, cw.n)), int(rng.integers(0, cw.n))
-            if a == b:
-                continue
-            path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
-            avoid = int(dist_rho[path].min())
-            image = np.unique(rep_v[carrier[path]])
-            diam = oracle_v.diameter_of_set(image)
-            observations.append((avoid, diam, inst.labels[v], inst.labels[w]))
+        for k, dist in zip(keep[rows].tolist(), dist_rho):
+            v = int(vs[k])
+            for a, b in ends[k]:
+                if a == b:
+                    continue
+                path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
+                image = np.unique(inst.pi_rep(v)[carrier[path]])
+                observations.append((
+                    k, int(dist[path].min()),
+                    inst.space_oracle(v).diameter_of_set(image),
+                    inst.labels[v], inst.labels[w]))
+    # sample order, and draw order within a pair (the sort is stable)
+    observations = [o[1:] for o in sorted(observations, key=lambda o: o[0])]
     E_bgi = None
     for E in sorted(E_grid):
         if all(diam <= E for avoid, diam, *_ in observations if avoid > E):
@@ -415,6 +504,29 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
 # ---------------------------------------------------------------------------
 # partial realization
 
+def _rho_terms(inst, vs):
+    """Per v in vs and X-vertex x: max(0, the largest d_W(pi_W(x), rho^v_W)
+    over the W with rho^v_W reached and nonempty), one column per W."""
+    n, all_x = inst.n_indices(), np.arange(inst.X.n, dtype=np.int64)
+    out = np.zeros((len(vs), inst.X.n), dtype=np.int64)
+    src, tgt = np.repeat(vs, n), np.tile(np.arange(n), len(vs))
+    for w, rows, _, dist in _rho_sweeps(inst, src, tgt):
+        out[rows // n] = np.maximum(
+            out[rows // n], inst.projections[w].min_over_sets(all_x, dist))
+    return dict(zip(vs, out))
+
+
+def _gap(inst, assignments, rho_terms):
+    all_x = np.arange(inst.X.n, dtype=np.int64)
+    need = np.zeros(inst.X.n, dtype=np.int64)
+    for v, p in assignments:
+        dist = inst.space_oracle(v).dist_to_set([int(p)])
+        np.maximum(need, inst.projections[v].min_over_sets(all_x, dist),
+                   out=need)
+        np.maximum(need, rho_terms[v], out=need)
+    return need
+
+
 def realization_gap(inst, assignments):
     """Per-x realization defect for (index, target-point) assignments.
 
@@ -422,21 +534,8 @@ def realization_gap(inst, assignments):
     conditions over all assigned indices; a zero entry is an exact
     realizer.
     """
-    n = inst.n_indices()
-    all_x = np.arange(inst.X.n, dtype=np.int64)
-    need = np.zeros(inst.X.n, dtype=np.int64)
-    for v, p in assignments:
-        np.maximum(need, _pi_min_to_target(inst, v, all_x, [int(p)]),
-                   out=need)
-        for w in range(n):
-            r = inst.rel[v, w]
-            if r == NESTED or r == TRANSVERSE:
-                rw = inst.rho(v, w)
-                if rw is None or len(rw) == 0:
-                    continue
-                np.maximum(need, _pi_min_to_target(inst, w, all_x, rw),
-                           out=need)
-    return need
+    vs = sorted({int(v) for v, _ in assignments})
+    return _gap(inst, assignments, _rho_terms(inst, vs))
 
 
 def check_partial_realization(inst, family_budget=12, points_per_family=3,
@@ -453,14 +552,17 @@ def check_partial_realization(inst, family_budget=12, points_per_family=3,
                           replace=False)
         families += [[int(orth_pairs[i][0]), int(orth_pairs[i][1])]
                      for i in take]
+    targets = [[[int(inst.pi_rep(v)[int(rng.integers(0, inst.X.n))])
+                 for v in fam] for _ in range(points_per_family)]
+               for fam in families]
+    # the rho term of an index does not depend on its target point
+    rho_terms = _rho_terms(inst, sorted({v for fam in families for v in fam}))
     alpha = 0
     witness = None
     failures = []
-    for fam in families:
-        for _ in range(points_per_family):
-            targets = [int(inst.pi_rep(v)[int(rng.integers(0, inst.X.n))])
-                       for v in fam]
-            need = realization_gap(inst, list(zip(fam, targets)))
+    for fam, points in zip(families, targets):
+        for point in points:
+            need = _gap(inst, list(zip(fam, point)), rho_terms)
             i = int(np.argmin(need))
             if need[i] > alpha:
                 alpha = int(need[i])

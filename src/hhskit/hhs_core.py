@@ -17,7 +17,8 @@ here.
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import MetricGraph, Subgraph, connected_hull, segments
+from .graph_core import (MetricGraph, RaggedSets, Subgraph, connected_hull,
+                         segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -47,12 +48,17 @@ class ProjectionTable:
     def get(self, x):
         return self.data[self.indptr[x]:self.indptr[x + 1]]
 
+    def images(self, sets):
+        """Per set of X-vertices (``RaggedSets``): the sorted union of their
+        projection sets, as ``RaggedSets``."""
+        owner, pos = segments(self.indptr, sets.flat)
+        return RaggedSets.union(sets.owners()[owner], self.data[pos],
+                                len(sets))
+
     def image(self, xs):
         """Union of the projection sets of the vertices xs, sorted."""
-        out = set()
-        for x in np.asarray(xs, dtype=np.int64).tolist():
-            out.update(self.get(x).tolist())
-        return np.asarray(sorted(out), dtype=np.int32)
+        xs = np.asarray(xs, dtype=np.int64)
+        return self.images(RaggedSets(xs, [0, len(xs)])).flat.astype(np.int32)
 
     def all_singletons(self):
         if not hasattr(self, "_all_singletons"):
@@ -60,13 +66,17 @@ class ProjectionTable:
         return self._all_singletons
 
     def min_over_sets(self, xs, values):
-        """Per x in xs: min of ``values`` over the projection set of x."""
+        """Per x in xs: min of ``values`` over the projection set of x.
+
+        For 2-D ``values`` every row is reduced, giving ``(rows, len(xs))``.
+        """
         xs = np.asarray(xs, dtype=np.int64)
         if self.all_singletons():
-            return values[self.rep[xs]]
+            return values[..., self.rep[xs]]
         owner, pos = segments(self.indptr, xs)
-        return np.minimum.reduceat(values[self.data[pos]],
-                                   np.searchsorted(owner, np.arange(len(xs))))
+        return np.minimum.reduceat(values[..., self.data[pos]],
+                                   np.searchsorted(owner, np.arange(len(xs))),
+                                   axis=-1)
 
     def max_set_diameter(self, space_oracle):
         big = np.flatnonzero(np.diff(self.indptr) > 1)
@@ -85,11 +95,8 @@ class ProjectionTable:
     def compose(self, gate, pull):
         """The table x -> sorted union of the sets of ``pull[g]``, g in the
         set of x in ``gate``."""
-        owner, pos = segments(self.indptr, pull[gate.data])
-        width = int(self.data.max()) + 1
-        keys = np.unique(gate.owners()[owner] * width + self.data[pos])
-        return ProjectionTable.from_entries(keys // width, keys % width,
-                                            len(gate.rep))
+        sets = self.images(RaggedSets(pull[gate.data], gate.indptr))
+        return ProjectionTable(sets.offsets, sets.flat)
 
     @staticmethod
     def from_entries(xs, data, n):
@@ -101,11 +108,36 @@ class ProjectionTable:
         return ProjectionTable(np.arange(n + 1), np.arange(n))
 
 
+def assemble_column(k, parts):
+    """One column of k relative projections, assembled from parts.
+
+    Each part is ``(rows, sets, reached)`` with distinct ascending rows: set
+    i of ``sets`` goes to row ``rows[i]``, and ``reached`` is a bool array
+    or one bool for them all.  Sets meeting in a row are merged and the
+    last part's ``reached`` holds; rows that no part names are empty and
+    unreached.
+    """
+    reached = np.zeros(k, dtype=bool)
+    if len(parts) == 1 and len(parts[0][0]) == k:
+        reached[:] = parts[0][2]
+        return parts[0][1], reached
+    owner, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for rows, sets, hit in parts:
+        reached[rows] = hit
+        owner.append(np.asarray(rows)[sets.owners()])
+        flat.append(sets.flat)
+    return (RaggedSets.union(np.concatenate(owner), np.concatenate(flat), k),
+            reached)
+
+
 class HHSInstance:
     """A concrete hierarchical structure on a finite graph.
 
-    ``rho_provider(inst, u, v)`` returns the relative projection of index u
-    into C(v) as an array of C(v)-vertex ids, or None for 'unreached'.
+    ``rho_provider(inst, us, v)`` returns the relative projections of the
+    indices ``us`` into C(v), one column: ``(RaggedSets, reached)`` with one
+    sorted set of C(v)-vertex ids per u and a bool array (or one bool)
+    saying which were reached (an unreached set is empty), or None when
+    none is.  It is only asked for u nested in v or transverse to it.
     ``rho_down_provider(inst, w, v, verts)`` maps a set of C(w)-vertices
     into C(v) for v properly nested in w (the coarse downward map).
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
@@ -125,7 +157,6 @@ class HHSInstance:
         self._rho_down_provider = rho_down_provider
         self.space_to_x = space_to_x or [None] * len(self.labels)
         self.meta = dict(meta or {})
-        self._rho_cache = {}
         self._reverse_proj = {}
         n = len(self.labels)
         if not (self.rel.shape == (n, n) and len(self.spaces) == n
@@ -155,16 +186,21 @@ class HHSInstance:
     def space_oracle(self, u):
         return self.spaces[u].oracle()
 
+    def rho_sets(self, us, v):
+        """rho^u_v for every u in ``us``: ``(RaggedSets, reached)``.
+
+        Pairs that are neither nested nor transverse are unreached.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        rel = self.rel[us, v]
+        rows = np.flatnonzero((rel == NESTED) | (rel == TRANSVERSE))
+        out = self._rho_provider(self, us[rows], v) if len(rows) else None
+        return assemble_column(len(us), [] if out is None else [(rows, *out)])
+
     def rho(self, u, v):
         """rho^u_v as C(v)-vertex ids, or None when unreached."""
-        key = (u, v)
-        if key not in self._rho_cache:
-            self._rho_cache[key] = self._rho_provider(self, u, v)
-        return self._rho_cache[key]
-
-    def rho_rep(self, u, v):
-        r = self.rho(u, v)
-        return None if r is None or len(r) == 0 else int(r[0])
+        sets, reached = self.rho_sets([u], v)
+        return sets[0].astype(np.int32) if reached[0] else None
 
     def rho_down(self, w, v, verts):
         """Image in C(v) of a set of C(w)-vertices, for v nested in w."""
@@ -219,7 +255,7 @@ def trivial_instance(graph, label="S", meta=None):
     n = graph.n
     rel = np.zeros((1, 1), dtype=np.int8)
 
-    def rho_provider(inst, u, v):
+    def rho_provider(inst, us, v):
         return None
 
     return HHSInstance(graph, [label], [graph], rel, 0,
@@ -293,14 +329,13 @@ def instance_from_factor_system(cand, report=None):
     space_to_x.append(np.arange(graph.n, dtype=np.int64))
     projections.append(ProjectionTable.identity(graph.n))
 
-    member_arrays = [mem.vertex_array() for mem in family]
+    members = RaggedSets.from_arrays([mem.vertex_array() for mem in family])
 
-    def rho_provider(inst, u, v):
-        if inst.rel[u, v] not in (NESTED, TRANSVERSE):
-            return None
-        if v == S:
-            return member_arrays[u].astype(np.int32)
-        return inst.projections[v].image(member_arrays[u])
+    def rho_provider(inst, us, v):
+        sets = members.take(us)
+        if v != S:
+            sets = inst.projections[v].images(sets)
+        return sets, True
 
     def rho_down_provider(inst, w, v, verts):
         xs = inst.space_to_x[w][np.asarray(verts, dtype=np.int64)]
@@ -367,17 +402,14 @@ def normalize(inst):
         changed.append({"index": inst.labels[u], "removed": int(space.n - len(kept)),
                         "hull_repaired": repaired})
 
-    def rho_provider(new_inst, u, v):
-        r = inst.rho(u, v)
-        if r is None:
-            return None
+    def rho_provider(new_inst, us, v):
+        sets, reached = inst.rho_sets(us, v)
         if keep_maps[v] is None:
-            return r
-        mapped = keep_maps[v][np.asarray(r, dtype=np.int64)]
-        mapped = mapped[mapped >= 0]
-        if len(mapped) == 0:
-            return None
-        return np.unique(mapped).astype(np.int32)
+            return sets, reached
+        mapped = keep_maps[v][sets.flat]
+        kept = mapped >= 0
+        sets = RaggedSets.union(sets.owners()[kept], mapped[kept], len(us))
+        return sets, reached & (sets.sizes() > 0)
 
     def rho_down_provider(new_inst, w, v, verts):
         verts = np.asarray(verts, dtype=np.int64)
@@ -461,27 +493,27 @@ def product_hhs(a, b, cap=200_000):
     top = np.column_stack([rep_a, rep_b]).ravel()
     projections.append(ProjectionTable(np.arange(0, 2 * X.n + 1, 2), top))
 
-    def rho_provider(inst, u, v):
-        if inst.rel[u, v] not in (NESTED, TRANSVERSE):
-            return None
-        if v == S:
+    def rho_provider(inst, us, v):
+        parts = []
+        # (factor, its first index, its top copy's first vertex in cs_top)
+        for f, lo, shift in ((a, 0, 0), (b, n_a, csa.n)):
+            rows = np.flatnonzero((us >= lo) & (us < lo + f.n_indices()))
+            local = us[rows] - lo
+            if v != S:
+                if lo <= v < lo + f.n_indices():
+                    parts.append((rows, *f.rho_sets(local, v - lo)))
+                continue
             # each factor's top copy sits inside the join with diameter 2,
-            # so the whole copy is the bounded relative projection
-            if u < n_a:
-                if u == a.maximal:
-                    return np.arange(csa.n, dtype=np.int32)
-                r = a.rho(u, a.maximal)
-                return None if r is None else r.astype(np.int32)
-            w = u - n_a
-            if w == b.maximal:
-                return (np.arange(csb.n) + csa.n).astype(np.int32)
-            r = b.rho(w, b.maximal)
-            return None if r is None else (r + csa.n).astype(np.int32)
-        if u < n_a and v < n_a:
-            return a.rho(u, v)
-        if u >= n_a and v >= n_a:
-            return b.rho(u - n_a, v - n_a)
-        return None
+            # so the whole copy is the bounded relative projection (of the
+            # factor's top index, whose own column entry is empty)
+            sets, reached = f.rho_sets(local, f.maximal)
+            top, n_top = rows[local == f.maximal], f.spaces[f.maximal].n
+            whole = RaggedSets(np.arange(n_top) + shift, [0, n_top])
+            parts += [(rows, RaggedSets(sets.flat + shift, sets.offsets),
+                       reached),
+                      (top, whole.take(np.zeros(len(top), dtype=np.int64)),
+                       True)]
+        return assemble_column(len(us), parts)
 
     def rho_down_provider(inst, w, v, verts):
         if w == S:
@@ -529,10 +561,10 @@ def instance_to_bundle(inst, rho_cap=250_000):
         "meta": {k: v for k, v in inst.meta.items()
                  if isinstance(v, (str, int, float, bool, list))},
     }
-    for u, v in zip(us.tolist(), vs.tolist()):
-        r = inst.rho(u, v)
-        bundle["rho"][f"{u},{v}"] = (None if r is None
-                                     else [int(x) for x in r])
+    for v in np.unique(vs).tolist():
+        sets, reached = inst.rho_sets(us[vs == v], v)
+        for i, u in enumerate(us[vs == v].tolist()):
+            bundle["rho"][f"{u},{v}"] = sets[i].tolist() if reached[i] else None
     return bundle
 
 
@@ -546,12 +578,14 @@ def instance_from_bundle(bundle):
     projections = [ProjectionTable(np.asarray(t["indptr"]),
                                    np.asarray(t["data"]))
                    for t in bundle["projections"]]
-    rho_table = {tuple(int(x) for x in k.split(",")):
-                 (None if v is None else np.asarray(v, dtype=np.int32))
+    rho_table = {tuple(int(x) for x in k.split(",")): v
                  for k, v in bundle["rho"].items()}
 
-    def rho_provider(inst, u, v):
-        return rho_table.get((u, v))
+    def rho_provider(inst, us, v):
+        found = [rho_table.get((u, v)) for u in us.tolist()]
+        return (RaggedSets.from_arrays([np.asarray(r or [], dtype=np.int64)
+                                        for r in found]),
+                np.asarray([r is not None for r in found], dtype=bool))
 
     return HHSInstance(X, bundle["labels"], spaces,
                        np.asarray(bundle["relations"], dtype=np.int8),
@@ -560,25 +594,7 @@ def instance_from_bundle(bundle):
 
 
 def instances_structurally_equal(a, b):
-    """Equality of labels, relations, spaces, projections and rho tables."""
-    if a.labels != b.labels or a.maximal != b.maximal:
-        return False
-    if not (a.rel == b.rel).all():
-        return False
-    if a.X.edges != b.X.edges:
-        return False
-    for sa, sb in zip(a.spaces, b.spaces):
-        if sa.n != sb.n or sa.edges != sb.edges:
-            return False
-    for ta, tb in zip(a.projections, b.projections):
-        if not ((ta.indptr == tb.indptr).all()
-                and (ta.data == tb.data).all()):
-            return False
-    us, vs = a.eligible_rho_pairs()
-    for u, v in zip(us.tolist(), vs.tolist()):
-        ra, rb = a.rho(u, v), b.rho(u, v)
-        if (ra is None) != (rb is None):
-            return False
-        if ra is not None and list(ra) != list(rb):
-            return False
-    return True
+    """Equality of labels, relations, X, spaces, projections and rho tables
+    (the bundles of both, meta aside)."""
+    ba, bb = (instance_to_bundle(i, rho_cap=float("inf")) for i in (a, b))
+    return all(ba[k] == bb[k] for k in ba if k != "meta")

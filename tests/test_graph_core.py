@@ -18,7 +18,8 @@ from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
                                closest_point_projection, four_point_delta,
                                four_point_value, hausdorff_distance,
                                quasiconvexity_constant, ragged_diameters,
-                               ragged_hausdorff, read_edge_list, shortest_path,
+                               ragged_hausdorff, ragged_set_distances,
+                               read_edge_list, shortest_path,
                                to_dot, write_edge_list)
 from hhskit.sampling import sample_unordered_pairs
 
@@ -165,11 +166,46 @@ def test_geodesic_is_valid_and_minimal(g):
 def test_bfs_many_equals_stacked_bfs(g, k, data):
     sources = data.draw(st.lists(st.integers(0, g.n - 1),
                                  min_size=k, max_size=k))
-    rows = bfs_many(g, sources)
+    rows = bfs_many(g, RaggedSets.singletons(np.asarray(sources)))
     assert rows.dtype == np.int32
     assert rows.tolist() == [bfs_distances(g, [u]).tolist() for u in sources]
     with pytest.raises(ValueError):
-        bfs_many(g, [0] * (graph_core.WORD + 1))
+        bfs_many(g, RaggedSets.singletons(np.zeros(graph_core.WORD + 1)))
+
+
+def vertex_sets(g, min_size=0, max_size=64):
+    """Lists of vertex lists: empty sets, repeats and overlaps allowed."""
+    return st.lists(st.lists(st.integers(0, g.n - 1), max_size=5),
+                    min_size=min_size, max_size=max_size)
+
+
+@given(st.one_of(scattered_graphs(), st.just(MetricGraph(1, []))), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bfs_many_on_sets_equals_multi_source_bfs(g, data):
+    """Bit i seeded at every vertex of set i gives the multi-source rows."""
+    sets = data.draw(vertex_sets(g))
+    rows = bfs_many(g, RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                               for x in sets]))
+    assert rows.shape == (len(sets), g.n) and rows.dtype == np.int32
+    assert rows.tolist() == [bfs_distances(g, x).tolist() for x in sets]
+
+
+@given(st.one_of(scattered_graphs(), connected_graphs(), trees()), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dist_to_sets_answers_like_multi_source_bfs(g, data):
+    """More sets than one sweep holds, on every strategy, with the matrix
+    unbuilt and built; dist_to_set is the one-set call."""
+    sets = data.draw(vertex_sets(g, graph_core.WORD + 1, graph_core.WORD + 20))
+    ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                     for x in sets])
+    expect = [bfs_distances(g, x).tolist() for x in sets]
+    for caps in STRATEGIES.values():
+        oracle = oracle_with(g, *caps)
+        assert oracle.dist_to_sets(ragged).tolist() == expect
+        assert [oracle.dist_to_set(x).tolist() for x in sets] == expect
+        if oracle._use_matrix:
+            oracle.matrix()
+            assert oracle.dist_to_sets(ragged).tolist() == expect
 
 
 def frontier_neighbors_loop(graph, frontier):
@@ -518,12 +554,34 @@ def test_ragged_blocks_match_per_set_queries(chunk, g):
         assert haus[k] == hausdorff_distance(g, sets[a], sets[b])
     for x, d in zip(sets, diams):
         assert d == max(rows[u][v] for u in x for v in x)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(graph_core, "RAGGED_CHUNK", chunk)
+        gaps = ragged_set_distances(g.oracle(), ragged, a_idx, ragged, b_idx)
+    assert gaps.tolist() == [min(rows[u][v] for u in sets[a] for v in sets[b])
+                             for a, b in zip(a_idx, b_idx)]
     proj = RaggedBlocks(g.oracle(), ragged, a_idx, ragged, b_idx).projection()
     for k, (a, b) in enumerate(zip(a_idx, b_idx)):
         expect = set()
         for x in sets[b]:
             expect |= set(closest_point_projection(g, sets[a], x))
         assert list(proj[k]) == sorted(expect)
+
+
+@given(st.integers(1, 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ragged_take_and_union(m, data):
+    """take copies sets in the asked order; union sorts and deduplicates."""
+    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=6),
+                              min_size=1, max_size=8))
+    ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                     for x in sets])
+    idx = data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=12))
+    taken = ragged.take(np.asarray(idx, dtype=np.int64))
+    assert [taken[i].tolist() for i in range(len(idx))] == [sets[i] for i in idx]
+    merged = RaggedSets.union(ragged.owners(), ragged.flat, len(sets) + 1)
+    assert [merged[i].tolist() for i in range(len(sets) + 1)] == \
+        [sorted(set(x)) for x in sets] + [[]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,449 @@
+"""The per-target battery against the per-pair loops it replaced.
+
+Each reference below is the earlier per-pair form of a check, with its own
+distances (plain multi-source BFS) and one ``inst.rho(u, v)`` per pair.
+The fixtures include instances whose kappa0 is positive and whose
+relative projections are partly unreached, so that witness order and the
+unreached counts are compared, not only zeros.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hhskit import groups as G
+from hhskit.embedding import build_augmented_structure
+from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
+                        run_main_pipeline)
+from hhskit.graph_core import MetricGraph, RaggedSets, bfs_distances
+from hhskit.groups import SubgroupSpec
+from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
+                               TRANSVERSE, _carrier, _rho_chain_triples,
+                               check_bgi, check_consistency,
+                               check_partial_realization, check_structural,
+                               realization_gap)
+from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
+                             instance_from_bundle, instance_to_bundle,
+                             normalize, product_hhs)
+from hhskit.sampling import rng_for, sample_indices
+
+F2 = G.free_group(["a", "b"])
+LINE = G.free_group(["a"])
+SUB_A = SubgroupSpec(F2, ["a"], label="A")
+SUB_B = SubgroupSpec(F2, ["b"], label="B")
+
+
+def factor(r):
+    return build_hhs_from_factor_system(
+        family_from_cosets(G.cayley_ball(F2, r), [SUB_A, SUB_B]))
+
+
+def line(r, label):
+    return instance_from_ball(G.cayley_ball(LINE, r), label=label)
+
+
+def edited_bundle(inst, edit):
+    """Round trip through a bundle whose rho entries ``edit`` rewrites."""
+    bundle = instance_to_bundle(inst)
+    for i, key in enumerate(sorted(bundle["rho"])):
+        v = int(key.split(",")[1])
+        bundle["rho"][key] = edit(i, bundle["rho"][key],
+                                  bundle["spaces"][v]["n"])
+    return instance_from_bundle(bundle)
+
+
+def fixtures():
+    prod = product_hhs(line(3, "L"), factor(2))
+    aug = build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
+                                    [(SUB_A, line(3, "line"))], seed=3).result
+    gog = GraphOfGroups()
+    gog.add_vertex("Q", F2)
+    gog = apply_star_move(gog, MoveRecord(
+        kind="star-vertex", new_vertex="G", new_group=G.free_group(["c", "d"]),
+        connections=[{"target": "Q", "edge": "e",
+                      "group": G.free_group(["t"]),
+                      "maps": {"G": {"t": "c"}, "Q": {"t": "a"}}}]))
+    gog, _ = run_main_pipeline(gog, base_vertices=["Q"], radius=3, seed=5)
+    out = {
+        # orthogonal factors
+        "lines": product_hhs(line(4, "L1"), line(4, "L2")),
+        # kappa0 = 1 from the nested section
+        "product": prod,
+        "normalized": normalize(aug)[0],
+        "bundle": instance_from_bundle(instance_to_bundle(prod)),
+        # every third rho unreached
+        "holes": edited_bundle(prod, lambda i, r, n: None if i % 3 == 0 else r),
+        # every fifth rho moved to the last vertex of its space: kappa0
+        # comes from the transverse and rho-chain sections
+        "far": edited_bundle(prod, lambda i, r, n: [n - 1] if i % 5 == 0
+                             else None if i % 7 == 0 else r),
+        # every other rho moved: bounded geodesic image violations in
+        # more than one W, interleaved in sample order
+        "far_half": edited_bundle(prod, lambda i, r, n: [n - 1] if i % 2
+                                  else r),
+        "factor3": factor(3),
+        "gog_Q": gog.vertices["Q"].instance,
+    }
+    for e in gog.edges.values():
+        for v, inst in e.instance.items():
+            out[f"gog_edge_{v}"] = inst
+    return out
+
+
+FIXTURES = fixtures()
+NAMES = sorted(FIXTURES)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-pair loops
+
+def pi_min_loop(inst, u, xs, target):
+    dist = bfs_distances(inst.spaces[u], target)
+    return np.asarray([dist[inst.pi(u, int(x))].min() for x in xs])
+
+
+def consistency_loop(inst, pair_budget=20_000, point_budget=60,
+                     triple_budget=40_000, seed=0):
+    rng = rng_for(seed)
+    xs = (np.arange(inst.X.n) if inst.X.n <= point_budget
+          else np.sort(rng.choice(inst.X.n, size=point_budget, replace=False)))
+    kappa, witness, unreached = 0, None, 0
+    trans = np.argwhere(np.triu(inst.rel == TRANSVERSE, k=1))
+    tidx, tspec = sample_indices(len(trans), pair_budget, seed)
+    for k in tidx:
+        u, v = int(trans[k][0]), int(trans[k][1])
+        rho_vu, rho_uv = inst.rho(v, u), inst.rho(u, v)
+        if rho_vu is None or rho_uv is None:
+            unreached += 1
+            continue
+        m = np.minimum(pi_min_loop(inst, u, xs, rho_vu),
+                       pi_min_loop(inst, v, xs, rho_uv))
+        i = int(np.argmax(m))
+        if m[i] > kappa:
+            kappa = int(m[i])
+            witness = {"kind": "transverse",
+                       "pair": (inst.labels[u], inst.labels[v]),
+                       "x": int(xs[i])}
+    nested = np.argwhere(inst.rel == NESTED)
+    nidx, nspec = sample_indices(len(nested), pair_budget, seed + 1)
+    for k in nidx:
+        v, w = int(nested[k][0]), int(nested[k][1])
+        rho_vw = inst.rho(v, w)
+        if rho_vw is None:
+            unreached += 1
+            continue
+        mw = pi_min_loop(inst, w, xs, rho_vw)
+        down = inst.pi_rep(v)[_carrier(inst, w)[inst.pi_rep(w)[xs]]]
+        mv = np.asarray([bfs_distances(inst.spaces[v], [a])[b] for a, b
+                         in zip(inst.pi_rep(v)[xs], down)])
+        m = np.minimum(mw, mv)
+        i = int(np.argmax(m))
+        if m[i] > kappa:
+            kappa = int(m[i])
+            witness = {"kind": "nested",
+                       "pair": (inst.labels[v], inst.labels[w]),
+                       "x": int(xs[i])}
+    tk, tw = _rho_chain_triples(inst.rel, nested)
+    tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
+    for k, w in zip(tk[tridx].tolist(), tw[tridx].tolist()):
+        u, v = int(nested[k][0]), int(nested[k][1])
+        ru, rv = inst.rho(u, w), inst.rho(v, w)
+        if ru is None or rv is None:
+            unreached += 1
+            continue
+        d = int(bfs_distances(inst.spaces[w], ru)[rv].min())
+        if d > kappa:
+            kappa = d
+            witness = {"kind": "rho-chain",
+                       "triple": (inst.labels[u], inst.labels[v],
+                                  inst.labels[w])}
+    samples = {"transverse": tspec.to_dict(), "nested": nspec.to_dict(),
+               "rho_chain": trspec.to_dict(), "points": len(xs)}
+    return {"kappa0": kappa, "witness": witness, "samples": samples,
+            "unreached": unreached}
+
+
+def structural_rho_loop(inst, rho_pair_budget, seed):
+    """(xi, unreached, sample) from the pi set diameters and a per-pair
+    scan of the sampled rho diameters."""
+    xi = max(t.max_set_diameter(inst.space_oracle(u))
+             for u, t in enumerate(inst.projections))
+    us, vs = inst.eligible_rho_pairs()
+    idx, spec = sample_indices(len(us), rho_pair_budget, seed)
+    unreached = 0
+    for u, v in zip(us[idx].tolist(), vs[idx].tolist()):
+        r = inst.rho(u, v)
+        if r is None or len(r) == 0:
+            unreached += 1
+        elif len(r) > 1:
+            xi = max(xi, inst.space_oracle(v).diameter_of_set(r))
+    return xi, unreached, spec.to_dict()
+
+
+def bgi_loop(inst, E_grid=(0, 1, 2, 3, 4, 6, 8), pair_budget=4000,
+             geodesics_per_pair=12, seed=0):
+    rng = rng_for(seed)
+    nested = np.argwhere(inst.rel == NESTED)
+    idx, spec = sample_indices(len(nested), pair_budget, seed)
+    observations = []
+    unreached = 0
+    for k in idx:
+        v, w = int(nested[k][0]), int(nested[k][1])
+        rho = inst.rho(v, w)
+        if rho is None or len(rho) == 0:
+            unreached += 1
+            continue
+        cw = inst.spaces[w]
+        oracle_w = inst.space_oracle(w)
+        dist_rho = bfs_distances(cw, rho)
+        carrier = _carrier(inst, w)
+        rep_v = inst.pi_rep(v)
+        for _ in range(geodesics_per_pair):
+            a, b = int(rng.integers(0, cw.n)), int(rng.integers(0, cw.n))
+            if a == b:
+                continue
+            path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
+            image = np.unique(rep_v[carrier[path]])
+            diam = inst.space_oracle(v).diameter_of_set(image)
+            observations.append((int(dist_rho[path].min()), diam,
+                                 inst.labels[v], inst.labels[w]))
+    E_bgi = None
+    for E in sorted(E_grid):
+        if all(diam <= E for avoid, diam, *_ in observations if avoid > E):
+            E_bgi = E
+            break
+    violations = []
+    if E_bgi is None:
+        Emax = max(E_grid)
+        violations = [{"V": v, "W": w, "avoid": a, "diam": d}
+                      for a, d, v, w in observations if a > Emax and d > Emax]
+    return {"E_bgi": E_bgi, "violations": violations[:8],
+            "observations": len(observations), "unreached": unreached,
+            "sample": spec.to_dict()}
+
+
+def realization_gap_loop(inst, assignments):
+    all_x = np.arange(inst.X.n)
+    need = np.zeros(inst.X.n, dtype=np.int64)
+    for v, p in assignments:
+        np.maximum(need, pi_min_loop(inst, v, all_x, [int(p)]), out=need)
+        for w in range(inst.n_indices()):
+            if inst.rel[v, w] in (NESTED, TRANSVERSE):
+                rw = inst.rho(v, w)
+                if rw is None or len(rw) == 0:
+                    continue
+                np.maximum(need, pi_min_loop(inst, w, all_x, rw), out=need)
+    return need
+
+
+def partial_realization_loop(inst, family_budget=12, points_per_family=3,
+                             alpha_cap=8, seed=0):
+    rng = rng_for(seed)
+    n = inst.n_indices()
+    orth_pairs = np.argwhere(np.triu(inst.rel == ORTHOGONAL, k=1))
+    families = [[int(v)] for v in
+                rng.choice(n, size=min(n, family_budget), replace=False)]
+    if len(orth_pairs):
+        take = rng.choice(len(orth_pairs),
+                          size=min(len(orth_pairs), family_budget),
+                          replace=False)
+        families += [[int(orth_pairs[i][0]), int(orth_pairs[i][1])]
+                     for i in take]
+    alpha, witness, failures = 0, None, []
+    for fam in families:
+        for _ in range(points_per_family):
+            targets = [int(inst.pi_rep(v)[int(rng.integers(0, inst.X.n))])
+                       for v in fam]
+            need = realization_gap_loop(inst, list(zip(fam, targets)))
+            i = int(np.argmin(need))
+            if need[i] > alpha:
+                alpha = int(need[i])
+                witness = {"family": [inst.labels[v] for v in fam],
+                           "realizer": i}
+            if need[i] > alpha_cap:
+                failures.append({"family": [inst.labels[v] for v in fam],
+                                 "best": int(need[i])})
+    return {"alpha": alpha, "witness": witness, "no_realizer": failures[:8],
+            "families_scanned": len(families), "seed": seed}
+
+
+# ---------------------------------------------------------------------------
+# the checks against the loops
+
+def test_fixtures_cover_positive_kappa_and_unreached_rho():
+    reports = {name: check_consistency(FIXTURES[name], seed=1).to_dict()
+               for name in ("product", "holes", "far")}
+    assert all(r["kappa0"] > 0 for r in reports.values())
+    assert reports["holes"]["unreached"] > 0
+    assert reports["far"]["witness"]["kind"] == "rho-chain"
+    # without the rho-chain section, the transverse one sets kappa0
+    far = check_consistency(FIXTURES["far"], seed=1, triple_budget=0)
+    assert far.kappa0 > 0 and far.witness["kind"] == "transverse"
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_consistency_matches_per_pair_loop(name, seed):
+    inst = FIXTURES[name]
+    assert check_consistency(inst, seed=seed).to_dict() == \
+        consistency_loop(inst, seed=seed)
+    # sampled scans: a few pairs and points, so sample order matters
+    small = {"pair_budget": 40, "point_budget": 7, "triple_budget": 60}
+    assert check_consistency(inst, seed=seed, **small).to_dict() == \
+        consistency_loop(inst, seed=seed, **small)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("budget", [None, 50])
+def test_structural_rho_scan_matches_per_pair_loop(name, budget):
+    inst = FIXTURES[name]
+    rep = check_structural(inst, rho_pair_budget=budget, seed=2)
+    assert (rep.xi, rep.unreached_rho, rep.rho_sample.to_dict()) == \
+        structural_rho_loop(inst, budget, 2)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("budget", [4000, 9])
+@pytest.mark.parametrize("grid", [(0, 1, 2, 3, 4, 6, 8), (0,)])
+def test_bgi_matches_per_pair_loop(name, budget, grid):
+    """The one-point grid leaves E_bgi unset, so the violations are listed
+    and their order is compared too."""
+    inst = FIXTURES[name]
+    assert check_bgi(inst, E_grid=grid, pair_budget=budget, seed=3) == \
+        bgi_loop(inst, E_grid=grid, pair_budget=budget, seed=3)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_partial_realization_matches_per_point_loop(name):
+    inst = FIXTURES[name]
+    assert check_partial_realization(inst, family_budget=4, seed=4) == \
+        partial_realization_loop(inst, family_budget=4, seed=4)
+    v, w = 0, inst.n_indices() - 1
+    pairs = [(v, int(inst.pi_rep(v)[0])), (w, int(inst.pi_rep(w)[-1])),
+             (v, int(inst.pi_rep(v)[-1]))]
+    assert realization_gap(inst, pairs).tolist() == \
+        realization_gap_loop(inst, pairs).tolist()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rho_columns_match_one_pair_calls(name):
+    """A column over shuffled, repeated sources gives each pair's rho."""
+    inst = FIXTURES[name]
+    n = inst.n_indices()
+    us = np.random.default_rng(7).integers(0, n, size=2 * n + 3)
+    for v in range(n):
+        sets, reached = inst.rho_sets(us, v)
+        for i, u in enumerate(us.tolist()):
+            r = inst.rho(u, v)
+            assert reached[i] == (r is not None)
+            assert sets[i].tolist() == ([] if r is None else r.tolist())
+
+
+def test_augmented_cross_rho_unreached_where_top_rho_is():
+    """A cross pair composes through rho^u_S, so it is unreached with it."""
+    base = factor(2)
+    provider = base._rho_provider
+
+    def holed(inst, us, v):
+        sets, reached = provider(inst, us, v)
+        return sets, reached & ((us != 0) | (v != base.maximal))
+    base._rho_provider = holed
+    aug = build_augmented_structure(base, [(SUB_A, line(2, "line"))],
+                                    force=True, seed=3).result
+    assert base.rho(0, base.maximal) is None
+    new = np.flatnonzero(aug.rel[0] == TRANSVERSE)
+    new = new[new >= base.n_indices()]
+    assert len(new) and all(aug.rho(0, int(v)) is None for v in new)
+    assert all(aug.rho(1, int(v)) is not None for v in new)
+
+
+# ---------------------------------------------------------------------------
+# relation joins against the dense products they replaced
+
+def relation_witnesses_dense(rel):
+    N = (rel == NESTED).astype(np.int64)
+    O = (rel == ORTHOGONAL).astype(np.int64)
+    out = {}
+    bad = ((N @ N) > 0) & (N == 0)
+    if bad.any():
+        out["nesting-transitive"] = tuple(int(x) for x in np.argwhere(bad)[0])
+    bad = ((N @ O) > 0) & (O == 0)
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        out["orthogonality-inherited"] = tuple(
+            int(x) for x in np.argwhere(bad)[0])
+    return out
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_relation_joins_match_dense_products(n, data):
+    codes = [EQUAL, NESTED, CONTAINS, ORTHOGONAL, TRANSVERSE]
+    rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
+                                        min_size=n * n, max_size=n * n)),
+                     dtype=np.int8).reshape(n, n)
+    # nesting only upward in index order, so chains are finite
+    rel[np.tril(rel == NESTED)] = TRANSVERSE
+    point = MetricGraph(1, [])
+    inst = HHSInstance(point, [str(i) for i in range(n)], [point] * n, rel,
+                       0, [ProjectionTable.identity(1)] * n,
+                       lambda inst, us, v: None)
+    got = {f["check"]: tuple(int(x) for x in f["witness"])
+           for f in check_structural(inst).failures
+           if f["check"] in ("nesting-transitive", "orthogonality-inherited")}
+    assert got == relation_witnesses_dense(rel)
+
+
+# ---------------------------------------------------------------------------
+# projection tables
+
+@st.composite
+def tables(draw):
+    m = draw(st.integers(1, 9))
+    sets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1,
+                                 max_size=m), min_size=1, max_size=10))
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sets], out=indptr[1:])
+    return ProjectionTable(indptr, [v for s in sets for v in sorted(s)]), m
+
+
+def image_loop(table, xs):
+    """The old image: a per-call set union."""
+    out = set()
+    for x in xs:
+        out.update(int(v) for v in table.get(x))
+    return sorted(out)
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_images_match_set_union_loop(tm, data):
+    t, m = tm
+    rows = len(t.rep)
+    xsets = data.draw(st.lists(st.lists(st.integers(0, rows - 1), max_size=6),
+                               max_size=8))
+    got = t.images(RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                           for x in xsets]))
+    assert [got[i].tolist() for i in range(len(xsets))] == \
+        [image_loop(t, x) for x in xsets]
+    for x in xsets:
+        assert t.image(x).tolist() == image_loop(t, x)
+        assert t.image(x).dtype == np.int32
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_min_over_sets_2d_matches_its_rows(tm, data):
+    t, m = tm
+    xs = np.asarray(data.draw(st.lists(st.integers(0, len(t.rep) - 1),
+                                       min_size=1, max_size=12)))
+    k = data.draw(st.integers(0, 5))
+    values = np.asarray(data.draw(st.lists(st.integers(-1, 30),
+                                           min_size=k * m, max_size=k * m)),
+                        dtype=np.int32).reshape(k, m)
+    got = t.min_over_sets(xs, values)
+    assert got.shape == (k, len(xs))
+    assert got.tolist() == [t.min_over_sets(xs, row).tolist()
+                            for row in values]
