@@ -465,7 +465,7 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
         full[rows] = reached & (sets.sizes() > 0)
     keep = np.flatnonzero(full)
     unreached = len(vs) - len(keep)
-    # endpoints are drawn in sample order, as a per-pair scan draws them
+    # one rng stream, drawn in sample order for the reached pairs only
     ends = {k: [(int(rng.integers(0, inst.spaces[ws[k]].n)),
                  int(rng.integers(0, inst.spaces[ws[k]].n)))
                 for _ in range(geodesics_per_pair)] for k in keep.tolist()}
