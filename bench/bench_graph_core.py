@@ -1,24 +1,36 @@
-"""Layer benchmarks of the distance oracle, with pytest-benchmark.
+"""Layer benchmarks of the distance oracle, Cayley balls and the drift
+scan, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest bench/bench_graph_core.py --benchmark-json OUT.json
 
-The graphs are Cayley balls of the RAAG Z^2 * Z = <a, b, c | [a, b]>: at
-r=5 (2583 vertices) the oracle builds its matrix, at r=6 (10945
+The oracle graphs are Cayley balls of the RAAG Z^2 * Z = <a, b, c | [a, b]>:
+at r=5 (2583 vertices) the oracle builds its matrix, at r=6 (10945
 vertices, over MATRIX_CAP) it answers from BFS rows.  Every round asks a
 fresh oracle (a fresh graph where the code under test asks the graph for
 its oracle), so no round reads what an earlier one cached.  Within a
 round, the repeated-query cases ask the same oracle many times, as the
 library's own callers do.
+
+``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
+r=6.  ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
+over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
+Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
+afresh for the round.  Its coned delta is sampled with a budget of 1000
+quadruples, so the drift scan dominates.
 """
 
 import numpy as np
 import pytest
 
 from hhskit import groups
+from hhskit.coneoff import build_coneoff, kapovich_rafi_report
+from hhskit.factor_system import family_from_cosets
 from hhskit.graph_core import (DistanceOracle, MetricGraph, bfs_distances,
                                four_point_delta, quasiconvexity_constant)
 
 RAAG = groups.raag_group(["a", "b", "c"], [("a", "b")])
+F2 = groups.free_group(["a", "b"])
+Z2 = groups.free_abelian_group(["a", "b"])
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +96,29 @@ def test_rows_quasiconvexity_r6(benchmark, ball6):
                                           seed=2), rounds=2,
         setup=lambda: ((MetricGraph(ball6.n, ball6.edges),), {}))
     assert rep.q == 0
+
+
+@pytest.mark.parametrize("model,radius,n", [(F2, 8, 13121), (RAAG, 6, 10945)],
+                         ids=["F2_r8", "RAAG_r6"])
+def test_cayley_ball(benchmark, model, radius, n):
+    ball = benchmark.pedantic(groups.cayley_ball, args=(model, radius),
+                              rounds=3)
+    assert ball.graph.n == n
+
+
+def coned(model, radius, labels):
+    """A fresh cone-off of the ball over the cosets of the given letters."""
+    ball = groups.cayley_ball(model, radius)
+    subs = [groups.SubgroupSpec(model, [x], label=x.upper()) for x in labels]
+    return build_coneoff(ball.graph, family_from_cosets(ball, subs).family)
+
+
+@pytest.mark.parametrize("model,radius,labels,rounds,H", [
+    (F2, 4, "ab", 3, 1), (F2, 6, "ab", 1, 1), (Z2, 8, "a", 3, 1)],
+    ids=["F2_r4", "F2_r6", "Z2_r8"])
+def test_kapovich_rafi_report(benchmark, model, radius, labels, rounds, H):
+    rep = benchmark.pedantic(
+        lambda cg: kapovich_rafi_report(cg, seed=7, delta_budget=1000),
+        rounds=rounds,
+        setup=lambda: ((coned(model, radius, labels),), {}))
+    assert rep["sample"].mode == "exhaustive" and rep["hausdorff_H"] == H

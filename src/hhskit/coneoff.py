@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, TruncatedPiece
-from .graph_core import MetricGraph, PathRecord, bfs_parents, four_point_delta
-from .sampling import SampleSpec, rng_for
+from . import graph_core
+from .errors import BudgetExceeded, Disconnected, TruncatedPiece
+from .graph_core import (WORD, MetricGraph, PathRecord, four_point_delta,
+                         row_parents)
+from .sampling import SampleSpec, rng_for, sample_unordered_pairs
 
 DEFAULT_CONE_EDGE_CAP = 2_000_000
 DEFAULT_CLIQUE_THRESHOLD = 600
@@ -173,65 +175,73 @@ def tau_quasigeodesic_check(cg, x, y):
     return {"tau1": tau1, "tau2": tau2, "record": record}
 
 
+def _paths(graph, row, u, targets):
+    """Column i: the BFS-parent path from targets[i] to u, padded by u."""
+    parent = row_parents(graph, row)
+    parent[u] = u
+    steps = [targets]
+    while (steps[-1] != u).any():
+        steps.append(parent[steps[-1]])
+    return np.stack(steps)
+
+
+def _drift(oracle, a, b):
+    """Hausdorff distance between the vertex columns a[:, i] and b[:, i].
+
+    u ends every column of both, so its padding changes no minimum.  The
+    distances are laid out (b row, a row, column), so every reduction runs
+    over contiguous slabs; the shorter coned side b is the source side."""
+    h = np.empty(a.shape[1], dtype=np.int64)
+    step = max(1, graph_core.RAGGED_CHUNK // (len(a) * len(b)))
+    for lo in range(0, a.shape[1], step):
+        x, y = np.broadcast_arrays(b[:, None, lo:lo + step],
+                                   a[None, :, lo:lo + step])
+        d = oracle.pairs(x.ravel(), y.ravel()).reshape(x.shape)
+        h[lo:lo + step] = np.maximum(d.min(axis=0).max(axis=0),
+                                     d.min(axis=1).max(axis=0))
+    return h
+
+
 def kapovich_rafi_report(cg, pair_budget=None, seed=0,
                          delta_budget=DEFAULT_DELTA_BUDGET):
     """Coned hyperbolicity plus the geodesic-drift constant.
 
     hausdorff_H is the max over vertex pairs (all of them unless a pair
     budget is given) of the coned-metric Hausdorff distance between the
-    base geodesic and the coned geodesic with the same endpoints.
+    base geodesic and the coned geodesic with the same endpoints.  For one
+    source u the geodesics to all its targets are the ancestor chains of
+    the two parent arrays, read off distance rows fetched WORD sources at
+    a time and never cached; the witness is the first maximum in (u, v)
+    order.
     """
     base, coned = cg.base, cg.coned
     n = base.n
+    if not base.is_connected:
+        raise Disconnected("the drift scan needs a connected base graph")
     bo, co = base.oracle(), coned.oracle()
 
     population = n * (n - 1) // 2
     if pair_budget is None or population <= pair_budget:
-        sources = range(n)
-        sampled_pairs = None
+        src = np.arange(n - 1)
+        scan = (np.arange(u + 1, n) for u in range(n - 1))
         spec = SampleSpec("exhaustive", population, population, None)
     else:
-        rng = rng_for(seed)
-        us = rng.integers(0, n, size=2 * pair_budget)
-        vs = rng.integers(0, n, size=2 * pair_budget)
-        keep = us < vs
-        sampled_pairs = list(zip(us[keep][:pair_budget], vs[keep][:pair_budget]))
-        sampled_pairs.sort()
-        spec = SampleSpec("sampled", population, len(sampled_pairs), seed)
+        us, vs, spec = sample_unordered_pairs(n, pair_budget, seed)
+        order = np.lexsort((vs, us))
+        src, first = np.unique(us[order], return_index=True)
+        scan = iter(np.split(vs[order], first[1:]))
 
-    best = 0
-    witness = None
-
-    def scan(u, targets, base_parent, coned_parent):
-        nonlocal best, witness
-        for v in targets:
-            a = [v]
-            w = v
-            while w != u:
-                w = int(base_parent[w])
-                a.append(w)
-            b = [v]
-            w = v
-            while w != u:
-                w = int(coned_parent[w])
-                b.append(w)
-            d = co.block(a, b)
-            h = int(max(d.min(axis=1).max(), d.min(axis=0).max()))
-            if h > best:
-                best = h
-                witness = (int(u), int(v))
-
-    # coned parents are one-shot per source, so they skip the oracle cache
-    if sampled_pairs is None:
-        for u in range(n - 1):
-            scan(u, range(u + 1, n), bo.parents_from(u),
-                 bfs_parents(coned, u)[1])
-    else:
-        by_source = {}
-        for u, v in sampled_pairs:
-            by_source.setdefault(int(u), []).append(int(v))
-        for u, targets in by_source.items():
-            scan(u, targets, bo.parents_from(u), bfs_parents(coned, u)[1])
+    best, witness = 0, None
+    for lo in range(0, len(src), WORD):
+        batch = src[lo:lo + WORD]
+        rows = zip(batch.tolist(), bo.block(batch, np.arange(n)),
+                   co.block(batch, np.arange(coned.n)), scan)
+        for u, base_row, coned_row, targets in rows:
+            h = _drift(co, _paths(base, base_row, u, targets),
+                       _paths(coned, coned_row, u, targets))
+            i = int(np.argmax(h))
+            if h[i] > best:
+                best, witness = int(h[i]), (u, int(targets[i]))
 
     delta = four_point_delta(coned, budget=delta_budget, seed=seed)
     return {"delta_coned": delta.delta,

@@ -4,8 +4,9 @@ Everything downstream (Cayley balls, cone-offs, coordinate spaces of
 hierarchical structures) is one of these graphs, so the module carries the
 shared machinery: BFS distances, deterministic geodesics, a distance oracle
 with a fast path for trees, hyperbolicity and quasi-convexity estimation,
-closest-point projections and Hausdorff distances, and ragged distance
-blocks that answer many small set-to-set queries in one oracle call.
+closest-point projections, and ragged distance blocks that answer many
+small set-to-set queries (Hausdorff distances among them) in one oracle
+call.
 
 Distances are integers; hyperbolicity deltas are half-integers.  All "sup
 over the infinite space" quantities are maxima over the built graph and the
@@ -57,21 +58,15 @@ class MetricGraph:
         self.labels = labels
 
         # CSR adjacency, neighbor lists sorted for deterministic traversal.
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+        self.indices = dst[np.lexsort((dst, src))].astype(np.int32)
+        deg = np.bincount(src, minlength=self.n)
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(deg, out=self.indptr[1:])
-        self.indices = np.empty(2 * len(self.edges), dtype=np.int32)
-        fill = self.indptr[:-1].copy()
-        for u, v in self.edges:
-            self.indices[fill[u]] = v
-            fill[u] += 1
-            self.indices[fill[v]] = u
-            fill[v] += 1
-        for u in range(self.n):
-            self.indices[self.indptr[u]:self.indptr[u + 1]].sort()
+        # the CSR start of each vertex that has neighbours, for reduceat
+        self.has_nbrs = deg > 0
+        self.nbr_starts = self.indptr[:-1][self.has_nbrs]
 
         if self.n == 0:
             self.is_connected = True
@@ -170,13 +165,12 @@ def bfs_many(graph, sets):
     planes = []
     # reduceat needs a nonempty segment at every offset, so degree-0
     # vertices (which no level reaches) are left out of the reduction.
-    has_nbrs = np.diff(graph.indptr) > 0
-    starts = graph.indptr[:-1][has_nbrs]
     level = 0
-    while starts.size:
+    while graph.nbr_starts.size:
         level += 1
         nxt = np.zeros(n, dtype=np.uint64)
-        nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
+        nxt[graph.has_nbrs] = np.bitwise_or.reduceat(frontier[graph.indices],
+                                                     graph.nbr_starts)
         nxt &= ~seen
         if not nxt.any():
             break
@@ -232,6 +226,21 @@ def bfs_parents(graph, source):
         parent[fresh] = fresh_par
         frontier = fresh
     return dist, parent
+
+
+def row_parents(graph, dist):
+    """``bfs_parents`` of the source whose distance row is ``dist``.
+
+    A vertex's parent is its smallest-id neighbour one level closer, which
+    is the first such entry of its sorted neighbour list; -1 at the source
+    and at unreached vertices.
+    """
+    closer = dist[graph.indices] == np.repeat(dist - 1, np.diff(graph.indptr))
+    cand = np.where(closer, graph.indices, graph.n)
+    parent = np.full(graph.n, graph.n, dtype=np.int64)
+    parent[graph.has_nbrs] = np.minimum.reduceat(cand, graph.nbr_starts)
+    parent[parent == graph.n] = -1
+    return parent
 
 
 # Most pairs one LCA pass lifts at a time.
@@ -290,25 +299,6 @@ class _TreeMetric:
     def row(self, u):
         all_v = np.arange(self.graph.n, dtype=np.int64)
         return self.pair_dist(all_v, np.full(self.graph.n, u, dtype=np.int64))
-
-    def parents_toward(self, u):
-        """parent[v] = next vertex on the geodesic from v to u (u itself: -1)."""
-        n = self.graph.n
-        chain = [u]
-        w = u
-        while self.depth[w] > 0:
-            w = int(self.up[0][w])
-            chain.append(w)
-        anc_at_depth = np.array(chain[::-1], dtype=np.int64)  # depth d -> ancestor
-        all_v = np.arange(n, dtype=np.int64)
-        l = self.lca(all_v, np.full(n, u, dtype=np.int64))
-        parent = self.up[0].copy()
-        on_spine = l == all_v  # v is an ancestor of u: step down toward u
-        dv = self.depth[all_v[on_spine]] + 1
-        dv = np.minimum(dv, len(anc_at_depth) - 1)
-        parent[on_spine] = anc_at_depth[dv]
-        parent[u] = -1
-        return parent
 
 
 class DistanceOracle:
@@ -425,8 +415,6 @@ class DistanceOracle:
         return self.dist_to_sets(RaggedSets(verts, [0, len(verts)]))[0]
 
     def parents_from(self, u):
-        if self._tree is not None:
-            return self._tree.parents_toward(u)
         if u not in self._parents:
             _, par = bfs_parents(self.graph, u)
             self._parents[u] = par
@@ -752,19 +740,6 @@ def quasiconvexity_constant(graph, h, pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
                 witness_pair = (u, v)
                 witness_vertex = int(np.flatnonzero(on_geo)[zi])
     return QuasiconvexityReport(max(q, 0), witness_pair, witness_vertex, spec)
-
-
-def hausdorff_distance(graph, a, b):
-    """Symmetric Hausdorff distance between two nonempty vertex sets."""
-    av, bv = _vertex_array(a), _vertex_array(b)
-    if len(av) == 0 or len(bv) == 0:
-        raise ValueError("hausdorff_distance needs nonempty sets")
-    oracle = graph.oracle()
-    to_b = oracle.dist_to_set(bv)[av]
-    to_a = oracle.dist_to_set(av)[bv]
-    if (to_b < 0).any() or (to_a < 0).any():
-        raise Disconnected("sets are not mutually reachable")
-    return int(max(to_b.max(), to_a.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -97,24 +97,28 @@ def _first_max(values, kappa):
     return i if values[i] > kappa else None
 
 
-def _sample_pairs(mask_row, n, budget, seed):
-    """Sampled (u, v) with ``mask_row(u)[v]``, in row-major order.
+# Most relation-matrix entries one mask block of _sample_pairs holds.
+MASK_BLOCK = 1 << 20
 
-    The ranks ``sample_indices`` draws are unranked from per-row counts, so
-    the full pair list is never built.
+
+def _sample_pairs(mask_rows, n, budget, seed):
+    """Sampled (u, v) with ``mask_rows(lo, hi)[u - lo, v]``, in row-major order.
+
+    The rows are masked a block at a time.  The ranks ``sample_indices``
+    draws are unranked from per-block counts: rank k of a block is its k-th
+    set entry in row-major order, so the full pair list is never built.
     """
-    counts = np.asarray([np.count_nonzero(mask_row(u)) for u in range(n)],
-                        dtype=np.int64)
-    ends = np.cumsum(counts)
-    idx, spec = sample_indices(int(ends[-1]) if n else 0, budget, seed)
-    us = np.searchsorted(ends, idx, side="right")
-    vs = np.empty_like(us)
-    cuts = np.searchsorted(us, np.arange(n + 1))
-    for u in np.unique(us).tolist():
-        lo, hi = cuts[u], cuts[u + 1]
-        vs[lo:hi] = np.flatnonzero(mask_row(u))[idx[lo:hi] - ends[u]
-                                                + counts[u]]
-    return us, vs, spec
+    rows = max(1, MASK_BLOCK // max(n, 1))
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    ends = np.cumsum([0] + [np.count_nonzero(mask_rows(*b)) for b in blocks])
+    idx, spec = sample_indices(int(ends[-1]), budget, seed)
+    cuts = np.searchsorted(idx, ends)
+    flat = np.empty_like(idx)
+    for b, (lo, hi) in enumerate(blocks):
+        sel = slice(cuts[b], cuts[b + 1])
+        flat[sel] = lo * n + np.flatnonzero(mask_rows(lo, hi))[
+            idx[sel] - ends[b]]
+    return *np.divmod(flat, n), spec
 
 
 def _composed(first, second, n):
@@ -235,7 +239,7 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
         if not table.all_singletons():
             xi = max(xi, table.max_set_diameter(inst.space_oracle(u)))
     us, vs, spec = _sample_pairs(
-        lambda u: (rel[u] == NESTED) | (rel[u] == TRANSVERSE), n,
+        lambda lo, hi: np.isin(rel[lo:hi], (NESTED, TRANSVERSE)), n,
         rho_pair_budget, seed)
     unreached = 0
     for v, rows in _by_target(vs):
@@ -320,7 +324,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
 
     # transverse: both directions of each pair, min over them per point
     tu, tv, tspec = _sample_pairs(
-        lambda u: (rel[u] == TRANSVERSE) & (np.arange(n) > u), n,
+        lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo), n,
         pair_budget, seed)
     m, reached = _pi_min_to_rho(inst, np.concatenate([tv, tu]),
                                 np.concatenate([tu, tv]), xs)

@@ -1,13 +1,19 @@
 """Cone-off construction, de-electrification, stability reports."""
 
-import numpy as np
+import itertools
 
+import numpy as np
+import pytest
+
+from hhskit import graph_core
 from hhskit import groups as G
 from hhskit.coneoff import (build_coneoff, coneoff_report, de_electrify,
                             kapovich_rafi_report, measure_quasigeodesic,
                             tau_quasigeodesic_check)
-from hhskit.graph_core import MetricGraph, Subgraph, shortest_path
+from hhskit.graph_core import (MetricGraph, Subgraph, bfs_parents,
+                               shortest_path)
 from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
+from hhskit.sampling import rng_for
 
 F2 = G.free_group(["a", "b"])
 
@@ -169,3 +175,92 @@ def test_full_report_shape():
         assert key in rep
     assert rep["family_size"] == len(cg.family)
     assert rep["tau1"] >= 1.0 and rep["tau2"] >= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the drift scan against a per-pair loop
+
+def drift_loop(cg, pairs):
+    """Reference: (H, witness), walking both parent paths of each pair by
+    hand and asking the coned distances of the two paths as one block."""
+    co = cg.coned.oracle()
+    best, witness = 0, None
+    for u, v in pairs:
+        paths = []
+        for graph in (cg.base, cg.coned):
+            parent = bfs_parents(graph, u)[1]
+            path = [v]
+            while path[-1] != u:
+                path.append(int(parent[path[-1]]))
+            paths.append(path)
+        d = co.block(*paths)
+        h = int(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        if h > best:
+            best, witness = h, (u, v)
+    return best, witness
+
+
+def sampled_pairs(n, pair_budget, seed):
+    """The pairs a sampled scan draws, sorted, repeats kept."""
+    rng = rng_for(seed)
+    us = rng.integers(0, n, size=2 * pair_budget)
+    vs = rng.integers(0, n, size=2 * pair_budget)
+    keep = us < vs
+    return sorted(zip(us[keep][:pair_budget].tolist(),
+                      vs[keep][:pair_budget].tolist()))
+
+
+Z2 = G.free_abelian_group(["a", "b"])
+
+
+def drift_fixture(name):
+    """A cone-off of a tree or of a Z^2 ball, clique-coned or apex-coned.
+
+    On "theta" (a 10-cycle with a chord 0-3 and the path 3-4-5 coned) the
+    maximum comes from a coned-path vertex far from the base path, so
+    both sides of the Hausdorff distance count."""
+    if name == "theta":
+        g = MetricGraph(10, [(0, 1), (0, 3), (0, 8), (1, 2), (2, 3), (3, 4),
+                             (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+        return build_coneoff(g, [Subgraph(g, [3, 4, 5])])
+    model, r, labels = {"F2": (F2, 3, ["a", "b"]), "Z2": (Z2, 4, ["a"]),
+                        "Z2ab": (Z2, 3, ["a", "b"])}[name.split("-")[0]]
+    ball = G.cayley_ball(model, r)
+    threshold = 4 if name.endswith("-apex") else 600
+    return build_coneoff(ball.graph, coset_family(ball, labels),
+                         clique_threshold=threshold)
+
+
+# (MATRIX_CAP, TREE_LCA_CUT) forcing each distance strategy: LCA on the
+# tree bases (matrix otherwise), the matrix everywhere, BFS rows everywhere
+STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}
+
+
+@pytest.mark.parametrize("strategy,chunk", [("matrix", None), ("matrix", 1),
+                                            ("lca", 60), ("rows", 60)])
+@pytest.mark.parametrize("name", ["F2", "F2-apex", "Z2", "Z2-apex", "Z2ab",
+                                  "Z2ab-apex", "theta"])
+def test_drift_scan_matches_per_pair_loop(monkeypatch, name, strategy, chunk):
+    """Exhaustive and sampled scans (with repeated pairs) give the loop's H
+    and witness; small chunks split a source's targets."""
+    monkeypatch.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy][0])
+    monkeypatch.setattr(graph_core, "TREE_LCA_CUT", STRATEGIES[strategy][1])
+    if chunk is not None:
+        monkeypatch.setattr(graph_core, "RAGGED_CHUNK", chunk)
+    cg = drift_fixture(name)
+    assert ("apex-approximation" in cg.flags) == name.endswith("-apex")
+    n = cg.base.n
+    rep = kapovich_rafi_report(cg, delta_budget=100)
+    assert rep["sample"].mode == "exhaustive"
+    assert (rep["hausdorff_H"], rep["witness"]) == drift_loop(
+        cg, itertools.combinations(range(n), 2))
+    for seed in (0, 3):
+        budget = n * (n - 1) // 4
+        pairs = sampled_pairs(n, budget, seed)
+        assert len(set(pairs)) < len(pairs)
+        rep = kapovich_rafi_report(cg, pair_budget=budget, seed=seed,
+                                   delta_budget=100)
+        assert rep["sample"].mode == "sampled"
+        assert rep["sample"].drawn == len(pairs)
+        assert (rep["hausdorff_H"], rep["witness"]) == drift_loop(cg, pairs)
+    assert cg.base.oracle()._parents == {}

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from hhskit import graph_core, groups
 from hhskit.errors import BudgetExceeded, Disconnected
 from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
-                               bfs_distances, bfs_many,
+                               bfs_distances, bfs_many, bfs_parents,
                                closest_point_projection, four_point_delta,
-                               four_point_value, hausdorff_distance,
-                               quasiconvexity_constant, ragged_diameters,
-                               ragged_hausdorff, ragged_set_distances,
-                               read_edge_list, shortest_path,
-                               to_dot, write_edge_list)
+                               four_point_value, quasiconvexity_constant,
+                               ragged_diameters, ragged_hausdorff,
+                               ragged_set_distances, read_edge_list,
+                               row_parents, shortest_path, to_dot,
+                               write_edge_list)
 from hhskit.sampling import sample_unordered_pairs
 
 
@@ -41,6 +41,13 @@ def bfs_oracle(edges, n, source):
                 dist[nb] = dist[w] + 1
                 q.append(nb)
     return [dist.get(v, -1) for v in range(n)]
+
+
+def hausdorff_distance(graph, a, b):
+    """Symmetric Hausdorff distance between two nonempty vertex sets."""
+    rows = {v: bfs_oracle(graph.edges, graph.n, v) for v in set(a) | set(b)}
+    return max(max(min(rows[x][y] for y in b) for x in a),
+               max(min(rows[y][x] for x in a) for y in b))
 
 
 def delta_oracle(edges, n):
@@ -127,6 +134,17 @@ def test_shortest_path_disconnected():
         shortest_path(g, 0, 3)
 
 
+@given(scattered_graphs())
+@settings(max_examples=60, deadline=None)
+def test_csr_holds_sorted_neighbour_lists(g):
+    nbrs = [sorted({v for e in g.edges for v in e if u in e} - {u})
+            for u in range(g.n)]
+    assert g.indptr.tolist() == [0] + list(itertools.accumulate(
+        len(x) for x in nbrs))
+    assert g.indices.tolist() == [v for x in nbrs for v in x]
+    assert g.nbr_starts.tolist() == [g.indptr[u] for u in range(g.n) if nbrs[u]]
+
+
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_distances_match_bfs_oracle(g):
@@ -171,6 +189,19 @@ def test_bfs_many_equals_stacked_bfs(g, k, data):
     assert rows.tolist() == [bfs_distances(g, [u]).tolist() for u in sources]
     with pytest.raises(ValueError):
         bfs_many(g, RaggedSets.singletons(np.zeros(graph_core.WORD + 1)))
+
+
+@given(st.one_of(scattered_graphs(), connected_graphs(), trees(),
+                 st.just(MetricGraph(1, []))), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_parents_equal_bfs_parents(g, data):
+    """The smallest-id neighbour one level closer is the BFS parent, from a
+    row of every strategy (unreached vertices and the source get -1)."""
+    u = data.draw(st.integers(0, g.n - 1))
+    dist, parent = bfs_parents(g, u)
+    for caps in STRATEGIES.values():
+        row = oracle_with(g, *caps).row(u)
+        assert row_parents(g, row).tolist() == parent.tolist()
 
 
 def vertex_sets(g, min_size=0, max_size=64):

@@ -12,7 +12,8 @@ from hhskit.graph_core import shortest_path
 from hhskit.groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
                            coset_subgraph, coset_vertices, enumerate_cosets,
                            free_abelian_group, free_group, free_product,
-                           inverse_word, raag_group, subgroup_membership)
+                           inverse_word, raag_group, shortlex_key,
+                           subgroup_membership)
 
 F2 = free_group(["a", "b"])
 Z2 = free_abelian_group(["a", "b"])
@@ -150,6 +151,98 @@ def test_raag_ball_is_tree_free_case_and_grid_z2_case():
     assert cayley_ball(raag_group(["a", "b"], []), 3).graph.is_tree()
     ballz = cayley_ball(R2, 3)
     assert ballz.graph.n == cayley_ball(Z2, 3).graph.n
+
+
+def two_pass_ball(model, radius, labels):
+    """Reference: grow the layers, then take one normal form for every
+    (vertex, letter) again, and keep each step that stays in the ball."""
+    letters = [x for lab in labels
+               for x in (model.gens.index(lab) + 1, -model.gens.index(lab) - 1)]
+    words, seen, layer = [()], {(): 0}, [()]
+    for _ in range(radius):
+        nxt = []
+        for w in layer:
+            for s in letters:
+                w2 = model.normal_form(w + (s,))
+                if w2 not in seen:
+                    seen[w2] = -1
+                    nxt.append(w2)
+        nxt.sort(key=shortlex_key)
+        for w2 in nxt:
+            seen[w2] = len(words)
+            words.append(w2)
+        layer = nxt
+    edges = set()
+    for w, i in seen.items():
+        for s in letters:
+            j = seen.get(model.normal_form(w + (s,)))
+            if j is not None and j != i:
+                edges.add((min(i, j), max(i, j)))
+    return tuple(words), tuple(sorted(edges))
+
+
+@st.composite
+def factor_models(draw, labels):
+    kind = draw(st.sampled_from(["free", "free_abelian", "raag"]))
+    if kind == "free":
+        return free_group(labels)
+    if kind == "free_abelian":
+        return free_abelian_group(labels)
+    pairs = list(itertools.combinations(labels, 2))
+    return raag_group(labels, draw(st.lists(st.sampled_from(pairs),
+                                            unique=True))
+                      if pairs else [])
+
+
+@st.composite
+def ball_models(draw):
+    """Every kind, RAAGs on random commuting graphs, free products."""
+    rank = draw(st.integers(1, 3))
+    model = draw(factor_models(list("abc"[:rank])))
+    if draw(st.booleans()):
+        other = draw(factor_models(list("de"[:draw(st.integers(1, 2))])))
+        model = free_product(model, other)
+    return model
+
+
+@given(ball_models(), st.integers(0, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_ball_matches_two_pass(model, radius, data):
+    """Same words, labels and edges as the two-pass construction, on all
+    generators or a subset, with one normal form per step out of the
+    (radius-1)-ball."""
+    labels = data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(model.gens), min_size=1,
+                            unique=True)))
+    gens = model.gens if labels is None else tuple(labels)
+    words, edges = two_pass_ball(model, radius, gens)
+    calls = []
+    normal_form = model.normal_form
+    model.normal_form = lambda w: calls.append(w) or normal_form(w)
+    try:
+        ball = cayley_ball(model, radius, labels)
+    finally:
+        del model.normal_form
+    assert ball.words == words and ball.graph.edges == edges
+    assert ball.graph.labels == tuple(model.format(w) for w in words)
+    inner = sum(len(w) < radius for w in words)
+    assert len(calls) == inner * 2 * len(gens)
+
+
+class OddRelator:
+    """Z/3 = <a | a a a>: an odd relator, so its Cayley graph has a triangle."""
+
+    kind = "cyclic"
+    gens = ("a",)
+
+    def normal_form(self, word):
+        return (1,) * (sum(1 if x > 0 else -1 for x in word) % 3)
+
+
+def test_ball_refuses_a_step_inside_its_layer():
+    assert cayley_ball(OddRelator(), 1).graph.n == 3
+    with pytest.raises(ValueError, match="not bipartite"):
+        cayley_ball(OddRelator(), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhskit import groups as G
+from hhskit import hhs_checks
 from hhskit.embedding import build_augmented_structure
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
@@ -285,8 +286,11 @@ def test_fixtures_cover_positive_kappa_and_unreached_rho():
 
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_consistency_matches_per_pair_loop(name, seed):
+def test_consistency_matches_per_pair_loop(monkeypatch, name, seed):
     inst = FIXTURES[name]
+    if seed:
+        # relation-matrix blocks of a row or a few
+        monkeypatch.setattr(hhs_checks, "MASK_BLOCK", 50)
     assert check_consistency(inst, seed=seed).to_dict() == \
         consistency_loop(inst, seed=seed)
     # sampled scans: a few pairs and points, so sample order matters
@@ -297,8 +301,10 @@ def test_consistency_matches_per_pair_loop(name, seed):
 
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("budget", [None, 50])
-def test_structural_rho_scan_matches_per_pair_loop(name, budget):
+def test_structural_rho_scan_matches_per_pair_loop(monkeypatch, name, budget):
     inst = FIXTURES[name]
+    if budget:
+        monkeypatch.setattr(hhs_checks, "MASK_BLOCK", 50)
     rep = check_structural(inst, rho_pair_budget=budget, seed=2)
     assert (rep.xi, rep.unreached_rho, rep.rho_sample.to_dict()) == \
         structural_rho_loop(inst, budget, 2)
@@ -394,6 +400,46 @@ def test_relation_joins_match_dense_products(n, data):
            for f in check_structural(inst).failures
            if f["check"] in ("nesting-transitive", "orthogonality-inherited")}
     assert got == relation_witnesses_dense(rel)
+
+
+def sample_pairs_walk(mask_row, n, budget, seed):
+    """Reference: count, then unrank, with one ``mask_row(u)`` per row."""
+    counts = np.asarray([np.count_nonzero(mask_row(u)) for u in range(n)],
+                        dtype=np.int64)
+    ends = np.cumsum(counts)
+    idx, spec = sample_indices(int(ends[-1]) if n else 0, budget, seed)
+    us = np.searchsorted(ends, idx, side="right")
+    vs = np.empty_like(us)
+    cuts = np.searchsorted(us, np.arange(n + 1))
+    for u in np.unique(us).tolist():
+        lo, hi = cuts[u], cuts[u + 1]
+        vs[lo:hi] = np.flatnonzero(mask_row(u))[idx[lo:hi] - ends[u]
+                                                + counts[u]]
+    return us, vs, spec
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@given(st.integers(0, 12), st.integers(0, 40), st.integers(0, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sample_pairs_match_row_walk(block, n, budget, seed, data):
+    """The same pairs in the same order as the row walk, for both masks the
+    checks use, with blocks of one row and blocks that split the rows."""
+    codes = [EQUAL, NESTED, CONTAINS, ORTHOGONAL, TRANSVERSE]
+    rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
+                                        min_size=n * n, max_size=n * n)),
+                     dtype=np.int8).reshape(n, n)
+    masks = [(lambda u: (rel[u] == NESTED) | (rel[u] == TRANSVERSE),
+              lambda lo, hi: np.isin(rel[lo:hi], (NESTED, TRANSVERSE))),
+             (lambda u: (rel[u] == TRANSVERSE) & (np.arange(n) > u),
+              lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo))]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(hhs_checks, "MASK_BLOCK", block * max(n, 1))
+        for mask_row, mask_rows in masks:
+            us, vs, spec = hhs_checks._sample_pairs(mask_rows, n, budget, seed)
+            eus, evs, espec = sample_pairs_walk(mask_row, n, budget, seed)
+            assert (us.tolist(), vs.tolist(), spec) == \
+                (eus.tolist(), evs.tolist(), espec)
 
 
 # ---------------------------------------------------------------------------
