@@ -454,9 +454,10 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
 
     Every supported kind has only even-length relators, so word length mod 2
     is a homomorphism to Z/2 and the Cayley graph is bipartite.  Each edge
-    is then the step that grows its outer end from its inner end, and the
-    last layer, which no edge joins to itself, is never expanded.  A step
-    that lands in its own layer would disprove this, and raises."""
+    is then found once, as the step that grows its outer end from its inner
+    end, and the last layer is never expanded: no edge joins two of its
+    vertices.  A step that lands in its own layer would disprove this, and
+    raises."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     labels = tuple(gens) if gens is not None else model.gens
@@ -473,30 +474,24 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
     edges = set()
     for k in range(radius):
         start = len(words) - len(layer)
-        nxt = []
         steps = []
         for i, w in enumerate(layer, start):
             for s in letters:
                 w2 = model.normal_form(w + (s,))
-                j = seen.get(w2)
-                if j is None:
-                    seen[w2] = -1
-                    nxt.append(w2)
-                elif j >= start:
+                j = seen.setdefault(w2, -1)
+                if j >= start:
                     raise ValueError(
                         f"{format_word(w + (s,), model.gens)} stays in layer "
                         f"{k}: the Cayley graph is not bipartite")
-                elif j >= 0:
-                    continue
-                steps.append((i, w2))
-        nxt.sort(key=shortlex_key)
-        for w2 in nxt:
+                if j < 0:
+                    steps.append((i, w2))
+        layer = sorted({w2 for _, w2 in steps}, key=shortlex_key)
+        for w2 in layer:
             seen[w2] = len(words)
             words.append(w2)
             if len(words) > cap:
                 raise BudgetExceeded(f"ball exceeded vertex cap {cap}")
         edges.update((i, seen[w2]) for i, w2 in steps)
-        layer = nxt
 
     labels_text = [format_word(w, model.gens) for w in words]
     graph = MetricGraph(len(words), sorted(edges), labels_text)

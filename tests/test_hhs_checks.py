@@ -304,6 +304,7 @@ def test_consistency_matches_per_pair_loop(monkeypatch, name, seed):
 def test_structural_rho_scan_matches_per_pair_loop(monkeypatch, name, budget):
     inst = FIXTURES[name]
     if budget:
+        # relation-matrix blocks of a row or a few
         monkeypatch.setattr(hhs_checks, "MASK_BLOCK", 50)
     rep = check_structural(inst, rho_pair_budget=budget, seed=2)
     assert (rep.xi, rep.unreached_rho, rep.rho_sample.to_dict()) == \
