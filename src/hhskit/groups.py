@@ -474,7 +474,7 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
     edges = set()
     for k in range(radius):
         start = len(words) - len(layer)
-        steps = []
+        inner, outer = [], []
         for i, w in enumerate(layer, start):
             for s in letters:
                 w2 = model.normal_form(w + (s,))
@@ -484,14 +484,15 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
                         f"{format_word(w + (s,), model.gens)} stays in layer "
                         f"{k}: the Cayley graph is not bipartite")
                 if j < 0:
-                    steps.append((i, w2))
-        layer = sorted({w2 for _, w2 in steps}, key=shortlex_key)
+                    inner.append(i)
+                    outer.append(w2)
+        layer = sorted(set(outer), key=shortlex_key)
         for w2 in layer:
             seen[w2] = len(words)
             words.append(w2)
             if len(words) > cap:
                 raise BudgetExceeded(f"ball exceeded vertex cap {cap}")
-        edges.update((i, seen[w2]) for i, w2 in steps)
+        edges.update(zip(inner, map(seen.__getitem__, outer)))
 
     labels_text = [format_word(w, model.gens) for w in words]
     graph = MetricGraph(len(words), sorted(edges), labels_text)
