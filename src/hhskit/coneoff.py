@@ -188,9 +188,10 @@ def _paths(graph, row, u, targets):
 def _drift(oracle, a, b):
     """Hausdorff distance between the vertex columns a[:, i] and b[:, i].
 
-    u ends every column of both, so its padding changes no minimum.  The
-    distances are laid out (b row, a row, column), so every reduction runs
-    over contiguous slabs; the shorter coned side b is the source side."""
+    The scan's source ends every column of both, so padding by it changes
+    no minimum.  The distances are laid out (b row, a row, column), so each
+    reduction runs over contiguous slabs; b, the shorter coned side, is
+    the first side of each query."""
     h = np.empty(a.shape[1], dtype=np.int64)
     step = max(1, graph_core.RAGGED_CHUNK // (len(a) * len(b)))
     for lo in range(0, a.shape[1], step):
