@@ -17,6 +17,13 @@ over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
 Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
 afresh for the round.  Its coned delta is sampled with a budget of 1000
 quadruples, so the drift scan dominates.
+
+The F2 balls are trees.  ``four_point_delta`` samples 60000 quadruples of
+the r=6 ball (1457 vertices, under MATRIX_CAP: the matrix) and of the r=8
+ball (13121 vertices: LCA), each round on a fresh graph, so the oracle's
+set-up is timed with the scan.  ``verify_factor_system`` checks the cosets
+of <a> and <b> in the r=6 ball with 45000 sampled member pairs, the
+factor-system op of the ``tree-factor-system`` scenario benchmark.
 """
 
 import numpy as np
@@ -24,7 +31,7 @@ import pytest
 
 from hhskit import groups
 from hhskit.coneoff import build_coneoff, kapovich_rafi_report
-from hhskit.factor_system import family_from_cosets
+from hhskit.factor_system import family_from_cosets, verify_factor_system
 from hhskit.graph_core import (DistanceOracle, MetricGraph, bfs_distances,
                                four_point_delta, quasiconvexity_constant)
 
@@ -122,3 +129,23 @@ def test_kapovich_rafi_report(benchmark, model, radius, labels, rounds, H):
         rounds=rounds,
         setup=lambda: ((coned(model, radius, labels),), {}))
     assert rep["sample"].mode == "exhaustive" and rep["hausdorff_H"] == H
+
+
+@pytest.mark.parametrize("radius,n", [(6, 1457), (8, 13121)],
+                         ids=["F2_r6", "F2_r8"])
+def test_four_point_delta_tree(benchmark, radius, n):
+    ball = groups.cayley_ball(F2, radius).graph
+    rep = benchmark.pedantic(
+        lambda g: four_point_delta(g, budget=60000, seed=7), rounds=3,
+        setup=lambda: ((MetricGraph(ball.n, ball.edges),), {}))
+    assert ball.n == n and rep.delta == 0.0
+
+
+def test_verify_factor_system_F2_r6(benchmark):
+    subs = [groups.SubgroupSpec(F2, [x], label=x.upper()) for x in "ab"]
+    rep = benchmark.pedantic(
+        lambda cand: verify_factor_system(cand, pair_budget=45000, seed=7),
+        rounds=2,
+        setup=lambda: ((family_from_cosets(groups.cayley_ball(F2, 6), subs),),
+                       {}))
+    assert rep.passed and rep.projections.sample.drawn == 45000

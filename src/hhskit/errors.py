@@ -58,10 +58,6 @@ class MalformedMove(HHSKitError):
     """A star/edge move record is not well formed."""
 
 
-class DisconnectedImage(HHSKitError):
-    """Normalization produced a disconnected index space (before repair)."""
-
-
 class ConfigError(HHSKitError):
     """A scenario config failed to parse or validate.
 

@@ -24,9 +24,6 @@ from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
 
 # Largest vertex count for which an all-pairs matrix is materialized.
 MATRIX_CAP = 4096
-# Trees with more vertices than this answer from LCA arithmetic; smaller
-# ones get the matrix, which beats per-query LCA overhead on tiny trees.
-TREE_LCA_CUT = 256
 # Largest quadruple count enumerated exhaustively by four_point_delta.
 EXHAUSTIVE_QUADRUPLE_CAP = 2_000_000
 
@@ -115,12 +112,6 @@ def segments(indptr, rows):
     return owner, pos
 
 
-def _frontier_neighbors(graph, frontier):
-    """Flattened neighbor and source arrays for a frontier of vertices."""
-    owner, pos = segments(graph.indptr, frontier)
-    return graph.indices[pos].astype(np.int64), frontier[owner]
-
-
 def bfs_distances(graph, sources):
     """Distances from a set of sources (multi-source BFS); -1 = unreached."""
     dist = np.full(graph.n, -1, dtype=np.int32)
@@ -129,7 +120,7 @@ def bfs_distances(graph, sources):
     level = 0
     while frontier.size:
         level += 1
-        nbrs, _ = _frontier_neighbors(graph, frontier)
+        nbrs = graph.indices[segments(graph.indptr, frontier)[1]]
         if nbrs.size == 0:
             break
         fresh = np.unique(nbrs[dist[nbrs] < 0])
@@ -195,45 +186,15 @@ def bfs_many(graph, sets):
     return cols.T
 
 
-def bfs_parents(graph, source):
-    """BFS tree from one source with smallest-id parents.
-
-    Ties between equal-distance predecessors break toward the smallest
-    vertex id, so geodesics reconstructed from the parent array are
-    deterministic (and shortlex-first on Cayley balls, whose ids are
-    assigned in shortlex order).
-    """
-    dist = np.full(graph.n, -1, dtype=np.int32)
-    parent = np.full(graph.n, -1, dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
-    dist[source] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        nbrs, srcs = _frontier_neighbors(graph, frontier)
-        if nbrs.size == 0:
-            break
-        new = dist[nbrs] < 0
-        nbrs, srcs = nbrs[new], srcs[new]
-        if nbrs.size == 0:
-            break
-        order = np.lexsort((srcs, nbrs))
-        nbrs, srcs = nbrs[order], srcs[order]
-        first = np.ones(len(nbrs), dtype=bool)
-        first[1:] = nbrs[1:] != nbrs[:-1]
-        fresh, fresh_par = nbrs[first], srcs[first]
-        dist[fresh] = level
-        parent[fresh] = fresh_par
-        frontier = fresh
-    return dist, parent
-
-
 def row_parents(graph, dist):
-    """``bfs_parents`` of the source whose distance row is ``dist``.
+    """BFS parents of the source whose distance row is ``dist``.
 
     A vertex's parent is its smallest-id neighbour one level closer, which
     is the first such entry of its sorted neighbour list; -1 at the source
-    and at unreached vertices.
+    and at unreached vertices.  Ties break toward the smallest id, so
+    geodesics walked back through the parents are deterministic, and
+    shortlex-first on Cayley balls, whose ids are assigned in shortlex
+    order.
     """
     closer = dist[graph.indices] == np.repeat(dist - 1, np.diff(graph.indptr))
     cand = np.where(closer, graph.indices, graph.n)
@@ -251,11 +212,10 @@ class _TreeMetric:
     """O(1)-ish distance queries on a tree via binary-lifting LCA."""
 
     def __init__(self, graph):
-        self.graph = graph
         n = graph.n
-        dist, parent = bfs_parents(graph, 0)
+        dist = bfs_distances(graph, [0])
         self.depth = dist.astype(np.int64)
-        parent = parent.copy()
+        parent = row_parents(graph, dist)
         parent[0] = 0
         logn = max(1, int(np.ceil(np.log2(max(n, 2)))))
         self.up = np.empty((logn, n), dtype=np.int64)
@@ -296,31 +256,27 @@ class _TreeMetric:
                                       - 2 * self.depth[self.lca(u, v)])
         return out
 
-    def row(self, u):
-        all_v = np.arange(self.graph.n, dtype=np.int64)
-        return self.pair_dist(all_v, np.full(self.graph.n, u, dtype=np.int64))
-
 
 class DistanceOracle:
     """Exact distance queries with a strategy chosen from the graph alone.
 
-    Trees above TREE_LCA_CUT vertices use LCA arithmetic, every other graph
-    up to MATRIX_CAP vertices gets a cached all-pairs matrix filled WORD
-    rows per ``bfs_many`` sweep, and anything larger caches no rows:
-    ``pairs`` and ``block`` sweep their distinct sources WORD at a time,
-    ``row`` runs one BFS, so callers that ask many rows should ask them
+    Every graph with at most MATRIX_CAP vertices gets a cached all-pairs
+    matrix, filled WORD rows per ``bfs_many`` sweep.  Larger graphs cache
+    no rows: trees answer ``pairs`` and ``block`` from LCA arithmetic,
+    other graphs sweep their distinct sources WORD at a time, and ``row``
+    runs one BFS on either, so callers that ask many rows should ask them
     as one ``block``.  This class is the only code that knows which;
     callers ask through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
-    ``dist_to_set`` and ``diameter_of_set``.
+    ``dist_to_set``, ``geodesic`` and ``diameter_of_set``.
     """
 
     def __init__(self, graph):
         self.graph = graph
         self.n = graph.n
-        lca = graph.is_tree() and graph.n > TREE_LCA_CUT
+        self._use_matrix = graph.n <= MATRIX_CAP
+        lca = not self._use_matrix and graph.is_tree()
         self._tree = _TreeMetric(graph) if lca else None
         self._matrix = None
-        self._use_matrix = self._tree is None and graph.n <= MATRIX_CAP
         self._parents = {}
 
     def matrix(self):
@@ -353,8 +309,6 @@ class DistanceOracle:
             yield sel, rows, inv[sel] - lo
 
     def row(self, u):
-        if self._tree is not None:
-            return self._tree.row(u).astype(np.int32)
         if self._use_matrix:
             return self.matrix()[u].astype(np.int32)
         return bfs_distances(self.graph, [u])
@@ -362,10 +316,10 @@ class DistanceOracle:
     def pairs(self, us, vs):
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        if self._tree is not None:
-            return self._tree.pair_dist(us, vs)
         if self._use_matrix:
             return self.matrix()[us, vs].astype(np.int32)
+        if self._tree is not None:
+            return self._tree.pair_dist(us, vs)
         out = np.empty(len(us), dtype=np.int32)
         for sel, rows, r in self._sweeps(us):
             out[sel] = rows[r, vs[sel]]
@@ -416,26 +370,11 @@ class DistanceOracle:
 
     def parents_from(self, u):
         if u not in self._parents:
-            _, par = bfs_parents(self.graph, u)
-            self._parents[u] = par
+            self._parents[u] = row_parents(self.graph, self.row(u))
         return self._parents[u]
 
     def geodesic(self, u, v):
         """A deterministic geodesic from u to v as a vertex list."""
-        if self._tree is not None:
-            tm = self._tree
-            l = int(tm.lca([u], [v])[0])
-            up_u = [u]
-            w = u
-            while w != l:
-                w = int(tm.up[0][w])
-                up_u.append(w)
-            down_v = []
-            w = v
-            while w != l:
-                down_v.append(w)
-                w = int(tm.up[0][w])
-            return up_u + down_v[::-1]
         parent = self.parents_from(u)
         if u != v and parent[v] < 0:
             raise Disconnected(f"no path from {u} to {v}")

@@ -10,10 +10,10 @@ from hhskit import groups as G
 from hhskit.coneoff import (build_coneoff, coneoff_report, de_electrify,
                             kapovich_rafi_report, measure_quasigeodesic,
                             tau_quasigeodesic_check)
-from hhskit.graph_core import (MetricGraph, Subgraph, bfs_parents,
-                               shortest_path)
+from hhskit.graph_core import MetricGraph, Subgraph, shortest_path
 from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
 from hhskit.sampling import rng_for
+from test_graph_core import bfs_parents
 
 F2 = G.free_group(["a", "b"])
 
@@ -184,11 +184,14 @@ def drift_loop(cg, pairs):
     """Reference: (H, witness), walking both parent paths of each pair by
     hand and asking the coned distances of the two paths as one block."""
     co = cg.coned.oracle()
+    parents = {}
     best, witness = 0, None
     for u, v in pairs:
         paths = []
         for graph in (cg.base, cg.coned):
-            parent = bfs_parents(graph, u)[1]
+            if (graph, u) not in parents:
+                parents[graph, u] = bfs_parents(graph, u)[1]
+            parent = parents[graph, u]
             path = [v]
             while path[-1] != u:
                 path.append(int(parent[path[-1]]))
@@ -231,20 +234,19 @@ def drift_fixture(name):
                          clique_threshold=threshold)
 
 
-# (MATRIX_CAP, TREE_LCA_CUT) forcing each distance strategy: LCA on the
-# tree bases (matrix otherwise), the matrix everywhere, BFS rows everywhere
-STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}
+# MATRIX_CAP values forcing each distance strategy: the matrix everywhere,
+# or no matrix ("capped"): LCA on the tree bases and BFS sweeps elsewhere
+STRATEGIES = {"matrix": 4096, "capped": 0}
 
 
 @pytest.mark.parametrize("strategy,chunk", [("matrix", None), ("matrix", 1),
-                                            ("lca", 60), ("rows", 60)])
+                                            ("capped", 60)])
 @pytest.mark.parametrize("name", ["F2", "F2-apex", "Z2", "Z2-apex", "Z2ab",
                                   "Z2ab-apex", "theta"])
 def test_drift_scan_matches_per_pair_loop(monkeypatch, name, strategy, chunk):
     """Exhaustive and sampled scans (with repeated pairs) give the loop's H
     and witness; small chunks split a source's targets."""
-    monkeypatch.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy][0])
-    monkeypatch.setattr(graph_core, "TREE_LCA_CUT", STRATEGIES[strategy][1])
+    monkeypatch.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
     if chunk is not None:
         monkeypatch.setattr(graph_core, "RAGGED_CHUNK", chunk)
     cg = drift_fixture(name)

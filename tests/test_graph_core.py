@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hhskit import graph_core, groups
 from hhskit.errors import BudgetExceeded, Disconnected
 from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
-                               bfs_distances, bfs_many, bfs_parents,
+                               bfs_distances, bfs_many,
                                closest_point_projection, four_point_delta,
                                four_point_value, quasiconvexity_constant,
                                ragged_diameters, ragged_hausdorff,
@@ -41,6 +41,26 @@ def bfs_oracle(edges, n, source):
                 dist[nb] = dist[w] + 1
                 q.append(nb)
     return [dist.get(v, -1) for v in range(n)]
+
+
+def bfs_parents(graph, source):
+    """BFS tree from one source, level by level: each level is expanded in
+    increasing id order, so a vertex's parent is the smallest-id vertex of
+    the level above next to it (-1 at the source and unreached vertices)."""
+    dist = [-1] * graph.n
+    parent = [-1] * graph.n
+    dist[source] = 0
+    level = [source]
+    while level:
+        nxt = []
+        for u in sorted(level):
+            for w in graph.neighbors(u):
+                w = int(w)
+                if dist[w] < 0:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    nxt.append(w)
+        level = nxt
+    return np.array(dist), np.array(parent)
 
 
 def hausdorff_distance(graph, a, b):
@@ -178,6 +198,20 @@ def test_geodesic_is_valid_and_minimal(g):
             assert rec.length() == len(path) - 1
 
 
+@given(st.one_of(connected_graphs(), trees()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_geodesic_is_the_bfs_parents_walk(g, data):
+    """Every strategy walks the smallest-id parents back from v to u; on a
+    tree that is its one geodesic."""
+    u, v = (data.draw(st.integers(0, g.n - 1)) for _ in range(2))
+    parent = bfs_parents(g, u)[1]
+    walk = [v]
+    while walk[-1] != u:
+        walk.append(int(parent[walk[-1]]))
+    for cap in STRATEGIES.values():
+        assert oracle_with(g, cap).geodesic(u, v) == walk[::-1]
+
+
 @given(st.one_of(scattered_graphs(), st.just(MetricGraph(1, []))),
        st.sampled_from([1, 63, 64]), st.data())
 @settings(max_examples=60, deadline=None)
@@ -199,8 +233,8 @@ def test_row_parents_equal_bfs_parents(g, data):
     row of every strategy (unreached vertices and the source get -1)."""
     u = data.draw(st.integers(0, g.n - 1))
     dist, parent = bfs_parents(g, u)
-    for caps in STRATEGIES.values():
-        row = oracle_with(g, *caps).row(u)
+    for cap in STRATEGIES.values():
+        row = oracle_with(g, cap).row(u)
         assert row_parents(g, row).tolist() == parent.tolist()
 
 
@@ -230,8 +264,8 @@ def test_dist_to_sets_answers_like_multi_source_bfs(g, data):
     ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
                                      for x in sets])
     expect = [bfs_distances(g, x).tolist() for x in sets]
-    for caps in STRATEGIES.values():
-        oracle = oracle_with(g, *caps)
+    for cap in STRATEGIES.values():
+        oracle = oracle_with(g, cap)
         assert oracle.dist_to_sets(ragged).tolist() == expect
         assert [oracle.dist_to_set(x).tolist() for x in sets] == expect
         if oracle._use_matrix:
@@ -255,23 +289,18 @@ def test_segments_gather_frontier_neighbors(g, data):
     owner, pos = graph_core.segments(g.indptr, rows)
     assert pos.tolist() == [p for r in rows
                             for p in range(g.indptr[r], g.indptr[r + 1])]
-    assert rows[owner].tolist() == frontier_neighbors_loop(g, rows)[1]
-    frontier = np.unique(rows)
-    nbrs, srcs = graph_core._frontier_neighbors(g, frontier)
-    assert nbrs.dtype == srcs.dtype == np.int64
-    assert (nbrs.tolist(), srcs.tolist()) == \
-        frontier_neighbors_loop(g, frontier)
+    assert (g.indices[pos].tolist(), rows[owner].tolist()) == \
+        frontier_neighbors_loop(g, rows)
 
 
-# (MATRIX_CAP, TREE_LCA_CUT) that force each distance strategy: LCA on trees
-# (matrix otherwise), the matrix on every graph, BFS rows on every graph.
-STRATEGIES = {"lca": (4096, 0), "matrix": (4096, 10**9), "rows": (0, 10**9)}
+# MATRIX_CAP values that force each distance strategy: the matrix on every
+# graph, or no matrix ("capped"): LCA on trees and BFS sweeps elsewhere.
+STRATEGIES = {"matrix": 4096, "capped": 0}
 
 
-def oracle_with(g, matrix_cap, tree_cut):
+def oracle_with(g, matrix_cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
-        mp.setattr(graph_core, "TREE_LCA_CUT", tree_cut)
         return graph_core.DistanceOracle(g)
 
 
@@ -282,8 +311,8 @@ def test_every_strategy_answers_like_bfs(g, data):
     verts = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)
     a, b = data.draw(verts), data.draw(verts)
     to_b = [min(rows[v][w] for w in b) for v in range(g.n)]
-    for caps in STRATEGIES.values():
-        oracle = oracle_with(g, *caps)
+    for cap in STRATEGIES.values():
+        oracle = oracle_with(g, cap)
         assert list(oracle.dist_to_set(b)) == to_b
         block = oracle.block(a, b)
         assert block.shape == (len(a), len(b))
@@ -294,13 +323,15 @@ def test_every_strategy_answers_like_bfs(g, data):
         # distances come from its rows
         assert list(oracle.dist_to_set(b)) == to_b
         assert oracle.diameter_of_set(a) == max(rows[u][v] for u in a for v in a)
-    # one rows-strategy query over more distinct sources than one sweep holds
+    # one sweeping query over more distinct sources than one sweep holds;
+    # closing the path into a cycle keeps the graph off LCA
     wide = data.draw(connected_graphs(min_n=graph_core.WORD + 2, max_n=150))
+    wide = MetricGraph(wide.n, set(wide.edges) | {(0, wide.n - 1)})
     rows = [bfs_oracle(wide.edges, wide.n, v) for v in range(wide.n)]
     order = st.permutations(range(wide.n))
     a = data.draw(order) + data.draw(verts.map(list))
     b = data.draw(order)[:graph_core.WORD + 1] * 2
-    oracle = oracle_with(wide, *STRATEGIES["rows"])
+    oracle = oracle_with(wide, STRATEGIES["capped"])
     assert list(oracle.pairs(a, a[::-1])) == [
         rows[u][v] for u, v in zip(a, a[::-1])]
     assert oracle.block(a, b).tolist() == [[rows[u][v] for v in b] for u in a]
@@ -327,10 +358,8 @@ def test_one_call_quad_deltas_match_six_calls(strategy, g, seed):
             four_point_delta(fresh, **kw),
             four_point_delta(fresh, budget=40, seed=seed, **kw))]
 
-    matrix_cap, tree_cut = STRATEGIES[strategy]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
-        mp.setattr(graph_core, "TREE_LCA_CUT", tree_cut)
+        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
         # LCA passes split mid-list, so chunk boundaries fall inside queries
         mp.setattr(graph_core, "LCA_CHUNK", 6 * 5 + 1)
         one_call = delta()
@@ -358,14 +387,28 @@ def test_rows_strategy_caches_no_rows():
     assert (got.delta, got.witness) == (expect.delta, expect.witness)
 
 
-def test_strategy_follows_graph_size():
-    cut = graph_core.TREE_LCA_CUT
-    small = path_graph(cut).oracle()
-    assert small.matrix().shape == (cut, cut)
-    assert small.dist(0, cut - 1) == cut - 1
-    with pytest.raises(BudgetExceeded):
-        path_graph(cut + 1).oracle().matrix()
-    assert path_graph(cut + 1).oracle().dist(0, cut) == cut
+def test_strategy_follows_graph_size(monkeypatch):
+    """A path of MATRIX_CAP vertices holds the matrix; one vertex more, a
+    path answers by LCA and a cycle by BFS sweeps, and neither has one."""
+    cap = 40
+    monkeypatch.setattr(graph_core, "MATRIX_CAP", cap)
+    small = path_graph(cap).oracle()
+    assert small.matrix().shape == (cap, cap)
+    assert small.dist(0, cap - 1) == cap - 1
+    calls = []
+    for name, owner in (("lca", graph_core._TreeMetric),
+                        ("bfs_many", graph_core)):
+        def spy(*args, _name=name, _real=getattr(owner, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
+    for oracle in (tree, cycle):
+        with pytest.raises(BudgetExceeded):
+            oracle.matrix()
+    assert tree.dist(0, cap) == cap and set(calls) == {"lca"}
+    calls.clear()
+    assert cycle.dist(0, cap) == 1 and set(calls) == {"bfs_many"}
 
 
 def test_only_graph_core_reaches_oracle_internals():
@@ -525,8 +568,7 @@ def test_quasiconvexity_matches_per_pair_scan(strategy, g, data):
             if rows[u][z] + rows[z][v] == rows[u][v] and to_h[z] > expect[0]:
                 expect = (to_h[z], (u, v), z)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy][0])
-        mp.setattr(graph_core, "TREE_LCA_CUT", STRATEGIES[strategy][1])
+        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
         rep = quasiconvexity_constant(MetricGraph(g.n, g.edges), h,
                                       pair_budget=budget, seed=3)
     assert (rep.q, rep.witness_pair, rep.witness_vertex) == expect

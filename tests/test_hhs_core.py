@@ -470,7 +470,6 @@ def test_no_matrix_path_matches_matrix_path(monkeypatch):
 
     inst, battery = build()
     monkeypatch.setattr(graph_core, "MATRIX_CAP", 8)
-    monkeypatch.setattr(graph_core, "TREE_LCA_CUT", 8)
     capped, capped_battery = build()
     with pytest.raises(BudgetExceeded):
         capped.X.oracle().matrix()
