@@ -234,21 +234,25 @@ def drift_fixture(name):
                          clique_threshold=threshold)
 
 
-# MATRIX_CAP values forcing each distance strategy: the matrix everywhere,
-# or no matrix ("capped"): LCA on the tree bases and BFS sweeps elsewhere
-STRATEGIES = {"matrix": 4096, "capped": 0}
+# MATRIX_CAP forcing each distance strategy, and the chunk constant that a
+# chunked case shrinks: the matrix everywhere with its ragged blocks split;
+# with no matrix, "lca" splits the LCA passes of the tree bases (the other
+# fixtures sweep in whole chunks) and "rows" splits the BFS sweeps
+STRATEGIES = {"matrix": (4096, "RAGGED_CHUNK"), "lca": (0, "LCA_CHUNK"),
+              "rows": (0, "RAGGED_CHUNK")}
 
 
 @pytest.mark.parametrize("strategy,chunk", [("matrix", None), ("matrix", 1),
-                                            ("capped", 60)])
+                                            ("lca", 60), ("rows", 60)])
 @pytest.mark.parametrize("name", ["F2", "F2-apex", "Z2", "Z2-apex", "Z2ab",
                                   "Z2ab-apex", "theta"])
 def test_drift_scan_matches_per_pair_loop(monkeypatch, name, strategy, chunk):
     """Exhaustive and sampled scans (with repeated pairs) give the loop's H
     and witness; small chunks split a source's targets."""
-    monkeypatch.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
+    matrix_cap, chunk_name = STRATEGIES[strategy]
+    monkeypatch.setattr(graph_core, "MATRIX_CAP", matrix_cap)
     if chunk is not None:
-        monkeypatch.setattr(graph_core, "RAGGED_CHUNK", chunk)
+        monkeypatch.setattr(graph_core, chunk_name, chunk)
     cg = drift_fixture(name)
     assert ("apex-approximation" in cg.flags) == name.endswith("-apex")
     n = cg.base.n

@@ -304,6 +304,23 @@ def oracle_with(g, matrix_cap):
         return graph_core.DistanceOracle(g)
 
 
+def strategy_cases(graphs, tree_graphs):
+    """(MATRIX_CAP, graphs) that put each strategy to work: the matrix on
+    graphs and trees alike; with no matrix, LCA on trees ("lca") and BFS
+    sweeps on graphs closed into a cycle ("rows")."""
+    cyclic = graphs.map(
+        lambda g: MetricGraph(g.n, set(g.edges) | {(0, g.n - 1)}))
+    return {"matrix": (STRATEGIES["matrix"], st.one_of(graphs, tree_graphs)),
+            "lca": (STRATEGIES["capped"], tree_graphs),
+            "rows": (STRATEGIES["capped"], cyclic)}
+
+
+def assert_strategy(strategy, g, matrix_cap):
+    oracle = oracle_with(g, matrix_cap)
+    assert oracle._use_matrix == (strategy == "matrix")
+    assert (oracle._tree is not None) == (strategy == "lca")
+
+
 @given(st.one_of(connected_graphs(), trees()), st.data())
 @settings(max_examples=60, deadline=None)
 def test_every_strategy_answers_like_bfs(g, data):
@@ -347,11 +364,18 @@ def six_call_deltas(oracle, quads):
     return (sums[:, 2] - sums[:, 1]) / 2.0
 
 
-@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-@given(st.one_of(connected_graphs(min_n=4),
-                 trees().filter(lambda t: t.n >= 4)), st.integers(0, 9))
+QUAD_CASES = strategy_cases(connected_graphs(min_n=4),
+                            trees().filter(lambda t: t.n >= 4))
+
+
+@pytest.mark.parametrize("strategy", sorted(QUAD_CASES))
+@given(st.data(), st.integers(0, 9))
 @settings(max_examples=20, deadline=None)
-def test_one_call_quad_deltas_match_six_calls(strategy, g, seed):
+def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
+    matrix_cap, graphs = QUAD_CASES[strategy]
+    g = data.draw(graphs)
+    assert_strategy(strategy, g, matrix_cap)
+
     def delta(**kw):
         fresh = MetricGraph(g.n, g.edges)
         return [(r.delta, r.witness) for r in (
@@ -359,7 +383,7 @@ def test_one_call_quad_deltas_match_six_calls(strategy, g, seed):
             four_point_delta(fresh, budget=40, seed=seed, **kw))]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
+        mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
         # LCA passes split mid-list, so chunk boundaries fall inside queries
         mp.setattr(graph_core, "LCA_CHUNK", 6 * 5 + 1)
         one_call = delta()
@@ -550,13 +574,18 @@ def test_grid_boundary_row_matches_enumeration_oracle():
     assert to_h[z] == rep.q
 
 
-@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-@given(st.one_of(connected_graphs(min_n=10, max_n=30),
-                 trees(max_n=30).filter(lambda t: t.n >= 10)),
-       st.data())
+QC_CASES = strategy_cases(connected_graphs(min_n=10, max_n=30),
+                          trees(max_n=30).filter(lambda t: t.n >= 10))
+
+
+@pytest.mark.parametrize("strategy", sorted(QC_CASES))
+@given(st.data())
 @settings(max_examples=15, deadline=None)
-def test_quasiconvexity_matches_per_pair_scan(strategy, g, data):
+def test_quasiconvexity_matches_per_pair_scan(strategy, data):
     """Windowed row fetches give the q and witnesses of a per-pair scan."""
+    matrix_cap, graphs = QC_CASES[strategy]
+    g = data.draw(graphs)
+    assert_strategy(strategy, g, matrix_cap)
     h = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=9)))
     budget = data.draw(st.sampled_from([None, 40]))
     rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
@@ -568,7 +597,7 @@ def test_quasiconvexity_matches_per_pair_scan(strategy, g, data):
             if rows[u][z] + rows[z][v] == rows[u][v] and to_h[z] > expect[0]:
                 expect = (to_h[z], (u, v), z)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "MATRIX_CAP", STRATEGIES[strategy])
+        mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
         rep = quasiconvexity_constant(MetricGraph(g.n, g.edges), h,
                                       pair_budget=budget, seed=3)
     assert (rep.q, rep.witness_pair, rep.witness_vertex) == expect
