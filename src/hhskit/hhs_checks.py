@@ -322,15 +322,22 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     kappa = 0
     witness = None
 
-    # transverse: both directions of each pair, min over them per point
+    # transverse: both directions of each pair, min over them per point;
+    # each direction's sweep folds into the pair's row as it arrives, so
+    # the scan holds one row per pair, not one per direction
     tu, tv, tspec = _sample_pairs(
         lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo), n,
         pair_budget, seed)
-    m, reached = _pi_min_to_rho(inst, np.concatenate([tv, tu]),
-                                np.concatenate([tu, tv]), xs)
-    ok = reached[:len(tu)] & reached[len(tu):]
+    m = np.full((len(tu), len(xs)), np.iinfo(np.int32).max, dtype=np.int32)
+    ok = np.ones(len(tu), dtype=bool)
+    for t, rows, hit, dist in _rho_sweeps(inst, np.concatenate([tv, tu]),
+                                          np.concatenate([tu, tv])):
+        # one target per sweep, and a pair's two directions have two
+        # targets, so the pairs of one sweep are distinct
+        k = rows % len(tu)
+        ok[k] &= hit
+        m[k] = np.minimum(m[k], inst.projections[t].min_over_sets(xs, dist))
     unreached = int((~ok).sum())
-    m = np.minimum(m[:len(tu)], m[len(tu):], out=m[:len(tu)])
     m[~ok] = -1
     # the first maximum in row-major order: first pair, then first point
     k = _first_max(m.ravel(), kappa)
