@@ -4,12 +4,14 @@
 
 Run from the repository root.  Both sides run the bench file of the
 working tree against the ``src`` of their own commit, exported with
-``git archive`` into a temporary directory, one side after the other on
-the same machine.  Each side records its commit's full SHA, the
-pytest-benchmark statistics of every case (seconds), and per case the peak
-RSS of a fresh process that runs the case once (``--benchmark-disable``),
-read from ``os.wait4``: it covers the interpreter, pytest, the case's
-set-up and the timed call.
+``git archive`` into a temporary directory, on the same machine.  Each
+side runs twice, in the order parent, change, change, parent, so host
+drift during the session falls on both sides alike.  Every run records
+its commit's full SHA, the pytest-benchmark statistics of every case
+(seconds), and per case the peak RSS of a fresh process that runs the case
+once (``--benchmark-disable``), read from ``os.wait4``: it covers the
+interpreter, pytest, the case's set-up and the timed call.  Each side's
+entry in the output is the list of its two runs, in the order they ran.
 """
 
 import datetime
@@ -72,13 +74,17 @@ def run_side(rev, bench):
 
 def main():
     parent, change, bench, out = sys.argv[1:5]
+    runs = {"parent": [], "change": []}
+    for side, rev in (("parent", parent), ("change", change),
+                      ("change", change), ("parent", parent)):
+        runs[side].append(run_side(rev, bench))
     result = {"command": "python bench/run_bench.py " + " ".join(sys.argv[1:5]),
               "unit": "s",
-              "note": "both sides run the bench file of the change, one "
-                      "after the other; peak_rss_mb is one fresh process "
-                      "per case",
-              "parent": run_side(parent, bench),
-              "change": run_side(change, bench)}
+              "note": "both sides run the bench file of the change, twice "
+                      "each, in the order parent, change, change, parent; "
+                      "each side lists its runs in that order; peak_rss_mb "
+                      "is one fresh process per case",
+              **runs}
     with open(out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")

@@ -133,24 +133,13 @@ def bfs_distances(graph, sources):
 WORD = 64
 
 
-def bfs_many(graph, sets):
-    """Distance rows to up to WORD vertex sets (``RaggedSets``) in one sweep.
-
-    Row i equals ``bfs_distances(graph, sets[i])``: shape ``(len(sets), n)``,
-    int32, -1 = unreached (every entry, for an empty set).  Every vertex
-    carries a uint64 word whose bit i means "reached from set i", seeded at
-    every vertex of set i; one level is a gather over the CSR neighbour
-    array and an OR over each vertex's neighbours, so all rows advance
-    together.  Levels are kept bit-sliced (plane p holds bit p of the level
-    at which each bit was reached) and unpacked into rows once, at the end.
-    """
-    k, n = len(sets), graph.n
-    if k > WORD:
-        raise ValueError(f"bfs_many takes at most {WORD} sets, got {k}")
-    if k == 0:
-        return np.full((0, n), -1, dtype=np.int32)
+def _bit_levels(graph, sets):
+    """The level sweep of ``bfs_many``: ``(planes, seen)``, one uint64 word
+    per vertex in each; bit i of ``seen`` means "reached from set i", and
+    plane p holds bit p of the level at which it was reached."""
+    n = graph.n
     frontier = np.zeros(n, dtype=np.uint64)
-    bit = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    bit = np.left_shift(np.uint64(1), np.arange(len(sets), dtype=np.uint64))
     np.bitwise_or.at(frontier, sets.flat, np.repeat(bit, sets.sizes()))
     seen = frontier.copy()
     planes = []
@@ -172,18 +161,43 @@ def bfs_many(graph, sets):
             if level >> p & 1:
                 plane |= nxt
         frontier = nxt
+    return planes, seen
+
+
+def bfs_many(graph, sets, cols=None):
+    """Distance rows to up to WORD vertex sets (``RaggedSets``) in one sweep.
+
+    Row i equals ``bfs_distances(graph, sets[i])``: shape ``(len(sets), n)``,
+    int32, -1 = unreached (every entry, for an empty set).  Every vertex
+    carries a uint64 word whose bit i means "reached from set i", seeded at
+    every vertex of set i; one level is a gather over the CSR neighbour
+    array and an OR over each vertex's neighbours, so all rows advance
+    together.  Levels are kept bit-sliced (plane p holds bit p of the level
+    at which each bit was reached) and unpacked into rows once, at the end.
+    With ``cols`` (vertex ids, repeats allowed) only those columns are
+    unpacked: the result is ``bfs_many(graph, sets)[:, cols]``, and the
+    sweep costs its levels plus ``len(cols)`` words of readout, not ``n``.
+    """
+    k = len(sets)
+    if k > WORD:
+        raise ValueError(f"bfs_many takes at most {WORD} sets, got {k}")
+    at = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
+    m = graph.n if cols is None else len(at)
+    if k == 0:
+        return np.full((0, m), -1, dtype=np.int32)
+    planes, seen = _bit_levels(graph, sets)
 
     def bits(words):
-        """(n, k) array of the low k bits of every vertex's word."""
+        """(m, k) array of the low k bits of each word."""
         return np.unpackbits(words.astype("<u8").view(np.uint8),
-                             bitorder="little").reshape(n, WORD)[:, :k]
+                             bitorder="little").reshape(-1, WORD)[:, :k]
 
-    # vertex-major: unpacking fills (n, k) without a transpose
-    cols = np.zeros((n, k), dtype=np.int32)
+    # vertex-major: unpacking fills (m, k) without a transpose
+    out = np.zeros((m, k), dtype=np.int32)
     for p, plane in enumerate(planes):
-        cols |= np.left_shift(bits(plane), p, dtype=np.int32)
-    cols -= bits(~seen)
-    return cols.T
+        out |= np.left_shift(bits(plane[at]), p, dtype=np.int32)
+    out -= bits(~seen[at])
+    return out.T
 
 
 def row_parents(graph, dist):
@@ -263,9 +277,11 @@ class DistanceOracle:
     Every graph with at most MATRIX_CAP vertices gets a cached all-pairs
     matrix, filled WORD rows per ``bfs_many`` sweep.  Larger graphs cache
     no rows: trees answer ``pairs`` and ``block`` from LCA arithmetic,
-    other graphs sweep their distinct sources WORD at a time, and ``row``
-    runs one BFS on either, so callers that ask many rows should ask them
-    as one ``block``.  This class is the only code that knows which;
+    other graphs sweep their distinct sources WORD at a time and unpack
+    each sweep only at the columns the query asks for (a ``pairs`` batch's
+    own targets, a ``block``'s columns), and ``row`` runs one BFS on
+    either, so callers that ask many rows should ask them as one
+    ``block``.  This class is the only code that knows which;
     callers ask through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
     ``dist_to_set``, ``geodesic`` and ``diameter_of_set``.
     """
@@ -292,10 +308,10 @@ class DistanceOracle:
         return self._matrix
 
     def _sweeps(self, us):
-        """(sel, rows, r) per sweep over the distinct sources in ``us``.
+        """(sel, sources, r) per batch of WORD distinct sources in ``us``.
 
-        ``rows[r[i]]`` is the distance row of ``us[sel[i]]``; each batch of
-        WORD distinct sources is swept once and its rows dropped after.
+        ``us[sel[i]]`` is ``sources[r[i]]``; the caller sweeps each batch
+        once, reading only the columns it needs, and drops its rows after.
         """
         src, inv = np.unique(us, return_inverse=True)
         order = np.argsort(inv, kind="stable")
@@ -304,9 +320,7 @@ class DistanceOracle:
                          len(us))
         for b, lo in enumerate(range(0, len(src), WORD)):
             sel = order[cuts[b]:cuts[b + 1]]
-            rows = bfs_many(self.graph,
-                            RaggedSets.singletons(src[lo:lo + WORD]))
-            yield sel, rows, inv[sel] - lo
+            yield sel, RaggedSets.singletons(src[lo:lo + WORD]), inv[sel] - lo
 
     def row(self, u):
         if self._use_matrix:
@@ -321,8 +335,9 @@ class DistanceOracle:
         if self._tree is not None:
             return self._tree.pair_dist(us, vs)
         out = np.empty(len(us), dtype=np.int32)
-        for sel, rows, r in self._sweeps(us):
-            out[sel] = rows[r, vs[sel]]
+        for sel, sources, r in self._sweeps(us):
+            rows = bfs_many(self.graph, sources, vs[sel])
+            out[sel] = rows[r, np.arange(len(sel))]
         return out
 
     def block(self, a, b):
@@ -337,8 +352,8 @@ class DistanceOracle:
         if len(b) < len(a):
             return self.block(b, a).T
         out = np.empty((len(a), len(b)), dtype=np.int32)
-        for sel, rows, r in self._sweeps(a):
-            out[sel] = rows[:, b][r]
+        for sel, sources, r in self._sweeps(a):
+            out[sel] = bfs_many(self.graph, sources, b)[r]
         return out
 
     def dist(self, u, v):

@@ -255,6 +255,26 @@ def test_bfs_many_on_sets_equals_multi_source_bfs(g, data):
     assert rows.tolist() == [bfs_distances(g, x).tolist() for x in sets]
 
 
+@given(st.one_of(scattered_graphs(), st.just(MetricGraph(1, [])),
+                 # an end vertex reaches levels 7/8 and 15/16, which
+                 # straddle a bit plane
+                 st.sampled_from([9, 10, 17, 18]).map(path_graph)),
+       st.sampled_from([0, 1, 63, 64]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bfs_many_reads_the_asked_columns(g, k, data):
+    """Unpacking only ``cols`` (empty, repeated, unsorted) gives those
+    columns of the full rows, -1 entries included."""
+    sets = data.draw(vertex_sets(g, k, k))
+    if k and data.draw(st.booleans()):
+        sets[0] = [0]  # an end vertex of the paths
+    ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                     for x in sets])
+    cols = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    got = bfs_many(g, ragged, cols)
+    assert got.shape == (k, len(cols)) and got.dtype == np.int32
+    assert got.tolist() == bfs_many(g, ragged)[:, cols].tolist()
+
+
 @given(st.one_of(scattered_graphs(), connected_graphs(), trees()), st.data())
 @settings(max_examples=40, deadline=None)
 def test_dist_to_sets_answers_like_multi_source_bfs(g, data):
@@ -389,6 +409,31 @@ def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
         one_call = delta()
         mp.setattr(graph_core, "_quad_deltas", six_call_deltas)
         assert one_call == delta()
+
+
+def test_rows_strategy_reads_only_the_queried_columns(monkeypatch):
+    """Without a matrix, a cycle's ``pairs`` sweeps read each batch's own
+    targets and a ``block``'s sweeps read its longer side, and no more."""
+    calls = []
+
+    def spy(graph, sets, *cols, _real=graph_core.bfs_many):
+        calls.append((len(sets), *map(len, cols)))
+        return _real(graph, sets, *cols)
+
+    g = cycle_graph(3 * graph_core.WORD + 5)
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    oracle = oracle_with(g, STRATEGIES["capped"])
+    monkeypatch.setattr(graph_core, "bfs_many", spy)
+    rng = np.random.default_rng(0)
+    us, vs = rng.integers(0, g.n, size=(2, 500))
+    assert oracle.pairs(us, vs).tolist() == [rows[u][v] for u, v in zip(us, vs)]
+    assert sum(k for k, _ in calls) == len(np.unique(us))
+    assert sum(m for _, m in calls) == len(us)
+    for a, b in ((us[:150], vs[:7]), (us[:7], vs[:150])):
+        calls.clear()
+        assert oracle.block(a, b).tolist() == [[rows[u][v] for v in b]
+                                               for u in a]
+        assert calls and all(m == 150 for _, m in calls)
 
 
 def test_rows_strategy_caches_no_rows():
