@@ -12,7 +12,9 @@ round, the repeated-query cases ask the same oracle many times, as the
 library's own callers do.
 
 ``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
-r=6.  ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
+r=6, ``enumerate_cosets`` of <a> on F2 and the RAAG at r=6 (one walk over
+the ball per round; a one-generator subgroup needs no merge pass), and
+``GroupModel.normal_form`` on 5000 random RAAG words of length 10.  ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
 over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
 Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
 afresh for the round.  Its coned delta is sampled with a budget of 1000
@@ -111,6 +113,25 @@ def test_cayley_ball(benchmark, model, radius, n):
     ball = benchmark.pedantic(groups.cayley_ball, args=(model, radius),
                               rounds=3)
     assert ball.graph.n == n
+
+
+@pytest.mark.parametrize("model,cosets", [(F2, 729), (RAAG, 6765)],
+                         ids=["F2_r6", "RAAG_r6"])
+def test_enumerate_cosets(benchmark, model, cosets):
+    ball = groups.cayley_ball(model, 6)
+    sub = groups.SubgroupSpec(model, ["a"], label="A")
+    got = benchmark.pedantic(groups.enumerate_cosets, args=(ball, sub),
+                             rounds=3)
+    assert len(got) == cosets
+
+
+def test_raag_normal_form_length10(benchmark):
+    letters = np.random.default_rng(3).choice([1, -1, 2, -2, 3, -3],
+                                              size=(5000, 10))
+    words = [tuple(w) for w in letters.tolist()]
+    forms = benchmark.pedantic(lambda: [RAAG.normal_form(w) for w in words],
+                               rounds=5)
+    assert len(forms) == len(words) and max(map(len, forms)) <= 10
 
 
 def coned(model, radius, labels):

@@ -37,17 +37,27 @@ class MetricGraph:
 
     def __init__(self, n, edges, labels=None):
         self.n = int(n)
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        self.edges = tuple(sorted(seen))
+        pairs = list(edges)
+        ends = np.array(pairs, dtype=object).reshape(len(pairs), 2)
+        u, v = ends.astype(np.int64).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first
+        again = np.zeros(len(pairs), dtype=bool)
+        again[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+        bad = np.flatnonzero((u == v) | (lo < 0) | (hi >= self.n) | again)
+        if bad.size:
+            # the first bad edge in input order, checked as given
+            x, y = pairs[bad[0]]
+            if x == y:
+                raise ValueError(f"self-loop at vertex {x}")
+            if not (0 <= x < self.n and 0 <= y < self.n):
+                raise ValueError(f"edge ({x},{y}) out of range for n={n}")
+            raise ValueError(f"duplicate edge {(x, y) if x < y else (y, x)}")
+        # the edges hold the given end objects (no new int per end)
+        swap = u > v
+        self.edges = tuple(zip(np.where(swap, ends[:, 1], ends[:, 0])[order],
+                               np.where(swap, ends[:, 0], ends[:, 1])[order]))
+        lo, hi = lo[order], hi[order]
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != self.n:
@@ -55,14 +65,13 @@ class MetricGraph:
         self.labels = labels
 
         # CSR adjacency, neighbor lists sorted for deterministic traversal.
-        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
         self.indices = dst[np.lexsort((dst, src))].astype(np.int32)
-        deg = np.bincount(src, minlength=self.n)
+        self.degrees = np.bincount(src, minlength=self.n)
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
+        np.cumsum(self.degrees, out=self.indptr[1:])
         # the CSR start of each vertex that has neighbours, for reduceat
-        self.has_nbrs = deg > 0
+        self.has_nbrs = self.degrees > 0
         self.nbr_starts = self.indptr[:-1][self.has_nbrs]
 
         if self.n == 0:
@@ -78,7 +87,7 @@ class MetricGraph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v):
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return int(self.degrees[v])
 
     def is_tree(self):
         return self.is_connected and len(self.edges) == self.n - 1
@@ -136,23 +145,38 @@ WORD = 64
 def _bit_levels(graph, sets):
     """The level sweep of ``bfs_many``: ``(planes, seen)``, one uint64 word
     per vertex in each; bit i of ``seen`` means "reached from set i", and
-    plane p holds bit p of the level at which it was reached."""
+    plane p holds bit p of the level at which it was reached.
+
+    A level either pulls, gathering every vertex's neighbour words over the
+    whole CSR, or pushes the words of the frontier's vertices into their
+    neighbours.  A push reads all n words to list the frontier and then at
+    most ``count * max degree`` CSR entries, so it runs only when that is
+    fewer than the CSR's.  The frontier's count doubles as the emptiness
+    test, so a level that pulls does no work for the choice."""
     n = graph.n
     frontier = np.zeros(n, dtype=np.uint64)
     bit = np.left_shift(np.uint64(1), np.arange(len(sets), dtype=np.uint64))
     np.bitwise_or.at(frontier, sets.flat, np.repeat(bit, sets.sizes()))
     seen = frontier.copy()
+    count = np.count_nonzero(frontier)
+    top = graph.degrees.max(initial=0)
     planes = []
-    # reduceat needs a nonempty segment at every offset, so degree-0
-    # vertices (which no level reaches) are left out of the reduction.
     level = 0
-    while graph.nbr_starts.size:
+    while count and graph.nbr_starts.size:
         level += 1
         nxt = np.zeros(n, dtype=np.uint64)
-        nxt[graph.has_nbrs] = np.bitwise_or.reduceat(frontier[graph.indices],
-                                                     graph.nbr_starts)
+        if n + count * top < len(graph.indices):
+            active = np.flatnonzero(frontier)
+            owner, pos = segments(graph.indptr, active)
+            np.bitwise_or.at(nxt, graph.indices[pos], frontier[active][owner])
+        else:
+            # reduceat needs a nonempty segment at every offset, so
+            # degree-0 vertices (which no level reaches) are left out
+            nxt[graph.has_nbrs] = np.bitwise_or.reduceat(
+                frontier[graph.indices], graph.nbr_starts)
         nxt &= ~seen
-        if not nxt.any():
+        count = np.count_nonzero(nxt)
+        if not count:
             break
         seen |= nxt
         if level.bit_length() > len(planes):

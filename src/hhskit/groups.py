@@ -1,13 +1,13 @@
 """Finitely generated groups with normal-form oracles and Cayley balls.
 
 Supported kinds are exactly the ones with classical normal forms: free
-groups, free-abelian groups, right-angled Artin groups (shortlex via
-commutation piling) and free products of these.  Words are tuples of signed
-1-based generator indices; the text form is whitespace-separated labels
-with a trailing apostrophe for inverses ("a b' a").
+groups, free-abelian groups, right-angled Artin groups (the lexicographically
+least word of a trace, grown one letter at a time) and free products of
+these.  Words are tuples of signed 1-based generator indices; the text form
+is whitespace-separated labels with a trailing apostrophe for inverses
+("a b' a").
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +67,8 @@ class GroupModel:
             raise ValueError("generator labels must be distinct")
         self.commuting = frozenset(frozenset(p) for p in commuting)
         self.factors = tuple(factors)
-        if kind == "raag":
-            rank = len(self.gens)
-            self._commutes = [[False] * (rank + 1) for _ in range(rank + 1)]
-            for pair in self.commuting:
-                a, b = sorted(pair)
-                ia, ib = self.gens.index(a) + 1, self.gens.index(b) + 1
-                self._commutes[ia][ib] = self._commutes[ib][ia] = True
+        if kind not in ("free", "free_abelian", "raag", "free_product"):
+            raise ValueError(f"unknown kind {kind}")
         if kind == "free_product":
             self._factor_of = {}
             offset = 0
@@ -81,6 +76,17 @@ class GroupModel:
                 for j in range(len(f.gens)):
                     self._factor_of[offset + j + 1] = (fi, j + 1)
                 offset += len(f.gens)
+        else:
+            # free and free-abelian groups are the RAAGs on the edgeless and
+            # the complete commutation graphs; no letter commutes with itself
+            rank = len(self.gens)
+            full = kind == "free_abelian"
+            self._commutes = [[full and i != j for j in range(rank + 1)]
+                              for i in range(rank + 1)]
+            for pair in self.commuting:
+                a, b = sorted(pair)
+                ia, ib = self.gens.index(a) + 1, self.gens.index(b) + 1
+                self._commutes[ia][ib] = self._commutes[ib][ia] = True
 
     def __repr__(self):
         return f"GroupModel({self.kind}, gens={','.join(self.gens)})"
@@ -101,15 +107,46 @@ class GroupModel:
 
     def normal_form(self, word):
         self.check_letters(word)
-        if self.kind == "free":
-            return _free_reduce(word)
-        if self.kind == "free_abelian":
-            return _abelian_normal_form(word, len(self.gens))
-        if self.kind == "raag":
-            return _raag_normal_form(word, len(self.gens), self._commutes)
         if self.kind == "free_product":
             return self._product_normal_form(word)
-        raise ValueError(f"unknown kind {self.kind}")
+        return self._steps((), word)
+
+    def step(self, word, s):
+        """The normal form of ``word + (s,)``, for ``word`` in normal form
+        and a declared letter ``s`` (neither is checked)."""
+        if self.kind == "free_product":
+            return self._product_normal_form(word + (s,))
+        return self._steps(word, (s,))
+
+    def _steps(self, word, letters):
+        """``step`` by each of ``letters`` in turn, on one list.
+
+        The normal form of a trace is its lexicographically least word by
+        generator index (Anisimov-Knuth), so a letter cancels the last
+        letter that does not commute with it if that is its inverse, and is
+        otherwise inserted after it, before the first later letter of larger
+        index; in a free group that is the last letter."""
+        out = list(word)
+        if self.kind == "free":
+            for s in letters:
+                if out and out[-1] == -s:
+                    out.pop()
+                else:
+                    out.append(s)
+            return tuple(out)
+        for s in letters:
+            i = abs(s)
+            commutes = self._commutes[i]
+            j = len(out)
+            while j and commutes[abs(out[j - 1])]:
+                j -= 1
+            if j and out[j - 1] == -s:
+                del out[j - 1]
+                continue
+            while j < len(out) and abs(out[j]) < i:
+                j += 1
+            out.insert(j, s)
+        return tuple(out)
 
     def multiply(self, w1, w2):
         return self.normal_form(w1 + w2)
@@ -146,60 +183,6 @@ class GroupModel:
             for x in letters:
                 flat.append((abs(x) + offset[fi]) * (1 if x > 0 else -1))
         return tuple(flat)
-
-
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _abelian_normal_form(word, rank):
-    exp = [0] * (rank + 1)
-    for x in word:
-        exp[abs(x)] += 1 if x > 0 else -1
-    out = []
-    for i in range(1, rank + 1):
-        out.extend([i if exp[i] > 0 else -i] * abs(exp[i]))
-    return tuple(out)
-
-
-def _raag_normal_form(word, rank, commutes):
-    # Piling: each letter stacks +-1 on its own pile and 0 on non-commuting
-    # piles; a letter cancels when it meets its inverse on top of its pile.
-    piles = [deque() for _ in range(rank + 1)]
-    for x in word:
-        i, eps = abs(x), (1 if x > 0 else -1)
-        if piles[i] and piles[i][-1] == -eps:
-            piles[i].pop()
-            for j in range(1, rank + 1):
-                if j != i and not commutes[i][j]:
-                    piles[j].pop()
-        else:
-            piles[i].append(eps)
-            for j in range(1, rank + 1):
-                if j != i and not commutes[i][j]:
-                    piles[j].append(0)
-    # Depile smallest-available-first: the shortlex-least linearization.
-    out = []
-    while True:
-        picked = False
-        for i in range(1, rank + 1):
-            if piles[i] and piles[i][0] != 0:
-                eps = piles[i].popleft()
-                out.append(i * eps)
-                for j in range(1, rank + 1):
-                    if j != i and not commutes[i][j]:
-                        piles[j].popleft()
-                picked = True
-                break
-        if not picked:
-            break
-    return tuple(out)
 
 
 def free_group(labels):
@@ -477,7 +460,7 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
         inner, outer = [], []
         for i, w in enumerate(layer, start):
             for s in letters:
-                w2 = model.normal_form(w + (s,))
+                w2 = model.step(w, s)
                 j = seen.setdefault(w2, -1)
                 if j >= start:
                     raise ValueError(

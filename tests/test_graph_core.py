@@ -165,6 +165,42 @@ def test_csr_holds_sorted_neighbour_lists(g):
     assert g.nbr_starts.tolist() == [g.indptr[u] for u in range(g.n) if nbrs[u]]
 
 
+def checked_edges(n, edges):
+    """Reference: the edge checks of MetricGraph as one Python loop, which
+    raises on the first bad edge in input order."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    return tuple(sorted(seen))
+
+
+@given(st.integers(0, 6), st.lists(st.tuples(st.integers(-1, 6),
+                                             st.integers(-1, 6)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_edge_checks_match_the_loop(n, edges):
+    """Self-loops, out-of-range ends and repeats (in either orientation)
+    raise the loop's message for the first bad edge; good lists give the
+    loop's sorted edges."""
+    try:
+        expect = checked_edges(n, edges)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            MetricGraph(n, edges)
+        assert str(got.value) == str(err)
+    else:
+        g = MetricGraph(n, edges)
+        assert g.edges == expect
+        assert g.degrees.tolist() == [sum(u in e for e in expect)
+                                      for u in range(n)]
+
+
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_distances_match_bfs_oracle(g):
@@ -273,6 +309,50 @@ def test_bfs_many_reads_the_asked_columns(g, k, data):
     got = bfs_many(g, ragged, cols)
     assert got.shape == (k, len(cols)) and got.dtype == np.int32
     assert got.tolist() == bfs_many(g, ragged)[:, cols].tolist()
+
+
+def star_graph(n):
+    return MetricGraph(n, [(0, v) for v in range(1, n)])
+
+
+def complete_graph(n):
+    return MetricGraph(n, list(itertools.combinations(range(n), 2)))
+
+
+# a path 0..29, the complete graph on 30..37 and isolated vertices 38..40
+PATH_CLIQUE = MetricGraph(41, [(i, i + 1) for i in range(29)]
+                          + list(itertools.combinations(range(30, 38), 2)))
+
+
+@pytest.mark.parametrize("g,sets,levels", [
+    (path_graph(40), [[0]], "push"),
+    (cycle_graph(41), [[0]], "push"),
+    (PATH_CLIQUE, [[0], [], [31], [39]], "push"),
+    (star_graph(30), [[v] for v in range(30)], "pull"),
+    (complete_graph(12), [[v] for v in range(12)] + [[]], "pull"),
+    (PATH_CLIQUE, [[v] for v in range(30, 38)] + [[], [0, 40], [5]],
+     "both")],
+    ids=["path", "cycle", "path_clique_isolated", "star", "complete",
+         "mixed"])
+def test_bfs_many_push_and_pull_levels(monkeypatch, g, sets, levels):
+    """Levels that push (a small frontier of a sparse graph) and levels
+    that pull (a frontier that covers the graph) give the stacked BFS rows
+    and the same column readout; degree-0 vertices, components and empty
+    sets included.  A push is one ``segments`` call, a pull none."""
+    pushes = []
+    real = graph_core.segments
+    monkeypatch.setattr(graph_core, "segments",
+                        lambda indptr, rows: pushes.append(len(rows))
+                        or real(indptr, rows))
+    ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
+                                     for x in sets])
+    rows = bfs_many(g, ragged)
+    swept = rows.max() + 1  # the last level finds nothing new
+    assert {"push": len(pushes) == swept, "pull": not pushes,
+            "both": 0 < len(pushes) < swept}[levels]
+    assert rows.tolist() == [bfs_distances(g, x).tolist() for x in sets]
+    cols = np.random.default_rng(0).integers(0, g.n, 2 * g.n)
+    assert bfs_many(g, ragged, cols).tolist() == rows[:, cols].tolist()
 
 
 @given(st.one_of(scattered_graphs(), connected_graphs(), trees()), st.data())

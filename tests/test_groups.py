@@ -1,6 +1,7 @@
 """Group models, normal forms, balls, membership and cosets."""
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,90 @@ def test_free_product_alternating_form():
     w = FP.parse("a b b' a a'")
     assert FP.format(FP.normal_form(w)) == "a"
     assert FP.normal_form(FP.parse("a a' b")) == FP.parse("b")
+
+
+def piling_normal_form(word, rank, commuting):
+    """Reference RAAG normal form by piling (Cartier-Foata heaps).
+
+    Each letter stacks +-1 on its own pile and 0 on the piles of the
+    generators (1-based) it does not commute with; a letter cancels when it
+    meets its inverse on top of its pile.  Depiling smallest-available-first
+    gives the lexicographically least word."""
+    commutes = [[False] * (rank + 1) for _ in range(rank + 1)]
+    for i, j in commuting:
+        commutes[i][j] = commutes[j][i] = True
+    piles = [deque() for _ in range(rank + 1)]
+    for x in word:
+        i, eps = abs(x), (1 if x > 0 else -1)
+        if piles[i] and piles[i][-1] == -eps:
+            piles[i].pop()
+            for j in range(1, rank + 1):
+                if j != i and not commutes[i][j]:
+                    piles[j].pop()
+        else:
+            piles[i].append(eps)
+            for j in range(1, rank + 1):
+                if j != i and not commutes[i][j]:
+                    piles[j].append(0)
+    out = []
+    while True:
+        for i in range(1, rank + 1):
+            if piles[i] and piles[i][0] != 0:
+                eps = piles[i].popleft()
+                out.append(i * eps)
+                for j in range(1, rank + 1):
+                    if j != i and not commutes[i][j]:
+                        piles[j].popleft()
+                break
+        else:
+            return tuple(out)
+
+
+@st.composite
+def commutation_graphs(draw):
+    """(rank, edges on 1..rank): random, edgeless (free) or complete
+    (free-abelian)."""
+    rank = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(1, rank + 1), 2))
+    edges = draw(st.one_of(st.just([]), st.just(pairs),
+                           st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([])))
+    return rank, edges
+
+
+@given(commutation_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_step_fold_equals_piling(graph, data):
+    """normal_form, the fold of the one-letter step, equals the piling on
+    every commutation graph; the edgeless one is the free group and the
+    complete one the free-abelian group."""
+    rank, edges = graph
+    labels = "abcde"[:rank]
+    model = raag_group(labels, [(labels[i - 1], labels[j - 1])
+                                for i, j in edges])
+    for _ in range(5):
+        w = data.draw(words(model, max_len=12))
+        expect = piling_normal_form(w, rank, edges)
+        assert model.normal_form(w) == expect
+        if not edges:
+            assert free_group(labels).normal_form(w) == expect
+        if len(edges) == rank * (rank - 1) // 2:
+            assert free_abelian_group(labels).normal_form(w) == expect
+
+
+@pytest.mark.parametrize("model,radius", [
+    (F2, 4), (free_abelian_group(["a", "b", "c"]), 3),
+    (raag_group(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]), 3),
+    (raag_group(["a", "b", "c"], [("a", "b")]), 4),
+    (free_product(free_group(["a"]), free_abelian_group(["b", "c"])), 3)],
+    ids=["free", "free_abelian", "raag_P4", "raag_Z2*Z", "free_product"])
+def test_step_is_the_normal_form_of_one_more_letter(model, radius):
+    """For every ball word w and letter s, step(w, s) is the normal form
+    of w s, of each kind."""
+    letters = [x for i in range(1, model.rank() + 1) for x in (i, -i)]
+    for w in cayley_ball(model, radius).words:
+        for s in letters:
+            assert model.step(w, s) == model.normal_form(w + (s,))
 
 
 def test_unknown_generator_raises():
@@ -209,7 +294,7 @@ def ball_models(draw):
 @settings(max_examples=60, deadline=None)
 def test_one_pass_ball_matches_two_pass(model, radius, data):
     """Same words, labels and edges as the two-pass construction, on all
-    generators or a subset, with one normal form per step out of the
+    generators or a subset, with one step per (vertex, letter) of the
     (radius-1)-ball."""
     labels = data.draw(st.one_of(
         st.none(), st.lists(st.sampled_from(model.gens), min_size=1,
@@ -217,12 +302,12 @@ def test_one_pass_ball_matches_two_pass(model, radius, data):
     gens = model.gens if labels is None else tuple(labels)
     words, edges = two_pass_ball(model, radius, gens)
     calls = []
-    normal_form = model.normal_form
-    model.normal_form = lambda w: calls.append(w) or normal_form(w)
+    step = model.step
+    model.step = lambda w, s: calls.append(w) or step(w, s)
     try:
         ball = cayley_ball(model, radius, labels)
     finally:
-        del model.normal_form
+        del model.step
     assert ball.words == words and ball.graph.edges == edges
     assert ball.graph.labels == tuple(model.format(w) for w in words)
     inner = sum(len(w) < radius for w in words)
@@ -237,6 +322,9 @@ class OddRelator:
 
     def normal_form(self, word):
         return (1,) * (sum(1 if x > 0 else -1 for x in word) % 3)
+
+    def step(self, word, s):
+        return self.normal_form(word + (s,))
 
 
 def test_ball_refuses_a_step_inside_its_layer():
