@@ -76,9 +76,9 @@ class GroupModel:
                 for j in range(len(f.gens)):
                     self._factor_of[offset + j + 1] = (fi, j + 1)
                 offset += len(f.gens)
-        else:
-            # free and free-abelian groups are the RAAGs on the edgeless and
-            # the complete commutation graphs; no letter commutes with itself
+        elif kind != "free":
+            # a free-abelian group is the RAAG on the complete commutation
+            # graph; no letter commutes with itself
             rank = len(self.gens)
             full = kind == "free_abelian"
             self._commutes = [[full and i != j for j in range(rank + 1)]
