@@ -14,7 +14,8 @@ library's own callers do.
 ``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
 r=6, ``enumerate_cosets`` of <a> on F2 and the RAAG at r=6 (one walk over
 the ball per round; a one-generator subgroup needs no merge pass), and
-``GroupModel.normal_form`` on 5000 random RAAG words of length 10.  ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
+``GroupModel.normal_form`` on 5000 random RAAG words of length 10.
+``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
 over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
 Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
 afresh for the round.  Its coned delta is sampled with a budget of 1000
