@@ -12,8 +12,9 @@ round, the repeated-query cases ask the same oracle many times, as the
 library's own callers do.
 
 ``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
-r=6, ``enumerate_cosets`` of <a> on F2 and the RAAG at r=6 (one walk over
-the ball per round; a one-generator subgroup needs no merge pass), and
+r=6, ``enumerate_cosets`` of <a> on F2 at r=6 and r=8 and on the RAAG at
+r=6 (one walk over the ball per round; a one-generator subgroup needs no
+merge pass), and
 ``GroupModel.normal_form`` on 5000 random RAAG words of length 10.
 ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
 over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
@@ -116,10 +117,11 @@ def test_cayley_ball(benchmark, model, radius, n):
     assert ball.graph.n == n
 
 
-@pytest.mark.parametrize("model,cosets", [(F2, 729), (RAAG, 6765)],
-                         ids=["F2_r6", "RAAG_r6"])
-def test_enumerate_cosets(benchmark, model, cosets):
-    ball = groups.cayley_ball(model, 6)
+@pytest.mark.parametrize("model,radius,cosets",
+                         [(F2, 6, 729), (RAAG, 6, 6765), (F2, 8, 6561)],
+                         ids=["F2_r6", "RAAG_r6", "F2_r8"])
+def test_enumerate_cosets(benchmark, model, radius, cosets):
+    ball = groups.cayley_ball(model, radius)
     sub = groups.SubgroupSpec(model, ["a"], label="A")
     got = benchmark.pedantic(groups.enumerate_cosets, args=(ball, sub),
                              rounds=3)

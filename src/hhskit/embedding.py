@@ -17,6 +17,7 @@ estimation, with counts reported.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -283,18 +284,18 @@ def check_hh_embedded(base, subs, seed=0, **kwargs):
                         if subgroup_membership(ball.model, sub,
                                                ball.model.parse(g))]
         members = set(subgroup_ball_vertices(ball, sub))
+        steps = [ball.model.parse(token) for g in letters_in_h
+                 for token in (g, g + "'")]
         reach = {ball.id_of(())}
         stack = [ball.id_of(())]
         while stack:
             v = stack.pop()
-            for g in letters_in_h:
-                for token in (g, g + "'"):
-                    w2 = ball.model.multiply(ball.words[v],
-                                             ball.model.parse(token))
-                    j = ball.index.get(w2)
-                    if j is not None and j in members and j not in reach:
-                        reach.add(j)
-                        stack.append(j)
+            for word in steps:
+                j = ball.index.get(reduce(ball.model.step, word,
+                                          ball.words[v]))
+                if j is not None and j in members and j not in reach:
+                    reach.add(j)
+                    stack.append(j)
         missing = sorted(members - reach)
         entry = {"generators_in_T": letters_in_h,
                  "covered": len(reach), "of": len(members)}

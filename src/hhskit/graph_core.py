@@ -15,6 +15,7 @@ reports say whether a scan was exhaustive or sampled.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,15 +74,15 @@ class MetricGraph:
         # the CSR start of each vertex that has neighbours, for reduceat
         self.has_nbrs = self.degrees > 0
         self.nbr_starts = self.indptr[:-1][self.has_nbrs]
-
-        if self.n == 0:
-            self.is_connected = True
-        else:
-            self.is_connected = bool((bfs_distances(self, [0]) >= 0).all())
         self._oracle = None
 
     def __repr__(self):
         return f"MetricGraph(n={self.n}, edges={len(self.edges)})"
+
+    @cached_property
+    def is_connected(self):
+        """One BFS, run on first use: many graphs are never asked."""
+        return self.n == 0 or bool((bfs_distances(self, [0]) >= 0).all())
 
     def neighbors(self, v):
         return self.indices[self.indptr[v]:self.indptr[v + 1]]

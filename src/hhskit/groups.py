@@ -9,6 +9,7 @@ is whitespace-separated labels with a trailing apostrophe for inverses
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -515,8 +516,8 @@ def _walk_classes(ball, sub):
     for v in range(n):
         w = ball.words[v]
         for g in gen_words:
-            w2 = ball.model.multiply(w, g)
-            j = ball.index.get(w2)
+            # ball words are normal forms: step by g's letters
+            j = ball.index.get(reduce(ball.model.step, g, w))
             if j is None:
                 truncated = True
                 continue
@@ -591,8 +592,7 @@ def coset_vertices(ball, descriptor):
         v = stack.pop()
         w = ball.words[v]
         for g in gen_words:
-            w2 = ball.model.multiply(w, g)
-            j = ball.index.get(w2)
+            j = ball.index.get(reduce(ball.model.step, g, w))
             if j is None:
                 truncated = True
             elif j not in seen:

@@ -70,10 +70,17 @@ def _rho_sweeps(inst, src, tgt):
     """
     for t, rows in _by_target(tgt):
         sets, reached = inst.rho_sets(src[rows], t)
-        for lo in range(0, len(rows), WORD):
-            part = np.arange(lo, min(lo + WORD, len(rows)))
-            yield (t, rows[part], reached[part],
-                   inst.space_oracle(t).dist_to_sets(sets.take(part)))
+        for part, dist in _set_sweeps(inst.space_oracle(t), sets):
+            yield t, rows[part], reached[part], dist
+
+
+def _set_sweeps(oracle, sets):
+    """``(part, dist)`` per WORD sets: ``dist`` is ``oracle.dist_to_sets``
+    of the sets ``part``."""
+    for lo in range(0, len(sets), WORD):
+        part = np.arange(lo, min(lo + WORD, len(sets)))
+        yield part, oracle.dist_to_sets(
+            sets if len(part) == len(sets) else sets.take(part))
 
 
 def _pi_min_to_rho(inst, src, tgt, xs):
@@ -405,10 +412,17 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
 # large links
 
 def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
-    """Fitted lambda per E: cover violators by their nest-maximal elements."""
+    """Fitted lambda per E: cover violators by their nest-maximal elements.
+
+    Per W, a child T violates at E on a pair when d_T of the pair is at
+    least E, and is nest-maximal when no child it is nested in violates
+    too, that is when the largest d over those children stays below E.
+    That largest d is a join over the nested pairs among W's children, so
+    each W takes one (E, child, pair) mask of nest-maximal violators and a
+    few reductions of it, never a children x children product.  Witnesses
+    are the first strict maximum per E over W, then over pairs.
+    """
     rng = rng_for(seed)
-    n = inst.n_indices()
-    parents = [w for w in range(n) if inst.children_exist(w)]
     if inst.X.n * (inst.X.n - 1) // 2 <= pair_budget:
         us, vs, spec = sample_unordered_pairs(inst.X.n, pair_budget, seed)
     else:
@@ -418,45 +432,59 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         us, vs = us[keep], vs[keep]
         spec = SampleSpec("sampled", inst.X.n * (inst.X.n - 1) // 2,
                           len(us), seed)
-    results = {E: 0.0 for E in E_grid}
-    witnesses = {}
+    grid = np.asarray(E_grid, dtype=np.int64).reshape(-1, 1, 1)
+    lowest = np.iinfo(np.int32).min
+    lam = np.zeros(len(E_grid))
+    witnesses = [None] * len(E_grid)
     no_finite = []
-    for w in parents:
-        children = inst.nested_below(w)
+    # nested pairs (child, parent), sorted by child, and their CSR by child
+    nested = np.argwhere(inst.rel == NESTED)
+    above_ptr = np.searchsorted(nested[:, 0], np.arange(inst.n_indices() + 1))
+    # with no sampled pair nothing violates
+    for w, rows in _by_target(nested[:, 1]) if len(us) else ():
+        children = nested[rows, 0]
         ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
-        dw = _pi_rep_distance(inst, w, us, vs)
+        dw = _pi_rep_distance(inst, w, us, vs) + 1.0
         rhos, reached = inst.rho_sets(children, w)
         reached &= rhos.sizes() > 0
-        rel_sub = inst.rel[np.ix_(children, children)]
-        oracle_w = inst.space_oracle(w)
-        for pi in range(len(us)):
-            col = ds[:, pi]
-            pi_set = inst.pi(w, int(us[pi]))
-            for E in E_grid:
-                viol = np.flatnonzero(col >= E)
-                if len(viol) == 0:
-                    continue
-                sub = rel_sub[np.ix_(viol, viol)]
-                maximal = viol[~(sub == NESTED).any(axis=1)]
-                if not reached[maximal].all():
-                    no_finite.append({"W": inst.labels[w], "E": int(E),
-                                      "detail": "unreached rho for cover"})
-                    continue
-                lam1 = len(maximal) / (dw[pi] + 1.0)
-                dist_side = max(
-                    int(oracle_w.block(pi_set, rhos[ci]).min())
-                    for ci in maximal)
-                lam2 = dist_side / (dw[pi] + 1.0)
-                need = max(lam1, lam2)
-                if need > results[E]:
-                    results[E] = float(need)
-                    witnesses[E] = {"W": inst.labels[w],
-                                    "pair": (int(us[pi]), int(vs[pi])),
-                                    "cover": len(maximal)}
-    return {"lambda_by_E": {int(E): results[E] for E in E_grid},
-            "witnesses": {int(E): witnesses.get(E) for E in E_grid},
-            "no_finite_lambda": no_finite[:8],
+        # per child, the largest d over the children it is nested in: a
+        # join of the children with the nested pairs, which lists each
+        # child's pairs together
+        lo, pos = segments(above_ptr, children)
+        up = nested[pos, 1]
+        inner = np.isin(up, children)
+        lo, hi = lo[inner], np.searchsorted(children, up[inner])
+        above = np.full_like(ds, lowest)
+        if len(lo):
+            first = np.flatnonzero(np.diff(lo, prepend=-1))
+            above[lo[first]] = np.maximum.reduceat(ds[hi], first, axis=0)
+        maximal = (ds >= grid) & (above < grid)      # (E, |children|, pairs)
+        cover = maximal.sum(axis=1)                  # (E, pairs)
+        blocked = (maximal & ~reached[:, None]).any(axis=1)
+        # d_W(pi_W(x), rho^T_W) per child T and pair (x, y)
+        to_rho = np.empty(ds.shape, dtype=np.int32)
+        for part, dist in _set_sweeps(inst.space_oracle(w), rhos):
+            to_rho[part] = inst.projections[w].min_over_sets(us, dist)
+        side = np.where(maximal, to_rho, lowest).max(axis=1)
+        need = np.maximum(cover / dw, side / dw)
+        need[(cover == 0) | blocked] = -np.inf
+        # in (pair, E) order, the first 8 of the scan
+        for e in np.argwhere(blocked.T)[:8 - len(no_finite), 1].tolist():
+            no_finite.append({"W": inst.labels[w], "E": int(E_grid[e]),
+                              "detail": "unreached rho for cover"})
+        # the first strict maximum: earlier W, then earlier pairs, win ties
+        best = need.argmax(axis=1)
+        better = need[np.arange(len(lam)), best] > lam
+        for e in np.flatnonzero(better).tolist():
+            p = int(best[e])
+            lam[e] = need[e, p]
+            witnesses[e] = {"W": inst.labels[w],
+                            "pair": (int(us[p]), int(vs[p])),
+                            "cover": int(cover[e, p])}
+    return {"lambda_by_E": {int(E): float(x) for E, x in zip(E_grid, lam)},
+            "witnesses": {int(E): x for E, x in zip(E_grid, witnesses)},
+            "no_finite_lambda": no_finite,
             "sample": spec.to_dict()}
 
 
@@ -470,31 +498,38 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
     nested = np.argwhere(inst.rel == NESTED)
     idx, spec = sample_indices(len(nested), pair_budget, seed)
     vs, ws = nested[idx].T
+    # one rho column per target; the pairs whose rho is reached and nonempty
+    columns = []
     full = np.zeros(len(vs), dtype=bool)
     for w, rows in _by_target(ws):
         sets, reached = inst.rho_sets(vs[rows], w)
-        full[rows] = reached & (sets.sizes() > 0)
+        hit = np.flatnonzero(reached & (sets.sizes() > 0))
+        full[rows[hit]] = True
+        columns.append((w, rows[hit], sets.take(hit)))
     keep = np.flatnonzero(full)
     unreached = len(vs) - len(keep)
-    # one rng stream, drawn in sample order for the reached pairs only
-    ends = {k: [(int(rng.integers(0, inst.spaces[ws[k]].n)),
-                 int(rng.integers(0, inst.spaces[ws[k]].n)))
-                for _ in range(geodesics_per_pair)] for k in keep.tolist()}
+    # one rng stream, drawn in sample order for the reached pairs only: the
+    # bounds are laid out (pair, draw, a/b), as scalar draws would take them
+    sizes = np.asarray([space.n for space in inst.spaces])
+    draws = rng.integers(0, np.repeat(sizes[ws[keep]], 2 * geodesics_per_pair))
+    ends = np.zeros((len(vs), geodesics_per_pair, 2), dtype=np.int64)
+    ends[keep] = draws.reshape(len(keep), geodesics_per_pair, 2)
     observations = []   # (sample position, avoid_dist, image_diam, V, W)
-    for w, rows, _, dist_rho in _rho_sweeps(inst, vs[keep], ws[keep]):
+    for w, rows, sets in columns:
         oracle_w = inst.space_oracle(w)
         carrier = _carrier(inst, w)
-        for k, dist in zip(keep[rows].tolist(), dist_rho):
-            v = int(vs[k])
-            for a, b in ends[k]:
-                if a == b:
-                    continue
-                path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
-                image = np.unique(inst.pi_rep(v)[carrier[path]])
-                observations.append((
-                    k, int(dist[path].min()),
-                    inst.space_oracle(v).diameter_of_set(image),
-                    inst.labels[v], inst.labels[w]))
+        for part, dist_rho in _set_sweeps(oracle_w, sets):
+            for k, dist in zip(rows[part].tolist(), dist_rho):
+                v = int(vs[k])
+                for a, b in ends[k].tolist():
+                    if a == b:
+                        continue
+                    path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
+                    image = np.unique(inst.pi_rep(v)[carrier[path]])
+                    observations.append((
+                        k, int(dist[path].min()),
+                        inst.space_oracle(v).diameter_of_set(image),
+                        inst.labels[v], inst.labels[w]))
     # sample order, and draw order within a pair (the sort is stable)
     observations = [o[1:] for o in sorted(observations, key=lambda o: o[0])]
     E_bgi = None

@@ -154,6 +154,22 @@ def test_shortest_path_disconnected():
         shortest_path(g, 0, 3)
 
 
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_connected_is_one_bfs_on_first_use(n, data):
+    """Graphs with no vertex, one vertex, several components or one: the
+    flag is not computed by the constructor, and equals a BFS check."""
+    ends = st.tuples(st.integers(0, max(n - 1, 0)),
+                     st.integers(0, max(n - 1, 0)))
+    pairs = data.draw(st.lists(ends, max_size=12)) if n else []
+    g = MetricGraph(n, sorted({(min(u, v), max(u, v))
+                               for u, v in pairs if u != v}))
+    assert "is_connected" not in vars(g)
+    expect = n == 0 or min(bfs_oracle(g.edges, n, 0)) >= 0
+    assert g.is_connected == expect
+    assert g.is_tree() == (expect and len(g.edges) == n - 1)
+
+
 @given(scattered_graphs())
 @settings(max_examples=60, deadline=None)
 def test_csr_holds_sorted_neighbour_lists(g):

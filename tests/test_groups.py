@@ -2,6 +2,7 @@
 
 import itertools
 from collections import deque
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -154,12 +155,15 @@ def test_step_fold_equals_piling(graph, data):
             assert free_abelian_group(labels).normal_form(w) == expect
 
 
-@pytest.mark.parametrize("model,radius", [
+EACH_KIND = pytest.mark.parametrize("model,radius", [
     (F2, 4), (free_abelian_group(["a", "b", "c"]), 3),
     (raag_group(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]), 3),
     (raag_group(["a", "b", "c"], [("a", "b")]), 4),
     (free_product(free_group(["a"]), free_abelian_group(["b", "c"])), 3)],
     ids=["free", "free_abelian", "raag_P4", "raag_Z2*Z", "free_product"])
+
+
+@EACH_KIND
 def test_step_is_the_normal_form_of_one_more_letter(model, radius):
     """For every ball word w and letter s, step(w, s) is the normal form
     of w s, of each kind."""
@@ -167,6 +171,18 @@ def test_step_is_the_normal_form_of_one_more_letter(model, radius):
     for w in cayley_ball(model, radius).words:
         for s in letters:
             assert model.step(w, s) == model.normal_form(w + (s,))
+
+
+@EACH_KIND
+def test_step_fold_is_right_multiplication(model, radius):
+    """The coset walks multiply ball words by generator words one letter
+    at a time; on every ball word and every generator word, one letter or
+    several, and its inverse, that equals ``multiply``."""
+    gens = [(i,) for i in range(1, model.rank() + 1)]
+    gens += [(1, 2), (2, 1, -2), (1, 1), (-2, model.rank(), 1)]
+    for w in cayley_ball(model, radius).words:
+        for g in gens + [inverse_word(g) for g in gens]:
+            assert reduce(model.step, g, w) == model.multiply(w, g)
 
 
 def test_unknown_generator_raises():

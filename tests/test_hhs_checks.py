@@ -21,14 +21,16 @@ from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
 from hhskit.graph_core import MetricGraph, RaggedSets, bfs_distances
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
-                               TRANSVERSE, _carrier, _rho_chain_triples,
-                               check_bgi, check_consistency,
+                               TRANSVERSE, _carrier, _pi_rep_distance,
+                               _rho_chain_triples, check_bgi,
+                               check_consistency, check_large_links,
                                check_partial_realization, check_structural,
                                realization_gap)
 from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
                              instance_from_bundle, instance_to_bundle,
                              normalize, product_hhs)
-from hhskit.sampling import rng_for, sample_indices
+from hhskit.sampling import (SampleSpec, rng_for, sample_indices,
+                             sample_unordered_pairs)
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -95,6 +97,10 @@ def fixtures():
 
 FIXTURES = fixtures()
 NAMES = sorted(FIXTURES)
+# every fourth rho reached but empty; consistency_loop takes a minimum over
+# such a rho, so this fixture is kept out of FIXTURES
+LL_FIXTURES = dict(FIXTURES, empty=edited_bundle(
+    FIXTURES["product"], lambda i, r, n: [] if i % 4 == 0 else r))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +231,62 @@ def bgi_loop(inst, E_grid=(0, 1, 2, 3, 4, 6, 8), pair_budget=4000,
             "sample": spec.to_dict()}
 
 
+def large_links_loop(inst, E_grid=hhs_checks.DEFAULT_E_GRID, pair_budget=150,
+                     seed=0):
+    rng = rng_for(seed)
+    n = inst.n_indices()
+    parents = [w for w in range(n) if inst.children_exist(w)]
+    if inst.X.n * (inst.X.n - 1) // 2 <= pair_budget:
+        us, vs, spec = sample_unordered_pairs(inst.X.n, pair_budget, seed)
+    else:
+        us = rng.integers(0, inst.X.n, size=pair_budget)
+        vs = rng.integers(0, inst.X.n, size=pair_budget)
+        keep = us != vs
+        us, vs = us[keep], vs[keep]
+        spec = SampleSpec("sampled", inst.X.n * (inst.X.n - 1) // 2,
+                          len(us), seed)
+    results = {E: 0.0 for E in E_grid}
+    witnesses = {}
+    no_finite = []
+    for w in parents:
+        children = inst.nested_below(w)
+        ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
+                       for t in children])           # (|children|, pairs)
+        dw = _pi_rep_distance(inst, w, us, vs)
+        rhos, reached = inst.rho_sets(children, w)
+        reached &= rhos.sizes() > 0
+        rel_sub = inst.rel[np.ix_(children, children)]
+        oracle_w = inst.space_oracle(w)
+        for pi in range(len(us)):
+            col = ds[:, pi]
+            pi_set = inst.pi(w, int(us[pi]))
+            for E in E_grid:
+                viol = np.flatnonzero(col >= E)
+                if len(viol) == 0:
+                    continue
+                sub = rel_sub[np.ix_(viol, viol)]
+                maximal = viol[~(sub == NESTED).any(axis=1)]
+                if not reached[maximal].all():
+                    no_finite.append({"W": inst.labels[w], "E": int(E),
+                                      "detail": "unreached rho for cover"})
+                    continue
+                lam1 = len(maximal) / (dw[pi] + 1.0)
+                dist_side = max(
+                    int(oracle_w.block(pi_set, rhos[ci]).min())
+                    for ci in maximal)
+                lam2 = dist_side / (dw[pi] + 1.0)
+                need = max(lam1, lam2)
+                if need > results[E]:
+                    results[E] = float(need)
+                    witnesses[E] = {"W": inst.labels[w],
+                                    "pair": (int(us[pi]), int(vs[pi])),
+                                    "cover": len(maximal)}
+    return {"lambda_by_E": {int(E): results[E] for E in E_grid},
+            "witnesses": {int(E): witnesses.get(E) for E in E_grid},
+            "no_finite_lambda": no_finite[:8],
+            "sample": spec.to_dict()}
+
+
 def realization_gap_loop(inst, assignments):
     all_x = np.arange(inst.X.n)
     need = np.zeros(inst.X.n, dtype=np.int64)
@@ -320,6 +382,34 @@ def test_bgi_matches_per_pair_loop(name, budget, grid):
     inst = FIXTURES[name]
     assert check_bgi(inst, E_grid=grid, pair_budget=budget, seed=3) == \
         bgi_loop(inst, E_grid=grid, pair_budget=budget, seed=3)
+
+
+def test_fixtures_cover_large_link_edge_cases():
+    """Unreached covers, nesting among the children of one W (a nonempty
+    cover join) and a reached but empty rho (the size guard)."""
+    assert check_large_links(FIXTURES["holes"], seed=0)["no_finite_lambda"]
+    nested_children = reached_empty = False
+    for inst in LL_FIXTURES.values():
+        for w in range(inst.n_indices()):
+            children = inst.nested_below(w)
+            if not len(children):
+                continue
+            sub = inst.rel[np.ix_(children, children)]
+            nested_children |= bool((sub == NESTED).any())
+            sets, reached = inst.rho_sets(children, w)
+            reached_empty |= bool((reached & (sets.sizes() == 0)).any())
+    assert nested_children and reached_empty
+
+
+@pytest.mark.parametrize("name", sorted(LL_FIXTURES))
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("kwargs", [{}, {"pair_budget": 7}, {"pair_budget": 0},
+                                    {"E_grid": (1,)}],
+                         ids=["default", "budget7", "budget0", "grid1"])
+def test_large_links_matches_per_pair_loop(name, seed, kwargs):
+    inst = LL_FIXTURES[name]
+    assert check_large_links(inst, seed=seed, **kwargs) == \
+        large_links_loop(inst, seed=seed, **kwargs)
 
 
 @pytest.mark.parametrize("name", NAMES)
