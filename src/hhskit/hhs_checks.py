@@ -459,14 +459,17 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         if len(lo):
             first = np.flatnonzero(np.diff(lo, prepend=-1))
             above[lo[first]] = np.maximum.reduceat(ds[hi], first, axis=0)
-        maximal = (ds >= grid) & (above < grid)      # (E, |children|, pairs)
+        maximal = ds >= grid                         # (E, |children|, pairs)
+        maximal &= above < grid
         cover = maximal.sum(axis=1)                  # (E, pairs)
-        blocked = (maximal & ~reached[:, None]).any(axis=1)
-        # d_W(pi_W(x), rho^T_W) per child T and pair (x, y)
+        blocked = np.any(maximal, axis=1, where=~reached[:, None])
+        # d_W(pi_W(x), rho^T_W) per child T and pair (x, y), and its
+        # largest value over each cover
         to_rho = np.empty(ds.shape, dtype=np.int32)
         for part, dist in _set_sweeps(inst.space_oracle(w), rhos):
             to_rho[part] = inst.projections[w].min_over_sets(us, dist)
-        side = np.where(maximal, to_rho, lowest).max(axis=1)
+        side = np.maximum.reduce(np.broadcast_to(to_rho, maximal.shape),
+                                 axis=1, where=maximal, initial=lowest)
         need = np.maximum(cover / dw, side / dw)
         need[(cover == 0) | blocked] = -np.inf
         # in (pair, E) order, the first 8 of the scan
