@@ -25,7 +25,9 @@ quadruples, so the drift scan dominates.
 The F2 balls are trees.  ``four_point_delta`` samples 60000 quadruples of
 the r=6 ball (1457 vertices, under MATRIX_CAP: the matrix) and of the r=8
 ball (13121 vertices: LCA), each round on a fresh graph, so the oracle's
-set-up is timed with the scan.  ``verify_factor_system`` checks the cosets
+set-up is timed with the scan.  On the r=7 ball (4373 vertices, over
+MATRIX_CAP) one ``block`` asks every vertex against a 13-vertex coset of
+<a>, the shape of a member's projection sets in the factor-system build.  ``verify_factor_system`` checks the cosets
 of <a> and <b> in the r=6 ball with 45000 sampled member pairs, the
 factor-system op of the ``tree-factor-system`` scenario benchmark.
 """
@@ -100,8 +102,8 @@ def test_rows_delta_r6_budget40000(benchmark, ball6):
 
 
 def test_rows_quasiconvexity_r6(benchmark, ball6):
-    """Quasi-convexity scan of 3000 pairs of ball vertices: about 5.8k
-    distinct rows, past the scan's own 4096-row reuse window."""
+    """Quasi-convexity scan of 3000 pairs of ball vertices: 4906 distinct
+    rows, each kept only until the last window of pairs that reads it."""
     rep = benchmark.pedantic(
         lambda g: quasiconvexity_constant(g, range(g.n), pair_budget=3000,
                                           seed=2), rounds=2,
@@ -163,6 +165,18 @@ def test_four_point_delta_tree(benchmark, radius, n):
         lambda g: four_point_delta(g, budget=60000, seed=7), rounds=3,
         setup=lambda: ((MetricGraph(ball.n, ball.edges),), {}))
     assert ball.n == n and rep.delta == 0.0
+
+
+def test_tree_block_r7_member(benchmark):
+    ball = groups.cayley_ball(F2, 7)
+    sub = groups.SubgroupSpec(F2, ["a"], label="A")
+    member = next(m for m in family_from_cosets(ball, [sub]).family
+                  if len(m) == 13).vertex_array()
+    g = ball.graph
+    d = benchmark.pedantic(
+        lambda o: o.block(np.arange(g.n), member), rounds=5,
+        setup=lambda: ((DistanceOracle(g),), {}))
+    assert g.n == 4373 and d.shape == (g.n, 13) and d.min() == 0
 
 
 def test_verify_factor_system_F2_r6(benchmark):

@@ -9,8 +9,8 @@ two r=4 lines (``product_hhs``), and each check of the axiom battery, timed
 apart, on two r=5 instances: the factor-system instance of the ball with
 the cosets of <a> and <b> (487 indices), and the augmented instance above
 (244 indices, the structure ``amalgam-pipeline`` checks).
-``check_large_links`` is also timed on the r=6 factor-system instance
-(1459 indices; its top index has 1458 children).  Every round gets
+``check_large_links`` and ``check_bgi`` are also timed on the r=6
+factor-system instance (1459 indices; its top index has 1458 children).  Every round gets
 fresh graphs and a fresh instance, so no round reads distances,
 projections or relative projections that an earlier one cached; a check
 timed apart therefore also pays for the distance matrices it is the first
@@ -81,11 +81,18 @@ def test_battery_check(benchmark, instance, check):
     benchmark.pedantic(getattr(hhs_checks, check), setup=fresh, rounds=3)
 
 
-def test_large_links_factor_f2_r6(benchmark):
-    def fresh():
-        return (build_hhs_from_factor_system(family_from_cosets(
-            G.cayley_ball(F2, 6), [SUB_A, SUB_B])),), {"seed": 1}
+def fresh_factor_f2_r6():
+    return (build_hhs_from_factor_system(family_from_cosets(
+        G.cayley_ball(F2, 6), [SUB_A, SUB_B])),), {"seed": 1}
 
-    got = benchmark.pedantic(hhs_checks.check_large_links, setup=fresh,
-                             rounds=3)
+
+def test_large_links_factor_f2_r6(benchmark):
+    got = benchmark.pedantic(hhs_checks.check_large_links,
+                             setup=fresh_factor_f2_r6, rounds=3)
     assert sorted(got["lambda_by_E"]) == list(hhs_checks.DEFAULT_E_GRID)
+
+
+def test_bgi_factor_f2_r6(benchmark):
+    got = benchmark.pedantic(hhs_checks.check_bgi, setup=fresh_factor_f2_r6,
+                             rounds=3)
+    assert got["observations"] > 0

@@ -122,23 +122,6 @@ def segments(indptr, rows):
     return owner, pos
 
 
-def bfs_distances(graph, sources):
-    """Distances from a set of sources (multi-source BFS); -1 = unreached."""
-    dist = np.full(graph.n, -1, dtype=np.int32)
-    frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
-    dist[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        nbrs = graph.indices[segments(graph.indptr, frontier)[1]]
-        if nbrs.size == 0:
-            break
-        fresh = np.unique(nbrs[dist[nbrs] < 0])
-        dist[fresh] = level
-        frontier = fresh
-    return dist
-
-
 # Sources per bfs_many sweep: one bit each of a vertex's uint64 word.
 WORD = 64
 
@@ -225,6 +208,14 @@ def bfs_many(graph, sets, cols=None):
     return out.T
 
 
+def bfs_distances(graph, sources):
+    """Distances from a set of sources (multi-source BFS); -1 = unreached.
+
+    The one-set call of ``bfs_many``."""
+    verts = np.asarray(list(sources), dtype=np.int64)
+    return bfs_many(graph, RaggedSets(verts, [0, len(verts)]))[0]
+
+
 def row_parents(graph, dist):
     """BFS parents of the source whose distance row is ``dist``.
 
@@ -235,7 +226,7 @@ def row_parents(graph, dist):
     shortlex-first on Cayley balls, whose ids are assigned in shortlex
     order.
     """
-    closer = dist[graph.indices] == np.repeat(dist - 1, np.diff(graph.indptr))
+    closer = dist[graph.indices] == np.repeat(dist - 1, graph.degrees)
     cand = np.where(closer, graph.indices, graph.n)
     parent = np.full(graph.n, graph.n, dtype=np.int64)
     parent[graph.has_nbrs] = np.minimum.reduceat(cand, graph.nbr_starts)
@@ -301,14 +292,15 @@ class DistanceOracle:
 
     Every graph with at most MATRIX_CAP vertices gets a cached all-pairs
     matrix, filled WORD rows per ``bfs_many`` sweep.  Larger graphs cache
-    no rows: trees answer ``pairs`` and ``block`` from LCA arithmetic,
-    other graphs sweep their distinct sources WORD at a time and unpack
-    each sweep only at the columns the query asks for (a ``pairs`` batch's
-    own targets, a ``block``'s columns), and ``row`` runs one BFS on
-    either, so callers that ask many rows should ask them as one
-    ``block``.  This class is the only code that knows which;
-    callers ask through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
-    ``dist_to_set``, ``geodesic`` and ``diameter_of_set``.
+    nothing: trees answer ``pairs`` from LCA arithmetic, and every other
+    query sweeps its distinct sources WORD at a time, unpacking each sweep
+    only at the columns it asks for (a ``pairs`` batch's own targets, a
+    ``block``'s columns).  ``row(u)`` is ``block([u], all)[0]`` and
+    ``geodesics`` walks the parents of its sources' rows, so callers that
+    ask many rows or paths should ask them in one call.  This class is the
+    only code that knows which strategy answers; callers ask through
+    ``pairs``, ``block``, ``row``, ``dist_to_sets``, ``dist_to_set``,
+    ``geodesics``, ``geodesic`` and ``diameter_of_set``.
     """
 
     def __init__(self, graph):
@@ -318,7 +310,6 @@ class DistanceOracle:
         lca = not self._use_matrix and graph.is_tree()
         self._tree = _TreeMetric(graph) if lca else None
         self._matrix = None
-        self._parents = {}
 
     def matrix(self):
         """The cached all-pairs matrix; internal to the matrix strategy."""
@@ -338,19 +329,19 @@ class DistanceOracle:
         ``us[sel[i]]`` is ``sources[r[i]]``; the caller sweeps each batch
         once, reading only the columns it needs, and drops its rows after.
         """
-        src, inv = np.unique(us, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        cuts = np.append(np.searchsorted(inv[order],
-                                         np.arange(0, len(src), WORD)),
-                         len(us))
+        order = np.argsort(us, kind="stable")
+        first = np.ones(len(us), dtype=bool)
+        first[1:] = us[order[1:]] != us[order[:-1]]
+        rank = np.cumsum(first) - 1  # of each us[order[i]] among the sources
+        src = us[order[first]]
+        cuts = np.searchsorted(rank, np.arange(0, len(src) + WORD, WORD))
         for b, lo in enumerate(range(0, len(src), WORD)):
-            sel = order[cuts[b]:cuts[b + 1]]
-            yield sel, RaggedSets.singletons(src[lo:lo + WORD]), inv[sel] - lo
+            sel = slice(cuts[b], cuts[b + 1])
+            yield (order[sel], RaggedSets.singletons(src[lo:lo + WORD]),
+                   rank[sel] - lo)
 
     def row(self, u):
-        if self._use_matrix:
-            return self.matrix()[u].astype(np.int32)
-        return bfs_distances(self.graph, [u])
+        return self.block([u], np.arange(self.n))[0]
 
     def pairs(self, us, vs):
         us = np.asarray(us, dtype=np.int64)
@@ -371,9 +362,6 @@ class DistanceOracle:
         b = np.asarray(b, dtype=np.int64)
         if self._use_matrix:
             return self.matrix()[np.ix_(a, b)].astype(np.int32)
-        if self._tree is not None:
-            d = self._tree.pair_dist(np.repeat(a, len(b)), np.tile(b, len(a)))
-            return d.reshape(len(a), len(b))
         if len(b) < len(a):
             return self.block(b, a).T
         out = np.empty((len(a), len(b)), dtype=np.int32)
@@ -408,32 +396,53 @@ class DistanceOracle:
         verts = np.asarray(list(verts), dtype=np.int64)
         return self.dist_to_sets(RaggedSets(verts, [0, len(verts)]))[0]
 
-    def parents_from(self, u):
-        if u not in self._parents:
-            self._parents[u] = row_parents(self.graph, self.row(u))
-        return self._parents[u]
+    def geodesics(self, us, vs):
+        """A deterministic geodesic from us[i] to vs[i], per i, as vertex lists.
+
+        Each distinct source's row is asked once, WORD sources per
+        ``block``; a path walks the smallest-id parents (``row_parents``)
+        of its source's row back from vs[i].  Raises Disconnected on an
+        unreached pair.
+        """
+        vs = np.asarray(vs, dtype=np.int64)
+        paths = [None] * len(vs)
+        for sel, sources, r in self._sweeps(np.asarray(us, dtype=np.int64)):
+            rows = self.block(sources.flat, np.arange(self.n))
+            parents = [row_parents(self.graph, row) for row in rows]
+            for i, s in zip(sel.tolist(), r.tolist()):
+                u, w = int(sources.flat[s]), int(vs[i])
+                if rows[s, w] < 0:
+                    raise Disconnected(f"no path from {u} to {w}")
+                path = [w]
+                while w != u:
+                    w = int(parents[s][w])
+                    path.append(w)
+                paths[i] = path[::-1]
+        return paths
 
     def geodesic(self, u, v):
         """A deterministic geodesic from u to v as a vertex list."""
-        parent = self.parents_from(u)
-        if u != v and parent[v] < 0:
-            raise Disconnected(f"no path from {u} to {v}")
-        path = [int(v)]
-        w = int(v)
-        while w != u:
-            w = int(parent[w])
-            path.append(w)
-        return path[::-1]
+        return self.geodesics([u], [v])[0]
 
-    def diameter_of_set(self, verts, pair_budget=None):
+    def diameter_of_set(self, verts):
         """Max pairwise distance within a vertex set (0 for empty/singleton)."""
         verts = np.asarray(list(verts), dtype=np.int64)
         if len(verts) <= 1:
             return 0
-        if pair_budget is not None and len(verts) * (len(verts) - 1) // 2 > pair_budget:
-            raise BudgetExceeded("diameter scan over pair budget")
         us, vs = np.triu_indices(len(verts), k=1)
         return int(self.pairs(verts[us], verts[vs]).max())
+
+
+def _component(graph, root, vset):
+    """The vertices of ``vset`` that root reaches inside it (root in vset)."""
+    comp = {root}
+    stack = [root]
+    while stack:
+        for nb in graph.neighbors(stack.pop()).tolist():
+            if nb in vset and nb not in comp:
+                comp.add(nb)
+                stack.append(nb)
+    return comp
 
 
 class Subgraph:
@@ -454,17 +463,8 @@ class Subgraph:
             raise ValueError(f"induced subgraph {label or self.vertices[:4]} is not connected")
 
     def _connected_check(self):
-        vset = set(self.vertices)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            w = stack.pop()
-            for nb in self.parent.neighbors(w):
-                nb = int(nb)
-                if nb in vset and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.vertices)
+        return len(_component(self.parent, self.vertices[0],
+                              set(self.vertices))) == len(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
@@ -551,26 +551,13 @@ def connected_hull(graph, verts, label=None, flags=()):
         return Subgraph(graph, verts, label=label, flags=flags)
     except ValueError:
         pass
-    vset = set(verts)
-    comps = []
-    unseen = set(verts)
+    # each component's smallest vertex, bridged to the first one's
+    vset, unseen, roots = set(verts), set(verts), []
     while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for nb in graph.neighbors(w):
-                nb = int(nb)
-                if nb in vset and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-        unseen -= comp
-    oracle = graph.oracle()
-    filled = set(verts)
-    for comp in comps[1:]:
-        filled.update(oracle.geodesic(comps[0][0], comp[0]))
+        roots.append(min(unseen))
+        unseen -= _component(graph, roots[-1], vset)
+    bridges = graph.oracle().geodesics(roots[:1] * (len(roots) - 1), roots[1:])
+    filled = vset.union(*bridges)
     return Subgraph(graph, sorted(filled), label=label,
                     flags=tuple(flags) + ("hull-completed",))
 
@@ -697,19 +684,22 @@ def quasiconvexity_constant(graph, h, pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     q = -1
     witness_pair = None
     witness_vertex = None
+    # the pairs' ends in order, WORD (WORD // 2 pairs) a window, so one
+    # query (one sweep) fetches every row the window still lacks; a row is
+    # kept until the last window that reads it, copied out of its block if
+    # it outlives the window, so that the block goes with the window
+    ends = np.stack([verts[us], verts[vs]], axis=1).ravel().tolist()
+    last = {w: p for p, w in enumerate(ends)}
     rows = {}
     all_v = np.arange(graph.n)
-    # WORD // 2 pairs at a time, so one query (one sweep) fetches every
-    # endpoint row the window still lacks
-    for lo in range(0, len(us), WORD // 2):
-        wu = verts[us[lo:lo + WORD // 2]].tolist()
-        wv = verts[vs[lo:lo + WORD // 2]].tolist()
-        if len(rows) > 4096:
-            rows.clear()
-        need = [w for w in dict.fromkeys(wu + wv) if w not in rows]
+    for lo in range(0, len(ends), WORD):
+        window = ends[lo:lo + WORD]
+        distinct = list(dict.fromkeys(window))
+        need = [w for w in distinct if w not in rows]
         if need:
-            rows.update(zip(need, oracle.block(need, all_v)))
-        for u, v in zip(wu, wv):
+            rows.update((w, row if last[w] < lo + WORD else row.copy())
+                        for w, row in zip(need, oracle.block(need, all_v)))
+        for u, v in zip(window[::2], window[1::2]):
             d = rows[u][v]
             on_geo = rows[u] + rows[v] == d
             local = dist_to_h[on_geo]
@@ -718,6 +708,9 @@ def quasiconvexity_constant(graph, h, pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
                 q = int(local[zi])
                 witness_pair = (u, v)
                 witness_vertex = int(np.flatnonzero(on_geo)[zi])
+        for w in distinct:
+            if last[w] < lo + WORD:
+                del rows[w]
     return QuasiconvexityReport(max(q, 0), witness_pair, witness_vertex, spec)
 
 

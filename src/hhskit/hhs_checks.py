@@ -66,7 +66,7 @@ def _rho_sweeps(inst, src, tgt):
     Yields ``(t, rows, reached, dist)`` for up to WORD needs at a time: one
     column of relative projections per t, and one set-seeded sweep per
     chunk giving ``dist``, shape ``(len(rows), n_t)``, -1 rows where rho is
-    unreached or empty.
+    unreached.
     """
     for t, rows in _by_target(tgt):
         sets, reached = inst.rho_sets(src[rows], t)
@@ -251,7 +251,7 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     unreached = 0
     for v, rows in _by_target(vs):
         sets, reached = inst.rho_sets(us[rows], v)
-        unreached += int((~reached | (sets.sizes() == 0)).sum())
+        unreached += int((~reached).sum())
         big = np.flatnonzero(reached & (sets.sizes() > 1))
         if len(big):
             xi = max(xi, int(ragged_diameters(inst.space_oracle(v), sets,
@@ -380,8 +380,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
                    "pair": (inst.labels[nv[k]], inst.labels[nw[k]]),
                    "x": int(xs[i])}
 
-    # rho-consistency: U nested in V, W sees both; an empty rho has no
-    # distance to the other one, so it counts as unreached here
+    # rho-consistency: U nested in V, W sees both
     tk, tw = _rho_chain_triples(rel, nested)
     tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
     (cu, cv), cw = nested[tk[tridx]].T, tw[tridx]
@@ -390,9 +389,8 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
         src, inv = np.unique(np.concatenate([cu[rows], cv[rows]]),
                              return_inverse=True)
         sets, reached = inst.rho_sets(src, w)
-        full = reached & (sets.sizes() > 0)
         a, b = inv[:len(rows)], inv[len(rows):]
-        hit = full[a] & full[b]
+        hit = reached[a] & reached[b]
         unreached += int((~hit).sum())
         d[rows[hit]] = ragged_set_distances(inst.space_oracle(w), sets,
                                             a[hit], sets, b[hit])
@@ -447,7 +445,6 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
                        for t in children])           # (|children|, pairs)
         dw = _pi_rep_distance(inst, w, us, vs) + 1.0
         rhos, reached = inst.rho_sets(children, w)
-        reached &= rhos.sizes() > 0
         # per child, the largest d over the children it is nested in: a
         # join of the children with the nested pairs, which lists each
         # child's pairs together
@@ -501,12 +498,12 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
     nested = np.argwhere(inst.rel == NESTED)
     idx, spec = sample_indices(len(nested), pair_budget, seed)
     vs, ws = nested[idx].T
-    # one rho column per target; the pairs whose rho is reached and nonempty
+    # one rho column per target; the pairs whose rho is reached
     columns = []
     full = np.zeros(len(vs), dtype=bool)
     for w, rows in _by_target(ws):
         sets, reached = inst.rho_sets(vs[rows], w)
-        hit = np.flatnonzero(reached & (sets.sizes() > 0))
+        hit = np.flatnonzero(reached)
         full[rows[hit]] = True
         columns.append((w, rows[hit], sets.take(hit)))
     keep = np.flatnonzero(full)
@@ -521,13 +518,17 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
     for w, rows, sets in columns:
         oracle_w = inst.space_oracle(w)
         carrier = _carrier(inst, w)
+        # every geodesic into W in one query, in (pair, draw) order
+        src, dst = ends[rows].reshape(-1, 2).T
+        drawn = src != dst
+        paths = iter(oracle_w.geodesics(src[drawn], dst[drawn]))
         for part, dist_rho in _set_sweeps(oracle_w, sets):
             for k, dist in zip(rows[part].tolist(), dist_rho):
                 v = int(vs[k])
                 for a, b in ends[k].tolist():
                     if a == b:
                         continue
-                    path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
+                    path = np.asarray(next(paths), dtype=np.int64)
                     image = np.unique(inst.pi_rep(v)[carrier[path]])
                     observations.append((
                         k, int(dist[path].min()),
@@ -555,7 +556,7 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
 
 def _rho_terms(inst, vs):
     """Per v in vs and X-vertex x: max(0, the largest d_W(pi_W(x), rho^v_W)
-    over the W with rho^v_W reached and nonempty), one column per W."""
+    over the W with rho^v_W reached), one column per W."""
     n, all_x = inst.n_indices(), np.arange(inst.X.n, dtype=np.int64)
     out = np.zeros((len(vs), inst.X.n), dtype=np.int64)
     src, tgt = np.repeat(vs, n), np.tile(np.arange(n), len(vs))

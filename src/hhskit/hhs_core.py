@@ -189,13 +189,16 @@ class HHSInstance:
     def rho_sets(self, us, v):
         """rho^u_v for every u in ``us``: ``(RaggedSets, reached)``.
 
-        Pairs that are neither nested nor transverse are unreached.
+        Pairs that are neither nested nor transverse are unreached, and so
+        is an empty rho, which has no distance to anything.
         """
         us = np.asarray(us, dtype=np.int64)
         rel = self.rel[us, v]
         rows = np.flatnonzero((rel == NESTED) | (rel == TRANSVERSE))
         out = self._rho_provider(self, us[rows], v) if len(rows) else None
-        return assemble_column(len(us), [] if out is None else [(rows, *out)])
+        sets, reached = assemble_column(
+            len(us), [] if out is None else [(rows, *out)])
+        return sets, reached & (sets.sizes() > 0)
 
     def rho(self, u, v):
         """rho^u_v as C(v)-vertex ids, or None when unreached."""
@@ -408,8 +411,8 @@ def normalize(inst):
             return sets, reached
         mapped = keep_maps[v][sets.flat]
         kept = mapped >= 0
-        sets = RaggedSets.union(sets.owners()[kept], mapped[kept], len(us))
-        return sets, reached & (sets.sizes() > 0)
+        return (RaggedSets.union(sets.owners()[kept], mapped[kept], len(us)),
+                reached)
 
     def rho_down_provider(new_inst, w, v, verts):
         verts = np.asarray(verts, dtype=np.int64)

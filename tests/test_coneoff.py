@@ -269,4 +269,3 @@ def test_drift_scan_matches_per_pair_loop(monkeypatch, name, strategy, chunk):
         assert rep["sample"].mode == "sampled"
         assert rep["sample"].drawn == len(pairs)
         assert (rep["hausdorff_H"], rep["witness"]) == drift_loop(cg, pairs)
-    assert cg.base.oracle()._parents == {}

@@ -19,7 +19,7 @@ from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
                                four_point_value, quasiconvexity_constant,
                                ragged_diameters, ragged_hausdorff,
                                ragged_set_distances, read_edge_list,
-                               row_parents, shortest_path, to_dot,
+                               row_parents, segments, shortest_path, to_dot,
                                write_edge_list)
 from hhskit.sampling import sample_unordered_pairs
 
@@ -61,6 +61,24 @@ def bfs_parents(graph, source):
                     nxt.append(w)
         level = nxt
     return np.array(dist), np.array(parent)
+
+
+def bfs_levels(graph, sources):
+    """Multi-source BFS one level at a time, ``np.unique`` on every level
+    (the form ``bfs_distances`` had before it called ``bfs_many``)."""
+    dist = np.full(graph.n, -1, dtype=np.int32)
+    frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        nbrs = graph.indices[segments(graph.indptr, frontier)[1]]
+        if nbrs.size == 0:
+            break
+        fresh = np.unique(nbrs[dist[nbrs] < 0])
+        dist[fresh] = level
+        frontier = fresh
+    return dist
 
 
 def hausdorff_distance(graph, a, b):
@@ -125,8 +143,8 @@ def scattered_graphs(draw, max_n=12):
 
 
 @st.composite
-def trees(draw, max_n=40):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def trees(draw, max_n=40, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     edges = []
     for v in range(1, n):
         p = draw(st.integers(0, v - 1))
@@ -272,7 +290,8 @@ def test_bfs_many_equals_stacked_bfs(g, k, data):
                                  min_size=k, max_size=k))
     rows = bfs_many(g, RaggedSets.singletons(np.asarray(sources)))
     assert rows.dtype == np.int32
-    assert rows.tolist() == [bfs_distances(g, [u]).tolist() for u in sources]
+    assert rows.tolist() == [bfs_levels(g, [u]).tolist() for u in sources]
+    assert [bfs_distances(g, [u]).tolist() for u in sources] == rows.tolist()
     with pytest.raises(ValueError):
         bfs_many(g, RaggedSets.singletons(np.zeros(graph_core.WORD + 1)))
 
@@ -304,7 +323,8 @@ def test_bfs_many_on_sets_equals_multi_source_bfs(g, data):
     rows = bfs_many(g, RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
                                                for x in sets]))
     assert rows.shape == (len(sets), g.n) and rows.dtype == np.int32
-    assert rows.tolist() == [bfs_distances(g, x).tolist() for x in sets]
+    assert rows.tolist() == [bfs_levels(g, x).tolist() for x in sets]
+    assert [bfs_distances(g, x).tolist() for x in sets] == rows.tolist()
 
 
 @given(st.one_of(scattered_graphs(), st.just(MetricGraph(1, [])),
@@ -366,7 +386,7 @@ def test_bfs_many_push_and_pull_levels(monkeypatch, g, sets, levels):
     swept = rows.max() + 1  # the last level finds nothing new
     assert {"push": len(pushes) == swept, "pull": not pushes,
             "both": 0 < len(pushes) < swept}[levels]
-    assert rows.tolist() == [bfs_distances(g, x).tolist() for x in sets]
+    assert rows.tolist() == [bfs_levels(g, x).tolist() for x in sets]
     cols = np.random.default_rng(0).integers(0, g.n, 2 * g.n)
     assert bfs_many(g, ragged, cols).tolist() == rows[:, cols].tolist()
 
@@ -379,7 +399,7 @@ def test_dist_to_sets_answers_like_multi_source_bfs(g, data):
     sets = data.draw(vertex_sets(g, graph_core.WORD + 1, graph_core.WORD + 20))
     ragged = RaggedSets.from_arrays([np.asarray(x, dtype=np.int64)
                                      for x in sets])
-    expect = [bfs_distances(g, x).tolist() for x in sets]
+    expect = [bfs_levels(g, x).tolist() for x in sets]
     for cap in STRATEGIES.values():
         oracle = oracle_with(g, cap)
         assert oracle.dist_to_sets(ragged).tolist() == expect
@@ -507,6 +527,38 @@ def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
         assert one_call == delta()
 
 
+GEODESIC_CASES = strategy_cases(
+    connected_graphs(min_n=graph_core.WORD + 2, max_n=150),
+    trees(min_n=graph_core.WORD + 2, max_n=150))
+
+
+@pytest.mark.parametrize("strategy", sorted(GEODESIC_CASES))
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_geodesics_walk_each_sources_bfs_parents(strategy, data):
+    """One call over more distinct sources than a sweep holds, in shuffled
+    order with repeats, walks each pair's bfs_parents back from v; with an
+    isolated vertex added, a pair that cannot reach it raises."""
+    matrix_cap, graphs = GEODESIC_CASES[strategy]
+    g = data.draw(graphs)
+    assert_strategy(strategy, g, matrix_cap)
+    ends = st.integers(0, g.n - 1)
+    us = data.draw(st.permutations(range(g.n))) + data.draw(st.lists(ends))
+    vs = data.draw(st.lists(ends, min_size=len(us), max_size=len(us)))
+    parents = {u: bfs_parents(g, u)[1] for u in set(us)}
+    walks = []
+    for u, v in zip(us, vs):
+        walk = [v]
+        while walk[-1] != u:
+            walk.append(int(parents[u][walk[-1]]))
+        walks.append(walk[::-1])
+    assert oracle_with(g, matrix_cap).geodesics(us, vs) == walks
+    lone = oracle_with(MetricGraph(g.n + 1, g.edges), matrix_cap)
+    for pair in ((us[0], g.n), (g.n, us[0])):
+        with pytest.raises(Disconnected):
+            lone.geodesics(us + [pair[0]], vs + [pair[1]])
+
+
 def test_rows_strategy_reads_only_the_queried_columns(monkeypatch):
     """Without a matrix, a cycle's ``pairs`` sweeps read each batch's own
     targets and a ``block``'s sweeps read its longer side, and no more."""
@@ -560,6 +612,8 @@ def test_strategy_follows_graph_size(monkeypatch):
     small = path_graph(cap).oracle()
     assert small.matrix().shape == (cap, cap)
     assert small.dist(0, cap - 1) == cap - 1
+    # built first: building an oracle runs one connectivity BFS
+    tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
     calls = []
     for name, owner in (("lca", graph_core._TreeMetric),
                         ("bfs_many", graph_core)):
@@ -567,7 +621,6 @@ def test_strategy_follows_graph_size(monkeypatch):
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(owner, name, spy)
-    tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
     for oracle in (tree, cycle):
         with pytest.raises(BudgetExceeded):
             oracle.matrix()

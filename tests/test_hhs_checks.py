@@ -89,6 +89,9 @@ def fixtures():
         "factor3": factor(3),
         "gog_Q": gog.vertices["Q"].instance,
     }
+    # every fourth rho reached but empty, which counts as unreached
+    out["empty"] = edited_bundle(prod, lambda i, r, n: [] if i % 4 == 0
+                                 else r)
     for e in gog.edges.values():
         for v, inst in e.instance.items():
             out[f"gog_edge_{v}"] = inst
@@ -97,10 +100,6 @@ def fixtures():
 
 FIXTURES = fixtures()
 NAMES = sorted(FIXTURES)
-# every fourth rho reached but empty; consistency_loop takes a minimum over
-# such a rho, so this fixture is kept out of FIXTURES
-LL_FIXTURES = dict(FIXTURES, empty=edited_bundle(
-    FIXTURES["product"], lambda i, r, n: [] if i % 4 == 0 else r))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +108,12 @@ LL_FIXTURES = dict(FIXTURES, empty=edited_bundle(
 def pi_min_loop(inst, u, xs, target):
     dist = bfs_distances(inst.spaces[u], target)
     return np.asarray([dist[inst.pi(u, int(x))].min() for x in xs])
+
+
+def rho_or_none(inst, u, v):
+    """rho^u_v, or None when it is unreached or empty."""
+    r = inst.rho(u, v)
+    return r if r is not None and len(r) else None
 
 
 def consistency_loop(inst, pair_budget=20_000, point_budget=60,
@@ -121,7 +126,7 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
     tidx, tspec = sample_indices(len(trans), pair_budget, seed)
     for k in tidx:
         u, v = int(trans[k][0]), int(trans[k][1])
-        rho_vu, rho_uv = inst.rho(v, u), inst.rho(u, v)
+        rho_vu, rho_uv = rho_or_none(inst, v, u), rho_or_none(inst, u, v)
         if rho_vu is None or rho_uv is None:
             unreached += 1
             continue
@@ -137,7 +142,7 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
     nidx, nspec = sample_indices(len(nested), pair_budget, seed + 1)
     for k in nidx:
         v, w = int(nested[k][0]), int(nested[k][1])
-        rho_vw = inst.rho(v, w)
+        rho_vw = rho_or_none(inst, v, w)
         if rho_vw is None:
             unreached += 1
             continue
@@ -156,7 +161,7 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
     tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
     for k, w in zip(tk[tridx].tolist(), tw[tridx].tolist()):
         u, v = int(nested[k][0]), int(nested[k][1])
-        ru, rv = inst.rho(u, w), inst.rho(v, w)
+        ru, rv = rho_or_none(inst, u, w), rho_or_none(inst, v, w)
         if ru is None or rv is None:
             unreached += 1
             continue
@@ -386,28 +391,33 @@ def test_bgi_matches_per_pair_loop(name, budget, grid):
 
 def test_fixtures_cover_large_link_edge_cases():
     """Unreached covers, nesting among the children of one W (a nonempty
-    cover join) and a reached but empty rho (the size guard)."""
+    cover join) and rho that the bundle stores reached but empty, which
+    ``rho_sets`` reports unreached."""
     assert check_large_links(FIXTURES["holes"], seed=0)["no_finite_lambda"]
-    nested_children = reached_empty = False
-    for inst in LL_FIXTURES.values():
+    nested_children = False
+    for inst in FIXTURES.values():
         for w in range(inst.n_indices()):
             children = inst.nested_below(w)
-            if not len(children):
-                continue
             sub = inst.rel[np.ix_(children, children)]
             nested_children |= bool((sub == NESTED).any())
-            sets, reached = inst.rho_sets(children, w)
-            reached_empty |= bool((reached & (sets.sizes() == 0)).any())
-    assert nested_children and reached_empty
+    assert nested_children
+    inst = FIXTURES["empty"]
+    us, vs = inst.eligible_rho_pairs()
+    stored = [inst._rho_provider(inst, np.asarray([u]), v)
+              for u, v in zip(us.tolist(), vs.tolist())]
+    empty = [reached[0] and sets.sizes()[0] == 0 for sets, reached in stored]
+    assert any(empty)
+    assert [inst.rho(u, v) is None for u, v in zip(us, vs)] == [
+        not reached[0] or e for (_, reached), e in zip(stored, empty)]
 
 
-@pytest.mark.parametrize("name", sorted(LL_FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("kwargs", [{}, {"pair_budget": 7}, {"pair_budget": 0},
                                     {"E_grid": (1,)}],
                          ids=["default", "budget7", "budget0", "grid1"])
 def test_large_links_matches_per_pair_loop(name, seed, kwargs):
-    inst = LL_FIXTURES[name]
+    inst = FIXTURES[name]
     assert check_large_links(inst, seed=seed, **kwargs) == \
         large_links_loop(inst, seed=seed, **kwargs)
 
