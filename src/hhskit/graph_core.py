@@ -329,16 +329,14 @@ class DistanceOracle:
         ``us[sel[i]]`` is ``sources[r[i]]``; the caller sweeps each batch
         once, reading only the columns it needs, and drops its rows after.
         """
-        order = np.argsort(us, kind="stable")
-        first = np.ones(len(us), dtype=bool)
-        first[1:] = us[order[1:]] != us[order[:-1]]
-        rank = np.cumsum(first) - 1  # of each us[order[i]] among the sources
-        src = us[order[first]]
-        cuts = np.searchsorted(rank, np.arange(0, len(src) + WORD, WORD))
+        src, inv = np.unique(us, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        cuts = np.append(np.searchsorted(inv[order],
+                                         np.arange(0, len(src), WORD)),
+                         len(us))
         for b, lo in enumerate(range(0, len(src), WORD)):
-            sel = slice(cuts[b], cuts[b + 1])
-            yield (order[sel], RaggedSets.singletons(src[lo:lo + WORD]),
-                   rank[sel] - lo)
+            sel = order[cuts[b]:cuts[b + 1]]
+            yield sel, RaggedSets.singletons(src[lo:lo + WORD]), inv[sel] - lo
 
     def row(self, u):
         return self.block([u], np.arange(self.n))[0]

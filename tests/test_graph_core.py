@@ -291,7 +291,6 @@ def test_bfs_many_equals_stacked_bfs(g, k, data):
     rows = bfs_many(g, RaggedSets.singletons(np.asarray(sources)))
     assert rows.dtype == np.int32
     assert rows.tolist() == [bfs_levels(g, [u]).tolist() for u in sources]
-    assert [bfs_distances(g, [u]).tolist() for u in sources] == rows.tolist()
     with pytest.raises(ValueError):
         bfs_many(g, RaggedSets.singletons(np.zeros(graph_core.WORD + 1)))
 
