@@ -4,8 +4,11 @@ scan, with pytest-benchmark.
     PYTHONPATH=src python -m pytest bench/bench_graph_core.py --benchmark-json OUT.json
 
 The oracle graphs are Cayley balls of the RAAG Z^2 * Z = <a, b, c | [a, b]>:
-at r=5 (2583 vertices) the oracle builds its matrix, at r=6 (10945
-vertices, over MATRIX_CAP) it answers from BFS rows.  Every round asks a
+at r=5 (2583 vertices) the oracle builds its matrix; at r=6 (10945
+vertices, over MATRIX_CAP) it answers ``pairs`` from its block-cut tree
+(8361 blocks, the largest of 81 vertices) and rows from BFS sweeps.  The
+block strategy's build, on the first ``pairs`` call of a fresh oracle, is
+timed on its own.  Every round asks a
 fresh oracle (a fresh graph where the code under test asks the graph for
 its oracle), so no round reads what an earlier one cached.  Within a
 round, the repeated-query cases ask the same oracle many times, as the
@@ -24,10 +27,12 @@ quadruples, so the drift scan dominates.
 
 The F2 balls are trees.  ``four_point_delta`` samples 60000 quadruples of
 the r=6 ball (1457 vertices, under MATRIX_CAP: the matrix) and of the r=8
-ball (13121 vertices: LCA), each round on a fresh graph, so the oracle's
-set-up is timed with the scan.  On the r=7 ball (4373 vertices, over
-MATRIX_CAP) one ``block`` asks every vertex against a 13-vertex coset of
-<a>, the shape of a member's projection sets in the factor-system build.  ``verify_factor_system`` checks the cosets
+ball (13121 vertices: the block-cut tree, every block an edge), each
+round on a fresh graph, so the oracle's set-up is timed with the scan.  On
+the r=7 ball (4373 vertices, over MATRIX_CAP) one ``pairs`` asks 100k
+random pairs of a fresh oracle (the build of its block-cut tree included),
+and one ``block`` asks every vertex against a 13-vertex coset of <a>, the
+shape of a member's projection sets in the factor-system build.  ``verify_factor_system`` checks the cosets
 of <a> and <b> in the r=6 ball with 45000 sampled member pairs, the
 factor-system op of the ``tree-factor-system`` scenario benchmark.
 """
@@ -73,10 +78,22 @@ def test_matrix_r5(benchmark, ball5):
 
 
 def test_rows_pairs_r6_delta_query(benchmark, ball6):
+    """The pair lists of 4000 quadruples on a fresh oracle: BFS rows until
+    the block-cut tree answered ``pairs``, which it now does (its build
+    included)."""
     us, vs = quad_query(ball6.n)
     d = benchmark.pedantic(lambda o: o.pairs(us, vs), rounds=3,
                            setup=lambda: ((DistanceOracle(ball6),), {}))
     assert len(d) == len(us) and (d > 0).all()
+
+
+def test_blocks_build_r6(benchmark, ball6):
+    """The first ``pairs`` call of a fresh oracle, one pair: the block-cut
+    tree, the distances from the root, the lifting tables and every block
+    matrix."""
+    d = benchmark.pedantic(lambda o: o.pairs([0], [ball6.n - 1]), rounds=5,
+                           setup=lambda: ((DistanceOracle(ball6),), {}))
+    assert d[0] == 6
 
 
 def test_bfs_distances_one_source_r6(benchmark, ball6):
@@ -165,6 +182,16 @@ def test_four_point_delta_tree(benchmark, radius, n):
         lambda g: four_point_delta(g, budget=60000, seed=7), rounds=3,
         setup=lambda: ((MetricGraph(ball.n, ball.edges),), {}))
     assert ball.n == n and rep.delta == 0.0
+
+
+def test_tree_pairs_r7(benchmark):
+    """100k random pairs of the F2 r=7 tree on a fresh oracle (the tree
+    LCA's path before the block-cut tree)."""
+    g = groups.cayley_ball(F2, 7).graph
+    us, vs = np.random.default_rng(11).integers(0, g.n, size=(2, 100_000))
+    d = benchmark.pedantic(lambda o: o.pairs(us, vs), rounds=5,
+                           setup=lambda: ((DistanceOracle(g),), {}))
+    assert g.n == 4373 and d.max() == 14
 
 
 def test_tree_block_r7_member(benchmark):

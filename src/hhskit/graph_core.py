@@ -3,10 +3,10 @@
 Everything downstream (Cayley balls, cone-offs, coordinate spaces of
 hierarchical structures) is one of these graphs, so the module carries the
 shared machinery: BFS distances, deterministic geodesics, a distance oracle
-with a fast path for trees, hyperbolicity and quasi-convexity estimation,
-closest-point projections, and ragged distance blocks that answer many
-small set-to-set queries (Hausdorff distances among them) in one oracle
-call.
+with a fast path through the block-cut tree, hyperbolicity and
+quasi-convexity estimation, closest-point projections, and ragged distance
+blocks that answer many small set-to-set queries (Hausdorff distances among
+them) in one oracle call.
 
 Distances are integers; hyperbolicity deltas are half-integers.  All "sup
 over the infinite space" quantities are maxima over the built graph and the
@@ -234,56 +234,200 @@ def row_parents(graph, dist):
     return parent
 
 
-# Most pairs one LCA pass lifts at a time.
-LCA_CHUNK = 1 << 14
+def block_cut_tree(graph):
+    """The blocks of a connected graph: ``(blk, top)``, by Hopcroft–Tarjan.
+
+    An iterative depth-first search from vertex 0 over the CSR arrays
+    keeps each vertex's preorder number and low point (the least preorder
+    number a back edge from its subtree reaches) and a stack of the
+    vertices it has entered.  When it leaves a tree edge (p, v) with
+    ``low[v] >= pre[p]``, the vertices on the stack down to v, with p,
+    form one block (a biconnected component), and they are popped.  So
+    every vertex v but the root is a non-top member of exactly one block,
+    ``blk[v]``, the block of its tree edge, and block b hangs from its top
+    vertex ``top[b]``, the p of that edge.  Blocks are numbered in the
+    order they close, which puts a block before the block that holds its
+    top.  Block ``nb = len(top) - 1`` is the root's own, with ``blk[0] ==
+    top[nb] == 0``, so the block tree's parent map is ``blk[top]``.
+    Raises Disconnected if the search does not reach every vertex.
+    """
+    ptr = graph.indptr.tolist()
+    adj = graph.indices.tolist()
+    nxt = ptr[:-1]
+    pre = [-1] * graph.n
+    low = [0] * graph.n
+    blk = [0] * graph.n
+    tops = []
+    pre[0] = 0
+    count = 1
+    at = [0] * graph.n  # where each vertex sits on the stack
+    path, stack = [0], []
+    while path:
+        v = path[-1]
+        i = nxt[v]
+        if i < ptr[v + 1]:
+            nxt[v] = i + 1
+            w = adj[i]
+            if pre[w] < 0:
+                pre[w] = low[w] = count
+                count += 1
+                path.append(w)
+                at[w] = len(stack)
+                stack.append(w)
+            elif pre[w] < low[v]:
+                # the tree edge back to the parent counts too: a child's
+                # low then never exceeds its parent's preorder number, and
+                # ``low[v] >= pre[p]`` still holds exactly at block ends
+                low[v] = pre[w]
+            continue
+        path.pop()
+        if not path:
+            break
+        p = path[-1]
+        if low[v] >= pre[p]:
+            for w in stack[at[v]:]:
+                blk[w] = len(tops)
+            del stack[at[v]:]
+            tops.append(p)
+        elif low[v] < low[p]:
+            low[p] = low[v]
+    if count < graph.n:
+        raise Disconnected("block_cut_tree requires a connected graph")
+    blk[0] = len(tops)
+    tops.append(0)
+    return np.array(blk, dtype=np.int64), np.array(tops, dtype=np.int64)
 
 
-class _TreeMetric:
-    """O(1)-ish distance queries on a tree via binary-lifting LCA."""
+# Most pairs one pass of a matrix gather or a block-tree lift reads at a
+# time; its temporaries grow with it.
+PAIRS_CHUNK = 1 << 14
 
-    def __init__(self, graph):
-        n = graph.n
-        dist = bfs_distances(graph, [0])
-        self.depth = dist.astype(np.int64)
-        parent = row_parents(graph, dist)
-        parent[0] = 0
-        logn = max(1, int(np.ceil(np.log2(max(n, 2)))))
-        self.up = np.empty((logn, n), dtype=np.int64)
-        self.up[0] = parent
-        for k in range(1, logn):
-            self.up[k] = self.up[k - 1][self.up[k - 1]]
-        self.logn = logn
 
-    def lca(self, us, vs):
-        us = np.array(us, dtype=np.int64, copy=True)
-        vs = np.array(vs, dtype=np.int64, copy=True)
-        du, dv = self.depth[us], self.depth[vs]
-        swap = du < dv
-        us[swap], vs[swap] = vs[swap], us[swap].copy()
-        diff = np.abs(du - dv)
-        for k in range(self.logn):
-            lift = (diff >> k) & 1 == 1
-            if lift.any():
-                us[lift] = self.up[k][us[lift]]
-        neq = us != vs
-        for k in range(self.logn - 1, -1, -1):
-            cand = neq & (self.up[k][us] != self.up[k][vs])
-            if cand.any():
-                us[cand] = self.up[k][us[cand]]
-                vs[cand] = self.up[k][vs[cand]]
-        out = us.copy()
-        out[neq] = self.up[0][us[neq]]
-        return out
+class _BlockMetric:
+    """Exact distances of a connected graph from its block-cut tree.
 
-    def pair_dist(self, us, vs):
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+    Two facts make distances factor through the blocks (``block_cut_tree``):
+
+    - a geodesic between two vertices of a block stays inside the block:
+      a path that leaves a block through a cut vertex can only come back
+      through the same cut vertex, so cutting out the loop shortens it;
+    - every path from the root into a block's subtree (the non-top members
+      of the block and of the blocks below it) passes through that block's
+      top vertex, since removing the top separates the subtree from the
+      root.
+
+    Let ``D`` be the distance from the root and L the lowest common
+    ancestor of ``blk[u]`` and ``blk[v]`` in the block tree.  The paths
+    from u and v enter L at a and b: u itself when ``blk[u]`` is L, else
+    the top of the child of L on u's side (likewise b).  By the second
+    fact ``D(u) = D(a) + d(u, a)``, and every path from u to v passes
+    through a and b; by the first, ``d(a, b) = d_L(a, b)``.  So
+
+        d(u, v) = D(u) - D(a) + d_L(a, b) + D(v) - D(b).
+
+    Both a and b are non-top members of L (or the root, when L is the
+    root's block), so an edge block, with one non-top member, has
+    ``a == b``.  Every block of more than two vertices holds its own
+    all-pairs matrix, the top at local index 0; all of them are filled by
+    one ``bfs_many`` sweep per WORD local indices over the disjoint union
+    of those blocks, where set i is local vertex i of every block: the
+    blocks are separate components, so one bit serves all of them.  L and
+    the children on both sides come from one binary-lifting pass over the
+    block tree.
+    """
+
+    def __init__(self, graph, blk, top):
+        root = len(top) - 1  # the root's block
+        self.dist = bfs_distances(graph, [0])
+        self.blk, self.top = blk, top
+        # lifting tables up[k] (2^k steps up) until every block reaches
+        # the root's, with the depths doubled alongside
+        self.depth = (np.arange(len(top)) != root).astype(np.int64)
+        self.up = [blk[top]]
+        while (self.up[-1] != root).any():
+            self.depth += self.depth[self.up[-1]]
+            self.up.append(self.up[-1][self.up[-1]])
+        if len(self.up) > 1:
+            self.up.pop()  # all root: lifts nothing
+        # local indices: the top 0, non-top members 1.. in id order; blocks
+        # of two vertices (and the root's) store nothing and read entry 0
+        counts = np.bincount(blk, minlength=len(top))
+        order = np.argsort(blk, kind="stable")
+        rank = np.empty(graph.n, dtype=np.int64)
+        rank[order] = np.arange(graph.n) - _starts(counts)[blk[order]]
+        size = np.where(counts > 1, counts + 1, 0)
+        self.loc = np.where(size[blk] > 0, rank + 1, 0)
+        base = np.where(size > 0, 1 + _starts(size ** 2), 0)
+        # entry (loc[a], loc[b]) of the matrix of a's block
+        # is mat[cell[a] + loc[b]]
+        self.cell = base[blk] + self.loc * size[blk]
+        self.mat = np.zeros(1 + int((size ** 2).sum()), dtype=np.int32)
+        if size.any():
+            self._fill(graph, size, base)
+
+    def _fill(self, graph, size, base):
+        """Every block matrix, from sweeps over the disjoint union of the
+        blocks, where local vertex j of block b is vertex ``vptr[b] + j``."""
+        loc, blk, top = self.loc, self.blk, self.top
+        vptr = _starts(size)
+        src = np.repeat(np.arange(graph.n), graph.degrees)
+        dst = graph.indices.astype(np.int64)
+        keep = src < dst
+        src, dst = src[keep], dst[keep]
+        # an edge lies in its ends' common block, or in the block of the
+        # end whose top the other end is
+        b = np.where(top[blk[src]] == dst, blk[src], blk[dst])
+        keep = size[b] > 0
+        b, ends = b[keep], np.stack([src[keep], dst[keep]], axis=1)
+        ends = vptr[b][:, None] + np.where(blk[ends] == b[:, None], loc[ends], 0)
+        union = MetricGraph(int(size.sum()), ends.tolist())
+        big = np.flatnonzero(size)
+        local = np.arange(union.n) - np.repeat(vptr[big], size[big])
+        byloc = np.argsort(local, kind="stable")
+        lptr = np.searchsorted(local[byloc], np.arange(size.max() + 1))
+        for lo in range(0, int(size.max()), WORD):
+            hi = min(lo + WORD, int(size.max()))
+            # set i: local vertex lo + i of every block that has one
+            rows = bfs_many(union, RaggedSets(byloc[lptr[lo]:lptr[hi]],
+                                              lptr[lo:hi + 1] - lptr[lo]))
+            for s, at, v in zip(size[big].tolist(), base[big].tolist(),
+                                vptr[big].tolist()):
+                m = min(s, hi) - lo
+                if m > 0:
+                    self.mat[at + lo * s:at + (lo + m) * s] = \
+                        rows[:m, v:v + s].ravel()
+
+    def entries(self, uv):
+        """Where the paths from ``uv[0][i]`` and ``uv[1][i]`` enter their
+        lowest common block L, shape ``(2, m)`` like ``uv``.
+
+        Each side lifts to one block below the shallower side's level and
+        keeps that block, the child of L on its side if L is its parent;
+        then it steps to the level, and where the two sides still differ
+        both lift to the children of L."""
+        z = self.blk[uv]
+        depth = self.depth[z]
+        level = depth.min(axis=0)
+        deeper = depth > level
+        steps = np.maximum(depth - level - 1, 0)
+        for k, up in enumerate(self.up):
+            z = np.where(steps >> k & 1, up[z], z)
+        child = z
+        z = np.where(deeper, self.up[0][z], z)
+        same = z[0] == z[1]
+        for up in reversed(self.up):
+            lifted = up[z]
+            z = np.where(lifted[0] != lifted[1], lifted, z)
+        return np.where(same, np.where(deeper, self.top[child], uv),
+                        self.top[z])
+
+    def pairs(self, us, vs):
         out = np.empty(len(us), dtype=np.int32)
-        # the lifting temporaries grow with the call; bound them by chunking
-        for lo in range(0, len(us), LCA_CHUNK):
-            u, v = us[lo:lo + LCA_CHUNK], vs[lo:lo + LCA_CHUNK]
-            out[lo:lo + LCA_CHUNK] = (self.depth[u] + self.depth[v]
-                                      - 2 * self.depth[self.lca(u, v)])
+        for lo in range(0, len(us), PAIRS_CHUNK):
+            uv = np.stack([us[lo:lo + PAIRS_CHUNK], vs[lo:lo + PAIRS_CHUNK]])
+            a, b = ab = self.entries(uv)
+            out[lo:lo + PAIRS_CHUNK] = (self.dist[uv] - self.dist[ab]).sum(
+                axis=0) + self.mat[self.cell[a] + self.loc[b]]
         return out
 
 
@@ -291,25 +435,46 @@ class DistanceOracle:
     """Exact distance queries with a strategy chosen from the graph alone.
 
     Every graph with at most MATRIX_CAP vertices gets a cached all-pairs
-    matrix, filled WORD rows per ``bfs_many`` sweep.  Larger graphs cache
-    nothing: trees answer ``pairs`` from LCA arithmetic, and every other
-    query sweeps its distinct sources WORD at a time, unpacking each sweep
-    only at the columns it asks for (a ``pairs`` batch's own targets, a
-    ``block``'s columns).  ``row(u)`` is ``block([u], all)[0]`` and
-    ``geodesics`` walks the parents of its sources' rows, so callers that
-    ask many rows or paths should ask them in one call.  This class is the
-    only code that knows which strategy answers; callers ask through
-    ``pairs``, ``block``, ``row``, ``dist_to_sets``, ``dist_to_set``,
-    ``geodesics``, ``geodesic`` and ``diameter_of_set``.
+    matrix, filled WORD rows per ``bfs_many`` sweep.  Above the cap, a
+    connected graph answers ``pairs`` from its block-cut tree
+    (``_BlockMetric``: distances from the root, binary lifting over the
+    block tree and one small matrix per block) when its blocks' matrices
+    hold no more entries than one matrix at the cap, sum |B|^2 <=
+    MATRIX_CAP^2 over the blocks of more than two vertices.  Trees, whose
+    blocks are all single edges, always qualify.  The decomposition is
+    made on the first ``pairs`` call, and the choice is kept.  Every
+    other query above the cap, and ``pairs`` where the blocks do not
+    qualify, sweeps its distinct sources WORD at a time, unpacking each
+    sweep only at the columns it asks for (a ``pairs`` batch's own
+    targets, a ``block``'s columns).  ``row(u)`` is ``block([u], all)[0]``
+    and ``geodesics`` walks the parents of its sources' rows, so callers
+    that ask many rows or paths should ask them in one call.  This class
+    is the only code that knows which strategy answers; callers ask
+    through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
+    ``dist_to_set``, ``geodesics``, ``geodesic`` and ``diameter_of_set``.
     """
 
     def __init__(self, graph):
         self.graph = graph
         self.n = graph.n
-        self._use_matrix = graph.n <= MATRIX_CAP
-        lca = not self._use_matrix and graph.is_tree()
-        self._tree = _TreeMetric(graph) if lca else None
+        # the cap at construction decides, for the lazy block strategy too
+        self._cap = MATRIX_CAP
+        self._use_matrix = graph.n <= self._cap
         self._matrix = None
+
+    @cached_property
+    def _blocks(self):
+        """The block-cut strategy, or None where it does not answer."""
+        if self._use_matrix:
+            return None
+        try:
+            blk, top = block_cut_tree(self.graph)
+        except Disconnected:
+            return None
+        members = np.bincount(blk)
+        if ((members[members > 1] + 1) ** 2).sum() > self._cap ** 2:
+            return None
+        return _BlockMetric(self.graph, blk, top)
 
     def matrix(self):
         """The cached all-pairs matrix; internal to the matrix strategy."""
@@ -344,10 +509,18 @@ class DistanceOracle:
     def pairs(self, us, vs):
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
+        for ids in (us, vs):
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+                raise IndexError(f"vertex id out of range for n={self.n}")
         if self._use_matrix:
-            return self.matrix()[us, vs].astype(np.int32)
-        if self._tree is not None:
-            return self._tree.pair_dist(us, vs)
+            flat = self.matrix().ravel()
+            out = np.empty(len(us), dtype=np.int32)
+            for lo in range(0, len(us), PAIRS_CHUNK):
+                out[lo:lo + PAIRS_CHUNK] = flat[us[lo:lo + PAIRS_CHUNK] * self.n
+                                                + vs[lo:lo + PAIRS_CHUNK]]
+            return out
+        if self._blocks is not None:
+            return self._blocks.pairs(us, vs)
         out = np.empty(len(us), dtype=np.int32)
         for sel, sources, r in self._sweeps(us):
             rows = bfs_many(self.graph, sources, vs[sel])

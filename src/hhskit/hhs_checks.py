@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import (WORD, four_point_delta, quasiconvexity_constant,
-                         ragged_diameters, ragged_set_distances, segments)
+from .graph_core import (WORD, RaggedSets, four_point_delta,
+                         quasiconvexity_constant, ragged_diameters,
+                         ragged_set_distances, segments)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -491,6 +492,35 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
 # ---------------------------------------------------------------------------
 # bounded geodesic image
 
+def _image_diameters(inst, vs, images):
+    """The diameter of each ``images[i]`` in the space of ``vs[i]``.
+
+    The images go into one ``RaggedSets`` grouped by V, deduplicated by one
+    ``np.unique``; each pair within a set is one entry, so one ``pairs``
+    call per V measures all of that V's sets, and one reduction over the
+    entries takes each set's largest."""
+    if not images:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(vs, kind="stable")
+    sizes = np.asarray([len(x) for x in images])[order]
+    sets = RaggedSets.union(np.repeat(np.arange(len(order)), sizes),
+                            np.concatenate([images[i] for i in order]),
+                            len(order))
+    owner = sets.owners()
+    rows = np.repeat(sets.flat, sets.sizes()[owner])
+    cols = sets.flat[segments(sets.offsets, owner)[1]]
+    starts = np.append(0, np.cumsum(sets.sizes() ** 2))
+    d = np.empty(len(rows), dtype=np.int32)
+    by_v = np.asarray(vs)[order]
+    cuts = np.flatnonzero(np.diff(by_v, prepend=-1, append=-1))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at = slice(starts[lo], starts[hi])
+        d[at] = inst.space_oracle(int(by_v[lo])).pairs(rows[at], cols[at])
+    diam = np.empty(len(order), dtype=np.int64)
+    diam[order] = np.maximum.reduceat(d, starts[:-1])
+    return diam
+
+
 def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
               geodesics_per_pair=12, seed=0):
     """Minimal grid E bounding projections of geodesics missing N_E(rho)."""
@@ -514,7 +544,8 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
     draws = rng.integers(0, np.repeat(sizes[ws[keep]], 2 * geodesics_per_pair))
     ends = np.zeros((len(vs), geodesics_per_pair, 2), dtype=np.int64)
     ends[keep] = draws.reshape(len(keep), geodesics_per_pair, 2)
-    observations = []   # (sample position, avoid_dist, image_diam, V, W)
+    observations = []   # (sample position, avoid_dist, V, W)
+    images = []         # the pi_V image of each observation's geodesic
     for w, rows, sets in columns:
         oracle_w = inst.space_oracle(w)
         carrier = _carrier(inst, w)
@@ -529,13 +560,13 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
                     if a == b:
                         continue
                     path = np.asarray(next(paths), dtype=np.int64)
-                    image = np.unique(inst.pi_rep(v)[carrier[path]])
-                    observations.append((
-                        k, int(dist[path].min()),
-                        inst.space_oracle(v).diameter_of_set(image),
-                        inst.labels[v], inst.labels[w]))
+                    images.append(inst.pi_rep(v)[carrier[path]])
+                    observations.append((k, int(dist[path].min()), v, w))
+    diam = _image_diameters(inst, [o[2] for o in observations], images)
     # sample order, and draw order within a pair (the sort is stable)
-    observations = [o[1:] for o in sorted(observations, key=lambda o: o[0])]
+    observations = [(avoid, int(diam[i]), inst.labels[v], inst.labels[w])
+                    for i, (_, avoid, v, w) in sorted(
+                        enumerate(observations), key=lambda o: o[1][0])]
     E_bgi = None
     for E in sorted(E_grid):
         if all(diam <= E for avoid, diam, *_ in observations if avoid > E):

@@ -236,9 +236,10 @@ def drift_fixture(name):
 
 # MATRIX_CAP forcing each distance strategy, and the chunk constant that a
 # chunked case shrinks: the matrix everywhere with its ragged blocks split;
-# with no matrix, "lca" splits the LCA passes of the tree bases (the other
-# fixtures sweep in whole chunks) and "rows" splits the BFS sweeps
-STRATEGIES = {"matrix": (4096, "RAGGED_CHUNK"), "lca": (0, "LCA_CHUNK"),
+# with no matrix, "lca" splits the block-cut tree's lifting passes (its
+# lowest common blocks) on the tree bases (the other fixtures sweep in
+# whole chunks) and "rows" splits the BFS sweeps
+STRATEGIES = {"matrix": (4096, "RAGGED_CHUNK"), "lca": (0, "PAIRS_CHUNK"),
               "rows": (0, "RAGGED_CHUNK")}
 
 

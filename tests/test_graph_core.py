@@ -429,7 +429,8 @@ def test_segments_gather_frontier_neighbors(g, data):
 
 
 # MATRIX_CAP values that force each distance strategy: the matrix on every
-# graph, or no matrix ("capped"): LCA on trees and BFS sweeps elsewhere.
+# graph, or no matrix ("capped"): the block-cut tree on trees (no block
+# matrix to store) and BFS sweeps on graphs with a block over two vertices.
 STRATEGIES = {"matrix": 4096, "capped": 0}
 
 
@@ -441,8 +442,9 @@ def oracle_with(g, matrix_cap):
 
 def strategy_cases(graphs, tree_graphs):
     """(MATRIX_CAP, graphs) that put each strategy to work: the matrix on
-    graphs and trees alike; with no matrix, LCA on trees ("lca") and BFS
-    sweeps on graphs closed into a cycle ("rows")."""
+    graphs and trees alike; with no matrix, the block-cut tree on trees
+    ("lca": its lowest common block) and BFS sweeps on graphs closed into
+    a cycle ("rows")."""
     cyclic = graphs.map(
         lambda g: MetricGraph(g.n, set(g.edges) | {(0, g.n - 1)}))
     return {"matrix": (STRATEGIES["matrix"], st.one_of(graphs, tree_graphs)),
@@ -453,7 +455,7 @@ def strategy_cases(graphs, tree_graphs):
 def assert_strategy(strategy, g, matrix_cap):
     oracle = oracle_with(g, matrix_cap)
     assert oracle._use_matrix == (strategy == "matrix")
-    assert (oracle._tree is not None) == (strategy == "lca")
+    assert (oracle._blocks is not None) == (strategy == "lca")
 
 
 @given(st.one_of(connected_graphs(), trees()), st.data())
@@ -476,7 +478,7 @@ def test_every_strategy_answers_like_bfs(g, data):
         assert list(oracle.dist_to_set(b)) == to_b
         assert oracle.diameter_of_set(a) == max(rows[u][v] for u in a for v in a)
     # one sweeping query over more distinct sources than one sweep holds;
-    # closing the path into a cycle keeps the graph off LCA
+    # closing the path into a cycle makes one block over the cap
     wide = data.draw(connected_graphs(min_n=graph_core.WORD + 2, max_n=150))
     wide = MetricGraph(wide.n, set(wide.edges) | {(0, wide.n - 1)})
     rows = [bfs_oracle(wide.edges, wide.n, v) for v in range(wide.n)]
@@ -519,8 +521,9 @@ def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
-        # LCA passes split mid-list, so chunk boundaries fall inside queries
-        mp.setattr(graph_core, "LCA_CHUNK", 6 * 5 + 1)
+        # block-tree passes split mid-list, so chunk boundaries fall inside
+        # queries
+        mp.setattr(graph_core, "PAIRS_CHUNK", 6 * 5 + 1)
         one_call = delta()
         mp.setattr(graph_core, "_quad_deltas", six_call_deltas)
         assert one_call == delta()
@@ -605,16 +608,19 @@ def test_rows_strategy_caches_no_rows():
 
 def test_strategy_follows_graph_size(monkeypatch):
     """A path of MATRIX_CAP vertices holds the matrix; one vertex more, a
-    path answers by LCA and a cycle by BFS sweeps, and neither has one."""
+    path answers from its block-cut tree, and a cycle, one block over the
+    cap, by BFS sweeps; neither has a matrix."""
     cap = 40
     monkeypatch.setattr(graph_core, "MATRIX_CAP", cap)
     small = path_graph(cap).oracle()
     assert small.matrix().shape == (cap, cap)
     assert small.dist(0, cap - 1) == cap - 1
-    # built first: building an oracle runs one connectivity BFS
+    # decided (and the blocks built) before the spies go in: building runs
+    # a connectivity BFS and, for the blocks, one from the root
     tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
+    assert tree._blocks is not None and cycle._blocks is None
     calls = []
-    for name, owner in (("lca", graph_core._TreeMetric),
+    for name, owner in (("entries", graph_core._BlockMetric),
                         ("bfs_many", graph_core)):
         def spy(*args, _name=name, _real=getattr(owner, name)):
             calls.append(_name)
@@ -623,14 +629,159 @@ def test_strategy_follows_graph_size(monkeypatch):
     for oracle in (tree, cycle):
         with pytest.raises(BudgetExceeded):
             oracle.matrix()
-    assert tree.dist(0, cap) == cap and set(calls) == {"lca"}
+    assert tree.dist(0, cap) == cap and set(calls) == {"entries"}
     calls.clear()
     assert cycle.dist(0, cap) == 1 and set(calls) == {"bfs_many"}
 
 
+@st.composite
+def glued_blocks(draw, max_pieces=8):
+    """Edges, cycles and grids, each glued at one vertex to what came
+    before or joined to it by a bridge, with the ids shuffled so that the
+    root (vertex 0) falls anywhere: trees, cactus graphs, cycles glued at
+    cut vertices and grids joined by bridges.  Returns the graph and the
+    sum of |B|^2 over its blocks of more than two vertices."""
+    edges, n, stored = [], 1, 0
+    for _ in range(draw(st.integers(1, max_pieces))):
+        at = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            edges.append((at, n))
+            at, n = n, n + 1
+        kind = draw(st.sampled_from(["edge", "cycle", "grid"]))
+        if kind == "edge":
+            piece = path_graph(2)
+        elif kind == "cycle":
+            piece = cycle_graph(draw(st.integers(3, 7)))
+        else:
+            piece = grid_graph(draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        ids = [at] + list(range(n, n + piece.n - 1))
+        edges += [(ids[x], ids[y]) for x, y in piece.edges]
+        n += piece.n - 1
+        stored += piece.n ** 2 if piece.n > 2 else 0
+    perm = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(perm[x], perm[y]) for x, y in edges]), stored
+
+
+@given(glued_blocks(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_strategy_answers_like_bfs(case, data):
+    """One vertex over the cap, the blocks answer when their matrices fit
+    in the cap's (and sweeps otherwise): shuffled pairs with repeats, u ==
+    v, and the root at either end."""
+    g, stored = case
+    cap = g.n - 1
+    oracle = oracle_with(g, cap)
+    assert (oracle._blocks is not None) == (stored <= cap * cap)
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    ends = st.integers(0, g.n - 1)
+    us = data.draw(st.lists(ends, max_size=60))
+    vs = data.draw(st.lists(ends, min_size=len(us), max_size=len(us)))
+    verts = list(range(g.n))
+    us, vs = us + vs + [0] * g.n + verts, vs + vs + verts + [0] * g.n
+    assert oracle.pairs(us, vs).tolist() == [rows[u][v]
+                                             for u, v in zip(us, vs)]
+
+
+def bridged_grids():
+    """Two 9x9 grids joined by a bridge: blocks of 81 vertices, more local
+    indices than one sweep holds."""
+    grid = grid_graph(9, 9)
+    return MetricGraph(2 * grid.n, list(grid.edges) + [(0, grid.n)] + [
+        (x + grid.n, y + grid.n) for x, y in grid.edges])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: groups.cayley_ball(
+        groups.raag_group(["a", "b", "c"], [("a", "b")]), 4).graph,
+    bridged_grids], ids=["raag_r4", "grids_9x9"])
+def test_block_strategy_on_large_blocks(make):
+    """Every pair of the RAAG r=4 ball (blocks of up to 37 vertices) and
+    of two bridged grids, one vertex over the cap, against the matrix."""
+    g = make()
+    blocks = oracle_with(g, g.n - 1)
+    assert blocks._blocks is not None
+    us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+    assert np.array_equal(blocks.pairs(us, vs),
+                          oracle_with(g, g.n).pairs(us, vs))
+
+
+@pytest.mark.parametrize("strategy,matrix_cap,g", [
+    ("matrix", STRATEGIES["matrix"], cycle_graph(9)),
+    ("lca", STRATEGIES["capped"], path_graph(9)),
+    ("rows", STRATEGIES["capped"], cycle_graph(9))])
+def test_pairs_rejects_ids_out_of_range(strategy, matrix_cap, g):
+    """A negative id or one past the last vertex raises, on either side,
+    where indexing would wrap or fail by accident."""
+    assert_strategy(strategy, g, matrix_cap)
+    oracle = oracle_with(g, matrix_cap)
+    for bad in (-1, g.n):
+        for us, vs in (([0, bad], [1, 2]), ([0, 1], [2, bad])):
+            with pytest.raises(IndexError):
+                oracle.pairs(us, vs)
+    assert oracle.pairs([], []).tolist() == []
+
+
+def components(n, edges, skip=None):
+    """Connected components of the graph less the vertex ``skip``."""
+    label = list(range(n))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+    for x, y in edges:
+        if skip not in (x, y):
+            label[find(x)] = find(y)
+    return len({find(x) for x in range(n) if x != skip})
+
+
+def edge_blocks(g):
+    """The blocks as a partition of the edge indices: two edges at a vertex
+    w lie in one block iff their other ends meet in the graph less w."""
+    label = list(range(len(g.edges)))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+    for i, j in itertools.combinations(range(len(g.edges)), 2):
+        common = set(g.edges[i]) & set(g.edges[j])
+        if common:
+            w = common.pop()
+            x, y = set(g.edges[i]) - {w}, set(g.edges[j]) - {w}
+            # connected in g - w: one component holds both x and y
+            if components(g.n, g.edges + ((x.pop(), y.pop()),),
+                          skip=w) == components(g.n, g.edges, skip=w):
+                label[find(i)] = find(j)
+    return {frozenset(e for e in range(len(g.edges)) if find(e) == r)
+            for r in set(map(find, range(len(g.edges))))}
+
+
+@given(st.one_of(glued_blocks().map(lambda case: case[0]),
+                 connected_graphs(max_n=12)))
+@settings(max_examples=60, deadline=None)
+def test_block_cut_tree_matches_brute_force(g):
+    """The cut vertices are the vertices whose removal splits the graph;
+    each edge lies in exactly one block, and the blocks partition the
+    edges as the brute-force relation does."""
+    blk, top = graph_core.block_cut_tree(g)
+    root = len(top) - 1
+    assert blk[0] == root and top[root] == 0
+    assert (blk[top[:root]] > np.arange(root)).all()
+    hangs = top[:root].tolist()
+    cut = {t for t in hangs if t != 0 or hangs.count(0) > 1}
+    assert cut == {v for v in range(g.n) if components(g.n, g.edges, v) > 1}
+    members = [{top[b]} | set(np.flatnonzero(blk == b)) for b in range(root)]
+    owner = [[b for b in range(root) if {x, y} <= members[b]]
+             for x, y in g.edges]
+    assert all(len(bs) == 1 for bs in owner)
+    assert {frozenset(e for e in range(len(owner)) if owner[e] == [b])
+            for b in range(root)} == edge_blocks(g)
+
+
 def test_only_graph_core_reaches_oracle_internals():
     """Every other module asks the oracle through its public queries."""
-    internal = re.compile(r"\.(matrix\(|_matrix\b|_rows\b|_parents\b|_tree\b"
+    internal = re.compile(r"\.(matrix\(|_matrix\b|_rows\b|_parents\b|_blocks\b"
                           r"|_use_matrix\b)")
     src = pathlib.Path(graph_core.__file__).parent
     offenders = [f"{path.name}:{i}"
