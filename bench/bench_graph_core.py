@@ -8,11 +8,10 @@ at r=5 (2583 vertices) the oracle builds its matrix; at r=6 (10945
 vertices, over MATRIX_CAP) it answers ``pairs`` from its block-cut tree
 (8361 blocks, the largest of 81 vertices) and rows from BFS sweeps.  The
 block strategy's build, on the first ``pairs`` call of a fresh oracle, is
-timed on its own.  Every round asks a
-fresh oracle (a fresh graph where the code under test asks the graph for
-its oracle), so no round reads what an earlier one cached.  Within a
-round, the repeated-query cases ask the same oracle many times, as the
-library's own callers do.
+timed on its own.  Every round asks a fresh oracle (a fresh graph where
+the code under test asks the graph for its oracle), so no round reads what
+an earlier one cached.  Within a round, the repeated-query cases ask the
+same oracle many times, as the library's own callers do.
 
 ``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
 r=6, ``enumerate_cosets`` of <a> on F2 at r=6 and r=8 and on the RAAG at
@@ -30,10 +29,11 @@ the r=6 ball (1457 vertices, under MATRIX_CAP: the matrix) and of the r=8
 ball (13121 vertices: the block-cut tree, every block an edge), each
 round on a fresh graph, so the oracle's set-up is timed with the scan.  On
 the r=7 ball (4373 vertices, over MATRIX_CAP) one ``pairs`` asks 100k
-random pairs of a fresh oracle (the build of its block-cut tree included),
-and one ``block`` asks every vertex against a 13-vertex coset of <a>, the
-shape of a member's projection sets in the factor-system build.  ``verify_factor_system`` checks the cosets
-of <a> and <b> in the r=6 ball with 45000 sampled member pairs, the
+random pairs, of a fresh oracle (its set-up timed) and of one that has
+answered before, and one ``block`` asks every vertex against a 13-vertex
+coset of <a>, the shape of a member's projection sets in the
+factor-system build.  ``verify_factor_system`` checks the cosets of <a>
+and <b> in the r=6 ball with 45000 sampled member pairs, the
 factor-system op of the ``tree-factor-system`` scenario benchmark.
 """
 
@@ -184,13 +184,24 @@ def test_four_point_delta_tree(benchmark, radius, n):
     assert ball.n == n and rep.delta == 0.0
 
 
-def test_tree_pairs_r7(benchmark):
-    """100k random pairs of the F2 r=7 tree on a fresh oracle (the tree
-    LCA's path before the block-cut tree)."""
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_tree_pairs_r7(benchmark, warm):
+    """100k random pairs of the F2 r=7 tree, the tree LCA's path before the
+    block-cut tree.  Cold, each round builds a fresh oracle and asks it, so
+    the set-up is timed on both sides: the LCA tables were built with the
+    oracle, the block-cut tree is built on the first ``pairs`` call.  Warm,
+    the oracle has answered one pair before the round."""
     g = groups.cayley_ball(F2, 7).graph
     us, vs = np.random.default_rng(11).integers(0, g.n, size=(2, 100_000))
-    d = benchmark.pedantic(lambda o: o.pairs(us, vs), rounds=5,
-                           setup=lambda: ((DistanceOracle(g),), {}))
+
+    def setup():
+        oracle = DistanceOracle(g)
+        if warm:
+            oracle.pairs([0], [1])
+        return (oracle,), {}
+    d = benchmark.pedantic(
+        lambda o: (o if warm else DistanceOracle(g)).pairs(us, vs),
+        rounds=5, setup=setup)
     assert g.n == 4373 and d.max() == 14
 
 

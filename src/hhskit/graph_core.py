@@ -251,16 +251,15 @@ def block_cut_tree(graph):
     top[nb] == 0``, so the block tree's parent map is ``blk[top]``.
     Raises Disconnected if the search does not reach every vertex.
     """
-    ptr = graph.indptr.tolist()
-    adj = graph.indices.tolist()
-    nxt = ptr[:-1]
-    pre = [-1] * graph.n
-    low = [0] * graph.n
-    blk = [0] * graph.n
+    # the working state lives in arrays, read and written through
+    # memoryviews, so no Python int per entry outlives its use
+    ptr, adj = memoryview(graph.indptr), memoryview(graph.indices)
+    nxt = memoryview(graph.indptr[:-1].copy())
+    state = np.full((3, graph.n), -1, dtype=np.int32)
+    pre, low, blk = (memoryview(row) for row in state)
     tops = []
     pre[0] = 0
     count = 1
-    at = [0] * graph.n  # where each vertex sits on the stack
     path, stack = [0], []
     while path:
         v = path[-1]
@@ -272,7 +271,6 @@ def block_cut_tree(graph):
                 pre[w] = low[w] = count
                 count += 1
                 path.append(w)
-                at[w] = len(stack)
                 stack.append(w)
             elif pre[w] < low[v]:
                 # the tree edge back to the parent counts too: a child's
@@ -285,9 +283,11 @@ def block_cut_tree(graph):
             break
         p = path[-1]
         if low[v] >= pre[p]:
-            for w in stack[at[v]:]:
-                blk[w] = len(tops)
-            del stack[at[v]:]
+            b = len(tops)
+            w = -1
+            while w != v:
+                w = stack.pop()
+                blk[w] = b
             tops.append(p)
         elif low[v] < low[p]:
             low[p] = low[v]
@@ -295,7 +295,7 @@ def block_cut_tree(graph):
         raise Disconnected("block_cut_tree requires a connected graph")
     blk[0] = len(tops)
     tops.append(0)
-    return np.array(blk, dtype=np.int64), np.array(tops, dtype=np.int64)
+    return state[2].copy(), np.array(tops, dtype=np.int32)
 
 
 # Most pairs one pass of a matrix gather or a block-tree lift reads at a
@@ -342,7 +342,7 @@ class _BlockMetric:
         self.blk, self.top = blk, top
         # lifting tables up[k] (2^k steps up) until every block reaches
         # the root's, with the depths doubled alongside
-        self.depth = (np.arange(len(top)) != root).astype(np.int64)
+        self.depth = (np.arange(len(top)) != root).astype(np.int32)
         self.up = [blk[top]]
         while (self.up[-1] != root).any():
             self.depth += self.depth[self.up[-1]]
@@ -356,11 +356,11 @@ class _BlockMetric:
         rank = np.empty(graph.n, dtype=np.int64)
         rank[order] = np.arange(graph.n) - _starts(counts)[blk[order]]
         size = np.where(counts > 1, counts + 1, 0)
-        self.loc = np.where(size[blk] > 0, rank + 1, 0)
+        self.loc = np.where(size[blk] > 0, rank + 1, 0).astype(np.int32)
         base = np.where(size > 0, 1 + _starts(size ** 2), 0)
         # entry (loc[a], loc[b]) of the matrix of a's block
         # is mat[cell[a] + loc[b]]
-        self.cell = base[blk] + self.loc * size[blk]
+        self.cell = (base[blk] + self.loc * size[blk]).astype(np.int32)
         self.mat = np.zeros(1 + int((size ** 2).sum()), dtype=np.int32)
         if size.any():
             self._fill(graph, size, base)
