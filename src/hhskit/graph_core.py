@@ -379,7 +379,8 @@ class _BlockMetric:
         b = np.where(top[blk[src]] == dst, blk[src], blk[dst])
         keep = size[b] > 0
         b, ends = b[keep], np.stack([src[keep], dst[keep]], axis=1)
-        ends = vptr[b][:, None] + np.where(blk[ends] == b[:, None], loc[ends], 0)
+        ends = vptr[b][:, None] + np.where(blk[ends] == b[:, None],
+                                           loc[ends], 0)
         union = MetricGraph(int(size.sum()), ends.tolist())
         big = np.flatnonzero(size)
         local = np.arange(union.n) - np.repeat(vptr[big], size[big])
@@ -516,8 +517,8 @@ class DistanceOracle:
             flat = self.matrix().ravel()
             out = np.empty(len(us), dtype=np.int32)
             for lo in range(0, len(us), PAIRS_CHUNK):
-                out[lo:lo + PAIRS_CHUNK] = flat[us[lo:lo + PAIRS_CHUNK] * self.n
-                                                + vs[lo:lo + PAIRS_CHUNK]]
+                at = slice(lo, lo + PAIRS_CHUNK)
+                out[at] = flat[us[at] * self.n + vs[at]]
             return out
         if self._blocks is not None:
             return self._blocks.pairs(us, vs)

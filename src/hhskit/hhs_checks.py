@@ -502,10 +502,10 @@ def _image_diameters(inst, vs, images):
     if not images:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(vs, kind="stable")
-    sizes = np.asarray([len(x) for x in images])[order]
-    sets = RaggedSets.union(np.repeat(np.arange(len(order)), sizes),
-                            np.concatenate([images[i] for i in order]),
-                            len(order))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    sets = RaggedSets.union(np.repeat(rank, [len(x) for x in images]),
+                            np.concatenate(images), len(order))
     owner = sets.owners()
     rows = np.repeat(sets.flat, sets.sizes()[owner])
     cols = sets.flat[segments(sets.offsets, owner)[1]]
@@ -516,9 +516,7 @@ def _image_diameters(inst, vs, images):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         at = slice(starts[lo], starts[hi])
         d[at] = inst.space_oracle(int(by_v[lo])).pairs(rows[at], cols[at])
-    diam = np.empty(len(order), dtype=np.int64)
-    diam[order] = np.maximum.reduceat(d, starts[:-1])
-    return diam
+    return np.maximum.reduceat(d, starts[:-1])[rank]
 
 
 def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
