@@ -521,8 +521,8 @@ def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
-        # block-tree passes split mid-list, so chunk boundaries fall inside
-        # queries
+        # matrix gathers and block-tree lifts split mid-list, so chunk
+        # boundaries fall inside queries
         mp.setattr(graph_core, "PAIRS_CHUNK", 6 * 5 + 1)
         one_call = delta()
         mp.setattr(graph_core, "_quad_deltas", six_call_deltas)
@@ -615,8 +615,8 @@ def test_strategy_follows_graph_size(monkeypatch):
     small = path_graph(cap).oracle()
     assert small.matrix().shape == (cap, cap)
     assert small.dist(0, cap - 1) == cap - 1
-    # decided (and the blocks built) before the spies go in: building runs
-    # a connectivity BFS and, for the blocks, one from the root
+    # decided (and the blocks built) before the spies go in: building the
+    # blocks runs a BFS from the root
     tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
     assert tree._blocks is not None and cycle._blocks is None
     calls = []
