@@ -78,20 +78,20 @@ def coned_over_cosets(ball, subs):
     for sub in subs:
         for c in enumerate_cosets(ball, sub):
             family.append(coset_subgraph(ball, c))
-            owners.append((sub.label, c.representative))
+            owners.append((sub, c.representative))
     cg = build_coneoff(ball.graph, family)
     return cg, owners
 
 
-def relative_metric(ball, sub, family=None):
+def relative_metric(ball, sub, cg=None):
     """BFS distances between subgroup elements avoiding internal edges.
 
-    The ambient space is the ball coned over all cosets of the family
-    (default: just the subgroup); removed edges are every coned or base
-    edge joining two identity-coset vertices.
+    The ambient space is the cone-off ``cg`` of the ball (default: the ball
+    coned over the cosets of ``sub``); removed edges are every coned or
+    base edge joining two identity-coset vertices.
     """
-    subs = list(family) if family is not None else [sub]
-    cg, _ = coned_over_cosets(ball, subs)
+    if cg is None:
+        cg, _ = coned_over_cosets(ball, [sub])
     members = subgroup_ball_vertices(ball, sub)
     member_set = set(members)
     kept = [(u, v) for (u, v) in cg.coned.edges
@@ -170,7 +170,7 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
     flags = []
 
     # (i) coned hyperbolicity, radius-stable
-    cg, _ = coned_over_cosets(ball, subs)
+    cg, owners = coned_over_cosets(ball, subs)
     cg_small, _ = coned_over_cosets(small, subs)
     d_big = four_point_delta(cg.coned, budget=delta_budget, seed=seed).delta
     d_small = four_point_delta(cg_small.coned, budget=delta_budget,
@@ -181,8 +181,8 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
     # (ii) properness of the relative metric, radius-stable profile
     properness = {"passed": True, "per_subgroup": {}}
     for sub in subs:
-        t_big = relative_metric(ball, sub, family=subs)
-        t_small = relative_metric(small, sub, family=subs)
+        t_big = relative_metric(ball, sub, cg)
+        t_small = relative_metric(small, sub, cg_small)
         p_big, p_small = t_big.profile(), t_small.profile()
         small_total = len(t_small.elements)
         stable = True
@@ -204,8 +204,9 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
 
     # (iii) quasi-isometric embedding constants
     qi = {"passed": True, "per_subgroup": {}}
-    for sub in subs:
-        members = subgroup_ball_vertices(ball, sub)
+    member_sets = [np.asarray(subgroup_ball_vertices(ball, sub),
+                              dtype=np.int64) for sub in subs]
+    for sub, members in zip(subs, member_sets):
         words = [ball.words[v] for v in members]
         try:
             intrinsic = _intrinsic_lengths(model, sub, words)
@@ -232,30 +233,25 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
     caps = {int(e): max(separation_cap, 2 * int(e) + 2) for e in eps_grid}
     separation = {"passed": True, "R": {}, "witness": None,
                   "cap": caps}
-    member_sets = {sub.label: subgroup_ball_vertices(ball, sub)
-                   for sub in subs}
     R = {int(e): 0 for e in eps_grid}
     oracle = ball.graph.oracle()
-    for sub_j in subs:
-        for c in enumerate_cosets(ball, sub_j):
-            coset = coset_subgraph(ball, c)
-            dist = oracle.dist_to_set(coset.vertex_array())
-            for sub_i in subs:
-                if (sub_i is sub_j and c.representative == ()):
-                    continue
-                hi = np.asarray(member_sets[sub_i.label], dtype=np.int64)
-                for e in eps_grid:
-                    inside = hi[dist[hi] <= e]
-                    if len(inside) > 1:
-                        diam = oracle.diameter_of_set(inside)
-                        if diam > R[int(e)]:
-                            R[int(e)] = diam
-                            if diam >= caps[int(e)]:
-                                separation["passed"] = False
-                                separation["witness"] = {
-                                    "g": ball.model.format(c.representative),
-                                    "i": sub_i.label, "j": sub_j.label,
-                                    "eps": int(e), "diam": diam}
+    for coset, (sub_j, rep) in zip(cg.family, owners):
+        dist = oracle.dist_to_set(coset.vertex_array())
+        for sub_i, hi in zip(subs, member_sets):
+            if (sub_i is sub_j and rep == ()):
+                continue
+            for e in eps_grid:
+                inside = hi[dist[hi] <= e]
+                if len(inside) > 1:
+                    diam = oracle.diameter_of_set(inside)
+                    if diam > R[int(e)]:
+                        R[int(e)] = diam
+                        if diam >= caps[int(e)]:
+                            separation["passed"] = False
+                            separation["witness"] = {
+                                "g": ball.model.format(rep),
+                                "i": sub_i.label, "j": sub_j.label,
+                                "eps": int(e), "diam": diam}
     separation["R"] = R
 
     return HHEmbeddingWitness(tuple(ball.gens), radius, hyperbolicity,
@@ -503,24 +499,12 @@ def build_augmented_structure(base, subgroup_structures, force=False,
                       True))
         return assemble_column(len(us), parts)
 
-    def rho_down_provider(inst, w, v, verts_in):
-        if w == S:
-            # top-space vertices are X vertices: project straight down
-            return inst.projections[v].image(verts_in)
-        ci, cj = coset_of[w], coset_of[v]
-        if ci >= 0 and ci == cj:
-            return coset_data[ci][2].rho_down(local_of[w], local_of[v],
-                                              verts_in)
-        if ci < 0 and cj < 0:
-            return base.rho_down(w, v, verts_in)
-        return None
-
     space_to_x[S] = np.arange(X.n, dtype=np.int64)
     meta = {"construction": "augmented", "radius": ball.radius,
             "cayley": True, "cs_generating_set": base.meta["cs_generating_set"],
             "ball": ball, "cosets": len(coset_data)}
     result = HHSInstance(X, labels, spaces, rel, S, projections,
-                         rho_provider, rho_down_provider, space_to_x, meta)
+                         rho_provider, space_to_x, meta)
 
     phi_records = []
     for si, (sub, sub_inst) in enumerate(subgroup_structures):

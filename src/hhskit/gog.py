@@ -200,8 +200,7 @@ def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     pushing words through the edge map, and projections restrict.
     """
     model = gog.vertices[vertex].group
-    ball = vertex_instance.meta.get("ball")
-    if ball is None:
+    if vertex_instance.meta.get("ball") is None:
         raise MissingStructure("vertex instance carries no ball")
     sub = gog.edge_subgroup(edge, vertex)
     member_label = f"{sub.label}-coset[e]"
@@ -211,39 +210,42 @@ def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     keep = sorted(set(np.flatnonzero(
         vertex_instance.rel[:, top] == NESTED).tolist()) | {top})
 
-    max_map_len = max(len(model.parse(w))
-                      for m in edge.maps[vertex].values() for w in [m])
-    edge_radius = max(1, radius // max_map_len)
-    edge_ball = cayley_ball(edge.group, edge_radius)
+    max_map_len = max(len(model.parse(w)) for w in edge.maps[vertex].values())
+    edge_ball = cayley_ball(edge.group, max(1, radius // max_map_len))
+    labels = [vertex_instance.labels[u] for u in keep]
+    return _edge_instance(vertex_instance, keep, top, labels,
+                          dict(zip(labels, labels)), edge, vertex, edge_ball,
+                          "edge-restriction")
+
+
+def _edge_instance(parent, keep, top, labels, index_map, edge, vertex,
+                   edge_ball, construction):
+    """The edge structure on the indices ``keep`` of ``parent``, top ``top``.
+
+    Spaces and relative projections are the parent's; the edge ball embeds
+    into the parent's ball by pushing words through the edge map, and
+    projections pull back along that embedding.
+    """
+    ball = parent.meta["ball"]
     embed = np.empty(edge_ball.graph.n, dtype=np.int64)
     for i, w in enumerate(edge_ball.words):
-        img = edge.map_word(vertex, model, w)
+        img = edge.map_word(vertex, ball.model, w)
         if img not in ball.index:
             raise BudgetExceeded("edge image leaves the vertex ball")
         embed[i] = ball.index[img]
 
-    labels = [vertex_instance.labels[u] for u in keep]
-    spaces = [vertex_instance.spaces[u] for u in keep]
-    pos = {u: i for i, u in enumerate(keep)}
-    rel = vertex_instance.rel[np.ix_(keep, keep)].copy()
-    projections = [vertex_instance.projections[u].pullback(embed)
-                   for u in keep]
-
     def rho_provider(inst, us, v):
-        return vertex_instance.rho_sets(np.asarray(keep)[us], keep[v])
+        return parent.rho_sets(np.asarray(keep)[us], keep[v])
 
-    def rho_down_provider(inst, w, v, verts):
-        return vertex_instance.rho_down(keep[w], keep[v], verts)
-
-    meta = {"construction": "edge-restriction", "radius": edge_radius,
+    meta = {"construction": construction, "radius": edge_ball.radius,
             "cayley": True, "cs_generating_set": list(edge_ball.gens),
             "ball": edge_ball, "vertex": vertex, "edge": edge.name,
-            "index_map": {labels[i]: vertex_instance.labels[keep[i]]
-                          for i in range(len(keep))},
-            "embed": embed}
-    return HHSInstance(edge_ball.graph, labels, spaces, rel, pos[top],
-                       projections, rho_provider, rho_down_provider,
-                       [None] * len(keep), meta)
+            "index_map": index_map, "embed": embed}
+    return HHSInstance(edge_ball.graph, labels,
+                       [parent.spaces[u] for u in keep],
+                       parent.rel[np.ix_(keep, keep)], keep.index(top),
+                       [parent.projections[u].pullback(embed) for u in keep],
+                       rho_provider, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +523,7 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
         for e, sub, sub_inst in pairs:
             # the edge structure on the absorbed side: shared spaces with
             # the identity-coset block, embedding through the edge map
-            e.instance[v] = _absorbed_edge_instance(gog, e, v, sub, sub_inst,
-                                                    aug)
+            e.instance[v] = _absorbed_edge_instance(e, v, sub, sub_inst, aug)
 
     # every constructed instance passes the exact structural battery
     structural = {}
@@ -535,38 +536,17 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
                  "combination": report}
 
 
-def _absorbed_edge_instance(gog, edge, vertex, sub, sub_inst, aug):
+def _absorbed_edge_instance(edge, vertex, sub, sub_inst, aug):
     """The edge structure mapped into the absorbed vertex structure."""
     result = aug.result
-    model = gog.vertices[vertex].group
-    ball = result.meta["ball"]
-    sub_ball = sub_inst.meta["ball"]
     record = next(r for r in aug.phi_records if r["sub"] == sub.label)
-    edge_ball = sub_ball   # the subgroup instance lives on the edge ball
-    embed = np.empty(edge_ball.graph.n, dtype=np.int64)
-    for i, w in enumerate(edge_ball.words):
-        img = edge.map_word(vertex, model, w)
-        embed[i] = ball.index[img]
     index_map = dict(record["index_map"])
     labels = list(sub_inst.labels)
     keep = [result.index_of_label(index_map[lab]) for lab in labels]
-    projections = [result.projections[u].pullback(embed) for u in keep]
-
-    def rho_provider(inst, us, v):
-        return result.rho_sets(np.asarray(keep)[us], keep[v])
-
-    def rho_down_provider(inst, w, v, verts):
-        return result.rho_down(keep[w], keep[v], verts)
-
-    meta = {"construction": "edge-absorbed", "radius": edge_ball.radius,
-            "cayley": True, "cs_generating_set": list(edge_ball.gens),
-            "ball": edge_ball, "vertex": vertex, "edge": edge.name,
-            "index_map": index_map, "embed": embed}
-    return HHSInstance(edge_ball.graph, labels,
-                       [result.spaces[u] for u in keep],
-                       sub_inst.rel.copy(), sub_inst.maximal, projections,
-                       rho_provider, rho_down_provider,
-                       [None] * len(keep), meta)
+    # the subgroup instance lives on the edge ball
+    return _edge_instance(result, keep, keep[sub_inst.maximal], labels,
+                          index_map, edge, vertex, sub_inst.meta["ball"],
+                          "edge-absorbed")
 
 
 # ---------------------------------------------------------------------------
@@ -616,27 +596,26 @@ def build_tree_of_spaces(gog, base_vertex, depth, radius=3, cap=60_000):
             for e in gog.incident_edges(vname):
                 other = e.ends[0] if e.ends[1] == vname else e.ends[1]
                 sub = gog.edge_subgroup(e, vname)
-                sub_other = gog.edge_subgroup(e, other)
+                other_ball = balls[other]
+                model_v = gog.vertices[vname].group
+                model_o = gog.vertices[other].group
+                # per edge-ball word h: phi_v(h), and phi_other(h) when it
+                # lies in the other ball
+                images = [(e.map_word(vname, model_v, w),
+                           other_ball.index.get(e.map_word(other, model_o, w)))
+                          for w in cayley_ball(e.group, max(1, radius)).words]
                 for c in enumerate_cosets(ball, sub):
                     if glued_along[piece] == (e.name, c.representative):
                         continue
                     new_piece = len(all_pieces)
                     all_pieces.append(new_piece)
                     piece_vertex[new_piece] = other
-                    other_ball = balls[other]
                     # identify rep*phi_v(h) with phi_other(h)
-                    model_v = gog.vertices[vname].group
-                    model_o = gog.vertices[other].group
-                    edge_ball = cayley_ball(e.group,
-                                            max(1, radius))
-                    for w in edge_ball.words:
-                        img_v = model_v.multiply(c.representative,
-                                                 e.map_word(vname, model_v, w))
-                        img_o = e.map_word(other, model_o, w)
-                        if img_v in ball.index and img_o in other_ball.index:
+                    for img_v, vo in images:
+                        img_v = model_v.multiply(c.representative, img_v)
+                        if img_v in ball.index and vo is not None:
                             union(node_id(piece, ball.index[img_v]),
-                                  node_id(new_piece,
-                                          other_ball.index[img_o]))
+                                  node_id(new_piece, vo))
                     glued_along[new_piece] = (e.name, ())
                     nxt.append(new_piece)
                     if len(all_pieces) * ball.graph.n > cap:

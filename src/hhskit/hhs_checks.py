@@ -768,13 +768,11 @@ def find_hierarchy_path(inst, x, y, D_budget=4.0):
             if inst.space_to_x[u] is None:
                 continue
             member = np.asarray(inst.space_to_x[u], dtype=np.int64)
-            drow_x = oracle.row(x)[member]
-            drow_y = oracle.row(y)[member]
-            gx = int(member[np.argmin(drow_x)])
-            gy = int(member[np.argmin(drow_y)])
-            path = oracle.geodesic(x, gx)[:-1] + oracle.geodesic(gx, gy)[:-1] \
-                + oracle.geodesic(gy, y)
-            candidates.append(path)
+            gx, gy = member[np.argmin(oracle.block([x, y], member),
+                                      axis=1)].tolist()
+            to_gx, across, from_gy = oracle.geodesics([x, gx, gy],
+                                                      [gx, gy, y])
+            candidates.append(to_gx[:-1] + across[:-1] + from_gy)
             break
     best = None
     for path in candidates:

@@ -133,20 +133,20 @@ def assemble_column(k, parts):
 class HHSInstance:
     """A concrete hierarchical structure on a finite graph.
 
-    ``rho_provider(inst, us, v)`` returns the relative projections of the
-    indices ``us`` into C(v), one column: ``(RaggedSets, reached)`` with one
-    sorted set of C(v)-vertex ids per u and a bool array (or one bool)
-    saying which were reached (an unreached set is empty), or None when
-    none is.  It is only asked for u nested in v or transverse to it.
-    ``rho_down_provider(inst, w, v, verts)`` maps a set of C(w)-vertices
-    into C(v) for v properly nested in w (the coarse downward map).
+    A construction states its relative projections in one place,
+    ``rho_provider(inst, us, v)``: the relative projections of the indices
+    ``us`` into C(v), one column: ``(RaggedSets, reached)`` with one sorted
+    set of C(v)-vertex ids per u and a bool array (or one bool) saying
+    which were reached (an unreached set is empty), or None when none is.
+    It is only asked for u nested in v or transverse to it.
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
-    is carried by X (used by the default downward maps); None otherwise.
+    is carried by X; None otherwise.  The battery maps C(w) down to C(v),
+    at representative level, through ``space_to_x[w]`` or else through the
+    reverse projection of w, followed by pi_v.
     """
 
     def __init__(self, X, labels, spaces, rel, maximal, projections,
-                 rho_provider, rho_down_provider=None, space_to_x=None,
-                 meta=None):
+                 rho_provider, space_to_x=None, meta=None):
         self.X = X
         self.labels = list(labels)
         self.spaces = list(spaces)
@@ -154,7 +154,6 @@ class HHSInstance:
         self.maximal = int(maximal)
         self.projections = list(projections)
         self._rho_provider = rho_provider
-        self._rho_down_provider = rho_down_provider
         self.space_to_x = space_to_x or [None] * len(self.labels)
         self.meta = dict(meta or {})
         self._reverse_proj = {}
@@ -166,9 +165,6 @@ class HHSInstance:
     # -- basic queries ----------------------------------------------------
     def n_indices(self):
         return len(self.labels)
-
-    def relation(self, u, v):
-        return int(self.rel[u, v])
 
     def nested_below(self, v):
         """Indices properly nested in v."""
@@ -205,23 +201,6 @@ class HHSInstance:
         sets, reached = self.rho_sets([u], v)
         return sets[0].astype(np.int32) if reached[0] else None
 
-    def rho_down(self, w, v, verts):
-        """Image in C(v) of a set of C(w)-vertices, for v nested in w."""
-        if self._rho_down_provider is not None:
-            out = self._rho_down_provider(self, w, v, verts)
-            if out is not None:
-                return out
-        # default: map C(w)-vertices to X, then project with pi_v
-        self.meta.setdefault("flags", [])
-        if "default-rho" not in self.meta["flags"]:
-            self.meta["flags"].append("default-rho")
-        if self.space_to_x[w] is not None:
-            xs = self.space_to_x[w][np.asarray(verts, dtype=np.int64)]
-        else:
-            rev = self._reverse_projection(w)
-            xs = rev[np.asarray(verts, dtype=np.int64)]
-        return self.projections[v].image(xs)
-
     def _reverse_projection(self, u):
         """One X-vertex per C(u)-vertex whose projection contains it."""
         if u not in self._reverse_proj:
@@ -242,12 +221,6 @@ class HHSInstance:
 
     def index_of_label(self, label):
         return self.labels.index(label)
-
-    def summary(self):
-        return {"indices": self.n_indices(), "X_vertices": self.X.n,
-                "maximal": self.labels[self.maximal],
-                "meta": {k: v for k, v in self.meta.items()
-                         if isinstance(v, (str, int, float, list))}}
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +313,6 @@ def instance_from_factor_system(cand, report=None):
             sets = inst.projections[v].images(sets)
         return sets, True
 
-    def rho_down_provider(inst, w, v, verts):
-        xs = inst.space_to_x[w][np.asarray(verts, dtype=np.int64)]
-        return inst.projections[v].image(xs)
-
     labels = [mem.label or f"member{i}" for i, mem in enumerate(family)] + ["S"]
     meta = {"construction": "factor-system", "radius": cand.radius}
     if report is not None:
@@ -356,7 +325,7 @@ def instance_from_factor_system(cand, report=None):
                      "cs_generating_set": list(cand.ball.gens),
                      "ball": cand.ball})
     return HHSInstance(graph, labels, spaces, rel, S, projections,
-                       rho_provider, rho_down_provider, space_to_x, meta)
+                       rho_provider, space_to_x, meta)
 
 
 def above_inverse(above, i):
@@ -376,7 +345,6 @@ def normalize(inst):
     new_space_to_x = []
     changed = []
     keep_maps = []
-    kept_verts = []
     for u in range(n_idx):
         space = inst.spaces[u]
         table = inst.projections[u]
@@ -386,7 +354,6 @@ def normalize(inst):
             new_projections.append(table)
             new_space_to_x.append(inst.space_to_x[u])
             keep_maps.append(None)
-            kept_verts.append(None)
             continue
         sub = connected_hull(space, image, label=inst.labels[u])
         repaired = "hull-completed" in sub.flags
@@ -401,7 +368,6 @@ def normalize(inst):
         else:
             new_space_to_x.append(None)
         keep_maps.append(remap)
-        kept_verts.append(kept)
         changed.append({"index": inst.labels[u], "removed": int(space.n - len(kept)),
                         "hull_repaired": repaired})
 
@@ -414,21 +380,12 @@ def normalize(inst):
         return (RaggedSets.union(sets.owners()[kept], mapped[kept], len(us)),
                 reached)
 
-    def rho_down_provider(new_inst, w, v, verts):
-        verts = np.asarray(verts, dtype=np.int64)
-        back = verts if kept_verts[w] is None else kept_verts[w][verts]
-        out = inst.rho_down(w, v, back)
-        if keep_maps[v] is not None:
-            out = keep_maps[v][np.asarray(out, dtype=np.int64)]
-            out = np.unique(out[out >= 0]).astype(np.int32)
-        return out
-
     meta = dict(inst.meta)
     meta["normalized"] = True
     meta["normalization_changes"] = changed
     out = HHSInstance(inst.X, inst.labels, new_spaces, inst.rel.copy(),
                       inst.maximal, new_projections, rho_provider,
-                      rho_down_provider, new_space_to_x, meta)
+                      new_space_to_x, meta)
     record = {"map": "identity", "index_bijection": dict(zip(inst.labels,
                                                              out.labels)),
               "changed": changed}
@@ -518,23 +475,13 @@ def product_hhs(a, b, cap=200_000):
                        True)]
         return assemble_column(len(us), parts)
 
-    def rho_down_provider(inst, w, v, verts):
-        if w == S:
-            return None   # fall back to the default reverse-projection map
-        if w < n_a and v < n_a:
-            return a.rho_down(w, v, verts)
-        if w >= n_a and v >= n_a and w != S:
-            return b.rho_down(w - n_a, v - n_a, verts)
-        return None
-
-    space_to_x = [None] * n_idx
     meta = {"construction": "product",
             "factors": [a.meta.get("construction", "?"),
                         b.meta.get("construction", "?")],
             "coord_a": coord_a, "coord_b": coord_b,
             "split": (n_a, n_b)}
     return HHSInstance(X, labels_idx, spaces, rel, S, projections,
-                       rho_provider, rho_down_provider, space_to_x, meta)
+                       rho_provider, meta=meta)
 
 
 # ---------------------------------------------------------------------------

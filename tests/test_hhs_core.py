@@ -124,8 +124,8 @@ def test_structural_catches_broken_relation(factor4):
     rel[pair[0], pair[1]] = 3
     broken = HHSInstance(factor4.X, factor4.labels, factor4.spaces, rel,
                          factor4.maximal, factor4.projections,
-                         factor4._rho_provider, factor4._rho_down_provider,
-                         factor4.space_to_x, factor4.meta)
+                         factor4._rho_provider, factor4.space_to_x,
+                         factor4.meta)
     rep = check_structural(broken, rho_pair_budget=10)
     assert not rep.passed
 
@@ -333,6 +333,41 @@ def test_hierarchy_path_geodesic_in_tree(factor4):
     assert res.vertices[0] == 0 and res.vertices[-1] == y
 
 
+def hierarchy_detour_loop(inst, x, y):
+    """The gate detour as three one-pair geodesics, gates from full rows."""
+    oracle = inst.X.oracle()
+    _, worst = hhs_checks._path_constant(inst, oracle.geodesic(x, y))
+    for label, _ in worst:
+        u = None if label == "X" else inst.index_of_label(label)
+        if u is None or inst.space_to_x[u] is None:
+            continue
+        member = np.asarray(inst.space_to_x[u], dtype=np.int64)
+        gx = int(member[np.argmin(oracle.row(x)[member])])
+        gy = int(member[np.argmin(oracle.row(y)[member])])
+        return (oracle.geodesic(x, gx)[:-1] + oracle.geodesic(gx, gy)[:-1]
+                + oracle.geodesic(gy, y))
+
+
+@pytest.mark.parametrize("x,y", [("e", "a b'"), ("e", "a' a' b'"),
+                                 ("e", "a a b a")])
+def test_hierarchy_path_detour_matches_three_geodesics(factor4, monkeypatch,
+                                                       x, y):
+    x, y = (factor4.X.labels.index(w) for w in (x, y))
+    path_constant = hhs_checks._path_constant
+    geodesic = factor4.X.oracle().geodesic(x, y)
+    budget = path_constant(factor4, geodesic)[0] / 2
+    detour = hierarchy_detour_loop(factor4, x, y)
+    assert detour != geodesic
+    scored = []
+    monkeypatch.setattr(hhs_checks, "_path_constant",
+                        lambda inst, path: scored.append(list(path))
+                        or path_constant(inst, path))
+    res = find_hierarchy_path(factor4, x, y, D_budget=budget)
+    assert scored == [geodesic, geodesic, detour]
+    # on a tree the geodesic is the best path
+    assert list(res.vertices) == geodesic and not res.success
+
+
 # ---------------------------------------------------------------------------
 # hierarchical quasi-convexity
 
@@ -427,8 +462,9 @@ def test_normalize_maps_rho_down_through_kept_vertices():
     out, record = normalize(inst)
     assert record["changed"][0]["index"] == "S"
     assert out.pi(1, 0).tolist() == [0]
-    # local 0 and 2 of the restricted S are vertices 1 and 3, over X 0 and 2
-    assert out.rho_down(1, 0, [0, 2]).tolist() == [0, 2]
+    # local 0 and 2 of the restricted S are vertices 1 and 3, over X 0 and
+    # 2: the carrier map the battery reads
+    assert out.space_to_x[1][[0, 2]].tolist() == [0, 2]
 
 
 # ---------------------------------------------------------------------------
