@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from hhskit import groups as G
-from hhskit.errors import MalformedMove, MissingStructure
-from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
-                        build_tree_of_spaces, check_combination_hypotheses,
+from hhskit.embedding import build_augmented_structure
+from hhskit.errors import BudgetExceeded, MalformedMove, MissingStructure
+from hhskit.gog import (GraphOfGroups, MoveRecord, _absorbed_edge_instance,
+                        apply_star_move, build_tree_of_spaces,
+                        check_combination_hypotheses,
                         check_hyperbolic_obtainable, run_main_pipeline)
 from hhskit.graph_core import four_point_delta
 from hhskit.groups import SubgroupSpec, enumerate_cosets
+from hhskit.hhs_core import instance_from_ball
 
 
 def amalgam():
@@ -103,6 +106,18 @@ def test_pipeline_edge_join_two_singletons():
     assert rep["refused"] is None and rep["combination"].passed
     assert rep["step2"]["Q1"]["absorbed"] == 1
     assert rep["step2"]["Q2"]["absorbed"] == 1
+
+
+def test_absorbed_edge_image_outside_vertex_ball_is_over_budget():
+    """An edge ball reaching past the vertex ball is refused by name."""
+    gog = amalgam()
+    edge = gog.edges["e"]
+    sub = gog.edge_subgroup(edge, "Q")
+    base = instance_from_ball(G.cayley_ball(gog.vertices["Q"].group, 3))
+    line = instance_from_ball(G.cayley_ball(edge.group, 5))
+    aug = build_augmented_structure(base, [(sub, line)], force=True)
+    with pytest.raises(BudgetExceeded, match="edge image leaves"):
+        _absorbed_edge_instance(edge, "Q", sub, line, aug)
 
 
 def test_pipeline_refuses_z2_base():
