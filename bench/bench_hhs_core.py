@@ -10,8 +10,11 @@ apart, on two r=5 instances: the factor-system instance of the ball with
 the cosets of <a> and <b> (487 indices), and the augmented instance above
 (244 indices, the structure ``amalgam-pipeline`` checks).
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
-factor-system instance (1459 indices; its top index has 1458 children).  Every round gets
-fresh graphs and a fresh instance, so no round reads distances,
+factor-system instance (1459 indices; its top index has 1458 children).
+On the F2 r=6 ball (1457 vertices), ``check_hyperbolically_embedded`` of
+<a> builds its own balls and cone-offs in the timed call, and
+``relative_metric`` of <a> is timed on a cone-off built in set-up.  Every
+round gets fresh graphs and a fresh instance, so no round reads distances,
 projections or relative projections that an earlier one cached; a check
 timed apart therefore also pays for the distance matrices it is the first
 to ask for.
@@ -21,7 +24,9 @@ import pytest
 
 from hhskit import groups as G
 from hhskit import hhs_checks
-from hhskit.embedding import build_augmented_structure, check_hh_embedded
+from hhskit.embedding import (build_augmented_structure, check_hh_embedded,
+                              check_hyperbolically_embedded,
+                              coned_over_cosets, relative_metric)
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_core import instance_from_ball, product_hhs
@@ -96,3 +101,19 @@ def test_bgi_factor_f2_r6(benchmark):
     got = benchmark.pedantic(hhs_checks.check_bgi, setup=fresh_factor_f2_r6,
                              rounds=3)
     assert got["observations"] > 0
+
+
+def test_hyperbolically_embedded_f2_r6(benchmark):
+    got = benchmark.pedantic(check_hyperbolically_embedded,
+                             setup=lambda: ((F2, [SUB_A], 6), {"seed": 3}),
+                             rounds=3)
+    assert got.passed
+
+
+def test_relative_metric_f2_r6(benchmark):
+    def fresh():
+        ball = G.cayley_ball(F2, 6)
+        return (ball, SUB_A, coned_over_cosets(ball, [SUB_A])[0]), {}
+
+    got = benchmark.pedantic(relative_metric, setup=fresh, rounds=10)
+    assert got.entry(0, 0) == 0

@@ -17,17 +17,16 @@ estimation, with counts reported.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
-from .graph_core import (MetricGraph, RaggedSets, Subgraph, bfs_distances,
+from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph, bfs_many,
                          four_point_delta)
-from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
-                     coset_vertices, enumerate_cosets, inverse_word,
-                     subgroup_membership)
+from .groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
+                     coset_subgraph, coset_vertices, enumerate_cosets,
+                     inverse_word, subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
                        _projection_sets_onto, assemble_column,
                        run_axiom_battery)
@@ -88,7 +87,8 @@ def relative_metric(ball, sub, cg=None):
 
     The ambient space is the cone-off ``cg`` of the ball (default: the ball
     coned over the cosets of ``sub``); removed edges are every coned or
-    base edge joining two identity-coset vertices.
+    base edge joining two identity-coset vertices.  One ``bfs_many`` sweep
+    per WORD members, read at the members only.
     """
     if cg is None:
         cg, _ = coned_over_cosets(ball, [sub])
@@ -97,12 +97,13 @@ def relative_metric(ball, sub, cg=None):
     kept = [(u, v) for (u, v) in cg.coned.edges
             if not (u in member_set and v in member_set)]
     punctured = MetricGraph(cg.coned.n, kept, cg.coned.labels)
+    at = np.asarray(members, dtype=np.int64)
     table = {}
-    for i, v in enumerate(members):
-        dist = bfs_distances(punctured, [v])
-        for j in range(i, len(members)):
-            d = int(dist[members[j]])
-            table[(i, j)] = d if d >= 0 else None
+    for lo in range(0, len(at), WORD):
+        rows = bfs_many(punctured, RaggedSets.singletons(at[lo:lo + WORD]), at)
+        for i, row in enumerate(rows.tolist(), start=lo):
+            table.update(((i, j), d if d >= 0 else None)
+                         for j, d in enumerate(row[i:], start=i))
     words = [ball.words[v] for v in members]
     return RelativeMetricTable(sub, members, words, table, cg, ball.radius)
 
@@ -280,19 +281,10 @@ def check_hh_embedded(base, subs, seed=0, **kwargs):
                         if subgroup_membership(ball.model, sub,
                                                ball.model.parse(g))]
         members = set(subgroup_ball_vertices(ball, sub))
-        steps = [ball.model.parse(token) for g in letters_in_h
-                 for token in (g, g + "'")]
-        reach = {ball.id_of(())}
-        stack = [ball.id_of(())]
-        while stack:
-            v = stack.pop()
-            for word in steps:
-                j = ball.index.get(reduce(ball.model.step, word,
-                                          ball.words[v]))
-                if j is not None and j in members and j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        missing = sorted(members - reach)
+        # a walk by T's letters in H never leaves H, so reach <= members
+        reach, _ = coset_vertices(ball, CosetDescriptor(
+            SubgroupSpec(ball.model, letters_in_h), ()))
+        missing = sorted(members.difference(reach))
         entry = {"generators_in_T": letters_in_h,
                  "covered": len(reach), "of": len(members)}
         if missing:
@@ -539,11 +531,8 @@ def verify_augmented(aug, seed=0, equivariance_samples=100, battery_kwargs=None)
         start = record["identity_coset_block"]
         labels_ok = len(set(record["index_map"].values())) == len(
             record["index_map"])
-        rel_ok = True
-        for u in range(sub_inst.n_indices()):
-            for v in range(sub_inst.n_indices()):
-                if result.rel[start + u, start + v] != sub_inst.rel[u, v]:
-                    rel_ok = False
+        block = slice(start, start + sub_inst.n_indices())
+        rel_ok = np.array_equal(result.rel[block, block], sub_inst.rel)
         # projections commute on the identity coset: for h in H, the
         # absorbed projection of h equals the subgroup's own projection
         sub_ball = sub_inst.meta["ball"]

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import BudgetExceeded, FactorSystemViolated
 from .graph_core import (RaggedSets, connected_hull,
                          four_point_delta, iter_ragged_blocks,
-                         ragged_diameters, ragged_hausdorff)
+                         quasiconvexity_constant, ragged_diameters,
+                         ragged_hausdorff)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, sample_indices,
                        sample_ordered_pairs)
 
@@ -196,19 +197,13 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
     for i in member_idx:
         mem = family[int(i)]
         verts = mem.vertex_array()
-        if len(verts) == 1:
+        if len(verts) <= 1:
             continue
-        rows = oracle.block(verts, np.arange(graph.n))
-        inner = mem.induced_graph().oracle()
-        dist_to = oracle.dist_to_set(verts)
         ii, jj = np.triu_indices(len(verts), k=1)
-        d_outer = rows[ii, verts[jj]].astype(np.float64)
-        d_inner = inner.pairs(ii, jj).astype(np.float64)
-        k_embed = float((d_inner / (d_outer + 1.0)).max()) if len(ii) else 0.0
-        q = 0
-        for a, b in zip(ii, jj):
-            on_geo = rows[a] + rows[b] == rows[a][verts[b]]
-            q = max(q, int(dist_to[on_geo].max()))
+        d_outer = oracle.pairs(verts[ii], verts[jj]).astype(np.float64)
+        d_inner = mem.induced_graph().oracle().pairs(ii, jj).astype(np.float64)
+        k_embed = float((d_inner / (d_outer + 1.0)).max())
+        q = quasiconvexity_constant(graph, mem, pair_budget=None).q
         val = max(k_embed, float(q))
         if val > K:
             K = val

@@ -193,13 +193,20 @@ def check_hyperbolic_obtainable(gog, base_vertices, seed=0):
 # ---------------------------------------------------------------------------
 # restriction: the induced edge structure
 
+def _edge_ball(gog, edge, vertex, radius):
+    """The edge ball whose image under the edge map fits the vertex ball of
+    this radius: radius over the longest edge-map word."""
+    model = gog.vertices[vertex].group
+    longest = max(len(model.parse(w)) for w in edge.maps[vertex].values())
+    return cayley_ball(edge.group, max(1, radius // longest))
+
+
 def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     """Edge-group structure: the indices nested in the edge member.
 
     Spaces are shared with the vertex structure; the edge ball embeds by
     pushing words through the edge map, and projections restrict.
     """
-    model = gog.vertices[vertex].group
     if vertex_instance.meta.get("ball") is None:
         raise MissingStructure("vertex instance carries no ball")
     sub = gog.edge_subgroup(edge, vertex)
@@ -210,11 +217,10 @@ def restrict_to_edge_group(vertex_instance, gog, edge, vertex, radius):
     keep = sorted(set(np.flatnonzero(
         vertex_instance.rel[:, top] == NESTED).tolist()) | {top})
 
-    max_map_len = max(len(model.parse(w)) for w in edge.maps[vertex].values())
-    edge_ball = cayley_ball(edge.group, max(1, radius // max_map_len))
     labels = [vertex_instance.labels[u] for u in keep]
     return _edge_instance(vertex_instance, keep, top, labels,
-                          dict(zip(labels, labels)), edge, vertex, edge_ball,
+                          dict(zip(labels, labels)), edge, vertex,
+                          _edge_ball(gog, edge, vertex, radius),
                           "edge-restriction")
 
 
@@ -272,23 +278,11 @@ class CombinationReport:
 
 
 def _edge_index_map(gog, edge, vertex):
-    """Index labels of the edge structure -> labels in the vertex structure."""
-    inst_e = edge.instance[vertex]
-    vert_inst = gog.vertices[vertex].instance
-    out = {}
-    for lab in inst_e.labels:
-        base_label = inst_e.meta["index_map"][lab] if "index_map" in inst_e.meta else lab
-        if base_label in vert_inst.labels:
-            out[lab] = base_label
-            continue
-        # absorbed side: the identity-coset copy of the subgroup's indices
-        sub_label = f"{edge.name}@{vertex}"
-        cand = f"{sub_label}[e].{lab}"
-        if cand in vert_inst.labels:
-            out[lab] = cand
-            continue
-        return None
-    return out
+    """Index labels of the edge structure -> labels in the vertex structure,
+    or None when the vertex structure lacks one of them."""
+    index_map = edge.instance[vertex].meta["index_map"]
+    held = set(gog.vertices[vertex].instance.labels)
+    return index_map if held.issuperset(index_map.values()) else None
 
 
 def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
@@ -341,15 +335,10 @@ def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
                 targets = {lab: vert_inst.index_of_label(t)
                            for lab, t in index_map.items()}
                 # relation preservation (injectivity is construction-level)
-                rel_ok = True
                 labs = list(inst_e.labels)
-                for i, a in enumerate(labs):
-                    for b in labs[i + 1:]:
-                        ra = inst_e.rel[inst_e.index_of_label(a),
-                                        inst_e.index_of_label(b)]
-                        rb = vert_inst.rel[targets[a], targets[b]]
-                        if ra != rb:
-                            rel_ok = False
+                at = [targets[lab] for lab in labs]
+                rel_ok = np.array_equal(np.triu(inst_e.rel, 1), np.triu(
+                    vert_inst.rel[np.ix_(at, at)], 1))
                 # per-index QI constants of the space maps
                 xi = 1.0
                 for lab in labs:
@@ -489,7 +478,6 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
     step2 = {}
     for v in base_vertices:
         vert = gog.vertices[v]
-        model = vert.group
         pairs = []
         for e in gog.incident_edges(v):
             if e.provenance != "new":
@@ -502,10 +490,8 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
                 if e.instance and "_line" in e.instance:
                     sub_inst = e.instance["_line"]
                 else:
-                    maxlen = max(len(model.parse(w))
-                                 for w in e.maps[v].values())
-                    eb = cayley_ball(e.group, max(1, radius // maxlen))
-                    sub_inst = instance_from_ball(eb, label="S")
+                    sub_inst = instance_from_ball(
+                        _edge_ball(gog, e, v, radius), label="S")
                     e.instance = e.instance or {}
                     e.instance["_line"] = sub_inst
             sub = gog.edge_subgroup(e, v)

@@ -27,6 +27,8 @@ from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
 MATRIX_CAP = 4096
 # Largest quadruple count enumerated exhaustively by four_point_delta.
 EXHAUSTIVE_QUADRUPLE_CAP = 2_000_000
+# Quadruples per four_point_delta chunk (six pair lists of this length).
+QUAD_CHUNK = 1 << 12
 
 
 class MetricGraph:
@@ -746,7 +748,7 @@ def _quad_deltas(oracle, quads):
     """Half the gap between the largest and middle pair sums, per quadruple.
 
     The six pair lists go to the oracle as one query, so the sweep strategy
-    visits each distinct source once.
+    visits each distinct source of the chunk once.
     """
     x, y, z, w = quads.T
     d = oracle.pairs(np.concatenate([x, z, x, y, x, y]),
@@ -768,7 +770,9 @@ def four_point_delta(graph, budget=None, seed=0,
 
     With no budget the scan is exhaustive over all vertex quadruples
     (guarded by ``exhaustive_cap``); with a budget it is a seeded sample
-    and the report is flagged as a lower bound.
+    and the report is flagged as a lower bound.  Either way the quadruples
+    are scanned QUAD_CHUNK at a time, and the witness is the first maximum
+    in scan order.
     """
     if not graph.is_connected:
         raise Disconnected("four_point_delta requires a connected graph")
@@ -783,34 +787,30 @@ def four_point_delta(graph, budget=None, seed=0,
         if population > exhaustive_cap:
             raise BudgetExceeded(
                 f"{population} quadruples exceed exhaustive cap; pass a budget")
-        best = -1.0
-        witness = None
         it = itertools.combinations(range(n), 4)
-        while True:
-            chunk = np.fromiter(itertools.chain.from_iterable(
-                itertools.islice(it, 200_000)), dtype=np.int64)
-            if chunk.size == 0:
-                break
-            quads = chunk.reshape(-1, 4)
-            deltas = _quad_deltas(oracle, quads)
-            i = int(np.argmax(deltas))
-            if deltas[i] > best:
-                best = float(deltas[i])
-                witness = tuple(int(q) for q in quads[i])
+        chunks = (np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(it, QUAD_CHUNK)), dtype=np.int64).reshape(-1, 4)
+            for _ in range(0, population, QUAD_CHUNK))
         spec = SampleSpec("exhaustive", population, population, None)
-        return HyperbolicityReport(best, witness, True, spec)
-
-    rng = rng_for(seed)
-    quads = rng.integers(0, n, size=(int(budget * 1.2) + 8, 4))
-    distinct = ((quads[:, 0] != quads[:, 1]) & (quads[:, 0] != quads[:, 2])
-                & (quads[:, 0] != quads[:, 3]) & (quads[:, 1] != quads[:, 2])
-                & (quads[:, 1] != quads[:, 3]) & (quads[:, 2] != quads[:, 3]))
-    quads = quads[distinct][:budget]
-    deltas = _quad_deltas(oracle, quads)
-    i = int(np.argmax(deltas))
-    spec = SampleSpec("sampled", population, len(quads), seed)
-    return HyperbolicityReport(float(deltas[i]), tuple(int(q) for q in quads[i]),
-                               False, spec)
+    else:
+        rng = rng_for(seed)
+        quads = rng.integers(0, n, size=(int(budget * 1.2) + 8, 4))
+        distinct = ((quads[:, 0] != quads[:, 1]) & (quads[:, 0] != quads[:, 2])
+                    & (quads[:, 0] != quads[:, 3]) & (quads[:, 1] != quads[:, 2])
+                    & (quads[:, 1] != quads[:, 3]) & (quads[:, 2] != quads[:, 3]))
+        quads = quads[distinct][:budget]
+        chunks = (quads[lo:lo + QUAD_CHUNK]
+                  for lo in range(0, len(quads), QUAD_CHUNK))
+        spec = SampleSpec("sampled", population, len(quads), seed)
+    best = -1.0
+    witness = None
+    for chunk in chunks:
+        deltas = _quad_deltas(oracle, chunk)
+        i = int(np.argmax(deltas))
+        if deltas[i] > best:
+            best = float(deltas[i])
+            witness = tuple(int(q) for q in chunk[i])
+    return HyperbolicityReport(best, witness, budget is None, spec)
 
 
 def closest_point_projection(graph, h, x):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coneoff import measure_quasigeodesic
 from .graph_core import (WORD, RaggedSets, four_point_delta,
                          quasiconvexity_constant, ragged_diameters,
                          ragged_set_distances, segments)
@@ -738,8 +739,7 @@ def _path_constant(inst, path):
     verts = np.asarray(path, dtype=np.int64)
     ii, jj = np.triu_indices(len(verts), k=1)
     span = (jj - ii).astype(np.float64)
-    dx = inst.X.oracle().pairs(verts[ii], verts[jj]).astype(np.float64)
-    D = max(1.0, (span / (dx + 1.0)).max()) if len(ii) else 1.0
+    D = measure_quasigeodesic(verts, inst.X.oracle())
     worst = [("X", D)]
     for u in range(inst.n_indices()):
         d = _pi_rep_distance(inst, u, verts[ii], verts[jj]).astype(np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .graph_core import (MetricGraph, RaggedSets, Subgraph, connected_hull,
-                         segments)
+                         ragged_diameters, segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -80,8 +80,9 @@ class ProjectionTable:
 
     def max_set_diameter(self, space_oracle):
         big = np.flatnonzero(np.diff(self.indptr) > 1)
-        return max((space_oracle.diameter_of_set(self.get(x))
-                    for x in big.tolist()), default=0)
+        return int(ragged_diameters(space_oracle,
+                                    RaggedSets(self.data, self.indptr),
+                                    big).max(initial=0))
 
     def owners(self):
         """The x whose set holds each entry of ``data``."""
@@ -280,12 +281,14 @@ def instance_from_factor_system(cand, report=None):
     S = m
     rel = np.full((n_idx, n_idx), TRANSVERSE, dtype=np.int8)
     np.fill_diagonal(rel, EQUAL)
+    below = [[] for _ in family]   # ascending, as i runs in order
     for i in range(m):
         rel[i, S] = NESTED
         rel[S, i] = CONTAINS
         for j in above[i]:
             rel[i, j] = NESTED
             rel[j, i] = CONTAINS
+            below[j].append(i)
 
     spaces = []
     space_to_x = []
@@ -295,7 +298,7 @@ def instance_from_factor_system(cand, report=None):
         contained = [Subgraph(mem.induced_graph(),
                               [local[v] for v in family[j].vertices],
                               label=family[j].label)
-                     for j in above_inverse(above, i)]
+                     for j in below[i]]
         coned = build_coneoff(mem.induced_graph(), contained).coned
         spaces.append(coned)
         space_to_x.append(mem.vertex_array())
@@ -326,11 +329,6 @@ def instance_from_factor_system(cand, report=None):
                      "ball": cand.ball})
     return HHSInstance(graph, labels, spaces, rel, S, projections,
                        rho_provider, space_to_x, meta)
-
-
-def above_inverse(above, i):
-    """Members strictly contained in member i (inverse of the 'above' lists)."""
-    return [j for j in range(len(above)) if i in above[j]]
 
 
 def normalize(inst):

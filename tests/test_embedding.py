@@ -1,8 +1,11 @@
 """Relative metrics, embedded-subgroup verdicts, absorption."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from hhskit import embedding
 from hhskit import groups as G
 from hhskit.errors import EmbeddingViolated, StructureMismatch
 from hhskit.embedding import (build_augmented_structure,
@@ -10,11 +13,11 @@ from hhskit.embedding import (build_augmented_structure,
                               check_hyperbolically_embedded,
                               decomposition_projection_check,
                               projection_uniform_bound, relative_metric,
-                              verify_augmented)
+                              subgroup_ball_vertices, verify_augmented)
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
-from hhskit.groups import SubgroupSpec
+from hhskit.groups import SubgroupSpec, subgroup_membership
 from hhskit.hhs_core import check_structural, instance_from_ball, trivial_instance
-from hhskit.graph_core import MetricGraph
+from hhskit.graph_core import MetricGraph, bfs_distances
 
 F2 = G.free_group(["a", "b"])
 Z2 = G.free_abelian_group(["a", "b"])
@@ -83,6 +86,31 @@ def test_relative_metric_dominates_coned_metric():
             assert d >= coned.dist(t.elements[i], t.elements[j])
 
 
+def ref_relative_table(t):
+    """The table of ``relative_metric``, one BFS row per member."""
+    members, inside = t.elements, set(t.elements)
+    coned = t.coned_graph.coned
+    punctured = MetricGraph(coned.n, [(u, v) for u, v in coned.edges
+                                      if not (u in inside and v in inside)])
+    table = {}
+    for i, v in enumerate(members):
+        dist = bfs_distances(punctured, [v])
+        for j in range(i, len(members)):
+            d = int(dist[members[j]])
+            table[(i, j)] = d if d >= 0 else None
+    return table
+
+
+@pytest.mark.parametrize("model, radius", [(F2, 5), (Z2, 6)])
+def test_relative_metric_matches_per_member_bfs(model, radius, monkeypatch):
+    # with three members per sweep, sweep boundaries fall inside the list
+    monkeypatch.setattr(embedding, "WORD", 3)
+    ball = G.cayley_ball(model, radius)
+    t = relative_metric(ball, SubgroupSpec(model, ["a"], label="A"))
+    assert len(t.elements) > 3
+    assert list(t.table.items()) == list(ref_relative_table(t).items())
+
+
 # ---------------------------------------------------------------------------
 # hyperbolically embedded verdicts
 
@@ -126,6 +154,44 @@ def test_hh_embedded_fails_when_T_misses_subgroup():
     rep = check_hh_embedded(base, [ab], seed=3)
     assert not rep["parts"]["generated_by_T"]["passed"]
     assert "witness" in rep["parts"]["generated_by_T"]["per_subgroup"]["AB"]
+
+
+def ref_generated_by_T(ball, sub, gens):
+    """The ``generated_by_T`` part of ``check_hh_embedded``, by a walk from
+    the identity along T's letters in H that stays inside H's ball
+    vertices."""
+    model = ball.model
+    letters = [g for g in gens
+               if subgroup_membership(model, sub, model.parse(g))]
+    members = set(subgroup_ball_vertices(ball, sub))
+    steps = [model.parse(token) for g in letters for token in (g, g + "'")]
+    reach = {ball.id_of(())}
+    stack = [ball.id_of(())]
+    while stack:
+        v = stack.pop()
+        for word in steps:
+            j = ball.index.get(reduce(model.step, word, ball.words[v]))
+            if j is not None and j in members and j not in reach:
+                reach.add(j)
+                stack.append(j)
+    missing = sorted(members - reach)
+    entry = {"generators_in_T": letters, "covered": len(reach),
+             "of": len(members)}
+    if missing:
+        entry["witness"] = ball.graph.label_of(missing[0])
+    return {"passed": not missing, "per_subgroup": {sub.label: entry}}
+
+
+@pytest.mark.parametrize("gens", [["a"], ["a b"], ["a", "b a b'"]])
+def test_generated_by_T_matches_walk_inside_members(gens):
+    base = instance_from_ball(G.cayley_ball(F2, 5))
+    sub = SubgroupSpec(F2, gens, label="H")
+    got = check_hh_embedded(base, [sub], seed=3, delta_budget=2000)
+    expected = ref_generated_by_T(base.meta["ball"], sub,
+                                  base.meta["cs_generating_set"])
+    assert got["parts"]["generated_by_T"] == expected
+    # only <a> is generated by its letters in T = {a, b}
+    assert ("witness" in expected["per_subgroup"]["H"]) == (gens != ["a"])
 
 
 def test_hh_embedded_vacuous_and_mismatch():

@@ -9,14 +9,15 @@ import pytest
 from hhskit import graph_core
 from hhskit import groups as G
 from hhskit.errors import FactorSystemViolated
-from hhskit.factor_system import (AxiomOutcome, FactorSystemCandidate,
+from hhskit.factor_system import (DEFAULT_MEMBER_BUDGET, AxiomOutcome,
+                                  FactorSystemCandidate,
                                   build_group_factor_closure,
                                   build_hhs_from_factor_system, connected_hull,
                                   family_from_cosets, simple_family_check,
                                   verify_factor_system)
 from hhskit.graph_core import MetricGraph, Subgraph
 from hhskit.groups import SubgroupSpec
-from hhskit.sampling import sample_ordered_pairs
+from hhskit.sampling import sample_indices, sample_ordered_pairs
 
 F2 = G.free_group(["a", "b"])
 SUB_A = SubgroupSpec(F2, ["a"], label="A")
@@ -270,6 +271,36 @@ def ref_hausdorff(block):
     return max(int(block.min(axis=1).max()), int(block.min(axis=0).max()))
 
 
+def ref_axiom1(cand, member_budget, seed):
+    """Axiom 1 of ``verify_factor_system``: per member, every pair of its
+    vertices and every vertex on a geodesic between them."""
+    graph, family = cand.graph, cand.family
+    oracle = graph.oracle()
+    member_idx, spec = sample_indices(len(family), member_budget, seed)
+    K, worst = 0.0, None
+    for i in member_idx:
+        mem = family[int(i)]
+        verts = mem.vertex_array()
+        if len(verts) == 1:
+            continue
+        rows = oracle.block(verts, np.arange(graph.n))
+        inner = mem.induced_graph().oracle()
+        dist_to = oracle.dist_to_set(verts)
+        ii, jj = np.triu_indices(len(verts), k=1)
+        d_outer = rows[ii, verts[jj]].astype(np.float64)
+        d_inner = inner.pairs(ii, jj).astype(np.float64)
+        k_embed = float((d_inner / (d_outer + 1.0)).max())
+        q = 0
+        for a, b in zip(ii, jj):
+            on_geo = rows[a] + rows[b] == rows[a][verts[b]]
+            q = max(q, int(dist_to[on_geo].max()))
+        val = max(k_embed, float(q))
+        if val > K:
+            K = val
+            worst = {"member": mem.label, "k_embed": k_embed, "q": q}
+    return AxiomOutcome(True, K, [worst] if worst else [], spec)
+
+
 def ref_pair_scan(cand, report, pair_budget, seed):
     """Axioms 2, 3 and 5 of ``verify_factor_system``, pair by pair."""
     family = cand.family
@@ -407,8 +438,10 @@ def test_batched_scans_match_per_pair_reference(name, chunk, monkeypatch):
     pair_budget = kwargs.get("pair_budget", 200_000)
     seed = kwargs.get("seed", 0)
     report = verify_factor_system(cand, **kwargs)
-    expected = ref_pair_scan(cand, report, pair_budget, seed)
-    got = (report.projections, report.coarse_containment, report.separation)
+    expected = (ref_axiom1(cand, DEFAULT_MEMBER_BUDGET, seed),
+                *ref_pair_scan(cand, report, pair_budget, seed))
+    got = (report.embedding, report.projections, report.coarse_containment,
+           report.separation)
     for ax_got, ax_ref in zip(got, expected):
         assert ax_got.witnesses == ax_ref.witnesses
         assert ax_got.to_dict() == ax_ref.to_dict()

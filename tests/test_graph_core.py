@@ -525,6 +525,10 @@ def test_one_call_quad_deltas_match_six_calls(strategy, data, seed):
         # boundaries fall inside queries
         mp.setattr(graph_core, "PAIRS_CHUNK", 6 * 5 + 1)
         one_call = delta()
+        with pytest.MonkeyPatch.context() as chunked:
+            # the first maximum holds across quadruple chunks
+            chunked.setattr(graph_core, "QUAD_CHUNK", 5)
+            assert delta() == one_call
         mp.setattr(graph_core, "_quad_deltas", six_call_deltas)
         assert one_call == delta()
 
