@@ -10,6 +10,7 @@ failed, 1 error.
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -117,11 +118,26 @@ class Scenario:
         return out
 
     def ball(self, group_name, radius, where):
+        """The Cayley ball of (group, radius), built on first use and
+        cached until ``release`` drops it."""
         key = (group_name, radius)
         if key not in self._balls:
             self._balls[key] = cayley_ball(self.group(group_name, where),
                                            radius)
         return self._balls[key]
+
+    def release(self, keep):
+        """Drop every cached ball whose (group, radius) is not in
+        ``keep``, with the factor instances built on it."""
+        dropped = [k for k in self._balls if k not in keep]
+        for key in dropped:
+            del self._balls[key]
+        for key in [k for k in self._factor_instances if k[:2] not in keep]:
+            del self._factor_instances[key]
+        if dropped:
+            # a graph and its distance oracle refer to each other, so only
+            # the cycle collector frees a dropped ball's matrix
+            gc.collect()
 
     def factor_instance(self, op, seed, where):
         """(ball, candidate, report, instance) of an op's coset family.
@@ -392,14 +408,10 @@ def flatten_numeric(tree, prefix=""):
     return rows
 
 
-def run_scenario(path, only=None, overrides=None, stability=False):
-    """Execute a scenario; returns (bundle dict, exit code)."""
-    overrides = overrides or {}
-    scn = load_scenario(path)
-    seed = int(overrides.get("seed", scn.seed))
-    out_dir = overrides.get("out", scn.out)
-
-    results = []
+def _planned_ops(scn, only, overrides):
+    """(kind, op) of every op that will run, in order, with the radius
+    and budget overrides applied to a copy of the op."""
+    plan = []
     for i, op in enumerate(scn.operations):
         kind = _require(op, "op", f"operations[{i}]")
         if kind not in OP_HANDLERS:
@@ -412,6 +424,28 @@ def run_scenario(path, only=None, overrides=None, stability=False):
             op["radius"] = int(overrides["radius"])
         if "budget" in overrides:
             op["pair_budget"] = int(overrides["budget"])
+        plan.append((kind, op))
+    return plan
+
+
+def run_scenario(path, only=None, overrides=None, stability=False):
+    """Execute a scenario; returns (bundle dict, exit code)."""
+    overrides = overrides or {}
+    scn = load_scenario(path)
+    seed = int(overrides.get("seed", scn.seed))
+    out_dir = overrides.get("out", scn.out)
+
+    plan = _planned_ops(scn, only, overrides)
+    # the last planned op that may ask for each (group, radius) ball
+    last_use = {}
+    for i, (_, op) in enumerate(plan):
+        if "radius" in op:
+            last_use[op.get("group"), op["radius"]] = i
+            if stability:
+                last_use[op.get("group"), op["radius"] + 2] = i
+
+    results = []
+    for i, (kind, op) in enumerate(plan):
         entry = {"op": kind, "params": {k: v for k, v in op.items()
                                         if k != "op"}}
         entry["report"] = OP_HANDLERS[kind](scn, op, seed)
@@ -424,6 +458,8 @@ def run_scenario(path, only=None, overrides=None, stability=False):
                 "second": second,
                 "diff": _stability_diff(entry["report"], second)}
         results.append(entry)
+        if i + 1 < len(plan):
+            scn.release({key for key, j in last_use.items() if j > i})
 
     config_hash = hashlib.sha256(
         stable_json(scn.raw).encode()).hexdigest()

@@ -408,16 +408,17 @@ class BallGraph:
     """The radius-r ball of a Cayley graph, with the word<->vertex bijection.
 
     Vertex ids are assigned in shortlex order (layer by layer), so numeric
-    order on ids is shortlex order on normal forms.
+    order on ids is shortlex order on normal forms.  ``index`` maps each
+    normal form to its id; it is the dict the ball was grown with.
     """
 
-    def __init__(self, graph, radius, gens, words, model):
+    def __init__(self, graph, radius, gens, words, model, index):
         self.graph = graph
         self.radius = radius
         self.gens = tuple(gens)
         self.words = tuple(words)
         self.model = model
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = index
 
     def __repr__(self):
         return (f"BallGraph({self.model.kind}, r={self.radius}, "
@@ -441,46 +442,66 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
     is then found once, as the step that grows its outer end from its inner
     end, and the last layer is never expanded: no edge joins two of its
     vertices.  A step that lands in its own layer would disprove this, and
-    raises."""
+    raises.
+
+    A layer is grown from the parents in id order and the letters in
+    shortlex letter order (g1 < g1' < g2 < ..., by model index).  Every
+    supported normal form is the shortlex least word of its element, so a
+    prefix of one is again a normal form, and the first step to reach a new
+    word comes from its prefix by its last letter: the layer comes out in
+    shortlex order, and a child's label is its parent's plus one letter.  A
+    model whose new word is not the child of the parent that reached it
+    gets that word's label by ``format_word`` and the layer sorted by
+    ``shortlex_key``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     labels = tuple(gens) if gens is not None else model.gens
-    letters = []
     for lab in labels:
         if lab not in model.gens:
             raise UnknownGenerator(f"generator {lab!r} not declared by the model")
-        idx = model.gens.index(lab) + 1
-        letters.extend([idx, -idx])
+    letters = [x for idx in sorted({model.gens.index(lab) + 1 for lab in labels})
+               for x in (idx, -idx)]
+    letter_text = {s: format_word((s,), model.gens) for s in letters}
 
-    words = [()]
-    seen = {(): 0}
-    layer = [()]
-    edges = set()
+    words, texts, index, edges = [()], ["e"], {(): 0}, []
+    start, end = 0, 1
     for k in range(radius):
-        start = len(words) - len(layer)
-        inner, outer = [], []
-        for i, w in enumerate(layer, start):
+        first, ordered = len(edges), True
+        for i in range(start, end):
+            w = words[i]
+            head = texts[i] + " " if i else ""
             for s in letters:
                 w2 = model.step(w, s)
-                j = seen.setdefault(w2, -1)
-                if j >= start:
-                    raise ValueError(
-                        f"{format_word(w + (s,), model.gens)} stays in layer "
-                        f"{k}: the Cayley graph is not bipartite")
-                if j < 0:
-                    inner.append(i)
-                    outer.append(w2)
-        layer = sorted(set(outer), key=shortlex_key)
-        for w2 in layer:
-            seen[w2] = len(words)
-            words.append(w2)
-            if len(words) > cap:
-                raise BudgetExceeded(f"ball exceeded vertex cap {cap}")
-        edges.update(zip(inner, map(seen.__getitem__, outer)))
+                n = len(words)
+                j = index.setdefault(w2, n)
+                if j < end:
+                    if j >= start:
+                        raise ValueError(
+                            f"{format_word(w + (s,), model.gens)} stays in "
+                            f"layer {k}: the Cayley graph is not bipartite")
+                    continue
+                edges.append((i, j))
+                if j == n:
+                    words.append(w2)
+                    if w2[-1] == s and w2[:-1] == w:
+                        texts.append(head + letter_text[s])
+                    else:
+                        texts.append(format_word(w2, model.gens))
+                        ordered = False
+                    if n >= cap:
+                        raise BudgetExceeded(f"ball exceeded vertex cap {cap}")
+        if not ordered:
+            perm = sorted(range(end, len(words)),
+                          key=lambda v: shortlex_key(words[v]))
+            words[end:] = [words[v] for v in perm]
+            texts[end:] = [texts[v] for v in perm]
+            moved = {v: new for new, v in enumerate(perm, end)}
+            index.update((words[v], v) for v in range(end, len(words)))
+            edges[first:] = [(i, moved[j]) for i, j in edges[first:]]
+        start, end = end, len(words)
 
-    labels_text = [format_word(w, model.gens) for w in words]
-    graph = MetricGraph(len(words), sorted(edges), labels_text)
-    return BallGraph(graph, radius, labels, words, model)
+    graph = MetricGraph(len(words), edges, texts)
+    return BallGraph(graph, radius, labels, words, model, index)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Scenario driver: configs, bundles, determinism, exports."""
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 import hhskit
+from hhskit import cli
 from hhskit import groups as G
 from hhskit.cli import (load_bundle, load_scenario, main, run_scenario,
                         stable_json)
@@ -150,6 +152,58 @@ def test_stability_flag_diffs(tmp_path):
     entry = bundle["results"][0]
     assert entry["stability"]["radius_pair"] == [3, 5]
     assert "diff" in entry["stability"]
+
+
+BALL_OPS = [
+    {"op": "delta", "group": "F", "radius": 3, "budget": 2000},
+    {"op": "delta", "group": "F", "radius": 4, "budget": 2000},
+    {"op": "coneoff", "group": "F", "radius": 3, "subgroups": ["A"],
+     "pair_budget": 200},
+]
+
+
+@pytest.mark.parametrize("only, stability, builds, alive", [
+    # alive: the radii of the built balls still alive as each op starts
+    (None, False, [3, 4], [[], [3], [3]]),
+    (None, True, [3, 5, 4, 6],
+     [[], [3], [3, 5], [3, 4, 5], [3, 5], [3, 5]]),
+    ("delta", False, [3, 4], [[], []]),
+    ("delta", True, [3, 5, 4, 6], [[], [3], [], [4]]),
+])
+def test_each_ball_built_once_and_dropped_after_its_last_use(
+        tmp_path, monkeypatch, only, stability, builds, alive):
+    built, seen = [], []
+
+    def counted(model, radius):
+        ball = G.cayley_ball(model, radius)
+        built.append((radius, weakref.ref(ball), weakref.ref(ball.graph)))
+        return ball
+
+    def watched(handler):
+        def run(scn, op, seed):
+            seen.append(sorted(r for r, ball, graph in built
+                               if ball() is not None or graph() is not None))
+            return handler(scn, op, seed)
+        return run
+
+    monkeypatch.setattr(cli, "cayley_ball", counted)
+    for kind in ("delta", "coneoff"):
+        monkeypatch.setitem(cli.OP_HANDLERS, kind,
+                            watched(cli.OP_HANDLERS[kind]))
+    path = small_config(tmp_path, operations=BALL_OPS)
+    bundle, code = run_scenario(str(path), only=only, stability=stability,
+                                overrides={"out": str(tmp_path / "all")})
+    assert code == 0
+    assert [r for r, _, _ in built] == builds
+    assert seen == alive
+
+    ops = [op for op in BALL_OPS if only in (None, op["op"])]
+    assert len(bundle["results"]) == len(ops)
+    for k, op in enumerate(ops):
+        alone = small_config(tmp_path, operations=[op])
+        single, _ = run_scenario(str(alone), stability=stability,
+                                 overrides={"out": str(tmp_path / f"{k}")})
+        assert single["results"] == [bundle["results"][k]]
 
 
 def test_env_budget_override(tmp_path, monkeypatch):

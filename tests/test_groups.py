@@ -13,9 +13,9 @@ from hhskit.factor_system import family_from_cosets
 from hhskit.graph_core import shortest_path
 from hhskit.groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
                            coset_subgraph, coset_vertices, enumerate_cosets,
-                           free_abelian_group, free_group, free_product,
-                           inverse_word, raag_group, shortlex_key,
-                           subgroup_membership)
+                           format_word, free_abelian_group, free_group,
+                           free_product, inverse_word, raag_group,
+                           shortlex_key, subgroup_membership)
 
 F2 = free_group(["a", "b"])
 Z2 = free_abelian_group(["a", "b"])
@@ -347,6 +347,40 @@ def test_ball_refuses_a_step_inside_its_layer():
     assert cayley_ball(OddRelator(), 1).graph.n == 3
     with pytest.raises(ValueError, match="not bipartite"):
         cayley_ball(OddRelator(), 2)
+
+
+class ParityZ2:
+    """Z^2 = <a, b | a b a' b'> with a normal form that is not prefix-closed:
+    a^i b^j writes the a-letters first when i + j is even and the b-letters
+    first when it is odd.  NF(a a b) = b a a, but its prefix b a is not
+    NF(a b) = a b, so the ball's layer 3 comes out of order and is sorted."""
+
+    kind = "parity"
+    gens = ("a", "b")
+
+    def normal_form(self, word):
+        i = sum((x > 0) - (x < 0) for x in word if abs(x) == 1)
+        j = sum((x > 0) - (x < 0) for x in word if abs(x) == 2)
+        a = (1 if i > 0 else -1,) * abs(i)
+        b = (2 if j > 0 else -2,) * abs(j)
+        return a + b if (i + j) % 2 == 0 else b + a
+
+    def step(self, word, s):
+        return self.normal_form(word + (s,))
+
+
+def test_ball_sorts_a_layer_that_is_not_prefix_closed():
+    model = ParityZ2()
+    assert model.normal_form((1, 1, 2)) == (2, 1, 1)
+    assert model.normal_form((2, 1)) == (1, 2)
+    for radius in range(6):
+        words, edges = two_pass_ball(model, radius, model.gens)
+        ball = cayley_ball(model, radius)
+        assert ball.words == words and ball.graph.edges == edges
+        assert ball.graph.labels == tuple(format_word(w, model.gens)
+                                          for w in words)
+        assert all(ball.index[w] == i for i, w in enumerate(ball.words))
+        assert len(ball.index) == ball.graph.n
 
 
 # ---------------------------------------------------------------------------

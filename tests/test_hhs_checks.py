@@ -7,6 +7,8 @@ relative projections are partly unreached, so that witness order and the
 unreached counts are compared, not only zeros.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from hhskit.embedding import build_augmented_structure
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         run_main_pipeline)
-from hhskit.graph_core import MetricGraph, RaggedSets, bfs_distances
+from hhskit.graph_core import (MetricGraph, RaggedSets, bfs_distances,
+                               four_point_delta)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
                                TRANSVERSE, _carrier, _pi_rep_distance,
@@ -595,3 +598,41 @@ def test_min_over_sets_2d_matches_its_rows(tm, data):
     assert got.shape == (k, len(xs))
     assert got.tolist() == [t.min_over_sets(xs, row).tolist()
                             for row in values]
+
+
+# ---------------------------------------------------------------------------
+# the battery's space delta
+
+def space_delta_loop(inst, seed, delta_budget=40_000):
+    """Reference: one four-point delta per index, shared spaces included."""
+    delta = 0.0
+    for u in range(inst.n_indices()):
+        space = inst.spaces[u]
+        budget = None if space.n <= 40 else delta_budget
+        delta = max(delta, four_point_delta(space, budget=budget,
+                                            seed=seed).delta)
+    return delta
+
+
+@pytest.mark.parametrize("name", ["absorbed", "factor3", "gog_Q", "product"])
+def test_battery_delta_once_per_distinct_space(monkeypatch, name):
+    if name == "absorbed":
+        # the cosets of the absorbed line share one space
+        inst = build_augmented_structure(
+            instance_from_ball(G.cayley_ball(F2, 3)),
+            [(SUB_A, line(3, "line"))], seed=3).result
+        assert len({id(s) for s in inst.spaces}) < inst.n_indices() - 8
+    else:
+        inst = FIXTURES[name]
+    calls = []
+
+    def counted(space, **kwargs):
+        calls.append(space)
+        return four_point_delta(space, **kwargs)
+
+    monkeypatch.setattr(hhs_checks, "four_point_delta", counted)
+    battery = hhs_checks.run_axiom_battery(inst, seed=4)
+    assert len(calls) == len({id(s) for s in inst.spaces})
+    reference = dataclasses.replace(battery,
+                                    delta=space_delta_loop(inst, seed=4))
+    assert battery.to_dict() == reference.to_dict()
