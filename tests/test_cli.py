@@ -160,18 +160,24 @@ BALL_OPS = [
     {"op": "coneoff", "group": "F", "radius": 3, "subgroups": ["A"],
      "pair_budget": 200},
 ]
+# the factor instance cached by hhs-check holds its ball
+INSTANCE_OPS = [
+    {"op": "hhs-check", "group": "F", "radius": 2, "subgroups": ["A"]},
+    {"op": "delta", "group": "F", "radius": 3, "budget": 2000},
+]
 
 
-@pytest.mark.parametrize("only, stability, builds, alive", [
+@pytest.mark.parametrize("ops, only, stability, builds, alive", [
     # alive: the radii of the built balls still alive as each op starts
-    (None, False, [3, 4], [[], [3], [3]]),
-    (None, True, [3, 5, 4, 6],
+    (BALL_OPS, None, False, [3, 4], [[], [3], [3]]),
+    (BALL_OPS, None, True, [3, 5, 4, 6],
      [[], [3], [3, 5], [3, 4, 5], [3, 5], [3, 5]]),
-    ("delta", False, [3, 4], [[], []]),
-    ("delta", True, [3, 5, 4, 6], [[], [3], [], [4]]),
+    (BALL_OPS, "delta", False, [3, 4], [[], []]),
+    (BALL_OPS, "delta", True, [3, 5, 4, 6], [[], [3], [], [4]]),
+    (INSTANCE_OPS, None, False, [2, 3], [[], []]),
 ])
 def test_each_ball_built_once_and_dropped_after_its_last_use(
-        tmp_path, monkeypatch, only, stability, builds, alive):
+        tmp_path, monkeypatch, ops, only, stability, builds, alive):
     built, seen = [], []
 
     def counted(model, radius):
@@ -187,19 +193,19 @@ def test_each_ball_built_once_and_dropped_after_its_last_use(
         return run
 
     monkeypatch.setattr(cli, "cayley_ball", counted)
-    for kind in ("delta", "coneoff"):
+    for kind in {op["op"] for op in ops}:
         monkeypatch.setitem(cli.OP_HANDLERS, kind,
                             watched(cli.OP_HANDLERS[kind]))
-    path = small_config(tmp_path, operations=BALL_OPS)
+    path = small_config(tmp_path, operations=ops)
     bundle, code = run_scenario(str(path), only=only, stability=stability,
                                 overrides={"out": str(tmp_path / "all")})
     assert code == 0
     assert [r for r, _, _ in built] == builds
     assert seen == alive
 
-    ops = [op for op in BALL_OPS if only in (None, op["op"])]
-    assert len(bundle["results"]) == len(ops)
-    for k, op in enumerate(ops):
+    ran = [op for op in ops if only in (None, op["op"])]
+    assert len(bundle["results"]) == len(ran)
+    for k, op in enumerate(ran):
         alone = small_config(tmp_path, operations=[op])
         single, _ = run_scenario(str(alone), stability=stability,
                                  overrides={"out": str(tmp_path / f"{k}")})
