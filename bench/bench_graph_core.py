@@ -13,11 +13,12 @@ the code under test asks the graph for its oracle), so no round reads what
 an earlier one cached.  Within a round, the repeated-query cases ask the
 same oracle many times, as the library's own callers do.
 
-``cayley_ball`` is timed on F2 at r=8 (13121 vertices) and on the RAAG at
-r=6, ``enumerate_cosets`` of <a> on F2 at r=6 and r=8 and on the RAAG at
-r=6 (one walk over the ball per round; a one-generator subgroup needs no
-merge pass), and
-``GroupModel.normal_form`` on 5000 random RAAG words of length 10.
+``cayley_ball`` is timed on F2 at r=8 (13121 vertices), on the RAAG at
+r=6 and on the same group built as the free product Z^2 * Z at r=6,
+``enumerate_cosets`` of <a> on F2 at r=6 and r=8 and on the RAAG at r=6
+(one walk over the ball per round; a one-generator subgroup needs no
+merge pass), and ``GroupModel.normal_form`` on 5000 random RAAG words of
+length 10.
 ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
 over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
 Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
@@ -49,6 +50,7 @@ from hhskit.graph_core import (DistanceOracle, MetricGraph, bfs_distances,
 RAAG = groups.raag_group(["a", "b", "c"], [("a", "b")])
 F2 = groups.free_group(["a", "b"])
 Z2 = groups.free_abelian_group(["a", "b"])
+Z2_Z = groups.free_product(Z2, groups.free_group(["c"]))
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +130,9 @@ def test_rows_quasiconvexity_r6(benchmark, ball6):
     assert rep.q == 0
 
 
-@pytest.mark.parametrize("model,radius,n", [(F2, 8, 13121), (RAAG, 6, 10945)],
-                         ids=["F2_r8", "RAAG_r6"])
+@pytest.mark.parametrize("model,radius,n", [(F2, 8, 13121), (RAAG, 6, 10945),
+                                            (Z2_Z, 6, 10945)],
+                         ids=["F2_r8", "RAAG_r6", "Z2*Z_r6"])
 def test_cayley_ball(benchmark, model, radius, n):
     ball = benchmark.pedantic(groups.cayley_ball, args=(model, radius),
                               rounds=3)

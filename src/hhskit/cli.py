@@ -145,8 +145,8 @@ class Scenario:
         The candidate is verified and the instance built once per
         (group, radius, subgroups, seed); later ops reuse them.
         """
-        key = (op["group"], op["radius"], tuple(op.get("subgroups", [])),
-               seed)
+        key = (_require(op, "group", where), _require(op, "radius", where),
+               tuple(op.get("subgroups", [])), seed)
         if key not in self._factor_instances:
             ball, cand, _ = _coset_family(self, op, where)
             report = verify_factor_system(cand, seed=seed)
@@ -170,7 +170,8 @@ def load_scenario(path):
 # operations
 
 def _coset_family(scn, op, where):
-    ball = scn.ball(op["group"], op["radius"], where)
+    ball = scn.ball(_require(op, "group", where),
+                    _require(op, "radius", where), where)
     subs = scn.subs(op.get("subgroups", []), where)
     return ball, family_from_cosets(ball, subs), subs
 

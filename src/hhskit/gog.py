@@ -98,18 +98,11 @@ class GraphOfGroups:
             for v in e.ends:
                 model = self.vertices[v].group
                 ok = True
-                # relations of the supported kinds: commutators where the
-                # edge group declares commuting generators
-                if e.group.kind in ("free_abelian", "raag"):
-                    pairs = ([(i + 1, j + 1) for i in range(e.group.rank())
-                              for j in range(i + 1, e.group.rank())]
-                             if e.group.kind == "free_abelian" else
-                             [(e.group.gens.index(a) + 1, e.group.gens.index(b) + 1)
-                              for a, b in map(sorted, e.group.commuting)])
-                    for i, j in pairs:
-                        comm = (i, j, -i, -j)
-                        if e.map_word(v, model, comm) != ():
-                            ok = False
+                # the relations of every kind: a commutator per commuting
+                # pair of edge generators
+                for i, j in e.group.commuting_pairs():
+                    if e.map_word(v, model, (i, j, -i, -j)) != ():
+                        ok = False
                 ball = cayley_ball(e.group, radius)
                 images = {}
                 injective = True
@@ -499,8 +492,11 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
         if not pairs:
             step2[v] = {"absorbed": 0}
             continue
+        # the obtainability check above judged this instance, these
+        # subgroups and this seed already
         aug = build_augmented_structure(vert.instance,
                                         [(sub, si) for _, sub, si in pairs],
+                                        embed_report=obtainable["per_vertex"][v],
                                         seed=seed)
         vert.instance = aug.result
         step2[v] = {"absorbed": len(pairs),

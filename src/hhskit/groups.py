@@ -1,10 +1,11 @@
 """Finitely generated groups with normal-form oracles and Cayley balls.
 
-Supported kinds are exactly the ones with classical normal forms: free
-groups, free-abelian groups, right-angled Artin groups (the lexicographically
-least word of a trace, grown one letter at a time) and free products of
-these.  Words are tuples of signed 1-based generator indices; the text form
-is whitespace-separated labels with a trailing apostrophe for inverses
+Supported kinds are free groups, free-abelian groups, right-angled Artin
+groups and free products of these.  Each is a graph product of infinite
+cyclic groups, given by one commutation table, and has one normal form: the
+lexicographically least word of a trace, grown one letter at a time.  Words
+are tuples of signed 1-based generator indices; the text form is
+whitespace-separated labels with a trailing apostrophe for inverses
 ("a b' a").
 """
 
@@ -55,45 +56,43 @@ def shortlex_key(word):
 class GroupModel:
     """A group given by kind + data, with a normal_form oracle.
 
-    kind is one of "free", "free_abelian", "raag", "free_product".
-    For raag, ``commuting`` holds unordered pairs of generator labels that
-    commute.  For free_product, ``factors`` holds the factor models and the
-    generator list is their concatenation (labels must be disjoint).
+    kind is one of "free", "free_abelian", "raag", "free_product", and is a
+    label only: every kind is the graph product of infinite cyclic groups on
+    one commutation table.  No pair commutes in a free group and every
+    distinct pair in a free-abelian one; for raag and free_product,
+    ``commuting`` holds the unordered pairs of generator labels that commute
+    (a free product's are its factors' pairs, side by side).
     """
 
-    def __init__(self, kind, gens, commuting=(), factors=()):
+    def __init__(self, kind, gens, commuting=()):
         self.kind = kind
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise ValueError("generator labels must be distinct")
         self.commuting = frozenset(frozenset(p) for p in commuting)
-        self.factors = tuple(factors)
         if kind not in ("free", "free_abelian", "raag", "free_product"):
             raise ValueError(f"unknown kind {kind}")
-        if kind == "free_product":
-            self._factor_of = {}
-            offset = 0
-            for fi, f in enumerate(self.factors):
-                for j in range(len(f.gens)):
-                    self._factor_of[offset + j + 1] = (fi, j + 1)
-                offset += len(f.gens)
-        elif kind != "free":
-            # a free-abelian group is the RAAG on the complete commutation
-            # graph; no letter commutes with itself
-            rank = len(self.gens)
-            full = kind == "free_abelian"
-            self._commutes = [[full and i != j for j in range(rank + 1)]
-                              for i in range(rank + 1)]
-            for pair in self.commuting:
-                a, b = sorted(pair)
-                ia, ib = self.gens.index(a) + 1, self.gens.index(b) + 1
-                self._commutes[ia][ib] = self._commutes[ib][ia] = True
+        # no letter commutes with itself
+        rank = len(self.gens)
+        full = kind == "free_abelian"
+        self._commutes = [[full and i != j for j in range(rank + 1)]
+                          for i in range(rank + 1)]
+        for pair in self.commuting:
+            a, b = sorted(pair)
+            ia, ib = self.gens.index(a) + 1, self.gens.index(b) + 1
+            self._commutes[ia][ib] = self._commutes[ib][ia] = True
 
     def __repr__(self):
         return f"GroupModel({self.kind}, gens={','.join(self.gens)})"
 
     def rank(self):
         return len(self.gens)
+
+    def commuting_pairs(self):
+        """The 1-based ``(i, j)`` with ``i < j`` whose generators commute."""
+        rank = len(self.gens)
+        return [(i, j) for i in range(1, rank + 1)
+                for j in range(i + 1, rank + 1) if self._commutes[i][j]]
 
     def parse(self, text):
         return parse_word(text, self.gens)
@@ -108,15 +107,11 @@ class GroupModel:
 
     def normal_form(self, word):
         self.check_letters(word)
-        if self.kind == "free_product":
-            return self._product_normal_form(word)
         return self._steps((), word)
 
     def step(self, word, s):
         """The normal form of ``word + (s,)``, for ``word`` in normal form
         and a declared letter ``s`` (neither is checked)."""
-        if self.kind == "free_product":
-            return self._product_normal_form(word + (s,))
         return self._steps(word, (s,))
 
     def _steps(self, word, letters):
@@ -128,13 +123,6 @@ class GroupModel:
         otherwise inserted after it, before the first later letter of larger
         index; in a free group that is the last letter."""
         out = list(word)
-        if self.kind == "free":
-            for s in letters:
-                if out and out[-1] == -s:
-                    out.pop()
-                else:
-                    out.append(s)
-            return tuple(out)
         for s in letters:
             i = abs(s)
             commutes = self._commutes[i]
@@ -152,39 +140,6 @@ class GroupModel:
     def multiply(self, w1, w2):
         return self.normal_form(w1 + w2)
 
-    def _product_normal_form(self, word):
-        syllables = []
-        for x in word:
-            fi, local = self._factor_of[abs(x)]
-            letter = local if x > 0 else -local
-            if syllables and syllables[-1][0] == fi:
-                syllables[-1][1].append(letter)
-            else:
-                syllables.append([fi, [letter]])
-        changed = True
-        while changed:
-            changed = False
-            out = []
-            for fi, letters in syllables:
-                nf = self.factors[fi].normal_form(tuple(letters))
-                if not nf:
-                    changed = True
-                    continue
-                if out and out[-1][0] == fi:
-                    out[-1][1].extend(nf)
-                    changed = True
-                else:
-                    out.append([fi, list(nf)])
-            syllables = out
-        offset = [0]
-        for f in self.factors:
-            offset.append(offset[-1] + len(f.gens))
-        flat = []
-        for fi, letters in syllables:
-            for x in letters:
-                flat.append((abs(x) + offset[fi]) * (1 if x > 0 else -1))
-        return tuple(flat)
-
 
 def free_group(labels):
     return GroupModel("free", labels)
@@ -199,10 +154,14 @@ def raag_group(labels, commuting):
 
 
 def free_product(*factors):
-    gens = []
+    """The graph product on the disjoint union of the factors' commutation
+    tables; generator labels must be disjoint."""
+    gens, commuting = [], []
     for f in factors:
+        commuting.extend((f.gens[i - 1], f.gens[j - 1])
+                         for i, j in f.commuting_pairs())
         gens.extend(f.gens)
-    return GroupModel("free_product", gens, factors=factors)
+    return GroupModel("free_product", gens, commuting=commuting)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +305,8 @@ def _abelianize(word, rank):
 
 def subgroup_membership(model, sub, word, budget=200_000):
     """Decide word in sub; exact for free and free-abelian ambients, and
-    for special subgroups of a RAAG (generated by standard generators).
+    for special subgroups (generated by standard generators) of a RAAG or
+    a free product.
 
     Other cases fall back to enumerating subgroup elements by word length
     and raise Inconclusive when the element is not found but the
@@ -367,7 +327,7 @@ def subgroup_membership(model, sub, word, budget=200_000):
             sub._abelian_basis = _integer_basis(
                 [_abelianize(g, model.rank()) for g in sub.generators])
         return _lattice_contains(sub._abelian_basis, _abelianize(word, model.rank()))
-    if model.kind == "raag" and all(len(g) == 1 for g in sub.generators):
+    if all(len(g) == 1 for g in sub.generators):
         # special subgroup: reduced words of one element share their
         # letters, so membership is support containment
         letters = {abs(g[0]) for g in sub.generators}

@@ -93,6 +93,19 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("op,field", [
+    ({"op": "coneoff", "group": "F", "subgroups": ["A"]},
+     "operations.coneoff.radius"),
+    ({"op": "hhs-check", "radius": 3, "subgroups": ["A", "B"]},
+     "operations.hhs-check.group")], ids=["coneoff-radius", "hhs-check-group"])
+def test_missing_op_field_is_config_error(tmp_path, capsys, op, field):
+    path = small_config(tmp_path, operations=[op])
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"(at {field})" in err
+
+
 def test_exit_code_two_on_failed_check(tmp_path):
     cfg = {
         "name": "failing",

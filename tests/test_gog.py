@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from hhskit import gog as gog_mod
 from hhskit import groups as G
+from hhskit.cli import _jsonable, stable_json
 from hhskit.embedding import build_augmented_structure
 from hhskit.errors import BudgetExceeded, MalformedMove, MissingStructure
 from hhskit.gog import (GraphOfGroups, MoveRecord, _absorbed_edge_instance,
@@ -64,6 +66,22 @@ def test_edge_map_validation():
         assert entry["homomorphism"] and entry["injective_on_ball"]
 
 
+def test_edge_map_validation_checks_free_product_commutators():
+    """A free product's edge group has its factors' relations: a map that
+    sends the commuting a, b of Z^2 * Z to non-commuting letters is no
+    homomorphism, and one that sends them to commuting letters is."""
+    gog = GraphOfGroups()
+    gog.add_vertex("F", G.free_group(["x", "y", "z"]))
+    gog.add_vertex("R", G.raag_group(["x", "y", "z"], [("x", "y")]))
+    edge = G.free_product(G.free_abelian_group(["a", "b"]),
+                          G.free_group(["c"]))
+    gog.add_edge("e", ("F", "R"), edge,
+                 {v: {"a": "x", "b": "y", "c": "z"} for v in ("F", "R")})
+    report = gog.validate_edge_maps(radius=2)["e"]
+    assert report["F"]["homomorphism"] is False
+    assert report["R"]["homomorphism"] is True
+
+
 def test_obtainable_needs_instances():
     gog = amalgam()
     with pytest.raises(MissingStructure):
@@ -84,6 +102,32 @@ def test_pipeline_amalgam_all_pass():
     assert report["step1"]["G"]["indices"] == 1 + len(
         enumerate_cosets(ballG, gog.edge_subgroup(gog.edges["e"], "G")))
     assert report["step2"]["Q"]["indices"] == gog.vertices["Q"].instance.n_indices()
+
+
+def test_pipeline_judges_each_base_vertex_embedding_once(monkeypatch):
+    """The absorption step reuses the obtainability verdict of its base
+    vertex: one hyperbolic-embedding check per base vertex, and the same
+    report as when the absorption judges the embedding again."""
+    from hhskit import embedding
+    calls = []
+    check = embedding.check_hyperbolically_embedded
+    monkeypatch.setattr(embedding, "check_hyperbolically_embedded",
+                        lambda *a, **k: calls.append(a) or check(*a, **k))
+    _, once = run_main_pipeline(amalgam(), base_vertices=["Q"], radius=4,
+                                seed=5)
+    assert len(calls) == 1
+    build = gog_mod.build_augmented_structure
+    monkeypatch.setattr(
+        gog_mod, "build_augmented_structure",
+        lambda base, subs, embed_report=None, **k: build(base, subs, **k))
+    _, twice = run_main_pipeline(amalgam(), base_vertices=["Q"], radius=4,
+                                 seed=5)
+    assert len(calls) == 3
+    assert (stable_json(_jsonable(once["obtainable"]))
+            == stable_json(_jsonable(twice["obtainable"])))
+    for key in ("step1", "step2", "structural"):
+        assert once[key] == twice[key]
+    assert once["combination"].to_dict() == twice["combination"].to_dict()
 
 
 def test_pipeline_deterministic():

@@ -155,12 +155,101 @@ def test_step_fold_equals_piling(graph, data):
             assert free_abelian_group(labels).normal_form(w) == expect
 
 
+def product_normal_form(word, factors):
+    """Reference normal form of the free product of ``factors`` by
+    syllables: consecutive letters of one factor form a syllable, each
+    syllable is reduced by its factor's normal form, and syllables that
+    vanish or merge with a neighbour of the same factor are reduced again
+    until nothing changes.  Letters index the factors' generators in
+    turn."""
+    factor_of, offset = {}, [0]
+    for fi, f in enumerate(factors):
+        for j in range(1, f.rank() + 1):
+            factor_of[offset[-1] + j] = (fi, j)
+        offset.append(offset[-1] + f.rank())
+    syllables = []
+    for x in word:
+        fi, local = factor_of[abs(x)]
+        letter = local if x > 0 else -local
+        if syllables and syllables[-1][0] == fi:
+            syllables[-1][1].append(letter)
+        else:
+            syllables.append([fi, [letter]])
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for fi, letters in syllables:
+            nf = factors[fi].normal_form(tuple(letters))
+            if not nf:
+                changed = True
+                continue
+            if out and out[-1][0] == fi:
+                out[-1][1].extend(nf)
+                changed = True
+            else:
+                out.append([fi, list(nf)])
+        syllables = out
+    return tuple((abs(x) + offset[fi]) * (1 if x > 0 else -1)
+                 for fi, letters in syllables for x in letters)
+
+
+@st.composite
+def nested_products(draw):
+    """(model, factors): a free product of 2-3 factors of total rank at
+    most 5, each free, free-abelian, a RAAG or itself a free product of two
+    such groups."""
+    ranks = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)
+                 .filter(lambda r: sum(r) <= 5))
+    labels = iter("abcde")
+    factors = []
+    for rank in ranks:
+        names = [next(labels) for _ in range(rank)]
+        if rank >= 2 and draw(st.booleans()):
+            split = draw(st.integers(1, rank - 1))
+            factors.append(free_product(draw(factor_models(names[:split])),
+                                        draw(factor_models(names[split:]))))
+        else:
+            factors.append(draw(factor_models(names)))
+    return free_product(*factors), factors
+
+
+@given(nested_products(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_normal_form_is_the_graph_product_one(product, data):
+    """A free product's normal form, on the block-diagonal commutation
+    table of its factors, equals the syllable reference and the piling."""
+    model, factors = product
+    offset, edges = 0, []
+    for f in factors:
+        edges += [(i + offset, j + offset) for i, j in f.commuting_pairs()]
+        offset += f.rank()
+    assert model.commuting_pairs() == sorted(edges)
+    for _ in range(5):
+        w = data.draw(words(model, max_len=12))
+        nf = model.normal_form(w)
+        assert nf == product_normal_form(w, factors)
+        assert nf == piling_normal_form(w, model.rank(), edges)
+
+
+def test_commuting_pairs_of_each_kind():
+    assert F2.commuting_pairs() == []
+    assert free_abelian_group("abc").commuting_pairs() == [(1, 2), (1, 3),
+                                                            (2, 3)]
+    assert raag_group("abc", [("c", "b")]).commuting_pairs() == [(2, 3)]
+    model = free_product(Z2, free_group("c"), free_abelian_group("de"))
+    assert model.commuting_pairs() == [(1, 2), (4, 5)]
+
+
 EACH_KIND = pytest.mark.parametrize("model,radius", [
     (F2, 4), (free_abelian_group(["a", "b", "c"]), 3),
     (raag_group(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]), 3),
     (raag_group(["a", "b", "c"], [("a", "b")]), 4),
-    (free_product(free_group(["a"]), free_abelian_group(["b", "c"])), 3)],
-    ids=["free", "free_abelian", "raag_P4", "raag_Z2*Z", "free_product"])
+    (free_product(free_group(["a"]), free_abelian_group(["b", "c"])), 3),
+    (free_product(raag_group("abc", [("a", "b")]), free_abelian_group("de")),
+     3)],
+    ids=["free", "free_abelian", "raag_P4", "raag_Z2*Z", "free_product",
+         "raag*Z2"])
 
 
 @EACH_KIND
@@ -442,6 +531,19 @@ def test_membership_raag_special_subgroup_matches_enumeration():
             nf = R.normal_form(w)
             if len(nf) <= 4:
                 assert subgroup_membership(R, h, nf) == (nf in elements)
+
+
+def test_membership_free_product_special_subgroups_match_enumeration():
+    """Special subgroups of Z^2 * Z are decided exactly, as in the RAAG
+    with the same commutation table: every word of the r=4 ball, members
+    and non-members alike."""
+    model = free_product(Z2, free_group(["c"]))
+    ball = cayley_ball(model, 4)
+    for gens in (["a"], ["a", "c"], ["b"]):
+        h = SubgroupSpec(model, gens)
+        elements = naive_subgroup_elements(model, h, 4)
+        for w in ball.words:
+            assert subgroup_membership(model, h, w) == (w in elements)
 
 
 def test_raag_multi_generator_coset_family_builds():
