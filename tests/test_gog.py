@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hhskit import embedding
 from hhskit import gog as gog_mod
 from hhskit import groups as G
 from hhskit.cli import _jsonable, stable_json
@@ -108,7 +109,6 @@ def test_pipeline_judges_each_base_vertex_embedding_once(monkeypatch):
     """The absorption step reuses the obtainability verdict of its base
     vertex: one hyperbolic-embedding check per base vertex, and the same
     report as when the absorption judges the embedding again."""
-    from hhskit import embedding
     calls = []
     check = embedding.check_hyperbolically_embedded
     monkeypatch.setattr(embedding, "check_hyperbolically_embedded",
