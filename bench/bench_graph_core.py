@@ -17,8 +17,10 @@ same oracle many times, as the library's own callers do.
 r=6 and on the same group built as the free product Z^2 * Z at r=6,
 ``enumerate_cosets`` of <a> on F2 at r=6 and r=8 and on the RAAG at r=6
 (one walk over the ball per round; a one-generator subgroup needs no
-merge pass), and ``GroupModel.normal_form`` on 5000 random RAAG words of
-length 10.
+merge pass), ``family_from_cosets`` of <a> and <b> on F2 at r=6 (the
+coset walks and the 1458 coset subgraphs of the factor-system op of the
+``tree-factor-system`` scenario benchmark, at its r=6), and
+``GroupModel.normal_form`` on 5000 random RAAG words of length 10.
 ``kapovich_rafi_report`` is timed on exhaustive drift scans: F2 coned
 over the cosets of <a> and <b> at r=4 (161 vertices) and r=6 (1457), and
 Z^2 coned over the cosets of <a> at r=8 (145), each on a cone-off built
@@ -148,6 +150,15 @@ def test_enumerate_cosets(benchmark, model, radius, cosets):
     got = benchmark.pedantic(groups.enumerate_cosets, args=(ball, sub),
                              rounds=3)
     assert len(got) == cosets
+
+
+def test_family_from_cosets_F2_r6(benchmark):
+    ball = groups.cayley_ball(F2, 6)
+    subs = [groups.SubgroupSpec(F2, [x], label=x.upper()) for x in "ab"]
+    cand = benchmark.pedantic(family_from_cosets, args=(ball, subs),
+                              rounds=5)
+    assert len(cand.family) == 1458
+    assert sum(len(m) for m in cand.family) == 2 * ball.graph.n
 
 
 def test_raag_normal_form_length10(benchmark):

@@ -165,14 +165,18 @@ def measure_quasigeodesic(path_vertices, oracle):
     return float(max(1.0, lam))
 
 
-def tau_quasigeodesic_check(cg, x, y):
-    """Cone a geodesic, de-electrify it, measure both path constants."""
-    coned_path = cg.coned.oracle().geodesic(x, y)
+def _path_taus(cg, coned_path):
+    """De-electrify a coned geodesic, measure both path constants."""
     record = de_electrify(cg, coned_path)
     tau1 = measure_quasigeodesic(coned_path, cg.coned.oracle())
     tau2 = measure_quasigeodesic(record.output_path.vertices,
                                  cg.base.oracle())
     return {"tau1": tau1, "tau2": tau2, "record": record}
+
+
+def tau_quasigeodesic_check(cg, x, y):
+    """Cone a geodesic, de-electrify it, measure both path constants."""
+    return _path_taus(cg, cg.coned.oracle().geodesic(x, y))
 
 
 def _paths(graph, row, u, targets):
@@ -261,12 +265,13 @@ def coneoff_report(cg, radius=None, pair_budget=None, seed=0,
     delta_base = four_point_delta(cg.base, budget=delta_budget, seed=seed)
     rng = rng_for(seed)
     n = cg.base.n
+    # scalar draws, x then y per pair; every coned geodesic in one query
+    ends = np.array([(rng.integers(0, n), rng.integers(0, n))
+                     for _ in range(tau_pair_budget)]).reshape(-1, 2)
+    xs, ys = ends[ends[:, 0] != ends[:, 1]].T
     tau1 = tau2 = 1.0
-    for _ in range(tau_pair_budget):
-        x, y = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if x == y:
-            continue
-        taus = tau_quasigeodesic_check(cg, x, y)
+    for path in cg.coned.oracle().geodesics(xs, ys):
+        taus = _path_taus(cg, path)
         tau1 = max(tau1, taus["tau1"])
         tau2 = max(tau2, taus["tau2"])
     return {"radius": radius,

@@ -24,9 +24,8 @@ from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph, bfs_many,
                          four_point_delta)
-from .groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
-                     coset_subgraph, coset_vertices, enumerate_cosets,
-                     inverse_word, subgroup_membership)
+from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
+                     enumerate_cosets, inverse_word, subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
                        _projection_sets_onto, assemble_column,
                        run_axiom_battery)
@@ -281,9 +280,11 @@ def check_hh_embedded(base, subs, seed=0, **kwargs):
                         if subgroup_membership(ball.model, sub,
                                                ball.model.parse(g))]
         members = set(subgroup_ball_vertices(ball, sub))
-        # a walk by T's letters in H never leaves H, so reach <= members
-        reach, _ = coset_vertices(ball, CosetDescriptor(
-            SubgroupSpec(ball.model, letters_in_h), ()))
+        # T's letters in H generate a special subgroup of H whose normal
+        # forms are prefix-closed: its ball elements are what a walk by
+        # those letters from the identity reaches inside the ball
+        reach = subgroup_ball_vertices(
+            ball, SubgroupSpec(ball.model, letters_in_h))
         missing = sorted(members.difference(reach))
         entry = {"generators_in_T": letters_in_h,
                  "covered": len(reach), "of": len(members)}
@@ -314,13 +315,9 @@ def projection_uniform_bound(base, sub, pair_budget=20_000, seed=0):
     idx, spec = sample_indices(len(pairs), pair_budget, seed)
     C = 0
     witness = None
-    coset_verts = {}
     for k in idx:
         u, ci = pairs[int(k)]
-        if ci not in coset_verts:
-            coset_verts[ci], _ = coset_vertices(ball, cosets[ci])
-        verts = coset_verts[ci]
-        image = base.projections[u].image(verts)
+        image = base.projections[u].image(cosets[ci].vertices)
         d = base.space_oracle(u).diameter_of_set(image)
         if d > C:
             C = d
@@ -393,9 +390,8 @@ def build_augmented_structure(base, subgroup_structures, force=False,
         if sub_ball is None:
             raise StructureMismatch("subgroup instance carries no ball")
         for c in enumerate_cosets(ball, sub):
-            verts, _ = coset_vertices(ball, c)
             coset_data.append((si, sub, sub_inst, c.representative,
-                               np.asarray(verts, dtype=np.int64)))
+                               np.asarray(c.vertices, dtype=np.int64)))
     family = [Subgraph(cs_graph, verts,
                        label=f"{sub.label}[{ball.model.format(rep)}]")
               for si, sub, sub_inst, rep, verts in coset_data]

@@ -30,10 +30,6 @@ class Inconclusive(HHSKitError):
     """A radius-limited decision procedure ran out of budget."""
 
 
-class EmptyIntersection(HHSKitError):
-    """A coset does not meet the built ball."""
-
-
 class TruncatedPiece(HHSKitError):
     """A de-electrification piece left the built ball."""
 

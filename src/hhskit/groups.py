@@ -14,8 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (BudgetExceeded, EmptyIntersection, Inconclusive,
-                     UnknownGenerator)
+from .errors import BudgetExceeded, Inconclusive, UnknownGenerator
 from .graph_core import MetricGraph, connected_hull
 
 DEFAULT_BALL_CAP = 300_000
@@ -469,10 +468,15 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
 
 @dataclass(frozen=True)
 class CosetDescriptor:
-    """A left coset of a subgroup, named by its minimal representative."""
+    """A left coset of a subgroup, named by its minimal representative.
+
+    ``vertices`` are the coset's ball vertices, sorted; ``truncated`` says
+    that a generator step from one of them leaves the ball."""
 
     subgroup: SubgroupSpec
     representative: tuple
+    vertices: tuple
+    truncated: bool
 
     def label(self):
         return (f"{self.subgroup.label}-coset"
@@ -482,7 +486,7 @@ class CosetDescriptor:
 def _walk_classes(ball, sub):
     """Union-find classes of ball vertices under right mult by sub generators.
 
-    Also reports whether any step left the ball (truncation)."""
+    Also returns the set of vertices with a step that leaves the ball."""
     n = ball.graph.n
     parent = list(range(n))
 
@@ -492,7 +496,7 @@ def _walk_classes(ball, sub):
             v = parent[v]
         return v
 
-    truncated = False
+    exits = set()
     gen_words = sub.generator_words_with_inverses()
     for v in range(n):
         w = ball.words[v]
@@ -500,7 +504,7 @@ def _walk_classes(ball, sub):
             # ball words are normal forms: step by g's letters
             j = ball.index.get(reduce(ball.model.step, g, w))
             if j is None:
-                truncated = True
+                exits.add(v)
                 continue
             ri, rj = find(v), find(j)
             if ri != rj:
@@ -508,7 +512,7 @@ def _walk_classes(ball, sub):
     classes = {}
     for v in range(n):
         classes.setdefault(find(v), []).append(v)
-    return classes, truncated
+    return classes, exits
 
 
 def enumerate_cosets(ball, sub, budget=200_000):
@@ -516,9 +520,11 @@ def enumerate_cosets(ball, sub, budget=200_000):
 
     Walk components are merged across ball-exit gaps by a membership check
     (bucketed by abelianization); single-generator subgroups have connected
-    walks, so the merge pass is skipped for them.
+    walks, so the merge pass is skipped for them.  Each descriptor carries
+    its merged class's vertices, truncated when any of them has a step
+    that leaves the ball.
     """
-    classes, _ = _walk_classes(ball, sub)
+    classes, exits = _walk_classes(ball, sub)
     reps = sorted(classes)
     if len(sub.generators) > 1 and len(reps) > 1:
         if len(reps) > POSTMERGE_CAP:
@@ -554,32 +560,11 @@ def enumerate_cosets(ball, sub, budget=200_000):
         final = {}
         for r in reps:
             final.setdefault(mfind(r), []).extend(classes[r])
-        classes = final
-    return [CosetDescriptor(sub, ball.words[r]) for r in sorted(classes)]
-
-
-def coset_vertices(ball, descriptor):
-    """Ball vertices of the coset, by generator walking from the rep.
-
-    Returns (vertex list, truncated flag)."""
-    if descriptor.representative not in ball.index:
-        raise EmptyIntersection("representative outside the ball")
-    start = ball.index[descriptor.representative]
-    seen = {start}
-    stack = [start]
-    truncated = False
-    gen_words = descriptor.subgroup.generator_words_with_inverses()
-    while stack:
-        v = stack.pop()
-        w = ball.words[v]
-        for g in gen_words:
-            j = ball.index.get(reduce(ball.model.step, g, w))
-            if j is None:
-                truncated = True
-            elif j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return sorted(seen), truncated
+        classes = {r: sorted(vs) for r, vs in final.items()}
+    # the walk lists each class in id order
+    return [CosetDescriptor(sub, ball.words[r], tuple(vs),
+                            not exits.isdisjoint(vs))
+            for r, vs in sorted(classes.items())]
 
 
 def coset_subgraph(ball, descriptor):
@@ -589,6 +574,6 @@ def coset_subgraph(ball, descriptor):
     edges; those are completed with geodesics between consecutive
     components and flagged 'hull-completed'.
     """
-    verts, truncated = coset_vertices(ball, descriptor)
-    return connected_hull(ball.graph, verts, label=descriptor.label(),
-                          flags=["truncated"] if truncated else [])
+    return connected_hull(ball.graph, descriptor.vertices,
+                          label=descriptor.label(),
+                          flags=["truncated"] if descriptor.truncated else [])

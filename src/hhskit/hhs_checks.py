@@ -493,33 +493,6 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
 # ---------------------------------------------------------------------------
 # bounded geodesic image
 
-def _image_diameters(inst, vs, images):
-    """The diameter of each ``images[i]`` in the space of ``vs[i]``.
-
-    The images go into one ``RaggedSets`` grouped by V, deduplicated by one
-    ``np.unique``; each pair within a set is one entry, so one ``pairs``
-    call per V measures all of that V's sets, and one reduction over the
-    entries takes each set's largest."""
-    if not images:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(vs, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    sets = RaggedSets.union(np.repeat(rank, [len(x) for x in images]),
-                            np.concatenate(images), len(order))
-    owner = sets.owners()
-    rows = np.repeat(sets.flat, sets.sizes()[owner])
-    cols = sets.flat[segments(sets.offsets, owner)[1]]
-    starts = np.append(0, np.cumsum(sets.sizes() ** 2))
-    d = np.empty(len(rows), dtype=np.int32)
-    by_v = np.asarray(vs)[order]
-    cuts = np.flatnonzero(np.diff(by_v, prepend=-1, append=-1))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        at = slice(starts[lo], starts[hi])
-        d[at] = inst.space_oracle(int(by_v[lo])).pairs(rows[at], cols[at])
-    return np.maximum.reduceat(d, starts[:-1])[rank]
-
-
 def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
               geodesics_per_pair=12, seed=0):
     """Minimal grid E bounding projections of geodesics missing N_E(rho)."""
@@ -561,7 +534,18 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
                     path = np.asarray(next(paths), dtype=np.int64)
                     images.append(inst.pi_rep(v)[carrier[path]])
                     observations.append((k, int(dist[path].min()), v, w))
-    diam = _image_diameters(inst, [o[2] for o in observations], images)
+    # an image of one vertex has diameter 0; the others are measured by
+    # one ragged_diameters call per V
+    sets = RaggedSets.union(np.repeat(np.arange(len(images)),
+                                      [len(x) for x in images]),
+                            np.concatenate(images) if images else [],
+                            len(images))
+    wide = np.flatnonzero(sets.sizes() > 1)
+    diam = np.zeros(len(images), dtype=np.int64)
+    by_v = np.asarray([o[2] for o in observations], dtype=np.int64)[wide]
+    for v, rows in _by_target(by_v):
+        diam[wide[rows]] = ragged_diameters(inst.space_oracle(v), sets,
+                                            wide[rows])
     # sample order, and draw order within a pair (the sort is stable)
     observations = [(avoid, int(diam[i]), inst.labels[v], inst.labels[w])
                     for i, (_, avoid, v, w) in sorted(

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from hhskit.errors import UnknownGenerator
 from hhskit.factor_system import family_from_cosets
 from hhskit.graph_core import shortest_path
-from hhskit.groups import (CosetDescriptor, SubgroupSpec, cayley_ball,
-                           coset_subgraph, coset_vertices, enumerate_cosets,
-                           format_word, free_abelian_group, free_group,
-                           free_product, inverse_word, raag_group,
+from hhskit.groups import (SubgroupSpec, cayley_ball, coset_subgraph,
+                           enumerate_cosets, format_word, free_abelian_group,
+                           free_group, free_product, inverse_word, raag_group,
                            shortlex_key, subgroup_membership)
 
 F2 = free_group(["a", "b"])
@@ -589,11 +588,10 @@ def test_axis_cosets_partition_ball():
     cosets = enumerate_cosets(ball, h)
     seen = set()
     for c in cosets:
-        verts, _ = coset_vertices(ball, c)
-        assert not (seen & set(verts))
-        seen.update(verts)
+        assert not (seen & set(c.vertices))
+        seen.update(c.vertices)
         # representative is shortlex-minimal in its class
-        assert min(verts) == ball.index[c.representative]
+        assert min(c.vertices) == ball.index[c.representative]
     assert seen == set(range(ball.graph.n))
     # oracle: reps of a-cosets are exactly the words with no trailing a-letter
     expect = sum(1 for w in ball.words if not w or abs(w[-1]) != 1)
@@ -603,11 +601,12 @@ def test_axis_cosets_partition_ball():
 def test_coset_subgraph_axes():
     ball = cayley_ball(F2, 3)
     h = SubgroupSpec(F2, ["a"], label="A")
-    sub_e = coset_subgraph(ball, CosetDescriptor(h, ()))
+    cosets = {c.representative: c for c in enumerate_cosets(ball, h)}
+    sub_e = coset_subgraph(ball, cosets[()])
     axis = sorted(ball.id_of(tuple([1] * k if k >= 0 else [-1] * -k))
                   for k in range(-3, 4))
     assert list(sub_e.vertices) == axis
-    sub_b = coset_subgraph(ball, CosetDescriptor(h, ball.model.parse("b")))
+    sub_b = coset_subgraph(ball, cosets[ball.model.parse("b")])
     expect = sorted(ball.id_of_text(" ".join(["b"] + ["a"] * k)) for k in range(3))
     expect_neg = [ball.id_of(ball.model.parse("b") + tuple([-1] * k)) for k in range(1, 3)]
     assert set(sub_b.vertices) == set(expect) | set(expect_neg)
@@ -616,7 +615,7 @@ def test_coset_subgraph_axes():
 def test_coset_subgraph_hull_completion_for_word_generators():
     ball = cayley_ball(F2, 4)
     h = SubgroupSpec(F2, ["a b"], label="AB")
-    sub = coset_subgraph(ball, CosetDescriptor(h, ()))
+    sub = coset_subgraph(ball, enumerate_cosets(ball, h)[0])
     # the walk leaves the ball at (ab)^3, so the coset is also truncated
     assert sub.flags == ("truncated", "hull-completed")
     # the walk points (ab)^k stay inside, joined by geodesics
@@ -625,15 +624,25 @@ def test_coset_subgraph_hull_completion_for_word_generators():
 
 
 def test_coset_partition_multi_generator_subgroup():
-    ball = cayley_ball(F2, 3)
-    h = SubgroupSpec(F2, ["a b", "a a"], label="H")
-    cosets = enumerate_cosets(ball, h)
-    total = 0
-    elements = naive_subgroup_elements(F2, h, 8)
-    for c in cosets:
-        verts, _ = coset_vertices(ball, c)
-        total += len(verts)
-        rep_inv = inverse_word(c.representative)
-        for v in verts:
-            assert F2.multiply(rep_inv, ball.word_of(v)) in elements
-    assert total == ball.graph.n
+    # (model, radius, generators, cosets); the last three have walk
+    # classes that meet across ball exits and are merged: 28 classes into
+    # one coset, 163 into 82, and 3 into one
+    cases = [(F2, 3, ["a b", "a a"], 19), (F2, 4, ["b a", "b"], 1),
+             (F2, 5, ["a b b", "a"], 82), (Z2, 4, ["b a b", "b"], 1)]
+    for model, radius, gens, count in cases:
+        ball = cayley_ball(model, radius)
+        h = SubgroupSpec(model, gens, label="H")
+        cosets = enumerate_cosets(ball, h)
+        assert len(cosets) == count
+        covered = sorted(v for c in cosets for v in c.vertices)
+        assert covered == list(range(ball.graph.n))
+        elements = naive_subgroup_elements(model, h, 2 * radius)
+        for c in cosets:
+            rep_inv = inverse_word(c.representative)
+            for v in c.vertices:
+                assert model.multiply(rep_inv, ball.word_of(v)) in elements
+        # each family member holds its whole coset
+        family = family_from_cosets(ball, [h]).family
+        assert len(family) == count
+        for c, member in zip(cosets, family):
+            assert set(c.vertices) <= set(member.vertices)

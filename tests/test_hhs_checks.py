@@ -8,6 +8,7 @@ unreached counts are compared, not only zeros.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hhskit.factor_system import build_hhs_from_factor_system, family_from_coset
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         run_main_pipeline)
 from hhskit.graph_core import (MetricGraph, RaggedSets, bfs_distances,
-                               four_point_delta)
+                               four_point_delta, ragged_diameters)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
                                TRANSVERSE, _carrier, _pi_rep_distance,
@@ -197,8 +198,10 @@ def structural_rho_loop(inst, rho_pair_budget, seed):
     return xi, unreached, spec.to_dict()
 
 
-def bgi_loop(inst, E_grid=(0, 1, 2, 3, 4, 6, 8), pair_budget=4000,
-             geodesics_per_pair=12, seed=0):
+def bgi_observations(inst, pair_budget=4000, geodesics_per_pair=12, seed=0):
+    """(avoid, image, diam, V, W) per geodesic in sample and draw order,
+    diam the largest ``pairs`` distance over the image, and the unreached
+    count and sample spec."""
     rng = rng_for(seed)
     nested = np.argwhere(inst.rel == NESTED)
     idx, spec = sample_indices(len(nested), pair_budget, seed)
@@ -222,8 +225,16 @@ def bgi_loop(inst, E_grid=(0, 1, 2, 3, 4, 6, 8), pair_budget=4000,
             path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
             image = np.unique(rep_v[carrier[path]])
             diam = inst.space_oracle(v).diameter_of_set(image)
-            observations.append((int(dist_rho[path].min()), diam,
-                                 inst.labels[v], inst.labels[w]))
+            observations.append((int(dist_rho[path].min()), tuple(image),
+                                 diam, inst.labels[v], inst.labels[w]))
+    return observations, unreached, spec
+
+
+def bgi_loop(inst, E_grid=(0, 1, 2, 3, 4, 6, 8), pair_budget=4000,
+             geodesics_per_pair=12, seed=0):
+    observations, unreached, spec = bgi_observations(
+        inst, pair_budget, geodesics_per_pair, seed)
+    observations = [(a, d, v, w) for a, _, d, v, w in observations]
     E_bgi = None
     for E in sorted(E_grid):
         if all(diam <= E for avoid, diam, *_ in observations if avoid > E):
@@ -390,6 +401,38 @@ def test_bgi_matches_per_pair_loop(name, budget, grid):
     inst = FIXTURES[name]
     assert check_bgi(inst, E_grid=grid, pair_budget=budget, seed=3) == \
         bgi_loop(inst, E_grid=grid, pair_budget=budget, seed=3)
+
+
+@pytest.fixture(scope="module")
+def bgi_instances():
+    aug = build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
+                                    [(SUB_A, line(3, "line"))], seed=3)
+    return {"factor4": factor(4), "factor5": factor(5),
+            "augmented": aug.result}
+
+
+@pytest.mark.parametrize("name", ["factor4", "factor5", "augmented"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bgi_image_diameters_match_per_image_loop(monkeypatch, bgi_instances,
+                                                  name, seed):
+    """Every geodesic image of two or more vertices is measured once, to
+    the largest ``pairs`` distance over it; the others are 0."""
+    inst = bgi_instances[name]
+    measured = []
+
+    def spy(oracle, sets, idx):
+        d = ragged_diameters(oracle, sets, idx)
+        measured.extend((tuple(sets[i].tolist()), int(x))
+                        for i, x in zip(idx.tolist(), d.tolist()))
+        return d
+
+    monkeypatch.setattr(hhs_checks, "ragged_diameters", spy)
+    report = check_bgi(inst, seed=seed)
+    observations, _, _ = bgi_observations(inst, seed=seed)
+    assert Counter(measured) == Counter(
+        (image, diam) for _, image, diam, _, _ in observations
+        if len(image) > 1)
+    assert report == bgi_loop(inst, seed=seed)
 
 
 def test_fixtures_cover_large_link_edge_cases():
