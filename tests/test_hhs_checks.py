@@ -51,6 +51,12 @@ def line(r, label):
     return instance_from_ball(G.cayley_ball(LINE, r), label=label)
 
 
+def augmented():
+    """The F2 r=3 instance with the line structure absorbed along <a>."""
+    return build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
+                                     [(SUB_A, line(3, "line"))], seed=3).result
+
+
 def edited_bundle(inst, edit):
     """Round trip through a bundle whose rho entries ``edit`` rewrites."""
     bundle = instance_to_bundle(inst)
@@ -63,8 +69,7 @@ def edited_bundle(inst, edit):
 
 def fixtures():
     prod = product_hhs(line(3, "L"), factor(2))
-    aug = build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
-                                    [(SUB_A, line(3, "line"))], seed=3).result
+    aug = augmented()
     gog = GraphOfGroups()
     gog.add_vertex("Q", F2)
     gog = apply_star_move(gog, MoveRecord(
@@ -405,16 +410,14 @@ def test_bgi_matches_per_pair_loop(name, budget, grid):
 
 @pytest.fixture(scope="module")
 def bgi_instances():
-    aug = build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
-                                    [(SUB_A, line(3, "line"))], seed=3)
     return {"factor4": factor(4), "factor5": factor(5),
-            "augmented": aug.result}
+            "augmented": augmented()}
 
 
 @pytest.mark.parametrize("name", ["factor4", "factor5", "augmented"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bgi_image_diameters_match_per_image_loop(monkeypatch, bgi_instances,
-                                                  name, seed):
+def test_bgi_diameters_match_per_image_loop(monkeypatch, bgi_instances,
+                                            name, seed):
     """Every geodesic image of two or more vertices is measured once, to
     the largest ``pairs`` distance over it; the others are 0."""
     inst = bgi_instances[name]
