@@ -10,7 +10,6 @@ failed, 1 error.
 
 import argparse
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -129,15 +128,10 @@ class Scenario:
     def release(self, keep):
         """Drop every cached ball whose (group, radius) is not in
         ``keep``, with the factor instances built on it."""
-        dropped = [k for k in self._balls if k not in keep]
-        for key in dropped:
+        for key in [k for k in self._balls if k not in keep]:
             del self._balls[key]
         for key in [k for k in self._factor_instances if k[:2] not in keep]:
             del self._factor_instances[key]
-        if dropped:
-            # a graph and its distance oracle refer to each other, so only
-            # the cycle collector frees a dropped ball's matrix
-            gc.collect()
 
     def factor_instance(self, op, seed, where):
         """(ball, candidate, report, instance) of an op's coset family.

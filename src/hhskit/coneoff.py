@@ -37,8 +37,7 @@ class ConedGraph:
     flags: tuple
 
 
-def build_coneoff(base, family, clique_threshold=DEFAULT_CLIQUE_THRESHOLD,
-                  edge_cap=DEFAULT_CONE_EDGE_CAP):
+def build_coneoff(base, family, clique_threshold=DEFAULT_CLIQUE_THRESHOLD):
     """Cone off the family; big members become apex stars and are flagged.
 
     Cone edges parallel to base edges are dropped and counted.  The owner
@@ -65,8 +64,10 @@ def build_coneoff(base, family, clique_threshold=DEFAULT_CLIQUE_THRESHOLD,
             extra_vertices += 1
             continue
         budget += len(verts) * (len(verts) - 1) // 2
-        if budget > edge_cap:
-            raise BudgetExceeded(f"cone edges exceed cap {edge_cap}")
+        if budget > DEFAULT_CONE_EDGE_CAP:
+            raise BudgetExceeded(
+                f"{budget} cone edges exceed DEFAULT_CONE_EDGE_CAP = "
+                f"{DEFAULT_CONE_EDGE_CAP}")
         for u, v in itertools.combinations(verts, 2):
             e = (u, v)
             if e in base_edges:
@@ -258,11 +259,11 @@ def kapovich_rafi_report(cg, pair_budget=None, seed=0,
 
 
 def coneoff_report(cg, radius=None, pair_budget=None, seed=0,
-                   delta_budget=DEFAULT_DELTA_BUDGET, tau_pair_budget=120):
+                   tau_pair_budget=120):
     """The full structured report for one coned fixture."""
-    kr = kapovich_rafi_report(cg, pair_budget=pair_budget, seed=seed,
-                              delta_budget=delta_budget)
-    delta_base = four_point_delta(cg.base, budget=delta_budget, seed=seed)
+    kr = kapovich_rafi_report(cg, pair_budget=pair_budget, seed=seed)
+    delta_base = four_point_delta(cg.base, budget=DEFAULT_DELTA_BUDGET,
+                                  seed=seed)
     rng = rng_for(seed)
     n = cg.base.n
     # scalar draws, x then y per pair; every coned geodesic in one query

@@ -24,8 +24,9 @@ from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph, bfs_many,
                          four_point_delta)
-from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
-                     enumerate_cosets, inverse_word, subgroup_membership)
+from .groups import (MEMBERSHIP_BUDGET, SubgroupSpec, cayley_ball,
+                     coset_subgraph, enumerate_cosets, inverse_word,
+                     subgroup_membership)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
                        _projection_sets_onto, assemble_column,
                        run_axiom_battery)
@@ -133,7 +134,7 @@ class HHEmbeddingWitness:
                 "separation": self.separation, "flags": self.flags}
 
 
-def _intrinsic_lengths(model, sub, needed_words, budget=200_000):
+def _intrinsic_lengths(model, sub, needed_words):
     """Word length over subgroup generators for each needed element."""
     targets = {w: None for w in needed_words}
     remaining = len(targets)
@@ -155,15 +156,16 @@ def _intrinsic_lengths(model, sub, needed_words, budget=200_000):
                     targets[p] = seen[p]
                     remaining -= 1
                 nxt.append(p)
-                if len(seen) > budget:
-                    raise Inconclusive("intrinsic length enumeration over budget")
+                if len(seen) > MEMBERSHIP_BUDGET:
+                    raise Inconclusive(
+                        "intrinsic length enumeration exceeds "
+                        f"MEMBERSHIP_BUDGET = {MEMBERSHIP_BUDGET}")
         frontier = nxt
     return targets
 
 
 def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
-                                  delta_budget=40_000, eps_grid=(0, 1, 2),
-                                  separation_cap=None):
+                                  delta_budget=40_000):
     """The four desk-scale checks for a hyperbolically embedded family."""
     ball = cayley_ball(model, radius, gens)
     small = cayley_ball(model, max(radius - 2, 1), gens)
@@ -228,37 +230,35 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
                                          "elements": len(members)}
     # (iv) separation of cosets; crossing members legitimately give
     # R(eps) ~ 2*eps, so the unbounded proxy only fires above that scale
-    if separation_cap is None:
-        separation_cap = radius
-    caps = {int(e): max(separation_cap, 2 * int(e) + 2) for e in eps_grid}
+    caps = {e: max(radius, 2 * e + 2) for e in (0, 1, 2)}
     separation = {"passed": True, "R": {}, "witness": None,
                   "cap": caps}
-    R = {int(e): 0 for e in eps_grid}
+    R = {e: 0 for e in caps}
     oracle = ball.graph.oracle()
     for coset, (sub_j, rep) in zip(cg.family, owners):
         dist = oracle.dist_to_set(coset.vertex_array())
         for sub_i, hi in zip(subs, member_sets):
             if (sub_i is sub_j and rep == ()):
                 continue
-            for e in eps_grid:
+            for e in caps:
                 inside = hi[dist[hi] <= e]
                 if len(inside) > 1:
                     diam = oracle.diameter_of_set(inside)
-                    if diam > R[int(e)]:
-                        R[int(e)] = diam
-                        if diam >= caps[int(e)]:
+                    if diam > R[e]:
+                        R[e] = diam
+                        if diam >= caps[e]:
                             separation["passed"] = False
                             separation["witness"] = {
                                 "g": ball.model.format(rep),
                                 "i": sub_i.label, "j": sub_j.label,
-                                "eps": int(e), "diam": diam}
+                                "eps": e, "diam": diam}
     separation["R"] = R
 
     return HHEmbeddingWitness(tuple(ball.gens), radius, hyperbolicity,
                               properness, qi, separation, flags)
 
 
-def check_hh_embedded(base, subs, seed=0, **kwargs):
+def check_hh_embedded(base, subs, seed=0, delta_budget=40_000):
     """Three-part verdict for hierarchical embedding against a base instance.
 
     The base instance must carry its Cayley tag (CS realized as a Cayley
@@ -295,14 +295,15 @@ def check_hh_embedded(base, subs, seed=0, **kwargs):
     parts["generated_by_T"] = generated
     parts["cs_is_cayley"] = {"passed": True, "gens": list(gens)}
     witness = check_hyperbolically_embedded(ball.model, subs, ball.radius,
-                                            gens=gens, seed=seed, **kwargs)
+                                            gens=gens, seed=seed,
+                                            delta_budget=delta_budget)
     parts["hyperbolically_embedded"] = witness.to_dict()
     passed = generated["passed"] and witness.passed
     return {"passed": passed, "vacuous": False, "parts": parts,
             "witness": witness}
 
 
-def projection_uniform_bound(base, sub, pair_budget=20_000, seed=0):
+def projection_uniform_bound(base, sub, seed=0):
     """max over proper indices and cosets of the projection diameter."""
     proper = [u for u in range(base.n_indices()) if u != base.maximal]
     if not proper:
@@ -312,7 +313,7 @@ def projection_uniform_bound(base, sub, pair_budget=20_000, seed=0):
         raise StructureMismatch("base instance carries no ball metadata")
     cosets = enumerate_cosets(ball, sub)
     pairs = [(u, c) for u in proper for c in range(len(cosets))]
-    idx, spec = sample_indices(len(pairs), pair_budget, seed)
+    idx, spec = sample_indices(len(pairs), 20_000, seed)
     C = 0
     witness = None
     for k in idx:
@@ -508,7 +509,7 @@ def build_augmented_structure(base, subgroup_structures, force=False,
                               len(clamp_log))
 
 
-def verify_augmented(aug, seed=0, equivariance_samples=100, battery_kwargs=None):
+def verify_augmented(aug, seed=0, equivariance_samples=100):
     """Full battery on the absorbed structure plus the morphism contract.
 
     For each subgroup embedding the index map must be injective and
@@ -517,7 +518,7 @@ def verify_augmented(aug, seed=0, equivariance_samples=100, battery_kwargs=None)
     subgroup elements must move projections the way it moves points.
     """
     result = aug.result
-    battery = run_axiom_battery(result, seed=seed, **(battery_kwargs or {}))
+    battery = run_axiom_battery(result, seed=seed)
     ball = result.meta["ball"]
     model = ball.model
 

@@ -156,10 +156,8 @@ def _longest_chain(above):
     return best, chain
 
 
-def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
-                         member_budget=DEFAULT_MEMBER_BUDGET, seed=0,
-                         xi_candidate=None, B=None, axiom5_threshold=None,
-                         delta_budget=20_000):
+def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
+                         xi_candidate=None, B=None, axiom5_threshold=None):
     """Check the five factor-system axioms and estimate their constants.
 
     Axiom 2 follows the dichotomy contract: every scanned ordered pair
@@ -179,7 +177,7 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
     m = len(family)
 
     if xi_candidate is None:
-        delta = four_point_delta(graph, budget=delta_budget, seed=seed).delta
+        delta = four_point_delta(graph, budget=20_000, seed=seed).delta
         xi_candidate = int(2 * delta + 2)
     if B is None:
         B = xi_candidate
@@ -191,7 +189,7 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET,
     whole = [i for i, mem in enumerate(family) if len(mem) == graph.n]
 
     # ---- axiom 1: embedding + quasi-convexity constants per member
-    member_idx, spec1 = sample_indices(m, member_budget, seed)
+    member_idx, spec1 = sample_indices(m, DEFAULT_MEMBER_BUDGET, seed)
     K = 0.0
     worst1 = None
     for i in member_idx:
@@ -368,8 +366,7 @@ def family_from_cosets(ball, subs):
                                  ball=ball)
 
 
-def build_group_factor_closure(ball, subs, budget=3,
-                               pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
+def build_group_factor_closure(ball, subs, budget=3, seed=0,
                                xi_candidate=None):
     """Projection-closure approximation of the quasi-convex coset family.
 
@@ -390,7 +387,7 @@ def build_group_factor_closure(ball, subs, budget=3,
     for rounds in range(budget + 1):
         members = _member_sets(family)
         m = len(family)
-        us, vs, spec = sample_ordered_pairs(m, m, pair_budget, seed,
+        us, vs, spec = sample_ordered_pairs(m, m, DEFAULT_PAIR_BUDGET, seed,
                                             skip_diagonal=True)
         new_members = []
         for lo, blocks in iter_ragged_blocks(oracle, members, us, members, vs):
@@ -413,6 +410,6 @@ def build_group_factor_closure(ball, subs, budget=3,
                     {"iterations": rounds, "fixpoint": True,
                      "xi_candidate": xi_candidate, "history": history})
     raise BudgetExceeded(
-        f"projection closure did not stabilize in {budget} rounds",
+        f"projection closure did not stabilize in budget = {budget} rounds",
         partial=FactorSystemCandidate(graph, family, radius=ball.radius,
                                       ball=ball))

@@ -22,6 +22,9 @@ from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, check_hqc,
                        check_structural, instance_from_ball)
 from .factor_system import build_hhs_from_factor_system
 
+# Largest piece count times piece size of a tree of spaces.
+TREE_OF_SPACES_CAP = 60_000
+
 
 @dataclass
 class EdgeData:
@@ -278,12 +281,11 @@ def _edge_index_map(gog, edge, vertex):
     return index_map if held.issuperset(index_map.values()) else None
 
 
-def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
-                                 seed=0):
+def check_combination_hypotheses(gog, seed=0):
     """The four hypotheses, each with witnesses.
 
     (i) every edge image is hierarchically quasi-convex in both end
-    structures (k(0) and the realization values under the threshold);
+    structures (k(0), k(0) of the realization table and q at most 2);
     (ii) the edge hieromorphisms are full: per-index quasi-isometry
     constants plus nesting-surjectivity onto unbounded targets;
     (iii) the image of the edge's maximal element is orthogonal to
@@ -312,8 +314,7 @@ def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
             q = quasiconvexity_constant(vert_inst.X, image, seed=seed)
             entry = {"k0": rep.k0, "k_table": rep.k_table, "q": q.q,
                      "q_witness": q.witness_pair}
-            ok = (rep.k0 <= hqc_threshold and rep.k_table[0] <= hqc_threshold
-                  and q.q <= hqc_threshold)
+            ok = rep.k0 <= 2 and rep.k_table[0] <= 2 and q.q <= 2
             entry["passed"] = ok
             hqc["per_edge"][f"{e.name}@{v}"] = entry
             if not ok:
@@ -354,9 +355,10 @@ def check_combination_hypotheses(gog, hqc_threshold=2, bounded_cutoff=2,
                         if blab in image_labels:
                             continue
                         space = vert_inst.spaces[int(bidx)]
+                        # spaces of over 64 vertices count as unbounded
                         diam = (space.oracle().diameter_of_set(range(space.n))
-                                if space.n <= 64 else bounded_cutoff + 1)
-                        if int(diam) <= bounded_cutoff:
+                                if space.n <= 64 else 3)
+                        if int(diam) <= 2:
                             exempt += 1
                         else:
                             missing.append({"target": lab, "unmatched": blab,
@@ -427,8 +429,7 @@ def check_bounded_supports(gog):
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
-                      closure_budget=3):
+def run_main_pipeline(gog, base_vertices, radius=5, seed=0):
     """Equip, absorb, and check: the three steps of the main construction.
 
     Returns the equipped graph of groups and the combination report.
@@ -453,9 +454,7 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0,
         ball = cayley_ball(vert.group, radius)
         subs = [gog.edge_subgroup(e, vert.name)
                 for e in gog.incident_edges(vert.name)]
-        cand, info = build_group_factor_closure(ball, subs,
-                                                budget=closure_budget,
-                                                seed=seed)
+        cand, info = build_group_factor_closure(ball, subs, seed=seed)
         report = verify_factor_system(cand, seed=seed)
         inst = build_hhs_from_factor_system(cand, report=report,
                                             force=not report.passed)
@@ -534,7 +533,7 @@ def _absorbed_edge_instance(edge, vertex, sub, sub_inst, aug):
 # ---------------------------------------------------------------------------
 # finite-depth tree of spaces
 
-def build_tree_of_spaces(gog, base_vertex, depth, radius=3, cap=60_000):
+def build_tree_of_spaces(gog, base_vertex, depth, radius=3):
     """Glue coset copies of vertex balls along edge images, breadth-first."""
     balls = {v.name: cayley_ball(v.group, radius)
              for v in gog.vertices.values()}
@@ -600,8 +599,10 @@ def build_tree_of_spaces(gog, base_vertex, depth, radius=3, cap=60_000):
                                   node_id(new_piece, vo))
                     glued_along[new_piece] = (e.name, ())
                     nxt.append(new_piece)
-                    if len(all_pieces) * ball.graph.n > cap:
-                        raise BudgetExceeded("tree of spaces over cap")
+                    if len(all_pieces) * ball.graph.n > TREE_OF_SPACES_CAP:
+                        raise BudgetExceeded(
+                            "tree of spaces over TREE_OF_SPACES_CAP = "
+                            f"{TREE_OF_SPACES_CAP} piece vertices")
         level = nxt
 
     for piece in all_pieces:

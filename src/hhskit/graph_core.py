@@ -14,6 +14,7 @@ reports say whether a scan was exhaustive or sampled.
 """
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,8 +97,9 @@ class MetricGraph:
         return self.is_connected and len(self.edges) == self.n - 1
 
     def oracle(self):
+        # held weakly by its oracle, a dropped graph frees its matrix at once
         if self._oracle is None:
-            self._oracle = DistanceOracle(self)
+            self._oracle = DistanceOracle(weakref.proxy(self))
         return self._oracle
 
     def label_of(self, v):
@@ -483,7 +485,8 @@ class DistanceOracle:
         """The cached all-pairs matrix; internal to the matrix strategy."""
         if self._matrix is None:
             if not self._use_matrix:
-                raise BudgetExceeded(f"distance matrix for n={self.n} over cap")
+                raise BudgetExceeded(f"distance matrix for n={self.n} over "
+                                     f"MATRIX_CAP = {self._cap}")
             m = np.empty((self.n, self.n), dtype=np.int16)
             for lo in range(0, self.n, WORD):
                 m[lo:lo + WORD] = bfs_many(self.graph, RaggedSets.singletons(
@@ -764,12 +767,11 @@ def four_point_value(graph, quad):
     return float(_quad_deltas(graph.oracle(), quads)[0])
 
 
-def four_point_delta(graph, budget=None, seed=0,
-                     exhaustive_cap=EXHAUSTIVE_QUADRUPLE_CAP):
+def four_point_delta(graph, budget=None, seed=0):
     """Four-point hyperbolicity constant of a connected graph.
 
     With no budget the scan is exhaustive over all vertex quadruples
-    (guarded by ``exhaustive_cap``); with a budget it is a seeded sample
+    (at most EXHAUSTIVE_QUADRUPLE_CAP); with a budget it is a seeded sample
     and the report is flagged as a lower bound.  Either way the quadruples
     are scanned QUAD_CHUNK at a time, and the witness is the first maximum
     in scan order.
@@ -784,9 +786,10 @@ def four_point_delta(graph, budget=None, seed=0,
 
     population = n * (n - 1) * (n - 2) * (n - 3) // 24
     if budget is None:
-        if population > exhaustive_cap:
+        if population > EXHAUSTIVE_QUADRUPLE_CAP:
             raise BudgetExceeded(
-                f"{population} quadruples exceed exhaustive cap; pass a budget")
+                f"{population} quadruples exceed EXHAUSTIVE_QUADRUPLE_CAP = "
+                f"{EXHAUSTIVE_QUADRUPLE_CAP}; pass a budget")
         it = itertools.combinations(range(n), 4)
         chunks = (np.fromiter(itertools.chain.from_iterable(
             itertools.islice(it, QUAD_CHUNK)), dtype=np.int64).reshape(-1, 4)
@@ -1054,7 +1057,8 @@ def ragged_diameters(oracle, sets, idx=None):
     idx = np.arange(len(sets)) if idx is None else np.asarray(idx)
     sizes = sets.sizes()[idx]
     if (sizes * (sizes - 1) // 2 > DIAMETER_PAIR_CAP).any():
-        raise BudgetExceeded("diameter scan over cap")
+        raise BudgetExceeded(f"diameter scan over DIAMETER_PAIR_CAP = "
+                             f"{DIAMETER_PAIR_CAP} pairs")
     return _per_pair(RaggedBlocks.max, oracle, sets, idx, sets, idx)
 
 
@@ -1087,8 +1091,8 @@ def read_edge_list(text):
     return MetricGraph(n, edges)
 
 
-def to_dot(graph, styled_edges=None, style='style="dashed", color="red"'):
-    """DOT text; edges in ``styled_edges`` get the extra attribute string."""
+def to_dot(graph, styled_edges=None):
+    """DOT text; edges in ``styled_edges`` are drawn dashed and red."""
     styled = set()
     if styled_edges:
         styled = {(u, v) if u < v else (v, u) for u, v in styled_edges}
@@ -1100,7 +1104,7 @@ def to_dot(graph, styled_edges=None, style='style="dashed", color="red"'):
             lines.append(f"  {v};")
     for u, v in graph.edges:
         if (u, v) in styled:
-            lines.append(f"  {u} -- {v} [{style}];")
+            lines.append(f'  {u} -- {v} [style="dashed", color="red"];')
         else:
             lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -19,6 +19,8 @@ from .graph_core import MetricGraph, connected_hull
 
 DEFAULT_BALL_CAP = 300_000
 POSTMERGE_CAP = 2000
+# Largest element count of a breadth-first enumeration of a subgroup.
+MEMBERSHIP_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +304,7 @@ def _abelianize(word, rank):
     return tuple(v)
 
 
-def subgroup_membership(model, sub, word, budget=200_000):
+def subgroup_membership(model, sub, word):
     """Decide word in sub; exact for free and free-abelian ambients, and
     for special subgroups (generated by standard generators) of a RAAG or
     a free product.
@@ -351,9 +353,10 @@ def subgroup_membership(model, sub, word, budget=200_000):
                     return True
                 seen[prod] = None
                 nxt.append(prod)
-                if len(seen) > budget:
+                if len(seen) > MEMBERSHIP_BUDGET:
                     raise Inconclusive(
-                        f"membership fallback hit budget {budget}")
+                        f"membership fallback exceeds MEMBERSHIP_BUDGET = "
+                        f"{MEMBERSHIP_BUDGET}")
         frontier = nxt
     if truncated:
         raise Inconclusive("membership fallback truncated by length cap")
@@ -515,7 +518,7 @@ def _walk_classes(ball, sub):
     return classes, exits
 
 
-def enumerate_cosets(ball, sub, budget=200_000):
+def enumerate_cosets(ball, sub):
     """Coset descriptors partitioning the ball, minimal reps, shortlex order.
 
     Walk components are merged across ball-exit gaps by a membership check
@@ -528,8 +531,8 @@ def enumerate_cosets(ball, sub, budget=200_000):
     reps = sorted(classes)
     if len(sub.generators) > 1 and len(reps) > 1:
         if len(reps) > POSTMERGE_CAP:
-            raise BudgetExceeded(
-                f"{len(reps)} walk components exceed merge cap {POSTMERGE_CAP}")
+            raise BudgetExceeded(f"{len(reps)} walk components exceed "
+                                 f"POSTMERGE_CAP = {POSTMERGE_CAP}")
         rank = ball.model.rank()
         basis = _integer_basis([_abelianize(g, rank) for g in sub.generators])
         buckets = {}
@@ -555,7 +558,7 @@ def enumerate_cosets(ball, sub, budget=200_000):
                         continue
                     diff = ball.model.multiply(
                         inverse_word(ball.words[ri]), ball.words[rj])
-                    if subgroup_membership(ball.model, sub, diff, budget):
+                    if subgroup_membership(ball.model, sub, diff):
                         merged[max(ri, rj)] = min(ri, rj)
         final = {}
         for r in reps:

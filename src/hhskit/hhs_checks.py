@@ -266,10 +266,10 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
 # ---------------------------------------------------------------------------
 # projections: coarse-Lipschitz constant (axiom 1 measurement)
 
-def check_projection_lipschitz(inst, seed=0, edge_budget=100_000):
+def check_projection_lipschitz(inst, seed=0):
     """Largest one-edge jump of any projection (the (K,K) constant)."""
     edges = np.asarray(inst.X.edges, dtype=np.int64)
-    idx, spec = sample_indices(len(edges), edge_budget, seed)
+    idx, spec = sample_indices(len(edges), 100_000, seed)
     us, vs = edges[idx, 0], edges[idx, 1]
     K = 0
     witness = None
@@ -493,8 +493,7 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
 # ---------------------------------------------------------------------------
 # bounded geodesic image
 
-def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
-              geodesics_per_pair=12, seed=0):
+def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     """Minimal grid E bounding projections of geodesics missing N_E(rho)."""
     rng = rng_for(seed)
     nested = np.argwhere(inst.rel == NESTED)
@@ -510,12 +509,13 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000,
         columns.append((w, rows[hit], sets.take(hit)))
     keep = np.flatnonzero(full)
     unreached = len(vs) - len(keep)
-    # one rng stream, drawn in sample order for the reached pairs only: the
-    # bounds are laid out (pair, draw, a/b), as scalar draws would take them
+    # 12 geodesics per pair from one rng stream, drawn in sample order for
+    # the reached pairs only: the bounds are laid out (pair, draw, a/b), as
+    # scalar draws would take them
     sizes = np.asarray([space.n for space in inst.spaces])
-    draws = rng.integers(0, np.repeat(sizes[ws[keep]], 2 * geodesics_per_pair))
-    ends = np.zeros((len(vs), geodesics_per_pair, 2), dtype=np.int64)
-    ends[keep] = draws.reshape(len(keep), geodesics_per_pair, 2)
+    draws = rng.integers(0, np.repeat(sizes[ws[keep]], 24))
+    ends = np.zeros((len(vs), 12, 2), dtype=np.int64)
+    ends[keep] = draws.reshape(len(keep), 12, 2)
     observations = []   # (sample position, avoid_dist, V, W)
     images = []         # the pi_V image of each observation's geodesic
     for w, rows, sets in columns:
@@ -602,9 +602,9 @@ def realization_gap(inst, assignments):
     return _gap(inst, assignments, _rho_terms(inst, vs))
 
 
-def check_partial_realization(inst, family_budget=12, points_per_family=3,
-                              alpha_cap=8, seed=0):
-    """Smallest alpha realizing sampled orthogonal families of points."""
+def check_partial_realization(inst, family_budget=12, seed=0):
+    """Smallest alpha realizing three sampled points per orthogonal family;
+    a point that needs alpha above 8 has no realizer."""
     rng = rng_for(seed)
     n = inst.n_indices()
     orth_pairs = np.argwhere(np.triu(inst.rel == ORTHOGONAL, k=1))
@@ -617,7 +617,7 @@ def check_partial_realization(inst, family_budget=12, points_per_family=3,
         families += [[int(orth_pairs[i][0]), int(orth_pairs[i][1])]
                      for i in take]
     targets = [[[int(inst.pi_rep(v)[int(rng.integers(0, inst.X.n))])
-                 for v in fam] for _ in range(points_per_family)]
+                 for v in fam] for _ in range(3)]
                for fam in families]
     # the rho term of an index does not depend on its target point
     rho_terms = _rho_terms(inst, sorted({v for fam in families for v in fam}))
@@ -632,7 +632,7 @@ def check_partial_realization(inst, family_budget=12, points_per_family=3,
                 alpha = int(need[i])
                 witness = {"family": [inst.labels[v] for v in fam],
                            "realizer": i}
-            if need[i] > alpha_cap:
+            if need[i] > 8:
                 failures.append({"family": [inst.labels[v] for v in fam],
                                  "best": int(need[i])})
     return {"alpha": alpha, "witness": witness,
@@ -675,8 +675,7 @@ def check_uniqueness(inst, kappa_grid=DEFAULT_KAPPA_GRID, pair_budget=20_000,
 # ---------------------------------------------------------------------------
 # distance formula
 
-def distance_formula_fit(inst, s=3, pair_budget=None, seed=0,
-                         K_grid=DEFAULT_K_GRID):
+def distance_formula_fit(inst, s=3, pair_budget=None, seed=0):
     """Fit (K, C) for d_X against the thresholded projection sum."""
     n = inst.n_indices()
     exhaustive = (pair_budget is None
@@ -689,13 +688,13 @@ def distance_formula_fit(inst, s=3, pair_budget=None, seed=0,
         d[d < s] = 0
         total += d
     dx = inst.X.oracle().pairs(us, vs).astype(np.int64)
-    for K, C in K_grid:
+    for K, C in DEFAULT_K_GRID:
         upper_ok = (dx <= K * total + C).all()
         lower_ok = (total <= K * dx + C).all()
         if upper_ok and lower_ok:
             return {"K": K, "C": C, "violations": 0, "s": s,
                     "pairs": len(us), "sample": spec.to_dict()}
-    K, C = K_grid[-1]
+    K, C = DEFAULT_K_GRID[-1]
     bad = ~((dx <= K * total + C) & (total <= K * dx + C))
     idx = np.flatnonzero(bad)[:8]
     return {"K": None, "C": None, "violations": int(bad.sum()), "s": s,
@@ -786,7 +785,7 @@ class HQCReport:
                 "q_comparison": self.q_comparison}
 
 
-def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), qc_pair_budget=20_000, seed=0):
+def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), seed=0):
     """Projection quasi-convexity (k(0)) and the realization table k(r)."""
     yverts = np.asarray(sorted(set(int(v) for v in
                                (Y.vertices if hasattr(Y, "vertices") else Y))),
@@ -800,7 +799,7 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), qc_pair_budget=20_000, seed=0):
         table = inst.projections[u]
         proj = table.image(yverts)
         rep = quasiconvexity_constant(inst.spaces[u], proj,
-                                      pair_budget=qc_pair_budget, seed=seed)
+                                      pair_budget=20_000, seed=seed)
         if rep.q > k0:
             k0 = rep.q
             k0_witness = inst.labels[u]
@@ -823,13 +822,13 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), qc_pair_budget=20_000, seed=0):
 
 
 def hqc_qc_equivalence(inst, Y, r_grid=(0, 1, 2, 3), delta_threshold=1.0,
-                       delta_budget=40_000, seed=0):
+                       seed=0):
     """Compare plain quasi-convexity in X with the hierarchical constants."""
     yverts = (Y.vertices if hasattr(Y, "vertices") else sorted(Y))
     q = quasiconvexity_constant(inst.X, yverts, seed=seed)
     hqc = check_hqc(inst, yverts, r_grid=r_grid, seed=seed)
     hqc.q_comparison = q.q
-    delta = four_point_delta(inst.X, budget=delta_budget, seed=seed)
+    delta = four_point_delta(inst.X, budget=40_000, seed=seed)
     flags = []
     if delta.delta > delta_threshold:
         flags.append("NotHyperbolicFlag")
@@ -919,30 +918,23 @@ def constants_bundle(battery, df_fit=None, hierarchy=None):
     return out
 
 
-def run_axiom_battery(inst, seed=0, delta_budget=40_000,
-                      consistency_budget=20_000, point_budget=60,
-                      ll_pair_budget=150, bgi_pair_budget=4000,
-                      uniqueness_budget=20_000, family_budget=12):
-    """All nine checks with one seed; constants land in .headline().
+def run_axiom_battery(inst, seed=0):
+    """All nine checks, one seed, each check's own budgets; see .headline().
 
     The space delta is measured once per distinct space object: indices
     that share a space (the cosets of an absorbed structure) share it."""
     delta = 0.0
     for space in {id(s): s for s in inst.spaces}.values():
-        budget = None if space.n <= 40 else delta_budget
+        budget = None if space.n <= 40 else 40_000
         delta = max(delta, four_point_delta(space, budget=budget,
                                             seed=seed).delta)
     return AxiomBatteryReport(
         structural=check_structural(inst, seed=seed),
         lipschitz=check_projection_lipschitz(inst, seed=seed),
-        consistency=check_consistency(inst, pair_budget=consistency_budget,
-                                      point_budget=point_budget, seed=seed),
-        large_links=check_large_links(inst, pair_budget=ll_pair_budget,
-                                      seed=seed),
-        bgi=check_bgi(inst, pair_budget=bgi_pair_budget, seed=seed),
-        partial_realization=check_partial_realization(
-            inst, family_budget=family_budget, seed=seed),
-        uniqueness=check_uniqueness(inst, pair_budget=uniqueness_budget,
-                                    seed=seed),
+        consistency=check_consistency(inst, seed=seed),
+        large_links=check_large_links(inst, seed=seed),
+        bgi=check_bgi(inst, seed=seed),
+        partial_realization=check_partial_realization(inst, seed=seed),
+        uniqueness=check_uniqueness(inst, seed=seed),
         delta=delta,
         seed=seed)

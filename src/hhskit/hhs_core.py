@@ -30,6 +30,9 @@ from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
                          hqc_qc_equivalence, realization_gap,
                          run_axiom_battery)
 
+# Largest vertex count of a product fixture's total space.
+PRODUCT_CAP = 200_000
+
 
 class ProjectionTable:
     """CSR storage of one index's projection sets over all X-vertices."""
@@ -241,12 +244,11 @@ def trivial_instance(graph, label="S", meta=None):
                        meta=meta)
 
 
-def instance_from_ball(ball, label="S", meta=None):
+def instance_from_ball(ball, label="S"):
     """Trivial structure on a Cayley ball, tagged with its generating set."""
-    base_meta = {"cs_generating_set": list(ball.gens), "radius": ball.radius,
-                 "cayley": True}
-    base_meta.update(meta or {})
-    inst = trivial_instance(ball.graph, label=label, meta=base_meta)
+    meta = {"cs_generating_set": list(ball.gens), "radius": ball.radius,
+            "cayley": True}
+    inst = trivial_instance(ball.graph, label=label, meta=meta)
     inst.meta["ball"] = ball
     return inst
 
@@ -390,7 +392,7 @@ def normalize(inst):
     return out, record
 
 
-def product_hhs(a, b, cap=200_000):
+def product_hhs(a, b):
     """The product fixture: Cartesian product graph, coordinate projections.
 
     Index set = both factors' indices (cross pairs orthogonal) plus a new
@@ -398,8 +400,9 @@ def product_hhs(a, b, cap=200_000):
     apex vertex.
     """
     na, nb = a.X.n, b.X.n
-    if na * nb > cap:
-        raise BudgetExceeded(f"product would have {na * nb} vertices")
+    if na * nb > PRODUCT_CAP:
+        raise BudgetExceeded(f"product would have {na * nb} vertices, over "
+                             f"PRODUCT_CAP = {PRODUCT_CAP}")
 
     def vid(i, j):
         return i * nb + j
@@ -493,7 +496,7 @@ def instance_to_bundle(inst, rho_cap=250_000):
     """
     us, vs = inst.eligible_rho_pairs()
     if len(us) > rho_cap:
-        raise BudgetExceeded(f"{len(us)} rho pairs exceed bundle cap")
+        raise BudgetExceeded(f"{len(us)} rho pairs exceed rho_cap = {rho_cap}")
     bundle = {
         "labels": list(inst.labels),
         "maximal": int(inst.maximal),

@@ -1,9 +1,11 @@
 """graph_core against independent brute-force oracles."""
 
+import gc
 import itertools
 import pathlib
 import re
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -616,12 +618,14 @@ def test_strategy_follows_graph_size(monkeypatch):
     cap, by BFS sweeps; neither has a matrix."""
     cap = 40
     monkeypatch.setattr(graph_core, "MATRIX_CAP", cap)
-    small = path_graph(cap).oracle()
+    # each oracle holds its graph weakly: the graphs stay bound
+    graphs = path_graph(cap), path_graph(cap + 1), cycle_graph(cap + 1)
+    small = graphs[0].oracle()
     assert small.matrix().shape == (cap, cap)
     assert small.dist(0, cap - 1) == cap - 1
     # decided (and the blocks built) before the spies go in: building the
     # blocks runs a BFS from the root
-    tree, cycle = path_graph(cap + 1).oracle(), cycle_graph(cap + 1).oracle()
+    tree, cycle = graphs[1].oracle(), graphs[2].oracle()
     assert tree._blocks is not None and cycle._blocks is None
     calls = []
     for name, owner in (("entries", graph_core._BlockMetric),
@@ -636,6 +640,22 @@ def test_strategy_follows_graph_size(monkeypatch):
     assert tree.dist(0, cap) == cap and set(calls) == {"entries"}
     calls.clear()
     assert cycle.dist(0, cap) == 1 and set(calls) == {"bfs_many"}
+
+
+def test_dropped_graph_frees_its_matrix_without_the_collector():
+    """The cached oracle holds its graph weakly: no reference cycle keeps a
+    dropped graph, or its matrix, alive until the cycle collector runs."""
+    g = groups.cayley_ball(groups.free_group(["a", "b"]), 3).graph
+    oracle = g.oracle()
+    assert oracle.matrix().shape == (g.n, g.n)
+    alive, matrix = weakref.ref(g), weakref.ref(oracle)
+    del oracle
+    gc.disable()
+    try:
+        del g
+        assert alive() is None and matrix() is None
+    finally:
+        gc.enable()
 
 
 @st.composite
