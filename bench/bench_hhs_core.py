@@ -11,9 +11,11 @@ the cosets of <a> and <b> (487 indices), and the augmented instance above
 (244 indices, the structure ``amalgam-pipeline`` checks).
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
 factor-system instance (1459 indices; its top index has 1458 children).
-On the F2 r=6 ball (1457 vertices), ``check_hyperbolically_embedded`` of
-<a> builds its own balls and cone-offs in the timed call, and
-``relative_metric`` of <a> is timed on a cone-off built in set-up.  Every
+On the F2 r=6 and r=7 balls (1457 and 4373 vertices; the r=7 ball is over
+the 4096-vertex matrix cap, so its distances come from sweeps and the
+block-cut tree), ``check_hyperbolically_embedded`` of <a> builds its own
+balls and cone-offs in the timed call, and ``relative_metric`` of <a> is
+timed on the r=6 cone-off built in set-up.  Every
 round gets fresh graphs and a fresh instance, so no round reads distances,
 projections or relative projections that an earlier one cached; a check
 timed apart therefore also pays for the distance matrices it is the first
@@ -103,11 +105,20 @@ def test_bgi_factor_f2_r6(benchmark):
     assert got["observations"] > 0
 
 
-def test_hyperbolically_embedded_f2_r6(benchmark):
+def hyperbolically_embedded_f2(benchmark, radius):
     got = benchmark.pedantic(check_hyperbolically_embedded,
-                             setup=lambda: ((F2, [SUB_A], 6), {"seed": 3}),
+                             setup=lambda: ((F2, [SUB_A], radius),
+                                            {"seed": 3}),
                              rounds=3)
     assert got.passed
+
+
+def test_hyperbolically_embedded_f2_r6(benchmark):
+    hyperbolically_embedded_f2(benchmark, 6)
+
+
+def test_hyperbolically_embedded_f2_r7(benchmark):
+    hyperbolically_embedded_f2(benchmark, 7)
 
 
 def test_relative_metric_f2_r6(benchmark):

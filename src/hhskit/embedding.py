@@ -23,10 +23,10 @@ import numpy as np
 from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph, bfs_many,
-                         four_point_delta)
-from .groups import (MEMBERSHIP_BUDGET, SubgroupSpec, cayley_ball,
-                     coset_subgraph, enumerate_cosets, inverse_word,
-                     subgroup_membership)
+                         four_point_delta, ragged_diameters)
+from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
+                     enumerate_cosets, inverse_word, subgroup_membership,
+                     walk_subgroup)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
                        _projection_sets_onto, assemble_column,
                        run_axiom_battery)
@@ -141,26 +141,17 @@ def _intrinsic_lengths(model, sub, needed_words):
     if () in targets:
         targets[()] = 0
         remaining -= 1
-    seen = {(): 0}
-    frontier = [()]
     max_len = max((len(w) for w in needed_words), default=0) + 4
-    while frontier and remaining:
-        nxt = []
-        for w in frontier:
-            for g in sub.generator_words_with_inverses():
-                p = model.multiply(w, g)
-                if p in seen or len(p) > max_len:
-                    continue
-                seen[p] = seen[w] + 1
-                if p in targets and targets[p] is None:
-                    targets[p] = seen[p]
-                    remaining -= 1
-                nxt.append(p)
-                if len(seen) > MEMBERSHIP_BUDGET:
-                    raise Inconclusive(
-                        "intrinsic length enumeration exceeds "
-                        f"MEMBERSHIP_BUDGET = {MEMBERSHIP_BUDGET}")
-        frontier = nxt
+    last = 0    # the layer that finds the last target is walked to its end
+    for p, k in walk_subgroup(model, sub, max_len,
+                              "intrinsic length enumeration"):
+        if k is None:
+            continue
+        if not remaining and k > last:
+            break
+        if p in targets and targets[p] is None:
+            targets[p] = last = k
+            remaining -= 1
     return targets
 
 
@@ -182,8 +173,8 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
 
     # (ii) properness of the relative metric, radius-stable profile
     properness = {"passed": True, "per_subgroup": {}}
-    for sub in subs:
-        t_big = relative_metric(ball, sub, cg)
+    tables = [relative_metric(ball, sub, cg) for sub in subs]
+    for sub, t_big in zip(subs, tables):
         t_small = relative_metric(small, sub, cg_small)
         p_big, p_small = t_big.profile(), t_small.profile()
         small_total = len(t_small.elements)
@@ -206,52 +197,57 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
 
     # (iii) quasi-isometric embedding constants
     qi = {"passed": True, "per_subgroup": {}}
-    member_sets = [np.asarray(subgroup_ball_vertices(ball, sub),
-                              dtype=np.int64) for sub in subs]
-    for sub, members in zip(subs, member_sets):
-        words = [ball.words[v] for v in members]
+    oracle = ball.graph.oracle()
+    row = oracle.row(ball.id_of(()))
+    for sub, t in zip(subs, tables):
         try:
-            intrinsic = _intrinsic_lengths(model, sub, words)
+            intrinsic = _intrinsic_lengths(model, sub, t.words)
         except Inconclusive:
             qi["per_subgroup"][sub.label] = {"passed": False,
                                              "reason": "enumeration budget"}
             qi["passed"] = False
             continue
         lam = 1.0
-        origin = ball.id_of(())
-        row = ball.graph.oracle().row(origin)
-        for v, w in zip(members, words):
+        for v, w in zip(t.elements, t.words):
             dh = intrinsic[w]
             dt = int(row[v])
             if dh is None:
                 continue
             lam = max(lam, dh / (dt + 1.0), dt / (dh + 1.0))
         qi["per_subgroup"][sub.label] = {"lambda": lam, "passed": True,
-                                         "elements": len(members)}
+                                         "elements": len(t.elements)}
     # (iv) separation of cosets; crossing members legitimately give
     # R(eps) ~ 2*eps, so the unbounded proxy only fires above that scale
     caps = {e: max(radius, 2 * e + 2) for e in (0, 1, 2)}
     separation = {"passed": True, "R": {}, "witness": None,
                   "cap": caps}
+    member_sets = [np.asarray(t.elements, dtype=np.int64) for t in tables]
+    inside, where = [], []     # sets of two or more, and (coset, i, eps)
+    for lo in range(0, len(cg.family), WORD):
+        dist = oracle.dist_to_sets(RaggedSets.from_arrays(
+            [c.vertices for c in cg.family[lo:lo + WORD]]))
+        for k, near in enumerate(dist, start=lo):
+            sub_j, rep = owners[k]
+            for sub_i, hi in zip(subs, member_sets):
+                if (sub_i is sub_j and rep == ()):
+                    continue
+                for e in caps:
+                    found = hi[near[hi] <= e]
+                    if len(found) > 1:
+                        inside.append(found)
+                        where.append((k, sub_i, e))
+    diams = ragged_diameters(oracle, RaggedSets.from_arrays(inside))
     R = {e: 0 for e in caps}
-    oracle = ball.graph.oracle()
-    for coset, (sub_j, rep) in zip(cg.family, owners):
-        dist = oracle.dist_to_set(coset.vertex_array())
-        for sub_i, hi in zip(subs, member_sets):
-            if (sub_i is sub_j and rep == ()):
-                continue
-            for e in caps:
-                inside = hi[dist[hi] <= e]
-                if len(inside) > 1:
-                    diam = oracle.diameter_of_set(inside)
-                    if diam > R[e]:
-                        R[e] = diam
-                        if diam >= caps[e]:
-                            separation["passed"] = False
-                            separation["witness"] = {
-                                "g": ball.model.format(rep),
-                                "i": sub_i.label, "j": sub_j.label,
-                                "eps": e, "diam": diam}
+    for (k, sub_i, e), diam in zip(where, diams.tolist()):
+        if diam > R[e]:
+            R[e] = diam
+            if diam >= caps[e]:
+                sub_j, rep = owners[k]
+                separation["passed"] = False
+                separation["witness"] = {
+                    "g": ball.model.format(rep),
+                    "i": sub_i.label, "j": sub_j.label,
+                    "eps": e, "diam": diam}
     separation["R"] = R
 
     return HHEmbeddingWitness(tuple(ball.gens), radius, hyperbolicity,
@@ -312,18 +308,21 @@ def projection_uniform_bound(base, sub, seed=0):
     if ball is None:
         raise StructureMismatch("base instance carries no ball metadata")
     cosets = enumerate_cosets(ball, sub)
-    pairs = [(u, c) for u in proper for c in range(len(cosets))]
-    idx, spec = sample_indices(len(pairs), 20_000, seed)
-    C = 0
-    witness = None
-    for k in idx:
-        u, ci = pairs[int(k)]
-        image = base.projections[u].image(cosets[ci].vertices)
-        d = base.space_oracle(u).diameter_of_set(image)
-        if d > C:
-            C = d
-            witness = {"U": base.labels[u],
-                       "g": ball.model.format(cosets[ci].representative)}
+    coset_sets = RaggedSets.from_arrays([c.vertices for c in cosets])
+    # sample k is the pair (proper[k // len(cosets)], coset k % len(cosets))
+    idx, spec = sample_indices(len(proper) * len(cosets), 20_000, seed)
+    at, ci = np.divmod(idx, len(cosets))
+    diams = np.zeros(len(idx), dtype=np.int64)
+    for a in np.unique(at).tolist():
+        sel = np.flatnonzero(at == a)
+        images = base.projections[proper[a]].images(coset_sets.take(ci[sel]))
+        diams[sel] = ragged_diameters(base.space_oracle(proper[a]), images)
+    # the first sample of the largest diameter, the one a scan in order keeps
+    k = int(np.argmax(diams))
+    C = int(diams[k])
+    witness = None if C == 0 else {
+        "U": base.labels[proper[at[k]]],
+        "g": ball.model.format(cosets[ci[k]].representative)}
     return {"C": C, "witness": witness, "vacuous": False,
             "sample": spec.to_dict()}
 
@@ -509,6 +508,12 @@ def build_augmented_structure(base, subgroup_structures, force=False,
                               len(clamp_log))
 
 
+def _largest_diameter(oracle, sets):
+    """The largest diameter of the vertex lists ``sets`` (0 for none)."""
+    return int(ragged_diameters(oracle, RaggedSets.from_arrays(sets))
+               .max(initial=0))
+
+
 def verify_augmented(aug, seed=0, equivariance_samples=100):
     """Full battery on the absorbed structure plus the morphism contract.
 
@@ -533,24 +538,23 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
         # projections commute on the identity coset: for h in H, the
         # absorbed projection of h equals the subgroup's own projection
         sub_ball = sub_inst.meta["ball"]
-        commute_gap = 0
+        differ = [[] for _ in range(sub_inst.n_indices())]
         members = subgroup_ball_vertices(ball, sub)
         for v in members:
-            h = ball.words[v]
-            hv = sub_ball.index.get(h)
+            hv = sub_ball.index.get(ball.words[v])
             if hv is None:
                 continue
             for u in range(sub_inst.n_indices()):
                 mine = set(int(p) for p in result.pi(start + u, v))
                 theirs = set(int(p) for p in sub_inst.pi(u, hv))
                 if mine != theirs:
-                    gap = sub_inst.space_oracle(u).diameter_of_set(
-                        sorted(mine | theirs))
-                    commute_gap = max(commute_gap, gap)
+                    differ[u].append(sorted(mine | theirs))
+        commute_gap = max((_largest_diameter(sub_inst.space_oracle(u), sets)
+                           for u, sets in enumerate(differ)), default=0)
 
         # coarse equivariance of left multiplication by subgroup elements
         rng = rng_for(seed)
-        eq_gap = 0
+        moved_apart = []
         checked = 0
         attempts = 0
         while checked < equivariance_samples and attempts < 20 * equivariance_samples:
@@ -558,10 +562,7 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
             h = ball.words[members[int(rng.integers(0, len(members)))]]
             x = ball.words[int(rng.integers(0, ball.graph.n))]
             hx = model.multiply(h, x)
-            if hx not in ball.index:
-                continue
-            hv = sub_ball.index.get(h)
-            if hv is None:
+            if hx not in ball.index or h not in sub_ball.index:
                 continue
             xv, hxv = ball.index[x], ball.index[hx]
             for u in range(sub_inst.n_indices()):
@@ -569,22 +570,15 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
                 if carrier is None:
                     continue
                 # translate pi_U(x) by h inside the subgroup coordinates
-                moved = set()
-                for p in result.pi(start + u, xv):
-                    word = model.multiply(h, sub_ball.words[int(carrier[p])])
-                    j = sub_ball.index.get(word)
-                    if j is not None:
-                        moved.add(j)
-                target = set(int(carrier[p])
-                             for p in result.pi(start + u, hxv))
-                target_words = {sub_ball.words[t] for t in target}
-                moved_words = {sub_ball.words[m] for m in moved}
-                if moved and target_words != moved_words:
-                    both = sorted({sub_ball.index[w]
-                                   for w in target_words | moved_words})
-                    gap = sub_ball.graph.oracle().diameter_of_set(both)
-                    eq_gap = max(eq_gap, gap)
+                words = (model.multiply(h, sub_ball.words[int(carrier[p])])
+                         for p in result.pi(start + u, xv))
+                moved = {sub_ball.index[w] for w in words
+                         if w in sub_ball.index}
+                target = set(carrier[result.pi(start + u, hxv)].tolist())
+                if moved and target != moved:
+                    moved_apart.append(sorted(target | moved))
             checked += 1
+        eq_gap = _largest_diameter(sub_ball.graph.oracle(), moved_apart)
         morphisms.append({"sub": sub.label,
                           "index_map_injective": labels_ok,
                           "relations_preserved": rel_ok,
@@ -655,20 +649,17 @@ def decomposition_projection_check(aug, x, y, theta):
                   if p[0] == "old" and u != result.maximal]
     T = 0
     per_index = []
-    if old_proper:
-        xmap = result.space_to_x[result.maximal]
-        for u in old_proper:
-            table = result.projections[u]
-
-            def diam_of(seg):
-                image = table.image(xmap[np.asarray(seg, dtype=np.int64)])
-                return result.space_oracle(u).diameter_of_set(image)
-
-            whole = diam_of(verts)
-            best = max((diam_of(seg) for kind, seg in segments), default=0)
-            gap = whole - best
-            per_index.append({"U": result.labels[u], "whole": whole,
-                              "best_piece": best, "gap": gap})
-            T = max(T, gap)
+    xmap = result.space_to_x[result.maximal]
+    # the whole path, then each segment
+    runs = RaggedSets.from_arrays(
+        [xmap[list(seg)] for seg in [verts] + [s for _, s in segments]])
+    for u in old_proper:
+        d = ragged_diameters(result.space_oracle(u),
+                             result.projections[u].images(runs)).tolist()
+        whole, best = d[0], max(d[1:])
+        gap = whole - best
+        per_index.append({"U": result.labels[u], "whole": whole,
+                          "best_piece": best, "gap": gap})
+        T = max(T, gap)
     return DecompositionReport(tuple(path), tuple(segments), theta, T,
                                per_index)

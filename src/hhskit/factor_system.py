@@ -337,8 +337,7 @@ def simple_family_check(cand, eps_grid=(0, 1, 2), pair_budget=DEFAULT_PAIR_BUDGE
             "flags": flags, "small_members": small_members}
 
 
-def build_hhs_from_factor_system(cand, force=False, report=None,
-                                 verify_kwargs=None):
+def build_hhs_from_factor_system(cand, force=False, report=None):
     """Assemble the induced hierarchical structure (see hhs_core).
 
     Index set = family + the whole graph; each index space is the cone-off
@@ -347,7 +346,7 @@ def build_hhs_from_factor_system(cand, force=False, report=None,
     transversality otherwise.
     """
     if report is None:
-        report = verify_factor_system(cand, **(verify_kwargs or {}))
+        report = verify_factor_system(cand)
     if not report.passed and not force:
         raise FactorSystemViolated(
             "factor-system axioms failed; pass force=True to build anyway")

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import BudgetExceeded, MalformedMove, MissingStructure
 from .embedding import build_augmented_structure, check_hh_embedded
 from .factor_system import build_group_factor_closure, verify_factor_system
-from .graph_core import MetricGraph, quasiconvexity_constant
+from .graph_core import (MetricGraph, RaggedSets, quasiconvexity_constant,
+                         ragged_diameters)
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word)
 from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, check_hqc,
@@ -356,8 +357,9 @@ def check_combination_hypotheses(gog, seed=0):
                             continue
                         space = vert_inst.spaces[int(bidx)]
                         # spaces of over 64 vertices count as unbounded
-                        diam = (space.oracle().diameter_of_set(range(space.n))
-                                if space.n <= 64 else 3)
+                        diam = 3 if space.n > 64 else ragged_diameters(
+                            space.oracle(),
+                            RaggedSets(np.arange(space.n), [0, space.n]))[0]
                         if int(diam) <= 2:
                             exempt += 1
                         else:

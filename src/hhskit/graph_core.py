@@ -456,7 +456,7 @@ class DistanceOracle:
     that ask many rows or paths should ask them in one call.  This class
     is the only code that knows which strategy answers; callers ask
     through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
-    ``dist_to_set``, ``geodesics``, ``geodesic`` and ``diameter_of_set``.
+    ``dist_to_set``, ``geodesics`` and ``geodesic``.
     """
 
     def __init__(self, graph):
@@ -601,14 +601,6 @@ class DistanceOracle:
         """A deterministic geodesic from u to v as a vertex list."""
         return self.geodesics([u], [v])[0]
 
-    def diameter_of_set(self, verts):
-        """Max pairwise distance within a vertex set (0 for empty/singleton)."""
-        verts = np.asarray(list(verts), dtype=np.int64)
-        if len(verts) <= 1:
-            return 0
-        us, vs = np.triu_indices(len(verts), k=1)
-        return int(self.pairs(verts[us], verts[vs]).max())
-
 
 def _component(graph, root, vset):
     """The vertices of ``vset`` that root reaches inside it (root in vset)."""
@@ -678,8 +670,6 @@ class PathRecord:
     """A vertex path; length is the number of edges."""
 
     vertices: tuple
-    is_geodesic: bool = False
-    quasi_constant: float | None = None
 
     def length(self):
         return len(self.vertices) - 1
@@ -744,7 +734,7 @@ def shortest_path(graph, u, v):
     if not (0 <= u < graph.n and 0 <= v < graph.n):
         raise ValueError("endpoint not in graph")
     path = graph.oracle().geodesic(u, v)
-    return PathRecord(vertices=tuple(path), is_geodesic=True)
+    return PathRecord(vertices=tuple(path))
 
 
 def _quad_deltas(oracle, quads):

@@ -335,10 +335,28 @@ def subgroup_membership(model, sub, word):
         return all(abs(x) in letters for x in word)
 
     # radius-limited fallback: breadth-first closure over subgroup generators
-    length_cap = len(word) + 4
-    seen = {(): None}
-    frontier = [()]
     truncated = False
+    for prod, k in walk_subgroup(model, sub, len(word) + 4,
+                                 "membership fallback"):
+        if k is None:
+            truncated = True
+        elif prod == word:
+            return True
+    if truncated:
+        raise Inconclusive("membership fallback truncated by length cap")
+    return False
+
+
+def walk_subgroup(model, sub, max_len, what):
+    """Breadth-first walk over the elements of ``sub`` by generator words.
+
+    Yields ``(word, k)`` per new element, k its length over the generators,
+    layer by layer, and ``(word, None)`` per product longer than
+    ``max_len``, which is not kept.  Raises Inconclusive, naming ``what``,
+    past MEMBERSHIP_BUDGET kept elements (read when the walk runs).
+    """
+    seen = {(): 0}
+    frontier = [()]
     while frontier:
         nxt = []
         for w in frontier:
@@ -346,21 +364,17 @@ def subgroup_membership(model, sub, word):
                 prod = model.multiply(w, g)
                 if prod in seen:
                     continue
-                if len(prod) > length_cap:
-                    truncated = True
+                if len(prod) > max_len:
+                    yield prod, None
                     continue
-                if prod == word:
-                    return True
-                seen[prod] = None
+                seen[prod] = seen[w] + 1
                 nxt.append(prod)
+                # a caller that stops at this element never meets the budget
+                yield prod, seen[prod]
                 if len(seen) > MEMBERSHIP_BUDGET:
-                    raise Inconclusive(
-                        f"membership fallback exceeds MEMBERSHIP_BUDGET = "
-                        f"{MEMBERSHIP_BUDGET}")
+                    raise Inconclusive(f"{what} exceeds MEMBERSHIP_BUDGET = "
+                                       f"{MEMBERSHIP_BUDGET}")
         frontier = nxt
-    if truncated:
-        raise Inconclusive("membership fallback truncated by length cap")
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +410,7 @@ class BallGraph:
         return self.id_of(self.model.parse(text))
 
 
-def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
+def cayley_ball(model, radius, gens=None):
     """Breadth-first Cayley ball over the given generator labels.
 
     Every supported kind has only even-length relators, so word length mod 2
@@ -450,8 +464,9 @@ def cayley_ball(model, radius, gens=None, cap=DEFAULT_BALL_CAP):
                     else:
                         texts.append(format_word(w2, model.gens))
                         ordered = False
-                    if n >= cap:
-                        raise BudgetExceeded(f"ball exceeded vertex cap {cap}")
+                    if n >= DEFAULT_BALL_CAP:
+                        raise BudgetExceeded(f"ball exceeded DEFAULT_BALL_CAP"
+                                             f" = {DEFAULT_BALL_CAP} vertices")
         if not ordered:
             perm = sorted(range(end, len(words)),
                           key=lambda v: shortlex_key(words[v]))

@@ -821,8 +821,7 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), seed=0):
     return HQCReport(int(k0), k0_witness, k_table, witnesses)
 
 
-def hqc_qc_equivalence(inst, Y, r_grid=(0, 1, 2, 3), delta_threshold=1.0,
-                       seed=0):
+def hqc_qc_equivalence(inst, Y, r_grid=(0, 1, 2, 3), seed=0):
     """Compare plain quasi-convexity in X with the hierarchical constants."""
     yverts = (Y.vertices if hasattr(Y, "vertices") else sorted(Y))
     q = quasiconvexity_constant(inst.X, yverts, seed=seed)
@@ -830,7 +829,7 @@ def hqc_qc_equivalence(inst, Y, r_grid=(0, 1, 2, 3), delta_threshold=1.0,
     hqc.q_comparison = q.q
     delta = four_point_delta(inst.X, budget=40_000, seed=seed)
     flags = []
-    if delta.delta > delta_threshold:
+    if delta.delta > 1.0:
         flags.append("NotHyperbolicFlag")
     return {"q": q.q, "k0": hqc.k0, "k_table": hqc.k_table,
             "delta_X": delta.delta, "flags": flags,

@@ -43,8 +43,8 @@ def factor_instances():
     out = {}
     for r in (4, 6):
         cand = family_from_cosets(G.cayley_ball(F2, r), [SUB_A, SUB_B])
-        out[r] = build_hhs_from_factor_system(cand,
-                                              verify_kwargs={"seed": 11})
+        out[r] = build_hhs_from_factor_system(
+            cand, report=verify_factor_system(cand, seed=11))
     return out
 
 

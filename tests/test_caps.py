@@ -54,6 +54,12 @@ def test_cone_edge_cap(monkeypatch):
         build_coneoff(g, [Subgraph(g, range(5))])   # 10 clique edges
 
 
+def test_ball_cap_raises(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="DEFAULT_BALL_CAP = 100"):
+        groups.cayley_ball(F2, 6)
+
+
 def test_postmerge_cap(monkeypatch):
     monkeypatch.setattr(groups, "POSTMERGE_CAP", 1)
     ball = groups.cayley_ball(F2, 2)

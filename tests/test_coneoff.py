@@ -10,7 +10,8 @@ from hhskit import groups as G
 from hhskit.coneoff import (build_coneoff, coneoff_report, de_electrify,
                             kapovich_rafi_report, measure_quasigeodesic,
                             tau_quasigeodesic_check)
-from hhskit.graph_core import MetricGraph, Subgraph, shortest_path
+from hhskit.graph_core import (MetricGraph, RaggedSets, Subgraph,
+                               ragged_diameters, shortest_path)
 from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
 from hhskit.sampling import rng_for
 from test_graph_core import bfs_parents
@@ -41,7 +42,9 @@ def test_empty_family_is_identity():
 def test_fully_coned_path_has_diameter_one():
     g = path_graph(5)
     cg = build_coneoff(g, [Subgraph(g, range(5))])
-    assert cg.coned.oracle().diameter_of_set(range(cg.coned.n)) == 1
+    n = cg.coned.n
+    whole = RaggedSets(np.arange(n), [0, n])
+    assert ragged_diameters(cg.coned.oracle(), whole).tolist() == [1]
     # parallel base edges are dropped, the rest of the clique is added
     assert cg.dropped_parallel == 4
     assert len(cg.cone_edge_owner) == 10 - 4

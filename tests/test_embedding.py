@@ -1,13 +1,17 @@
 """Relative metrics, embedded-subgroup verdicts, absorption."""
 
+import copy
+import dataclasses
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hhskit import embedding
 from hhskit import groups as G
-from hhskit.errors import EmbeddingViolated, StructureMismatch
+from hhskit.coneoff import de_electrify
+from hhskit.errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from hhskit.embedding import (build_augmented_structure,
                               check_hh_embedded,
                               check_hyperbolically_embedded,
@@ -16,8 +20,11 @@ from hhskit.embedding import (build_augmented_structure,
                               subgroup_ball_vertices, verify_augmented)
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.groups import SubgroupSpec, subgroup_membership
-from hhskit.hhs_core import check_structural, instance_from_ball, trivial_instance
+from hhskit.hhs_core import (ProjectionTable, check_structural,
+                             instance_from_ball, trivial_instance)
 from hhskit.graph_core import MetricGraph, bfs_distances
+from hhskit.sampling import rng_for, sample_indices
+from test_graph_core import diameter_loop
 
 F2 = G.free_group(["a", "b"])
 Z2 = G.free_abelian_group(["a", "b"])
@@ -138,6 +145,112 @@ def test_two_axes_pairwise_separation_finite():
     assert all(v < 5 for v in w.separation["R"].values())
 
 
+def separation_loop(model, subs, radius):
+    """Part (iv) of ``check_hyperbolically_embedded`` as one BFS per coset
+    and one pairwise diameter per set, R and the witness kept in loop
+    order."""
+    ball = G.cayley_ball(model, radius)
+    cg, owners = embedding.coned_over_cosets(ball, subs)
+    member_sets = [np.asarray(subgroup_ball_vertices(ball, sub))
+                   for sub in subs]
+    caps = {e: max(radius, 2 * e + 2) for e in (0, 1, 2)}
+    separation = {"passed": True, "R": {}, "witness": None, "cap": caps}
+    R = {e: 0 for e in caps}
+    for coset, (sub_j, rep) in zip(cg.family, owners):
+        dist = bfs_distances(ball.graph, coset.vertices)
+        for sub_i, hi in zip(subs, member_sets):
+            if sub_i is sub_j and rep == ():
+                continue
+            for e in caps:
+                inside = hi[dist[hi] <= e]
+                if len(inside) > 1:
+                    diam = diameter_loop(ball.graph, inside)
+                    if diam > R[e]:
+                        R[e] = diam
+                        if diam >= caps[e]:
+                            separation["passed"] = False
+                            separation["witness"] = {
+                                "g": ball.model.format(rep),
+                                "i": sub_i.label, "j": sub_j.label,
+                                "eps": e, "diam": diam}
+    separation["R"] = R
+    return separation
+
+
+RAAG = G.raag_group(["a", "b", "c"], [("a", "b")])
+MODELS = {"F2": F2, "Z2": Z2, "RAAG": RAAG}
+
+
+def cases(*spec):
+    """(model, gens, radius) parameters with readable ids."""
+    return pytest.mark.parametrize(
+        "model, gens, radius", [(MODELS[m], g, r) for m, g, r in spec],
+        ids=[f"{m}-{'+'.join(g).replace(' ', '')}-r{r}" for m, g, r in spec])
+
+
+@cases(("F2", ["a"], 4), ("F2", ["a"], 5), ("F2", ["a", "b"], 4),
+       ("F2", ["a", "b"], 5), ("F2", ["a b"], 4), ("F2", ["a b"], 5),
+       ("Z2", ["a"], 6))
+def test_separation_matches_per_coset_loop(model, gens, radius, monkeypatch):
+    # with three cosets per distance call, call boundaries fall inside the
+    # coset list
+    monkeypatch.setattr(embedding, "WORD", 3)
+    subs = ([SubgroupSpec(model, [g], label=g) for g in gens]
+            if len(gens) > 1 else [SubgroupSpec(model, gens, label="H")])
+    got = check_hyperbolically_embedded(model, subs, radius, seed=3,
+                                        delta_budget=2000).separation
+    assert got == separation_loop(model, subs, radius)
+    assert (got["witness"] is None) == (model is F2)
+
+
+def intrinsic_loop(model, sub, needed_words):
+    """The level-by-level walk ``_intrinsic_lengths`` had of its own."""
+    targets = {w: None for w in needed_words}
+    remaining = len(targets)
+    if () in targets:
+        targets[()] = 0
+        remaining -= 1
+    seen = {(): 0}
+    frontier = [()]
+    max_len = max((len(w) for w in needed_words), default=0) + 4
+    while frontier and remaining:
+        nxt = []
+        for w in frontier:
+            for g in sub.generator_words_with_inverses():
+                p = model.multiply(w, g)
+                if p in seen or len(p) > max_len:
+                    continue
+                seen[p] = seen[w] + 1
+                if p in targets and targets[p] is None:
+                    targets[p] = seen[p]
+                    remaining -= 1
+                nxt.append(p)
+        frontier = nxt
+    return targets
+
+
+@cases(("F2", ["a"], 5), ("F2", ["a b"], 5), ("F2", ["a b", "b a"], 4),
+       ("Z2", ["a", "b b"], 4), ("RAAG", ["a c"], 4), ("RAAG", ["a", "b"], 4))
+def test_intrinsic_lengths_match_level_walk(model, gens, radius):
+    ball = G.cayley_ball(model, radius)
+    sub = SubgroupSpec(model, gens, label="H")
+    # every ball element, so that some lengths stay None
+    words = list(ball.words)
+    for needed in (words, [()], []):
+        assert embedding._intrinsic_lengths(model, sub, needed) == \
+            intrinsic_loop(model, sub, needed)
+
+
+def test_qi_part_reports_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(G, "MEMBERSHIP_BUDGET", 3)
+    with pytest.raises(Inconclusive, match="MEMBERSHIP_BUDGET = 3"):
+        embedding._intrinsic_lengths(F2, SUB_A, [F2.parse("a a a")])
+    w = check_hyperbolically_embedded(F2, [SUB_A], 3, seed=3,
+                                      delta_budget=2000)
+    assert w.qi_embedding == {"passed": False, "per_subgroup": {
+        "A": {"passed": False, "reason": "enumeration budget"}}}
+
+
 # ---------------------------------------------------------------------------
 # hierarchical embedding
 
@@ -216,6 +329,37 @@ def test_projection_bound_on_factor_base():
         family_from_cosets(G.cayley_ball(F2, 4), [SUB_B]))
     rep = projection_uniform_bound(base, SUB_A, seed=1)
     assert rep["C"] <= 1
+    assert rep == projection_bound_loop(base, SUB_A, seed=1)
+
+
+def projection_bound_loop(base, sub, seed):
+    """``projection_uniform_bound`` over its sampled (index, coset) pairs
+    in order, one pairwise diameter per image."""
+    proper = [u for u in range(base.n_indices()) if u != base.maximal]
+    ball = base.meta["ball"]
+    cosets = G.enumerate_cosets(ball, sub)
+    pairs = [(u, c) for u in proper for c in range(len(cosets))]
+    idx, spec = sample_indices(len(pairs), 20_000, seed)
+    C, witness, memo = 0, None, {}
+    for k in idx:
+        u, ci = pairs[int(k)]
+        image = tuple(base.projections[u].image(cosets[ci].vertices).tolist())
+        key = (id(base.spaces[u]), image)
+        if key not in memo:
+            memo[key] = diameter_loop(base.spaces[u], image)
+        if memo[key] > C:
+            C = memo[key]
+            witness = {"U": base.labels[u],
+                       "g": ball.model.format(cosets[ci].representative)}
+    return {"C": C, "witness": witness, "vacuous": False,
+            "sample": spec.to_dict()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_bound_matches_per_pair_loop(aug5, seed):
+    rep = projection_uniform_bound(aug5.result, SUB_A, seed=seed)
+    assert rep["sample"]["mode"] == "sampled" and rep["C"] > 0
+    assert rep == projection_bound_loop(aug5.result, SUB_A, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +461,81 @@ def test_verify_augmented_battery_and_morphisms(aug5):
     assert m["equivariance_samples"] == 100
 
 
+def morphism_gaps_loop(aug, seed, samples=100):
+    """(commute gap, equivariance gap, samples) of ``verify_augmented``'s
+    one subgroup, one pairwise diameter per differing set."""
+    result = aug.result
+    ball = result.meta["ball"]
+    model = ball.model
+    (sub, sub_inst), = aug.subgroup_structures
+    start = aug.phi_records[0]["identity_coset_block"]
+    sub_ball = sub_inst.meta["ball"]
+    commute_gap = 0
+    members = subgroup_ball_vertices(ball, sub)
+    for v in members:
+        hv = sub_ball.index.get(ball.words[v])
+        if hv is None:
+            continue
+        for u in range(sub_inst.n_indices()):
+            mine = set(result.pi(start + u, v).tolist())
+            theirs = set(sub_inst.pi(u, hv).tolist())
+            if mine != theirs:
+                commute_gap = max(commute_gap, diameter_loop(
+                    sub_inst.spaces[u], mine | theirs))
+    rng = rng_for(seed)
+    eq_gap = checked = attempts = 0
+    while checked < samples and attempts < 20 * samples:
+        attempts += 1
+        h = ball.words[members[int(rng.integers(0, len(members)))]]
+        x = ball.words[int(rng.integers(0, ball.graph.n))]
+        hx = model.multiply(h, x)
+        if hx not in ball.index or sub_ball.index.get(h) is None:
+            continue
+        xv, hxv = ball.index[x], ball.index[hx]
+        for u in range(sub_inst.n_indices()):
+            carrier = sub_inst.space_to_x[u]
+            if carrier is None:
+                continue
+            moved = {sub_ball.index[w] for w in (
+                model.multiply(h, sub_ball.words[int(carrier[p])])
+                for p in result.pi(start + u, xv)) if w in sub_ball.index}
+            target = {int(carrier[p]) for p in result.pi(start + u, hxv)}
+            if moved and target != moved:
+                eq_gap = max(eq_gap, diameter_loop(sub_ball.graph,
+                                                   target | moved))
+        checked += 1
+    return commute_gap, eq_gap, checked
+
+
+@pytest.fixture(scope="module")
+def aug5_perturbed(aug5):
+    """aug5 with the identity coset's line projection moved by 3 steps."""
+    result = copy.copy(aug5.result)
+    u = aug5.phi_records[0]["identity_coset_block"]
+    table = result.projections[u]
+    assert table.all_singletons()
+    n = result.spaces[u].n
+    result.projections = list(result.projections)
+    result.projections[u] = ProjectionTable(table.indptr,
+                                            (table.data + 3) % n)
+    return dataclasses.replace(aug5, result=result)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_morphism_gaps_match_per_set_loop(aug5, aug5_perturbed, perturbed,
+                                          seed, monkeypatch):
+    # the battery does not enter the morphism entries
+    monkeypatch.setattr(embedding, "run_axiom_battery",
+                        lambda inst, seed: SimpleNamespace(passed=True))
+    aug = aug5_perturbed if perturbed else aug5
+    m, = verify_augmented(aug, seed=seed)["morphisms"]
+    expected = morphism_gaps_loop(aug, seed)
+    assert (m["projection_commute_gap"], m["equivariance_gap"],
+            m["equivariance_samples"]) == expected
+    assert (expected[0] > 0) == perturbed
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -338,8 +557,33 @@ def test_decomposition_on_factor_base():
     rep = decomposition_projection_check(aug, x, y, theta=1)
     assert rep.T >= 0
     assert rep.per_index
+    assert (rep.T, rep.per_index) == decomposition_loop(aug, rep)
     # theta larger than any piece: everything merges into one segment
     rep_big = decomposition_projection_check(aug, x, y, theta=50)
     assert rep_big.T == 0
     kinds = {k for k, _ in rep_big.pieces}
     assert kinds == {"gamma"}
+    assert (rep_big.T, rep_big.per_index) == decomposition_loop(aug, rep_big)
+
+
+def decomposition_loop(aug, rep):
+    """(T, per_index) of a decomposition report, one pairwise diameter per
+    projected segment."""
+    result = aug.result
+    verts = de_electrify(aug.coned, list(rep.input_path)).output_path.vertices
+    xmap = result.space_to_x[result.maximal]
+    T, per_index = 0, []
+    for u, p in enumerate(aug.provenance):
+        if p[0] != "old" or u == result.maximal:
+            continue
+
+        def diam_of(seg):
+            image = result.projections[u].image(xmap[list(seg)])
+            return diameter_loop(result.spaces[u], image)
+
+        whole = diam_of(verts)
+        best = max(diam_of(seg) for _, seg in rep.pieces)
+        per_index.append({"U": result.labels[u], "whole": whole,
+                          "best_piece": best, "gap": whole - best})
+        T = max(T, whole - best)
+    return T, per_index

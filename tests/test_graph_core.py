@@ -45,6 +45,13 @@ def bfs_oracle(edges, n, source):
     return [dist.get(v, -1) for v in range(n)]
 
 
+def diameter_loop(graph, verts):
+    """Largest distance between two of ``verts``: one BFS row per vertex."""
+    verts = np.asarray(list(verts), dtype=np.int64)
+    return max((int(bfs_distances(graph, [u])[verts].max()) for u in verts),
+               default=0)
+
+
 def bfs_parents(graph, source):
     """BFS tree from one source, level by level: each level is expanded in
     increasing id order, so a vertex's parent is the smallest-id vertex of
@@ -478,7 +485,8 @@ def test_every_strategy_answers_like_bfs(g, data):
         # with the matrix built (where the strategy has one) the set
         # distances come from its rows
         assert list(oracle.dist_to_set(b)) == to_b
-        assert oracle.diameter_of_set(a) == max(rows[u][v] for u in a for v in a)
+        assert ragged_diameters(oracle, RaggedSets(a, [0, len(a)])).tolist() \
+            == [max(rows[u][v] for u in a for v in a)]
     # one sweeping query over more distinct sources than one sweep holds;
     # closing the path into a cycle makes one block over the cap
     wide = data.draw(connected_graphs(min_n=graph_core.WORD + 2, max_n=150))

@@ -290,12 +290,6 @@ def test_free_ball_counts():
         assert cayley_ball(F2, r).graph.n == 2 * 3 ** r - 1
 
 
-def test_ball_cap_raises():
-    from hhskit.errors import BudgetExceeded
-    with pytest.raises(BudgetExceeded):
-        cayley_ball(F2, 6, cap=100)
-
-
 def test_z2_ball_is_l1_lattice_count():
     for r in range(4):
         # oracle: lattice points with |x|+|y| <= r

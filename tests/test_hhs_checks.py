@@ -35,6 +35,7 @@ from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
                              normalize, product_hhs)
 from hhskit.sampling import (SampleSpec, rng_for, sample_indices,
                              sample_unordered_pairs)
+from test_graph_core import diameter_loop
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -199,7 +200,7 @@ def structural_rho_loop(inst, rho_pair_budget, seed):
         if r is None or len(r) == 0:
             unreached += 1
         elif len(r) > 1:
-            xi = max(xi, inst.space_oracle(v).diameter_of_set(r))
+            xi = max(xi, diameter_loop(inst.spaces[v], r))
     return xi, unreached, spec.to_dict()
 
 
@@ -229,7 +230,7 @@ def bgi_observations(inst, pair_budget=4000, geodesics_per_pair=12, seed=0):
                 continue
             path = np.asarray(oracle_w.geodesic(a, b), dtype=np.int64)
             image = np.unique(rep_v[carrier[path]])
-            diam = inst.space_oracle(v).diameter_of_set(image)
+            diam = diameter_loop(inst.spaces[v], image)
             observations.append((int(dist_rho[path].min()), tuple(image),
                                  diam, inst.labels[v], inst.labels[w]))
     return observations, unreached, spec

@@ -410,7 +410,7 @@ def test_hqc_qc_flags_non_hyperbolic():
     n = 14
     cyc = MetricGraph(n, [(i, (i + 1) % n) for i in range(n)])
     inst = trivial_instance(cyc)
-    eq = hqc_qc_equivalence(inst, [0, 1, 2], delta_threshold=1.0)
+    eq = hqc_qc_equivalence(inst, [0, 1, 2])
     assert "NotHyperbolicFlag" in eq["flags"]
 
 
