@@ -11,6 +11,13 @@ the cosets of <a> and <b> (487 indices), and the augmented instance above
 (244 indices, the structure ``amalgam-pipeline`` checks).
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
 factor-system instance (1459 indices; its top index has 1458 children).
+``rho_sets`` over every eligible pair (u nested in v or transverse to it)
+is timed on the augmented r=5 instance (59,049 pairs) and on the r=6
+factor-system instance; a ``rho_sets`` that takes one target index per
+call (the column form) is asked one column per target.  The r=7
+factor-system instance (4375 indices) is built and checked with the whole
+battery in one timed call (``instance_from_factor_system`` then
+``run_axiom_battery``, seed 11), one round.
 On the F2 r=6 and r=7 balls (1457 and 4373 vertices; the r=7 ball is over
 the 4096-vertex matrix cap, so its distances come from sweeps and the
 block-cut tree), ``check_hyperbolically_embedded`` of <a> builds its own
@@ -22,6 +29,9 @@ timed apart therefore also pays for the distance matrices it is the first
 to ask for.
 """
 
+import inspect
+
+import numpy as np
 import pytest
 
 from hhskit import groups as G
@@ -31,7 +41,8 @@ from hhskit.embedding import (build_augmented_structure, check_hh_embedded,
                               coned_over_cosets, relative_metric)
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.groups import SubgroupSpec
-from hhskit.hhs_core import instance_from_ball, product_hhs
+from hhskit.hhs_core import (instance_from_ball, instance_from_factor_system,
+                             product_hhs, run_axiom_battery)
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -91,6 +102,35 @@ def test_battery_check(benchmark, instance, check):
 def fresh_factor_f2_r6():
     return (build_hhs_from_factor_system(family_from_cosets(
         G.cayley_ball(F2, 6), [SUB_A, SUB_B])),), {"seed": 1}
+
+
+def all_eligible_rho(inst):
+    """rho_sets over every eligible pair: one call, or one per target index
+    where rho_sets takes a single target."""
+    us, vs = inst.eligible_rho_pairs()
+    if "vs" in inspect.signature(inst.rho_sets).parameters:
+        return len(inst.rho_sets(us, vs)[1])
+    return sum(len(inst.rho_sets(us[vs == v], v)[1]) for v in np.unique(vs))
+
+
+@pytest.mark.parametrize("instance", ["augmented_f2_r5", "factor_f2_r6"])
+def test_rho_sets_all_eligible_pairs(benchmark, instance):
+    build = {"augmented_f2_r5": augmented,
+             "factor_f2_r6": lambda: fresh_factor_f2_r6()[0][0]}[instance]
+    got = benchmark.pedantic(all_eligible_rho, setup=lambda: ((build(),), {}),
+                             rounds=5)
+    assert got == len(build().eligible_rho_pairs()[0])
+
+
+def test_factor_f2_r7_build_and_battery(benchmark):
+    def build_and_check(cand):
+        return run_axiom_battery(instance_from_factor_system(cand), seed=11)
+
+    def fresh():
+        return (family_from_cosets(G.cayley_ball(F2, 7), [SUB_A, SUB_B]),), {}
+
+    got = benchmark.pedantic(build_and_check, setup=fresh, rounds=1)
+    assert got.structural.passed
 
 
 def test_large_links_factor_f2_r6(benchmark):

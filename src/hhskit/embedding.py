@@ -28,7 +28,7 @@ from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word, subgroup_membership,
                      walk_subgroup)
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
-                       _projection_sets_onto, assemble_column,
+                       _projection_sets_onto, assemble_sets,
                        run_axiom_battery)
 from .sampling import rng_for, sample_indices
 
@@ -312,11 +312,12 @@ def projection_uniform_bound(base, sub, seed=0):
     # sample k is the pair (proper[k // len(cosets)], coset k % len(cosets))
     idx, spec = sample_indices(len(proper) * len(cosets), 20_000, seed)
     at, ci = np.divmod(idx, len(cosets))
+    images = base.store.images_of(np.asarray(proper)[at], coset_sets, ci)
     diams = np.zeros(len(idx), dtype=np.int64)
     for a in np.unique(at).tolist():
         sel = np.flatnonzero(at == a)
-        images = base.projections[proper[a]].images(coset_sets.take(ci[sel]))
-        diams[sel] = ragged_diameters(base.space_oracle(proper[a]), images)
+        diams[sel] = ragged_diameters(base.space_oracle(proper[a]), images,
+                                      sel)
     # the first sample of the largest diameter, the one a scan in order keeps
     k = int(np.argmax(diams))
     C = int(diams[k])
@@ -444,48 +445,46 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     coset_arrays = [verts for *_rest, verts in coset_data]
     cosets = RaggedSets.from_arrays(coset_arrays)
     coset_of, local_of = np.asarray(coset_of), np.asarray(local_of)
+    sub_of = np.asarray([cd[0] for cd in coset_data], dtype=np.int64)
 
-    def rho_into_top(u):
-        """rho^u_S as X-vertices (the coset for new top indices)."""
-        if coset_of[u] < 0:
-            r = base.rho(u, S_old)
-            return np.zeros(0) if r is None else r
-        ci, uu = coset_of[u], local_of[u]
-        si, sub, sub_inst, rep, verts = coset_data[ci]
-        if uu == sub_inst.maximal:
-            return coset_arrays[ci]
-        r = sub_inst.rho(uu, sub_inst.maximal)
+    # rho^u_S as X-vertices per index (the coset for new top indices); an
+    # empty one leaves the cross pairs of its index unreached
+    sets, reached = base.rho_sets(np.arange(nb), S_old)
+    rho_top = [sets[u] if reached[u] else [] for u in range(nb)]
+    sub_tops = [sub_inst.rho_sets(np.arange(sub_inst.n_indices()),
+                                  sub_inst.maximal)
+                for _, sub_inst in subgroup_structures]
+    for ci, (si, sub, sub_inst, rep, verts) in enumerate(coset_data):
         sub_ball = sub_inst.meta["ball"]
         carrier = sub_inst.space_to_x[sub_inst.maximal]
         if carrier is None:
             carrier = np.arange(sub_ball.graph.n)
-        words = (ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
-                 for sv in ([] if r is None else r))
-        return sorted({ball.index[w] for w in words if w in ball.index})
+        sets, reached = sub_tops[si]
+        for uu in range(sub_inst.n_indices()):
+            words = (ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
+                     for sv in (sets[uu] if reached[uu] else []))
+            rho_top.append(verts if uu == sub_inst.maximal else sorted(
+                {ball.index[w] for w in words if w in ball.index}))
+    tops = RaggedSets.from_arrays([np.asarray(t, dtype=np.int64)
+                                   for t in rho_top])
 
-    # an empty one leaves the cross pairs of its index unreached
-    tops = RaggedSets.from_arrays([np.asarray(rho_into_top(u), dtype=np.int64)
-                                   for u in range(n_idx)])
-
-    def rho_provider(inst, us, v):
-        if v < nb:
-            old = np.flatnonzero(coset_of[us] < 0)
-            parts = [(old, *base.rho_sets(us[old], v))]
-            cross = np.flatnonzero(coset_of[us] >= 0)
-            if v == S:
-                return assemble_column(len(us), parts + [
-                    (cross, cosets.take(coset_of[us[cross]]), True)])
-        else:
-            same = np.flatnonzero(coset_of[us] == coset_of[v])
-            sub_inst = coset_data[coset_of[v]][2]
-            parts = [(same, *sub_inst.rho_sets(local_of[us[same]],
-                                               local_of[v]))]
-            cross = np.flatnonzero(coset_of[us] != coset_of[v])
+    def rho_provider(inst, us, vs):
+        cu, cv = coset_of[us], coset_of[vs]
+        old = np.flatnonzero((cu < 0) & (cv < 0))
+        top = np.flatnonzero((cu >= 0) & (vs == S))
+        parts = [(old, *base.rho_sets(us[old], vs[old])),
+                 (top, cosets.take(cu[top]), True)]
+        same = np.flatnonzero((cu >= 0) & (cu == cv))
+        for si, (_, sub_inst) in enumerate(subgroup_structures):
+            rows = same[sub_of[cu[same]] == si]
+            parts.append((rows, *sub_inst.rho_sets(local_of[us[rows]],
+                                                   local_of[vs[rows]])))
         # cross pairs: compose through the gate of S_v
-        cross = cross[tops.sizes()[us[cross]] > 0]
-        parts.append((cross, inst.projections[v].images(tops.take(us[cross])),
+        cross = np.flatnonzero((cu != cv) & ((cu < 0) | (vs != S))
+                               & (tops.sizes()[us] > 0))
+        parts.append((cross, inst.store.images_of(vs[cross], tops, us[cross]),
                       True))
-        return assemble_column(len(us), parts)
+        return assemble_sets(len(us), parts)
 
     space_to_x[S] = np.arange(X.n, dtype=np.int64)
     meta = {"construction": "augmented", "radius": ball.radius,
@@ -653,9 +652,12 @@ def decomposition_projection_check(aug, x, y, theta):
     # the whole path, then each segment
     runs = RaggedSets.from_arrays(
         [xmap[list(seg)] for seg in [verts] + [s for _, s in segments]])
-    for u in old_proper:
-        d = ragged_diameters(result.space_oracle(u),
-                             result.projections[u].images(runs)).tolist()
+    k = len(runs)
+    images = result.store.images_of(np.repeat(old_proper, k), runs,
+                                    np.tile(np.arange(k), len(old_proper)))
+    for i, u in enumerate(old_proper):
+        d = ragged_diameters(result.space_oracle(u), images,
+                             np.arange(i * k, (i + 1) * k)).tolist()
         whole, best = d[0], max(d[1:])
         gap = whole - best
         per_index.append({"U": result.labels[u], "whole": whole,

@@ -237,8 +237,8 @@ def _edge_instance(parent, keep, top, labels, index_map, edge, vertex,
             raise BudgetExceeded("edge image leaves the vertex ball")
         embed[i] = ball.index[img]
 
-    def rho_provider(inst, us, v):
-        return parent.rho_sets(np.asarray(keep)[us], keep[v])
+    def rho_provider(inst, us, vs):
+        return parent.rho_sets(np.asarray(keep)[us], np.asarray(keep)[vs])
 
     meta = {"construction": construction, "radius": edge_ball.radius,
             "cayley": True, "cs_generating_set": list(edge_ball.gens),
@@ -403,15 +403,17 @@ def check_bounded_supports(gog):
             continue
         incident = gog.incident_edges(vname)
         inst = vert.instance
-        S = inst.maximal
-        present = {}
-        for e in incident:
-            tag = f"{e.name}@{vname}"
-            us = [u for u, lab in enumerate(inst.labels)
-                  if lab.startswith(tag + "[") or lab.startswith(tag + "-coset[")]
-            sets, reached = inst.rho_sets(us, S)
-            present[e.name] = {frozenset(sets[i].tolist())
-                               for i in np.flatnonzero(reached)}
+        # one rho^u_S call for the absorbed indices of every incident edge
+        tags = [(f"{e.name}@{vname}[", f"{e.name}@{vname}-coset[")
+                for e in incident]
+        mine = [[u for u, lab in enumerate(inst.labels) if lab.startswith(tag)]
+                for tag in tags]
+        sets, reached = inst.rho_sets(np.asarray(sum(mine, []), dtype=np.int64),
+                                      inst.maximal)
+        ends = np.cumsum([0] + [len(m) for m in mine])
+        present = {e.name: {frozenset(sets[k].tolist())
+                            for k in range(lo, hi) if reached[k]}
+                   for e, lo, hi in zip(incident, ends[:-1], ends[1:])}
         conflicts = []
         names = sorted(present)
         for i, a in enumerate(names):

@@ -911,14 +911,23 @@ class RaggedSets:
     def union(cls, owner, values, k):
         """Set i holds the distinct ``values[j]`` with ``owner[j] == i``, sorted.
 
-        ``values`` are nonnegative; one ``np.unique`` over
-        ``owner * width + value`` keys sorts and deduplicates every set.
+        ``values`` are nonnegative; one stable sort of the ``owner * width +
+        value`` keys (fast where owners ascend) sorts and deduplicates.
         """
         values = np.asarray(values, dtype=np.int64)
         width = int(values.max()) + 1 if len(values) else 1
-        keys = np.unique(np.asarray(owner, dtype=np.int64) * width + values)
+        keys = np.sort(np.asarray(owner, dtype=np.int64) * width + values,
+                       kind="stable")
+        keys = keys[np.append(True, keys[1:] != keys[:-1])[:len(keys)]]
         return cls(keys % width, np.searchsorted(keys // width,
                                                  np.arange(k + 1)))
+
+    @classmethod
+    def concat(cls, parts):
+        """The sets of every part, in order."""
+        flat = [np.zeros(0, dtype=np.int64)] + [p.flat for p in parts]
+        return cls(np.concatenate(flat),
+                   np.cumsum(np.concatenate([[0]] + [p.sizes() for p in parts])))
 
     @classmethod
     def from_mask(cls, verts, mask, starts):

@@ -5,12 +5,13 @@ needs one) satisfying all scanned configurations, with witnesses, and
 records the sample spec.  Nothing here proves an axiom; the battery is a
 measurement device and the reports say exactly what was scanned.
 
-The checks batch their relative projections per target index: the needs
-(u, v) of a check are grouped by v, and each group asks for one column
-rho^u_v over many u (``HHSInstance.rho_sets``), one set-seeded distance
-sweep per WORD sets (``DistanceOracle.dist_to_sets``) and one
-``min_over_sets`` over the sampled points.  Witnesses stay the first
-strict maximum in sample order.
+Each check asks for all the relative projections rho^u_v it needs in one
+``HHSInstance.rho_sets`` call over their (u, v) pairs.  The needs are then
+grouped by the space object of v (the copies of one index space share it),
+and each group is swept by ``DistanceOracle.dist_to_sets`` in chunks of at
+most SWEEP_CAP entries, each reduced over the sampled points by one
+``min_over_pairs`` of the projection store; the results are scattered back
+to the needs.  Witnesses stay the first strict maximum in sample order.
 
 Set-distance conventions, applied uniformly and recorded here: distances
 from a projection set to a relative-projection set (or any fixed target
@@ -50,8 +51,8 @@ def _carrier(inst, u):
 
 def _pi_rep_distance(inst, u, xs, ys):
     """d_{C(u)} between projection representatives of X-vertex arrays."""
-    rep = inst.pi_rep(u)
-    return inst.space_oracle(u).pairs(rep[xs], rep[ys])
+    table = inst.projections[u]
+    return inst.space_oracle(u).pairs(table.reps(xs), table.reps(ys))
 
 
 def _by_target(tgt):
@@ -62,27 +63,30 @@ def _by_target(tgt):
             yield int(tgt[rows[0]]), rows
 
 
-def _rho_sweeps(inst, src, tgt):
-    """Distances to rho^s_t for the needs (s, t), grouped by target t.
+def _by_space(inst, tgt):
+    """(space oracle, rows) per space object of the indices ``tgt``; rows
+    ascending."""
+    for key, rows in _by_target(inst.space_keys[tgt]):
+        yield inst.space_oracle(key), rows
 
-    Yields ``(t, rows, reached, dist)`` for up to WORD needs at a time: one
-    column of relative projections per t, and one set-seeded sweep per
-    chunk giving ``dist``, shape ``(len(rows), n_t)``, -1 rows where rho is
-    unreached.
+
+# Most entries one sweep of _rho_sweeps holds, in its distances or in the
+# caller's ``width`` entries per set.
+SWEEP_CAP = 1 << 16
+
+
+def _rho_sweeps(inst, sets, tgt, rows, width=0):
+    """Distances to the sets ``rows`` of ``sets``, rho^s_t of the needs
+    (s, t) with t in ``tgt``, grouped by the space object of t.
+
+    Yields ``(rows, dist)``: ``dist`` is that space's ``dist_to_sets`` of a
+    chunk of needs, a multiple of WORD with at most SWEEP_CAP entries.
     """
-    for t, rows in _by_target(tgt):
-        sets, reached = inst.rho_sets(src[rows], t)
-        for part, dist in _set_sweeps(inst.space_oracle(t), sets):
-            yield t, rows[part], reached[part], dist
-
-
-def _set_sweeps(oracle, sets):
-    """``(part, dist)`` per WORD sets: ``dist`` is ``oracle.dist_to_sets``
-    of the sets ``part``."""
-    for lo in range(0, len(sets), WORD):
-        part = np.arange(lo, min(lo + WORD, len(sets)))
-        yield part, oracle.dist_to_sets(
-            sets if len(part) == len(sets) else sets.take(part))
+    for oracle, group in _by_space(inst, tgt[rows]):
+        step = WORD * max(1, SWEEP_CAP // (WORD * max(oracle.n, width, 1)))
+        for lo in range(0, len(group), step):
+            part = rows[group[lo:lo + step]]
+            yield part, oracle.dist_to_sets(sets.take(part))
 
 
 def _pi_min_to_rho(inst, src, tgt, xs):
@@ -91,10 +95,10 @@ def _pi_min_to_rho(inst, src, tgt, xs):
     Also says which rho were reached; rows whose rho is not are -1.
     """
     out = np.full((len(src), len(xs)), -1, dtype=np.int32)
-    reached = np.zeros(len(src), dtype=bool)
-    for t, rows, hit, dist in _rho_sweeps(inst, src, tgt):
-        reached[rows] = hit
-        out[rows] = inst.projections[t].min_over_sets(xs, dist)
+    sets, reached = inst.rho_sets(src, tgt)
+    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(reached),
+                                  len(xs)):
+        out[rows] = inst.store.min_over_pairs(tgt[rows], xs, dist)
     return out, reached
 
 
@@ -250,14 +254,11 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     us, vs, spec = _sample_pairs(
         lambda lo, hi: (rel[lo:hi] == NESTED) | (rel[lo:hi] == TRANSVERSE), n,
         rho_pair_budget, seed)
-    unreached = 0
-    for v, rows in _by_target(vs):
-        sets, reached = inst.rho_sets(us[rows], v)
-        unreached += int((~reached).sum())
-        big = np.flatnonzero(reached & (sets.sizes() > 1))
-        if len(big):
-            xi = max(xi, int(ragged_diameters(inst.space_oracle(v), sets,
-                                              big).max()))
+    sets, reached = inst.rho_sets(us, vs)
+    unreached = int((~reached).sum())
+    big = np.flatnonzero(reached & (sets.sizes() > 1))
+    for oracle, rows in _by_space(inst, vs[big]):
+        xi = max(xi, int(ragged_diameters(oracle, sets.take(big[rows])).max()))
     return StructuralReport(not failures, complexity, xi, failures, spec,
                             unreached,
                             {"container_cases": container_checked})
@@ -337,15 +338,18 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     tu, tv, tspec = _sample_pairs(
         lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo), n,
         pair_budget, seed)
+    tgt = np.concatenate([tu, tv])
+    sets, hit = inst.rho_sets(np.concatenate([tv, tu]), tgt)
+    ok = hit[:len(tu)] & hit[len(tu):]
     m = np.full((len(tu), len(xs)), np.iinfo(np.int32).max, dtype=np.int32)
-    ok = np.ones(len(tu), dtype=bool)
-    for t, rows, hit, dist in _rho_sweeps(inst, np.concatenate([tv, tu]),
-                                          np.concatenate([tu, tv])):
-        # one target per sweep, and a pair's two directions have two
-        # targets, so the pairs of one sweep are distinct
-        k = rows % len(tu)
-        ok[k] &= hit
-        m[k] = np.minimum(m[k], inst.projections[t].min_over_sets(xs, dist))
+    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(hit),
+                                  len(xs)):
+        # both directions of a pair may share a sweep, so each direction's
+        # rows fold in apart; within one direction the pairs are distinct
+        got = inst.store.min_over_pairs(tgt[rows], xs, dist)
+        for side in (rows < len(tu), rows >= len(tu)):
+            k = rows[side] % len(tu)
+            m[k] = np.minimum(m[k], got[side])
     unreached = int((~ok).sum())
     m[~ok] = -1
     # the first maximum in row-major order: first pair, then first point
@@ -363,16 +367,18 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     mw, ok = _pi_min_to_rho(inst, nv, nw, xs)
     unreached += int((~ok).sum())
     # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
-    # one pairs query per V
+    # one pairs query per space of V
     ws, w_of = np.unique(nw, return_inverse=True)
-    down_x = np.asarray([_carrier(inst, w)[inst.pi_rep(w)[xs]] for w in ws],
+    down_x = np.asarray([_carrier(inst, w)[inst.projections[w].reps(xs)]
+                         for w in ws],
                         dtype=np.int64).reshape(len(ws), len(xs))
     mv = np.zeros_like(mw)
-    for v, rows in _by_target(nv):
-        rep = inst.pi_rep(v)
-        mv[rows] = inst.space_oracle(v).pairs(
-            np.tile(rep[xs], len(rows)),
-            rep[down_x[w_of[rows]]].ravel()).reshape(len(rows), len(xs))
+    first = nv[:, None] * inst.X.n     # the store key of (v, x) is first + x
+    for oracle, rows in _by_space(inst, nv):
+        mv[rows] = oracle.pairs(
+            inst.store.reps(first[rows] + xs).ravel(),
+            inst.store.reps(first[rows] + down_x[w_of[rows]]).ravel()).reshape(
+                len(rows), len(xs))
     m = np.minimum(mw, mv, out=mw)
     m[~ok] = -1
     k = _first_max(m.ravel(), kappa)
@@ -387,15 +393,15 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
     (cu, cv), cw = nested[tk[tridx]].T, tw[tridx]
     d = np.full(len(cw), -1, dtype=np.int64)
-    for w, rows in _by_target(cw):
-        src, inv = np.unique(np.concatenate([cu[rows], cv[rows]]),
-                             return_inverse=True)
-        sets, reached = inst.rho_sets(src, w)
-        a, b = inv[:len(rows)], inv[len(rows):]
-        hit = reached[a] & reached[b]
-        unreached += int((~hit).sum())
-        d[rows[hit]] = ragged_set_distances(inst.space_oracle(w), sets,
-                                            a[hit], sets, b[hit])
+    sets, reached = inst.rho_sets(np.concatenate([cu, cv]),
+                                  np.concatenate([cw, cw]))
+    hit = np.flatnonzero(reached[:len(cw)] & reached[len(cw):])
+    unreached += len(cw) - len(hit)
+    for oracle, rows in _by_space(inst, cw[hit]):
+        k = hit[rows]
+        ends = sets.take(np.concatenate([k, k + len(cw)]))
+        d[k] = ragged_set_distances(oracle, ends, np.arange(len(k)), ends,
+                                    np.arange(len(k), 2 * len(k)))
     k = _first_max(d, kappa)
     if k is not None:
         kappa = int(d[k])
@@ -441,12 +447,13 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
     nested = np.argwhere(inst.rel == NESTED)
     above_ptr = np.searchsorted(nested[:, 0], np.arange(inst.n_indices() + 1))
     # with no sampled pair nothing violates
+    all_rhos, all_reached = inst.rho_sets(*nested.T)
     for w, rows in _by_target(nested[:, 1]) if len(us) else ():
         children = nested[rows, 0]
         ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
         dw = _pi_rep_distance(inst, w, us, vs) + 1.0
-        rhos, reached = inst.rho_sets(children, w)
+        reached = all_reached[rows]
         # per child, the largest d over the children it is nested in: a
         # join of the children with the nested pairs, which lists each
         # child's pairs together
@@ -465,8 +472,10 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         # d_W(pi_W(x), rho^T_W) per child T and pair (x, y), and its
         # largest value over each cover
         to_rho = np.empty(ds.shape, dtype=np.int32)
-        for part, dist in _set_sweeps(inst.space_oracle(w), rhos):
-            to_rho[part] = inst.projections[w].min_over_sets(us, dist)
+        for part, dist in _rho_sweeps(inst, all_rhos, nested[:, 1], rows,
+                                      len(us)):
+            to_rho[np.searchsorted(rows, part)] = \
+                inst.projections[w].min_over_sets(us, dist)
         side = np.maximum.reduce(np.broadcast_to(to_rho, maximal.shape),
                                  axis=1, where=maximal, initial=lowest)
         need = np.maximum(cover / dw, side / dw)
@@ -499,15 +508,8 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     nested = np.argwhere(inst.rel == NESTED)
     idx, spec = sample_indices(len(nested), pair_budget, seed)
     vs, ws = nested[idx].T
-    # one rho column per target; the pairs whose rho is reached
-    columns = []
-    full = np.zeros(len(vs), dtype=bool)
-    for w, rows in _by_target(ws):
-        sets, reached = inst.rho_sets(vs[rows], w)
-        hit = np.flatnonzero(reached)
-        full[rows[hit]] = True
-        columns.append((w, rows[hit], sets.take(hit)))
-    keep = np.flatnonzero(full)
+    sets, reached = inst.rho_sets(vs, ws)
+    keep = np.flatnonzero(reached)
     unreached = len(vs) - len(keep)
     # 12 geodesics per pair from one rng stream, drawn in sample order for
     # the reached pairs only: the bounds are laid out (pair, draw, a/b), as
@@ -518,24 +520,23 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     ends[keep] = draws.reshape(len(keep), 12, 2)
     observations = []   # (sample position, avoid_dist, V, W)
     images = []         # the pi_V image of each observation's geodesic
-    for w, rows, sets in columns:
-        oracle_w = inst.space_oracle(w)
-        carrier = _carrier(inst, w)
-        # every geodesic into W in one query, in (pair, draw) order
-        src, dst = ends[rows].reshape(-1, 2).T
+    for oracle, group in _by_space(inst, ws[keep]):
+        # every geodesic into the space in one query, in (pair, draw) order
+        src, dst = ends[keep[group]].reshape(-1, 2).T
         drawn = src != dst
-        paths = iter(oracle_w.geodesics(src[drawn], dst[drawn]))
-        for part, dist_rho in _set_sweeps(oracle_w, sets):
-            for k, dist in zip(rows[part].tolist(), dist_rho):
-                v = int(vs[k])
+        paths = iter(oracle.geodesics(src[drawn], dst[drawn]))
+        for rows, dist_rho in _rho_sweeps(inst, sets, ws, keep[group]):
+            for k, dist in zip(rows.tolist(), dist_rho):
+                v, w = int(vs[k]), int(ws[k])
+                carrier = _carrier(inst, w)
                 for a, b in ends[k].tolist():
                     if a == b:
                         continue
                     path = np.asarray(next(paths), dtype=np.int64)
-                    images.append(inst.pi_rep(v)[carrier[path]])
+                    images.append(inst.projections[v].reps(carrier[path]))
                     observations.append((k, int(dist[path].min()), v, w))
     # an image of one vertex has diameter 0; the others are measured by
-    # one ragged_diameters call per V
+    # one ragged_diameters call per space of V
     sets = RaggedSets.union(np.repeat(np.arange(len(images)),
                                       [len(x) for x in images]),
                             np.concatenate(images) if images else [],
@@ -543,9 +544,9 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     wide = np.flatnonzero(sets.sizes() > 1)
     diam = np.zeros(len(images), dtype=np.int64)
     by_v = np.asarray([o[2] for o in observations], dtype=np.int64)[wide]
-    for v, rows in _by_target(by_v):
-        diam[wide[rows]] = ragged_diameters(inst.space_oracle(v), sets,
-                                            wide[rows])
+    for oracle, rows in _by_space(inst, by_v):
+        diam[wide[rows]] = ragged_diameters(oracle, sets.take(wide[rows]),
+                                            np.arange(len(rows)))
     # sample order, and draw order within a pair (the sort is stable)
     observations = [(avoid, int(diam[i]), inst.labels[v], inst.labels[w])
                     for i, (_, avoid, v, w) in sorted(
@@ -574,9 +575,17 @@ def _rho_terms(inst, vs):
     n, all_x = inst.n_indices(), np.arange(inst.X.n, dtype=np.int64)
     out = np.zeros((len(vs), inst.X.n), dtype=np.int64)
     src, tgt = np.repeat(vs, n), np.tile(np.arange(n), len(vs))
-    for w, rows, _, dist in _rho_sweeps(inst, src, tgt):
-        out[rows // n] = np.maximum(
-            out[rows // n], inst.projections[w].min_over_sets(all_x, dist))
+    sets, reached = inst.rho_sets(src, tgt)
+    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(reached),
+                                  len(all_x)):
+        # one v may have several W in a sweep; rows ascend, so each v's
+        # rows are one run
+        v = rows // n
+        got = inst.store.min_over_pairs(tgt[rows], all_x, dist)
+        first = np.flatnonzero(np.diff(v, prepend=-1))
+        if len(first) < len(v):
+            got = np.maximum.reduceat(got, first)
+        out[v[first]] = np.maximum(out[v[first]], got)
     return dict(zip(vs, out))
 
 

@@ -14,11 +14,13 @@ The verification battery itself lives in hhs_checks and is re-exported
 here.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import (MetricGraph, RaggedSets, Subgraph, connected_hull,
-                         ragged_diameters, segments)
+from .graph_core import (RAGGED_CHUNK, MetricGraph, RaggedSets, Subgraph,
+                         connected_hull, ragged_diameters, segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -32,21 +34,32 @@ from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
 
 # Largest vertex count of a product fixture's total space.
 PRODUCT_CAP = 200_000
+# Most pairs one relative-projection provider call is asked for.
+RHO_CHUNK = 1 << 14
 
 
 class ProjectionTable:
-    """CSR storage of one index's projection sets over all X-vertices."""
+    """CSR storage of one index's projection sets over all X-vertices; a
+    view into a ``ProjectionStore`` has offsets into all the store's data."""
 
-    def __init__(self, indptr, data):
+    def __init__(self, indptr, data, checked=False):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.int32)
-        # canonical representative: first element of each (sorted) set
-        n = len(self.indptr) - 1
-        self.rep = np.empty(n, dtype=np.int32)
-        valid = self.indptr[:-1] < self.indptr[1:]
-        self.rep[valid] = self.data[self.indptr[:-1][valid]]
-        if not valid.all():
+        self.n = len(self.indptr) - 1
+        if not (checked or (self.indptr[:-1] < self.indptr[1:]).all()):
             raise ValueError("projection sets must be nonempty")
+        # every set is nonempty, so n entries make n singletons, whose
+        # entries are their representatives
+        lo, hi = self.indptr[0], self.indptr[-1]
+        self._rep = self.data[lo:hi] if hi - lo == self.n else None
+
+    @property
+    def rep(self):
+        """The canonical representative of every set: its first element."""
+        return self.data[self.indptr[:-1]] if self._rep is None else self._rep
+
+    def reps(self, xs):
+        return self.data[self.indptr[xs]] if self._rep is None else self._rep[xs]
 
     def get(self, x):
         return self.data[self.indptr[x]:self.indptr[x + 1]]
@@ -64,9 +77,7 @@ class ProjectionTable:
         return self.images(RaggedSets(xs, [0, len(xs)])).flat.astype(np.int32)
 
     def all_singletons(self):
-        if not hasattr(self, "_all_singletons"):
-            self._all_singletons = bool((np.diff(self.indptr) == 1).all())
-        return self._all_singletons
+        return self._rep is not None
 
     def min_over_sets(self, xs, values):
         """Per x in xs: min of ``values`` over the projection set of x.
@@ -75,21 +86,23 @@ class ProjectionTable:
         """
         xs = np.asarray(xs, dtype=np.int64)
         if self.all_singletons():
-            return values[..., self.rep[xs]]
+            return values[..., self.reps(xs)]
         owner, pos = segments(self.indptr, xs)
         return np.minimum.reduceat(values[..., self.data[pos]],
                                    np.searchsorted(owner, np.arange(len(xs))),
                                    axis=-1)
 
     def max_set_diameter(self, space_oracle):
+        lo, hi = self.indptr[0], self.indptr[-1]
         big = np.flatnonzero(np.diff(self.indptr) > 1)
-        return int(ragged_diameters(space_oracle,
-                                    RaggedSets(self.data, self.indptr),
-                                    big).max(initial=0))
+        return int(ragged_diameters(
+            space_oracle, RaggedSets(self.data[lo:hi], self.indptr - lo),
+            big).max(initial=0))
 
-    def owners(self):
-        """The x whose set holds each entry of ``data``."""
-        return np.repeat(np.arange(len(self.rep)), np.diff(self.indptr))
+    def entries(self):
+        """``(x, vertex)`` for every entry of the table, x ascending."""
+        return (np.repeat(np.arange(self.n), np.diff(self.indptr)),
+                self.data[self.indptr[0]:self.indptr[-1]])
 
     def pullback(self, embed):
         """The table x -> set of ``embed[x]``."""
@@ -112,14 +125,69 @@ class ProjectionTable:
         return ProjectionTable(np.arange(n + 1), np.arange(n))
 
 
-def assemble_column(k, parts):
-    """One column of k relative projections, assembled from parts.
+class ProjectionStore(ProjectionTable):
+    """Every index's projection sets in one CSR, built from ``count`` tables
+    over ``n_x`` X-vertices read one at a time: key ``u * n_x + x`` holds
+    pi_u(x), and ``table(u)`` is a view of index u's keys, with no copy."""
 
-    Each part is ``(rows, sets, reached)`` with distinct ascending rows: set
-    i of ``sets`` goes to row ``rows[i]``, and ``reached`` is a bool array
-    or one bool for them all.  Sets meeting in a row are merged and the
-    last part's ``reached`` holds; rows that no part names are empty and
-    unreached.
+    def __init__(self, n_x, count, tables):
+        indptr = np.zeros(count * n_x + 1, dtype=np.int64)
+        data, singletons = [np.zeros(0, dtype=np.int32)], []
+        for u, t in enumerate(tables):
+            if u >= count or t.n != n_x:
+                raise ValueError("index data sizes disagree")
+            lo = u * n_x
+            indptr[lo + 1:lo + n_x + 1] = t.indptr[1:] - t.indptr[0] + indptr[lo]
+            data.append(t.data[t.indptr[0]:t.indptr[-1]])
+            singletons.append(t.all_singletons())
+        if len(singletons) != count:
+            raise ValueError("index data sizes disagree")
+        super().__init__(indptr, np.concatenate(data), checked=True)
+        self.n_x, self.singletons = n_x, np.asarray(singletons, dtype=bool)
+
+    def table(self, u):
+        lo = u * self.n_x
+        return ProjectionTable(self.indptr[lo:lo + self.n_x + 1], self.data,
+                               checked=True)
+
+    def images_of(self, us, sets, idx):
+        """Per pair ``(us[i], sets[idx[i]])``: the sorted union of the
+        pi_us[i] sets of its X-vertices, about RAGGED_CHUNK X-vertices a
+        time."""
+        us, idx = np.asarray(us, dtype=np.int64), np.asarray(idx)
+        step = np.cumsum(sets.sizes()[idx]) // RAGGED_CHUNK
+        cuts = np.r_[0, np.flatnonzero(np.diff(step)) + 1, len(idx)]
+        got = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = sets.take(idx[lo:hi])
+            keys = np.repeat(us[lo:hi] * self.n_x, part.sizes()) + part.flat
+            got.append(self.images(RaggedSets(keys, part.offsets)))
+        return RaggedSets.concat(got)
+
+    def min_over_pairs(self, us, xs, values):
+        """Per row i of ``values`` and x in xs: min of ``values[i]`` over
+        pi_us[i](x), shape ``(len(us), len(xs))``."""
+        us = np.asarray(us, dtype=np.int64)
+        if (us == us[0]).all():
+            return self.table(us[0]).min_over_sets(xs, values)
+        keys = us[:, None] * self.n_x + xs
+        if self.singletons[us].all():
+            return values[np.arange(len(us))[:, None], self.reps(keys)]
+        owner, pos = segments(self.indptr, keys.ravel())
+        got = values[owner // len(xs), self.data[pos]]
+        if len(got) > len(us) * len(xs):
+            # every set is nonempty, so a set starts where its owner changes
+            got = np.minimum.reduceat(
+                got, np.flatnonzero(np.diff(owner, prepend=-1)))
+        return got.reshape(len(us), len(xs))
+
+
+def assemble_sets(k, parts):
+    """k relative projections, assembled from parts.
+
+    Each part is ``(rows, sets, reached)``: set i of ``sets`` goes to row
+    ``rows[i]``, and ``reached`` is a bool array or one bool for them all.
+    No row is named twice; rows that no part names are empty and unreached.
     """
     reached = np.zeros(k, dtype=bool)
     if len(parts) == 1 and len(parts[0][0]) == k:
@@ -128,7 +196,7 @@ def assemble_column(k, parts):
     owner, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for rows, sets, hit in parts:
         reached[rows] = hit
-        owner.append(np.asarray(rows)[sets.owners()])
+        owner.append(np.asarray(rows, dtype=np.int64)[sets.owners()])
         flat.append(sets.flat)
     return (RaggedSets.union(np.concatenate(owner), np.concatenate(flat), k),
             reached)
@@ -137,12 +205,14 @@ def assemble_column(k, parts):
 class HHSInstance:
     """A concrete hierarchical structure on a finite graph.
 
-    A construction states its relative projections in one place,
-    ``rho_provider(inst, us, v)``: the relative projections of the indices
-    ``us`` into C(v), one column: ``(RaggedSets, reached)`` with one sorted
-    set of C(v)-vertex ids per u and a bool array (or one bool) saying
+    Every index's projection sets live in one ``ProjectionStore``,
+    ``store``, keyed by (index, X-vertex); ``projections[u]`` is index u's
+    view of it.  A construction states its relative projections in one
+    place, ``rho_provider(inst, us, vs)``: rho^us[i]_vs[i] for a list of
+    distinct pairs, ``(RaggedSets, reached)`` with one sorted set of
+    C(vs[i])-vertex ids per pair and a bool array (or one bool) saying
     which were reached (an unreached set is empty), or None when none is.
-    It is only asked for u nested in v or transverse to it.
+    It is only asked for pairs with u nested in v or transverse to it.
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
     is carried by X; None otherwise.  The battery maps C(w) down to C(v),
     at representative level, through ``space_to_x[w]`` or else through the
@@ -156,15 +226,20 @@ class HHSInstance:
         self.spaces = list(spaces)
         self.rel = np.asarray(rel, dtype=np.int8)
         self.maximal = int(maximal)
-        self.projections = list(projections)
         self._rho_provider = rho_provider
         self.space_to_x = space_to_x or [None] * len(self.labels)
         self.meta = dict(meta or {})
         self._reverse_proj = {}
         n = len(self.labels)
-        if not (self.rel.shape == (n, n) and len(self.spaces) == n
-                and len(self.projections) == n):
+        if not (self.rel.shape == (n, n) and len(self.spaces) == n):
             raise ValueError("index data sizes disagree")
+        self.store = ProjectionStore(X.n, n, projections)
+        self.projections = [self.store.table(u) for u in range(n)]
+        first = {}
+        # per index, the first index with the same space object
+        self.space_keys = np.asarray([first.setdefault(id(space), u)
+                                      for u, space in enumerate(self.spaces)],
+                                     dtype=np.int64)
 
     # -- basic queries ----------------------------------------------------
     def n_indices(self):
@@ -186,31 +261,47 @@ class HHSInstance:
     def space_oracle(self, u):
         return self.spaces[u].oracle()
 
-    def rho_sets(self, us, v):
-        """rho^u_v for every u in ``us``: ``(RaggedSets, reached)``.
+    def rho_sets(self, us, vs):
+        """rho^us[i]_vs[i] for every pair: ``(RaggedSets, reached)``.
 
-        Pairs that are neither nested nor transverse are unreached, and so
-        is an empty rho, which has no distance to anything.
+        ``vs`` may be one index for every pair.  The provider is asked once
+        per RHO_CHUNK pairs, for their distinct pairs.  Pairs that are
+        neither nested nor transverse are unreached, and so is an empty rho,
+        which has no distance to anything.
         """
-        us = np.asarray(us, dtype=np.int64)
-        rel = self.rel[us, v]
-        rows = np.flatnonzero((rel == NESTED) | (rel == TRANSVERSE))
-        out = self._rho_provider(self, us[rows], v) if len(rows) else None
-        sets, reached = assemble_column(
-            len(us), [] if out is None else [(rows, *out)])
-        return sets, reached & (sets.sizes() > 0)
+        n = self.n_indices()
+        us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.int64),
+                                     np.asarray(vs, dtype=np.int64))
+        flat = [np.zeros(0, dtype=np.int64)]
+        offsets = np.zeros(len(us) + 1, dtype=np.int64)
+        reached = np.zeros(len(us), dtype=bool)
+        for lo in range(0, len(us), RHO_CHUNK):
+            keys, inv = np.unique(us[lo:lo + RHO_CHUNK] * n
+                                  + vs[lo:lo + RHO_CHUNK], return_inverse=True)
+            ku, kv = np.divmod(keys, n)
+            rel = self.rel[ku, kv]
+            rows = np.flatnonzero((rel == NESTED) | (rel == TRANSVERSE))
+            out = (self._rho_provider(self, ku[rows], kv[rows]) if len(rows)
+                   else None)
+            sets, hit = assemble_sets(len(ku), [] if out is None
+                                      else [(rows, *out)])
+            got = sets.take(inv)
+            flat.append(got.flat)
+            offsets[lo + 1:lo + 1 + len(inv)] = got.offsets[1:] + offsets[lo]
+            reached[lo:lo + len(inv)] = (hit & (sets.sizes() > 0))[inv]
+        return RaggedSets(np.concatenate(flat), offsets), reached
 
     def rho(self, u, v):
         """rho^u_v as C(v)-vertex ids, or None when unreached."""
-        sets, reached = self.rho_sets([u], v)
+        sets, reached = self.rho_sets([u], [v])
         return sets[0].astype(np.int32) if reached[0] else None
 
     def _reverse_projection(self, u):
         """One X-vertex per C(u)-vertex whose projection contains it."""
         if u not in self._reverse_proj:
-            table = self.projections[u]
+            xs, verts = self.projections[u].entries()
             rev = np.full(self.spaces[u].n, self.X.n, dtype=np.int64)
-            np.minimum.at(rev, table.data, table.owners())
+            np.minimum.at(rev, verts, xs)
             rev[rev == self.X.n] = 0
             self._reverse_proj[u] = rev
         return self._reverse_proj[u]
@@ -235,7 +326,7 @@ def trivial_instance(graph, label="S", meta=None):
     n = graph.n
     rel = np.zeros((1, 1), dtype=np.int8)
 
-    def rho_provider(inst, us, v):
+    def rho_provider(inst, us, vs):
         return None
 
     return HHSInstance(graph, [label], [graph], rel, 0,
@@ -294,7 +385,6 @@ def instance_from_factor_system(cand, report=None):
 
     spaces = []
     space_to_x = []
-    projections = []
     for i, mem in enumerate(family):
         local = mem.to_local()
         contained = [Subgraph(mem.induced_graph(),
@@ -304,19 +394,19 @@ def instance_from_factor_system(cand, report=None):
         coned = build_coneoff(mem.induced_graph(), contained).coned
         spaces.append(coned)
         space_to_x.append(mem.vertex_array())
-        projections.append(_projection_sets_onto(oracle, mem.vertex_array()))
     cs = build_coneoff(graph, family).coned
     spaces.append(cs)
     space_to_x.append(np.arange(graph.n, dtype=np.int64))
-    projections.append(ProjectionTable.identity(graph.n))
+    # the store reads the tables one at a time, so they are not all held
+    projections = itertools.chain(
+        (_projection_sets_onto(oracle, mem.vertex_array()) for mem in family),
+        [ProjectionTable.identity(graph.n)])
 
     members = RaggedSets.from_arrays([mem.vertex_array() for mem in family])
 
-    def rho_provider(inst, us, v):
-        sets = members.take(us)
-        if v != S:
-            sets = inst.projections[v].images(sets)
-        return sets, True
+    def rho_provider(inst, us, vs):
+        # S's table is the identity, so its images are the members
+        return inst.store.images_of(vs, members, us), True
 
     labels = [mem.label or f"member{i}" for i, mem in enumerate(family)] + ["S"]
     meta = {"construction": "factor-system", "radius": cand.radius}
@@ -348,21 +438,22 @@ def normalize(inst):
     for u in range(n_idx):
         space = inst.spaces[u]
         table = inst.projections[u]
-        image = np.unique(table.data)
+        verts = table.entries()[1]
+        image = np.unique(verts)
         if len(image) == space.n:
             new_spaces.append(space)
             new_projections.append(table)
             new_space_to_x.append(inst.space_to_x[u])
-            keep_maps.append(None)
+            keep_maps.append(np.arange(space.n))
             continue
         sub = connected_hull(space, image, label=inst.labels[u])
         repaired = "hull-completed" in sub.flags
         kept = sub.vertex_array()
         remap = np.full(space.n, -1, dtype=np.int32)
         remap[kept] = np.arange(len(kept))
-        new_data = remap[table.data]
         new_spaces.append(sub.induced_graph())
-        new_projections.append(ProjectionTable(table.indptr, new_data))
+        new_projections.append(ProjectionTable(table.indptr - table.indptr[0],
+                                               remap[verts]))
         if inst.space_to_x[u] is not None:
             new_space_to_x.append(inst.space_to_x[u][kept])
         else:
@@ -371,13 +462,13 @@ def normalize(inst):
         changed.append({"index": inst.labels[u], "removed": int(space.n - len(kept)),
                         "hull_repaired": repaired})
 
-    def rho_provider(new_inst, us, v):
-        sets, reached = inst.rho_sets(us, v)
-        if keep_maps[v] is None:
-            return sets, reached
-        mapped = keep_maps[v][sets.flat]
-        kept = mapped >= 0
-        return (RaggedSets.union(sets.owners()[kept], mapped[kept], len(us)),
+    maps = RaggedSets.from_arrays(keep_maps)
+
+    def rho_provider(new_inst, us, vs):
+        # the maps are increasing on the kept vertices, so sets stay sorted
+        sets, reached = inst.rho_sets(us, vs)
+        mapped = maps.flat[maps.offsets[vs][sets.owners()] + sets.flat]
+        return (RaggedSets.from_mask(mapped, mapped >= 0, sets.offsets[:-1]),
                 reached)
 
     meta = dict(inst.meta)
@@ -449,32 +540,32 @@ def product_hhs(a, b):
     projections = ([t.pullback(coord_a) for t in a.projections]
                    + [t.pullback(coord_b) for t in b.projections])
     # top sets are the pairs (rep_a, rep_b + csa.n), already sorted
-    rep_a = a.projections[a.maximal].rep[coord_a]
-    rep_b = b.projections[b.maximal].rep[coord_b] + csa.n
+    rep_a = a.projections[a.maximal].reps(coord_a)
+    rep_b = b.projections[b.maximal].reps(coord_b) + csa.n
     top = np.column_stack([rep_a, rep_b]).ravel()
     projections.append(ProjectionTable(np.arange(0, 2 * X.n + 1, 2), top))
 
-    def rho_provider(inst, us, v):
+    def rho_provider(inst, us, vs):
         parts = []
-        # (factor, its first index, its top copy's first vertex in cs_top)
+        # (factor, its first index, its top copy's first vertex in cs_top);
+        # a pair of indices in two factors is orthogonal, so never asked
         for f, lo, shift in ((a, 0, 0), (b, n_a, csa.n)):
-            rows = np.flatnonzero((us >= lo) & (us < lo + f.n_indices()))
-            local = us[rows] - lo
-            if v != S:
-                if lo <= v < lo + f.n_indices():
-                    parts.append((rows, *f.rho_sets(local, v - lo)))
-                continue
+            mine = (us >= lo) & (us < lo + f.n_indices())
+            rows = np.flatnonzero(mine & (vs != S))
+            parts.append((rows, *f.rho_sets(us[rows] - lo, vs[rows] - lo)))
             # each factor's top copy sits inside the join with diameter 2,
-            # so the whole copy is the bounded relative projection (of the
-            # factor's top index, whose own column entry is empty)
-            sets, reached = f.rho_sets(local, f.maximal)
-            top, n_top = rows[local == f.maximal], f.spaces[f.maximal].n
+            # so the whole copy is the bounded relative projection of the
+            # factor's top index
+            rows = np.flatnonzero(mine & (vs == S) & (us != lo + f.maximal))
+            sets, reached = f.rho_sets(us[rows] - lo, f.maximal)
+            top = np.flatnonzero(mine & (vs == S) & (us == lo + f.maximal))
+            n_top = f.spaces[f.maximal].n
             whole = RaggedSets(np.arange(n_top) + shift, [0, n_top])
             parts += [(rows, RaggedSets(sets.flat + shift, sets.offsets),
                        reached),
                       (top, whole.take(np.zeros(len(top), dtype=np.int64)),
                        True)]
-        return assemble_column(len(us), parts)
+        return assemble_sets(len(us), parts)
 
     meta = {"construction": "product",
             "factors": [a.meta.get("construction", "?"),
@@ -505,17 +596,19 @@ def instance_to_bundle(inst, rho_cap=250_000):
               "labels": list(inst.X.labels) if inst.X.labels else None},
         "spaces": [{"n": s.n, "edges": [list(e) for e in s.edges]}
                    for s in inst.spaces],
-        "projections": [{"indptr": t.indptr.tolist(),
-                         "data": t.data.tolist()}
+        "projections": [{"indptr": (t.indptr - t.indptr[0]).tolist(),
+                         "data": t.entries()[1].tolist()}
                         for t in inst.projections],
         "rho": {},
         "meta": {k: v for k, v in inst.meta.items()
                  if isinstance(v, (str, int, float, bool, list))},
     }
-    for v in np.unique(vs).tolist():
-        sets, reached = inst.rho_sets(us[vs == v], v)
-        for i, u in enumerate(us[vs == v].tolist()):
-            bundle["rho"][f"{u},{v}"] = sets[i].tolist() if reached[i] else None
+    # the table lists the pairs by v, then by u
+    order = np.lexsort((us, vs))
+    us, vs = us[order], vs[order]
+    sets, reached = inst.rho_sets(us, vs)
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        bundle["rho"][f"{u},{v}"] = sets[i].tolist() if reached[i] else None
     return bundle
 
 
@@ -532,8 +625,8 @@ def instance_from_bundle(bundle):
     rho_table = {tuple(int(x) for x in k.split(",")): v
                  for k, v in bundle["rho"].items()}
 
-    def rho_provider(inst, us, v):
-        found = [rho_table.get((u, v)) for u in us.tolist()]
+    def rho_provider(inst, us, vs):
+        found = [rho_table.get(pair) for pair in zip(us.tolist(), vs.tolist())]
         return (RaggedSets.from_arrays([np.asarray(r or [], dtype=np.int64)
                                         for r in found]),
                 np.asarray([r is not None for r in found], dtype=bool))

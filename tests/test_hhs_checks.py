@@ -453,7 +453,7 @@ def test_fixtures_cover_large_link_edge_cases():
     assert nested_children
     inst = FIXTURES["empty"]
     us, vs = inst.eligible_rho_pairs()
-    stored = [inst._rho_provider(inst, np.asarray([u]), v)
+    stored = [inst._rho_provider(inst, np.asarray([u]), np.asarray([v]))
               for u, v in zip(us.tolist(), vs.tolist())]
     empty = [reached[0] and sets.sizes()[0] == 0 for sets, reached in stored]
     assert any(empty)
