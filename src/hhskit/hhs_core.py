@@ -152,7 +152,7 @@ class ProjectionStore(ProjectionTable):
 
     def images_of(self, us, sets, idx):
         """Per pair ``(us[i], sets[idx[i]])``: the sorted union of the
-        pi_us[i] sets of its X-vertices, about RAGGED_CHUNK X-vertices a
+        pi_us[i] sets of its X-vertices, about RAGGED_CHUNK X-vertices at a
         time."""
         us, idx = np.asarray(us, dtype=np.int64), np.asarray(idx)
         step = np.cumsum(sets.sizes()[idx]) // RAGGED_CHUNK
