@@ -324,7 +324,7 @@ def test_pair_rho_on_empty_input():
 
 @pytest.mark.parametrize("name", ["augmented5", "factor4"])
 def test_battery_asks_a_bounded_number_of_rho_calls(name):
-    """The parent battery asked one column per target index: 734 provider
+    """Asking one column per target index, the battery made 734 provider
     calls on the augmented F2 r=5 instance and 816 on the F2 r=4 factor
     instance.  Pair lists keep it to a few per check."""
     inst = augmented(5).result if name == "augmented5" else factor(4)
