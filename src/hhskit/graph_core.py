@@ -923,13 +923,6 @@ class RaggedSets:
                                                  np.arange(k + 1)))
 
     @classmethod
-    def concat(cls, parts):
-        """The sets of every part, in order."""
-        flat = [np.zeros(0, dtype=np.int64)] + [p.flat for p in parts]
-        return cls(np.concatenate(flat),
-                   np.cumsum(np.concatenate([[0]] + [p.sizes() for p in parts])))
-
-    @classmethod
     def from_mask(cls, verts, mask, starts):
         """``verts[mask]`` cut into one set per segment starting at ``starts``."""
         kept = np.zeros(len(mask) + 1, dtype=np.int64)

@@ -51,8 +51,8 @@ def _carrier(inst, u):
 
 def _pi_rep_distance(inst, u, xs, ys):
     """d_{C(u)} between projection representatives of X-vertex arrays."""
-    table = inst.projections[u]
-    return inst.space_oracle(u).pairs(table.reps(xs), table.reps(ys))
+    rep = inst.pi_rep(u)
+    return inst.space_oracle(u).pairs(rep[xs], rep[ys])
 
 
 def _by_target(tgt):
@@ -369,15 +369,15 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
     # one pairs query per space of V
     ws, w_of = np.unique(nw, return_inverse=True)
-    down_x = np.asarray([_carrier(inst, w)[inst.projections[w].reps(xs)]
-                         for w in ws],
+    down_x = np.asarray([_carrier(inst, w)[inst.pi_rep(w)[xs]] for w in ws],
                         dtype=np.int64).reshape(len(ws), len(xs))
     mv = np.zeros_like(mw)
     first = nv[:, None] * inst.X.n     # the store key of (v, x) is first + x
+    rep = inst.store.keyed.rep
     for oracle, rows in _by_space(inst, nv):
         mv[rows] = oracle.pairs(
-            inst.store.reps(first[rows] + xs).ravel(),
-            inst.store.reps(first[rows] + down_x[w_of[rows]]).ravel()).reshape(
+            rep[first[rows] + xs].ravel(),
+            rep[first[rows] + down_x[w_of[rows]]].ravel()).reshape(
                 len(rows), len(xs))
     m = np.minimum(mw, mv, out=mw)
     m[~ok] = -1
@@ -445,10 +445,11 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
     no_finite = []
     # nested pairs (child, parent), sorted by child, and their CSR by child
     nested = np.argwhere(inst.rel == NESTED)
+    if not len(us):     # with no sampled pair nothing violates
+        nested = nested[:0]
     above_ptr = np.searchsorted(nested[:, 0], np.arange(inst.n_indices() + 1))
-    # with no sampled pair nothing violates
     all_rhos, all_reached = inst.rho_sets(*nested.T)
-    for w, rows in _by_target(nested[:, 1]) if len(us) else ():
+    for w, rows in _by_target(nested[:, 1]):
         children = nested[rows, 0]
         ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
@@ -474,8 +475,8 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         to_rho = np.empty(ds.shape, dtype=np.int32)
         for part, dist in _rho_sweeps(inst, all_rhos, nested[:, 1], rows,
                                       len(us)):
-            to_rho[np.searchsorted(rows, part)] = \
-                inst.projections[w].min_over_sets(us, dist)
+            to_rho[np.searchsorted(rows, part)] = inst.store.min_over_pairs(
+                nested[part, 1], us, dist)
         side = np.maximum.reduce(np.broadcast_to(to_rho, maximal.shape),
                                  axis=1, where=maximal, initial=lowest)
         need = np.maximum(cover / dw, side / dw)
@@ -533,7 +534,7 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
                     if a == b:
                         continue
                     path = np.asarray(next(paths), dtype=np.int64)
-                    images.append(inst.projections[v].reps(carrier[path]))
+                    images.append(inst.pi_rep(v)[carrier[path]])
                     observations.append((k, int(dist[path].min()), v, w))
     # an image of one vertex has diameter 0; the others are measured by
     # one ragged_diameters call per space of V

@@ -19,8 +19,8 @@ import itertools
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import (RAGGED_CHUNK, MetricGraph, RaggedSets, Subgraph,
-                         connected_hull, ragged_diameters, segments)
+from .graph_core import (MetricGraph, RaggedSets, Subgraph, connected_hull,
+                         ragged_diameters, segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -42,24 +42,17 @@ class ProjectionTable:
     """CSR storage of one index's projection sets over all X-vertices; a
     view into a ``ProjectionStore`` has offsets into all the store's data."""
 
-    def __init__(self, indptr, data, checked=False):
+    def __init__(self, indptr, data):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.int32)
         self.n = len(self.indptr) - 1
-        if not (checked or (self.indptr[:-1] < self.indptr[1:]).all()):
+        if not (self.indptr[:-1] < self.indptr[1:]).all():
             raise ValueError("projection sets must be nonempty")
-        # every set is nonempty, so n entries make n singletons, whose
-        # entries are their representatives
+        # canonical representative: first element of each (sorted) set; n
+        # nonempty sets with n entries are singletons, whose data is the reps
         lo, hi = self.indptr[0], self.indptr[-1]
-        self._rep = self.data[lo:hi] if hi - lo == self.n else None
-
-    @property
-    def rep(self):
-        """The canonical representative of every set: its first element."""
-        return self.data[self.indptr[:-1]] if self._rep is None else self._rep
-
-    def reps(self, xs):
-        return self.data[self.indptr[xs]] if self._rep is None else self._rep[xs]
+        self.rep = (self.data[lo:hi] if hi - lo == self.n
+                    else self.data[self.indptr[:-1]])
 
     def get(self, x):
         return self.data[self.indptr[x]:self.indptr[x + 1]]
@@ -77,7 +70,9 @@ class ProjectionTable:
         return self.images(RaggedSets(xs, [0, len(xs)])).flat.astype(np.int32)
 
     def all_singletons(self):
-        return self._rep is not None
+        if not hasattr(self, "_all_singletons"):
+            self._all_singletons = bool((np.diff(self.indptr) == 1).all())
+        return self._all_singletons
 
     def min_over_sets(self, xs, values):
         """Per x in xs: min of ``values`` over the projection set of x.
@@ -86,18 +81,17 @@ class ProjectionTable:
         """
         xs = np.asarray(xs, dtype=np.int64)
         if self.all_singletons():
-            return values[..., self.reps(xs)]
+            return values[..., self.rep[xs]]
         owner, pos = segments(self.indptr, xs)
         return np.minimum.reduceat(values[..., self.data[pos]],
                                    np.searchsorted(owner, np.arange(len(xs))),
                                    axis=-1)
 
     def max_set_diameter(self, space_oracle):
-        lo, hi = self.indptr[0], self.indptr[-1]
         big = np.flatnonzero(np.diff(self.indptr) > 1)
-        return int(ragged_diameters(
-            space_oracle, RaggedSets(self.data[lo:hi], self.indptr - lo),
-            big).max(initial=0))
+        return int(ragged_diameters(space_oracle,
+                                    RaggedSets(self.data, self.indptr),
+                                    big).max(initial=0))
 
     def entries(self):
         """``(x, vertex)`` for every entry of the table, x ascending."""
@@ -125,61 +119,55 @@ class ProjectionTable:
         return ProjectionTable(np.arange(n + 1), np.arange(n))
 
 
-class ProjectionStore(ProjectionTable):
-    """Every index's projection sets in one CSR, built from ``count`` tables
-    over ``n_x`` X-vertices read one at a time: key ``u * n_x + x`` holds
-    pi_u(x), and ``table(u)`` is a view of index u's keys, with no copy."""
+class ProjectionStore:
+    """Every index's projection sets in one CSR, ``keyed``: key
+    ``u * n_x + x`` holds pi_u(x).  It is filled from ``count`` tables over
+    ``n_x`` X-vertices read one at a time; ``table(u)`` is a view of index
+    u's keys, with no copy."""
 
     def __init__(self, n_x, count, tables):
         indptr = np.zeros(count * n_x + 1, dtype=np.int64)
-        data, singletons = [np.zeros(0, dtype=np.int32)], []
+        data = [np.zeros(0, dtype=np.int32)]
         for u, t in enumerate(tables):
             if u >= count or t.n != n_x:
                 raise ValueError("index data sizes disagree")
             lo = u * n_x
-            indptr[lo + 1:lo + n_x + 1] = t.indptr[1:] - t.indptr[0] + indptr[lo]
+            indptr[lo + 1:lo + n_x + 1] = (t.indptr[1:] - t.indptr[0]
+                                           + indptr[lo])
             data.append(t.data[t.indptr[0]:t.indptr[-1]])
-            singletons.append(t.all_singletons())
-        if len(singletons) != count:
+        if len(data) != count + 1:
             raise ValueError("index data sizes disagree")
-        super().__init__(indptr, np.concatenate(data), checked=True)
-        self.n_x, self.singletons = n_x, np.asarray(singletons, dtype=bool)
+        self.n_x = n_x
+        self.keyed = ProjectionTable(indptr, np.concatenate(data))
 
     def table(self, u):
         lo = u * self.n_x
-        return ProjectionTable(self.indptr[lo:lo + self.n_x + 1], self.data,
-                               checked=True)
+        return ProjectionTable(self.keyed.indptr[lo:lo + self.n_x + 1],
+                               self.keyed.data)
 
     def images_of(self, us, sets, idx):
         """Per pair ``(us[i], sets[idx[i]])``: the sorted union of the
-        pi_us[i] sets of its X-vertices, about RAGGED_CHUNK X-vertices at a
-        time."""
-        us, idx = np.asarray(us, dtype=np.int64), np.asarray(idx)
-        step = np.cumsum(sets.sizes()[idx]) // RAGGED_CHUNK
-        cuts = np.r_[0, np.flatnonzero(np.diff(step)) + 1, len(idx)]
-        got = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part = sets.take(idx[lo:hi])
-            keys = np.repeat(us[lo:hi] * self.n_x, part.sizes()) + part.flat
-            got.append(self.images(RaggedSets(keys, part.offsets)))
-        return RaggedSets.concat(got)
+        pi_us[i] sets of its X-vertices."""
+        part = sets.take(idx)
+        keys = np.repeat(np.asarray(us, dtype=np.int64) * self.n_x,
+                         part.sizes()) + part.flat
+        return self.keyed.images(RaggedSets(keys, part.offsets))
 
     def min_over_pairs(self, us, xs, values):
         """Per row i of ``values`` and x in xs: min of ``values[i]`` over
         pi_us[i](x), shape ``(len(us), len(xs))``."""
         us = np.asarray(us, dtype=np.int64)
         if (us == us[0]).all():
+            # one table picks the same columns of every row, several times
+            # faster than a gather per entry
             return self.table(us[0]).min_over_sets(xs, values)
         keys = us[:, None] * self.n_x + xs
-        if self.singletons[us].all():
-            return values[np.arange(len(us))[:, None], self.reps(keys)]
-        owner, pos = segments(self.indptr, keys.ravel())
-        got = values[owner // len(xs), self.data[pos]]
-        if len(got) > len(us) * len(xs):
-            # every set is nonempty, so a set starts where its owner changes
-            got = np.minimum.reduceat(
-                got, np.flatnonzero(np.diff(owner, prepend=-1)))
-        return got.reshape(len(us), len(xs))
+        if self.keyed.all_singletons():
+            return values[np.arange(len(keys))[:, None], self.keyed.rep[keys]]
+        owner, pos = segments(self.keyed.indptr, keys.ravel())
+        return np.minimum.reduceat(
+            values[owner // keys.shape[1], self.keyed.data[pos]],
+            np.searchsorted(owner, np.arange(keys.size))).reshape(keys.shape)
 
 
 def assemble_sets(k, parts):
@@ -187,7 +175,8 @@ def assemble_sets(k, parts):
 
     Each part is ``(rows, sets, reached)``: set i of ``sets`` goes to row
     ``rows[i]``, and ``reached`` is a bool array or one bool for them all.
-    No row is named twice; rows that no part names are empty and unreached.
+    A part's rows ascend and no row is named twice; rows that no part names
+    are empty and unreached.
     """
     reached = np.zeros(k, dtype=bool)
     if len(parts) == 1 and len(parts[0][0]) == k:
@@ -540,8 +529,8 @@ def product_hhs(a, b):
     projections = ([t.pullback(coord_a) for t in a.projections]
                    + [t.pullback(coord_b) for t in b.projections])
     # top sets are the pairs (rep_a, rep_b + csa.n), already sorted
-    rep_a = a.projections[a.maximal].reps(coord_a)
-    rep_b = b.projections[b.maximal].reps(coord_b) + csa.n
+    rep_a = a.projections[a.maximal].rep[coord_a]
+    rep_b = b.projections[b.maximal].rep[coord_b] + csa.n
     top = np.column_stack([rep_a, rep_b]).ravel()
     projections.append(ProjectionTable(np.arange(0, 2 * X.n + 1, 2), top))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hhskit import groups as G
-from hhskit import hhs_core
+from hhskit import hhs_checks, hhs_core
 from hhskit.embedding import build_augmented_structure
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
@@ -293,15 +293,13 @@ def pair_list(inst, seed):
     return us[order].astype(np.int64), vs[order].astype(np.int64)
 
 
-@pytest.mark.parametrize("chunks", [None, (7, 5)], ids=["whole", "chunked"])
+@pytest.mark.parametrize("chunk", [None, 7], ids=["whole", "chunked"])
 @pytest.mark.parametrize("case", range(len(CASES)),
                          ids=[name for name, *_ in CASES])
-def test_pair_rho_matches_column_loop(monkeypatch, case, chunks):
-    """With RHO_CHUNK and RAGGED_CHUNK patched, chunk boundaries fall
-    inside the pair list and inside the projected sets."""
-    if chunks:
-        monkeypatch.setattr(hhs_core, "RHO_CHUNK", chunks[0])
-        monkeypatch.setattr(hhs_core, "RAGGED_CHUNK", chunks[1])
+def test_pair_rho_matches_column_loop(monkeypatch, case, chunk):
+    """With RHO_CHUNK patched, chunk boundaries fall inside the pair list."""
+    if chunk:
+        monkeypatch.setattr(hhs_core, "RHO_CHUNK", chunk)
     _, inst, column = CASES[case]
     us, vs = pair_list(inst, seed=case)
     sets, reached = inst.rho_sets(us, vs)
@@ -337,3 +335,30 @@ def test_battery_asks_a_bounded_number_of_rho_calls(name):
     inst._rho_provider = counted
     run_axiom_battery(inst, seed=0)
     assert 0 < len(calls) <= 16
+
+
+@pytest.mark.parametrize("name", ["augmented4", "product"])
+def test_min_over_pairs_matches_each_table(name):
+    """Per row, the reduction of that row's own table: on singleton sets
+    (the augmented instance) and on the product's two-vertex top sets."""
+    inst = dict((n, i) for n, i, _ in CASES)[name]
+    rng = np.random.default_rng(1)
+    xs = rng.integers(0, inst.X.n, size=9)
+    width = max(s.n for s in inst.spaces)
+    mixed = np.append(rng.integers(0, inst.n_indices(), size=11), inst.maximal)
+    for us in (mixed, np.full(5, inst.maximal)):
+        values = rng.integers(0, 50, size=(len(us), width))
+        got = inst.store.min_over_pairs(us, xs, values)
+        assert got.tolist() == [
+            inst.projections[u].min_over_sets(xs, values[i]).tolist()
+            for i, u in enumerate(us.tolist())]
+
+
+@pytest.mark.parametrize("name", ["augmented4", "product"])
+def test_sweep_cap_leaves_the_battery_unchanged(monkeypatch, name):
+    """With SWEEP_CAP at 1 every sweep holds one word of sets, so the
+    scatter back to sample rows crosses many sweep boundaries."""
+    inst = dict((n, i) for n, i, _ in CASES)[name]
+    whole = run_axiom_battery(inst, seed=0).to_dict()
+    monkeypatch.setattr(hhs_checks, "SWEEP_CAP", 1)
+    assert run_axiom_battery(inst, seed=0).to_dict() == whole
