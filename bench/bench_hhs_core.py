@@ -6,9 +6,13 @@ On F2 = F(a, b) and Z = F(a): the absorption of <a>'s line structure into
 the trivial structure on the r=5 ball (``build_augmented_structure``, with
 the embedding verdict computed once outside the timed call), the product of
 two r=4 lines (``product_hhs``), and each check of the axiom battery, timed
-apart, on two r=5 instances: the factor-system instance of the ball with
-the cosets of <a> and <b> (487 indices), and the augmented instance above
-(244 indices, the structure ``amalgam-pipeline`` checks).
+apart, on three instances: the factor-system instances of the r=4 and r=5
+balls with the cosets of <a> and <b> (163 and 487 indices; the r=4 one is
+the structure ``tree-factor-system`` checks), and the augmented instance
+above (244 indices, the structure ``amalgam-pipeline`` checks).
+``check_hqc`` is timed on the r=4 factor-system instance with Y the
+identity coset of <a>, and an exhaustive ``distance_formula_fit`` (s=3,
+1,060,696 pairs) on the r=6 one.
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
 factor-system instance (1459 indices; its top index has 1458 children).
 ``rho_sets`` over every eligible pair (u nested in v or transverse to it)
@@ -40,8 +44,9 @@ from hhskit.embedding import (build_augmented_structure, check_hh_embedded,
                               check_hyperbolically_embedded,
                               coned_over_cosets, relative_metric)
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
-from hhskit.groups import SubgroupSpec
-from hhskit.hhs_core import (instance_from_ball, instance_from_factor_system,
+from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
+from hhskit.hhs_core import (check_hqc, distance_formula_fit,
+                             instance_from_ball, instance_from_factor_system,
                              product_hhs, run_axiom_battery)
 
 F2 = G.free_group(["a", "b"])
@@ -65,9 +70,14 @@ def augmented():
     return build_augmented_structure(*args, **kwargs).result
 
 
+def factor_f2(radius):
+    return build_hhs_from_factor_system(
+        family_from_cosets(G.cayley_ball(F2, radius), [SUB_A, SUB_B]))
+
+
 INSTANCES = {
-    "factor_f2_r5": lambda: build_hhs_from_factor_system(
-        family_from_cosets(G.cayley_ball(F2, 5), [SUB_A, SUB_B])),
+    "factor_f2_r4": lambda: factor_f2(4),
+    "factor_f2_r5": lambda: factor_f2(5),
     "augmented_f2_r5": augmented,
 }
 CHECKS = ("check_structural", "check_projection_lipschitz",
@@ -100,8 +110,24 @@ def test_battery_check(benchmark, instance, check):
 
 
 def fresh_factor_f2_r6():
-    return (build_hhs_from_factor_system(family_from_cosets(
-        G.cayley_ball(F2, 6), [SUB_A, SUB_B])),), {"seed": 1}
+    return (factor_f2(6),), {"seed": 1}
+
+
+def test_hqc_factor_f2_r4(benchmark):
+    def fresh():
+        inst = factor_f2(4)
+        ball = inst.meta["ball"]
+        coset = coset_subgraph(ball, enumerate_cosets(ball, SUB_A)[0])
+        return (inst, coset.vertices), {"seed": 1}
+
+    got = benchmark.pedantic(check_hqc, setup=fresh, rounds=5)
+    assert got.k_table
+
+
+def test_distance_formula_exhaustive_factor_f2_r6(benchmark):
+    got = benchmark.pedantic(distance_formula_fit,
+                             setup=lambda: ((factor_f2(6), 3), {}), rounds=3)
+    assert got["pairs"] == 1457 * 1456 // 2
 
 
 def all_eligible_rho(inst):

@@ -3,7 +3,8 @@
 Everything downstream (Cayley balls, cone-offs, coordinate spaces of
 hierarchical structures) is one of these graphs, so the module carries the
 shared machinery: BFS distances, deterministic geodesics, a distance oracle
-with a fast path through the block-cut tree, hyperbolicity and
+with a fast path through the block-cut tree, blocks of graphs of one vertex
+count whose distances are asked together, hyperbolicity and
 quasi-convexity estimation, closest-point projections, and ragged distance
 blocks that answer many small set-to-set queries (Hausdorff distances among
 them) in one oracle call.
@@ -553,15 +554,17 @@ class DistanceOracle:
         """Distances from every vertex to the nearest vertex of each set.
 
         Shape ``(len(sets), n)``, int32, -1 = unreached (the whole row of an
-        empty set).  A held matrix on a connected graph answers with row
-        minima; otherwise the sets are swept WORD at a time.
+        empty set).  The matrix answers with row minima when it is held or
+        when the sets need at least as many sweeps as it does; otherwise
+        the sets are swept WORD at a time.
         """
         out = np.full((len(sets), self.n), -1, dtype=np.int32)
-        if self._matrix is not None and self.graph.is_connected:
+        if self._matrix is not None or (self._use_matrix
+                                        and len(sets) >= self.n):
             full = np.flatnonzero(sets.sizes() > 0)
             if len(full):
-                out[full] = np.minimum.reduceat(
-                    self._matrix[sets.flat], sets.offsets[full], axis=0)
+                out[full] = _row_minima(self.matrix()[sets.flat],
+                                        sets.offsets[full])
             return out
         for lo in range(0, len(sets), WORD):
             out[lo:lo + WORD] = bfs_many(
@@ -600,6 +603,223 @@ class DistanceOracle:
     def geodesic(self, u, v):
         """A deterministic geodesic from u to v as a vertex list."""
         return self.geodesics([u], [v])[0]
+
+
+def _row_minima(rows, starts):
+    """Per segment of int16 distance ``rows`` (-1 = unreached) starting at
+    ``starts``: their elementwise least.  Read as uint16, -1 is the largest
+    value, so a vertex that no row of a segment reaches stays -1."""
+    return np.minimum.reduceat(rows.view(np.uint16), starts,
+                               axis=0).view(np.int16)
+
+
+class _Union:
+    """The disjoint union of graphs of one vertex count n, vertex v of graph
+    i at ``i * n + v``: the CSR arrays that ``bfs_many`` sweeps, joined
+    without building an edge list."""
+
+    def __init__(self, graphs):
+        n = graphs[0].n
+        self.n = n * len(graphs)
+        self.degrees = np.concatenate([g.degrees for g in graphs])
+        self.indices = np.concatenate([g.indices + i * n
+                                       for i, g in enumerate(graphs)])
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        self.has_nbrs = self.degrees > 0
+        self.nbr_starts = self.indptr[:-1][self.has_nbrs]
+
+
+# Most entries one chunk of a GraphBlock query holds: its rows' distances,
+# or the caller's columns per row where there are more of those.
+BLOCK_CHUNK = 1 << 16
+
+
+def _chunks(costs, cap):
+    """(lo, hi) over consecutive items whose ``costs`` add up to at most
+    ``cap``, or over one item."""
+    total = np.append(0, np.cumsum(costs))
+    lo = 0
+    while lo < len(costs):
+        hi = int(np.searchsorted(total, total[lo] + cap, "right")) - 1
+        yield lo, max(hi, lo + 1)
+        lo = max(hi, lo + 1)
+
+
+class _StackPairs:
+    """``pairs`` over a stack of distance matrices, vertex v of slot i named
+    ``i * n + v``: the ragged set routines read a block through it."""
+
+    def __init__(self, stack):
+        self.n = stack.shape[1]
+        self.flat = stack.ravel()
+
+    def pairs(self, us, vs):
+        return self.flat[us * self.n + vs % self.n].astype(np.int32)
+
+
+class GraphBlock:
+    """Graphs of one vertex count n, whose distances are asked together.
+
+    Up to MATRIX_CAP vertices the block holds one ``(k, n, n)`` int16
+    stack of the graphs' all-pairs matrices, filled by ceil(n / WORD)
+    ``bfs_many`` sweeps of their disjoint union: set i is vertex i of every
+    graph, and the graphs are separate components, so one bit serves them
+    all.  Each graph's oracle then reads its matrix as a view of the stack,
+    so no matrix is held twice.  A graph over the cap is a block of one on
+    its own oracle.  Every query names the graph of each of its rows by
+    slot, and one call answers all of them; the queries that yield do so
+    per chunk of rows, ``(lo, hi, values)``, each holding at most
+    BLOCK_CHUNK entries.
+    """
+
+    def __init__(self, graphs):
+        self.n, self.graphs = graphs[0].n, graphs
+        if self.n > MATRIX_CAP:
+            if len(graphs) > 1:
+                raise ValueError("a graph over MATRIX_CAP is a block of one")
+            self.stack, self.oracle = None, graphs[0].oracle()
+            return
+        k, n = len(graphs), self.n
+        self.union = _Union(graphs)
+        self.stack = np.empty((k, n, n), dtype=np.int16)
+        at = np.arange(k) * n
+        for lo in range(0, n, WORD):
+            hi = min(lo + WORD, n)
+            rows = bfs_many(self.union, RaggedSets(
+                (np.arange(lo, hi)[:, None] + at).ravel(),
+                np.arange(0, (hi - lo) * k + 1, k)))
+            self.stack[:, lo:hi] = rows.reshape(hi - lo, k, n).swapaxes(0, 1)
+        for graph, matrix in zip(graphs, self.stack):
+            graph.oracle()._matrix = matrix
+        self.oracle = _StackPairs(self.stack)
+
+
+    def _named(self, slots, sets):
+        """``sets`` in the names of ``self.oracle``: vertex v of set i as
+        ``slots[i] * n + v``; a block of one names them as they are."""
+        if len(self.graphs) == 1:
+            return sets
+        return RaggedSets(sets.flat + (slots * self.n)[sets.owners()],
+                          sets.offsets)
+
+    def table_pairs(self, slots, table, rows, xs, ys):
+        """Yields ``(lo, hi, d)``: ``d[i, p]`` is the distance in graph
+        ``slots[lo + i]`` between ``table[r, xs[p]]`` and ``table[r,
+        ys[p]]``, r = ``rows[lo + i]``.  ``ys`` is 1-D or has a row per
+        row."""
+        for lo, hi in _chunks(np.full(len(rows), len(xs)), BLOCK_CHUNK):
+            r = rows[lo:hi, None]
+            a = table[r, xs]
+            b = table[r, ys if ys.ndim == 1 else ys[lo:hi]]
+            if self.stack is None:
+                yield lo, hi, self.oracle.pairs(a.ravel(),
+                                                b.ravel()).reshape(a.shape)
+            else:
+                yield lo, hi, self.stack[slots[lo:hi, None], a, b]
+
+    def set_rows(self, slots, sets, idx, width):
+        """Yields ``(lo, hi, rows)``: row i is the distance from every vertex
+        of graph ``slots[lo + i]`` to the nonempty set ``sets[idx[lo +
+        i]]``.  A chunk holds ``max(n, width)`` entries a row, ``width``
+        being the columns the caller reads of each."""
+        for lo, hi in _chunks(np.full(len(idx), max(self.n, width)),
+                              BLOCK_CHUNK):
+            part = sets.take(idx[lo:hi])
+            if self.stack is None:
+                yield lo, hi, self.oracle.dist_to_sets(part)
+            else:
+                yield lo, hi, _row_minima(
+                    self.stack[slots[lo:hi][part.owners()], part.flat],
+                    part.offsets[:-1])
+
+    def diameters(self, slots, sets):
+        """The diameter of each set ``sets[i]`` in graph ``slots[i]``."""
+        return ragged_diameters(self.oracle, self._named(slots, sets))
+
+    def set_distances(self, slots, sets, a_idx, b_idx):
+        """The distance between ``sets[a_idx[i]]`` and ``sets[b_idx[i]]``,
+        both in graph ``slots[i]``, per i."""
+        named = np.zeros(len(sets), dtype=np.int64)
+        named[a_idx] = named[b_idx] = slots
+        sets = self._named(named, sets)
+        return ragged_set_distances(self.oracle, sets, a_idx, sets, b_idx)
+
+    def spans(self):
+        """The largest distance in each graph, inf for a graph on its own
+        oracle (not scanned)."""
+        if self.stack is None:
+            return np.full(1, np.inf)
+        return self.stack.max(axis=(1, 2), initial=0)
+
+    def quasiconvexity(self, slots, sets, pair_budget, seed):
+        """``quasiconvexity_constant(graph, sets[i], pair_budget, seed).q``
+        for graph ``slots[i]``, per i.
+
+        A stacked set with at most ``pair_budget`` pairs is scanned over all
+        its ordered pairs (a, b) at once: a vertex z lies on a geodesic from
+        a to b iff d(a, z) + d(z, b) = d(a, b), and q is the largest
+        distance from such a z to the set.  The pairs of a == b add only
+        z = a, at distance 0."""
+        q = np.zeros(len(sets), dtype=np.int64)
+        sizes = sets.sizes()
+        whole = (sizes * (sizes - 1) // 2 <= pair_budget
+                 if self.stack is not None else np.zeros(len(sets), bool))
+        for i in np.flatnonzero(~whole).tolist():
+            q[i] = quasiconvexity_constant(self.graphs[slots[i]], sets[i],
+                                           pair_budget, seed).q
+        whole = np.flatnonzero(whole)
+        if not len(whole):
+            return q
+        used = np.flatnonzero(np.bincount(slots[whole]))
+        if (self.stack[used] < 0).any():
+            raise Disconnected("quasiconvexity scan requires a connected graph")
+        for lo, hi in _chunks(sizes[whole] ** 2 * self.n, BLOCK_CHUNK):
+            idx = whole[lo:hi]
+            part = sets.take(idx)
+            slot = slots[idx]
+            near = _row_minima(self.stack[slot[part.owners()], part.flat],
+                               part.offsets[:-1])
+            # every ordered pair of entries of each set
+            row_set, row_pos = segments(part.offsets, np.arange(len(idx)))
+            pair_row, col_pos = segments(part.offsets, row_set)
+            owner = row_set[pair_row]
+            a, b = part.flat[row_pos[pair_row]], part.flat[col_pos]
+            s = slot[owner]
+            on = (self.stack[s, a] + self.stack[s, b]
+                  == self.stack[s, a, b][:, None])
+            far = np.where(on, near[owner], -1).max(axis=1)
+            q[idx] = np.maximum.reduceat(far, _starts(part.sizes() ** 2))
+        return q
+
+    def walks(self, slots, src, dst):
+        """The vertices of a geodesic from ``src[i]`` to ``dst[i]`` in graph
+        ``slots[i]``, per i, as ``RaggedSets``.
+
+        Each step goes to the smallest-id neighbour one level closer to
+        the source, so a walk visits the vertices of ``geodesics``; raises
+        Disconnected on an unreached pair."""
+        if self.stack is None:
+            return RaggedSets.from_arrays([np.asarray(p, dtype=np.int64) for p
+                                           in self.oracle.geodesics(src, dst)])
+        d = self.stack[slots, src, dst].astype(np.int64)
+        if (d < 0).any():
+            raise Disconnected("no path between a pair of a walk")
+        at = np.full((int(d.max(initial=0)) + 1, len(d)), -1, dtype=np.int64)
+        at[0] = dst
+        base = slots * self.n
+        for level in range(1, len(at)):
+            go = np.flatnonzero(d >= level)
+            owner, pos = segments(self.union.indptr, base[go] + at[level - 1,
+                                                                   go])
+            nbr = self.union.indices[pos] - base[go][owner]
+            closer = (self.stack[slots[go][owner], src[go][owner], nbr]
+                      == (d[go] - level)[owner])
+            at[level, go] = np.minimum.reduceat(
+                np.where(closer, nbr, self.n),
+                np.searchsorted(owner, np.arange(len(go))))
+        flat = at.T[at.T >= 0]
+        return RaggedSets(flat, np.append(0, np.cumsum(d + 1)))
 
 
 def _component(graph, root, vset):
@@ -1017,15 +1237,8 @@ def iter_ragged_blocks(oracle, A, a_idx, B, b_idx):
     """
     a_idx = np.asarray(a_idx, dtype=np.int64)
     b_idx = np.asarray(b_idx, dtype=np.int64)
-    total = np.zeros(len(a_idx) + 1, dtype=np.int64)
-    np.cumsum(A.sizes()[a_idx] * B.sizes()[b_idx], out=total[1:])
-    lo = 0
-    while lo < len(a_idx):
-        hi = int(np.searchsorted(total, total[lo] + RAGGED_CHUNK,
-                                 side="right")) - 1
-        hi = max(hi, lo + 1)
+    for lo, hi in _chunks(A.sizes()[a_idx] * B.sizes()[b_idx], RAGGED_CHUNK):
         yield lo, RaggedBlocks(oracle, A, a_idx[lo:hi], B, b_idx[lo:hi])
-        lo = hi
 
 
 def _per_pair(reduce, oracle, A, a_idx, B, b_idx):

@@ -112,8 +112,18 @@ class GroupModel:
 
     def step(self, word, s):
         """The normal form of ``word + (s,)``, for ``word`` in normal form
-        and a declared letter ``s`` (neither is checked)."""
-        return self._steps(word, (s,))
+        and a declared letter ``s`` (neither is checked): one letter of
+        ``_steps``, on the tuple by slicing."""
+        i = abs(s)
+        commutes = self._commutes[i]
+        j = len(word)
+        while j and commutes[abs(word[j - 1])]:
+            j -= 1
+        if j and word[j - 1] == -s:
+            return word[:j - 1] + word[j:]
+        while j < len(word) and abs(word[j]) < i:
+            j += 1
+        return word[:j] + (s,) + word[j:]
 
     def _steps(self, word, letters):
         """``step`` by each of ``letters`` in turn, on one list.

@@ -6,12 +6,15 @@ records the sample spec.  Nothing here proves an axiom; the battery is a
 measurement device and the reports say exactly what was scanned.
 
 Each check asks for all the relative projections rho^u_v it needs in one
-``HHSInstance.rho_sets`` call over their (u, v) pairs.  The needs are then
-grouped by the space object of v (the copies of one index space share it),
-and each group is swept by ``DistanceOracle.dist_to_sets`` in chunks of at
-most SWEEP_CAP entries, each reduced over the sampled points by one
-``min_over_pairs`` of the projection store; the results are scattered back
-to the needs.  Witnesses stay the first strict maximum in sample order.
+``HHSInstance.rho_sets`` call over their (u, v) pairs, and asks the index
+spaces by block (``HHSInstance.blocks``): every distinct space sits in the
+``GraphBlock`` of its vertex count, so each section of a check makes one
+call per block where it made one per space.  Representative distances are
+one gather from a block's stack of matrices, distances to relative
+projections its row minima, and BGI geodesics parent walks over its
+arrays.  A one-vertex space has every distance 0: where a check takes a
+maximum of such terms, its block is left out.  Witnesses stay the first
+strict maximum in sample order.
 
 Set-distance conventions, applied uniformly and recorded here: distances
 from a projection set to a relative-projection set (or any fixed target
@@ -26,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coneoff import measure_quasigeodesic
-from .graph_core import (WORD, RaggedSets, four_point_delta,
-                         quasiconvexity_constant, ragged_diameters,
-                         ragged_set_distances, segments)
+from .graph_core import (GraphBlock, RaggedSets, four_point_delta,
+                         quasiconvexity_constant, ragged_diameters, segments)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -63,30 +65,49 @@ def _by_target(tgt):
             yield int(tgt[rows[0]]), rows
 
 
-def _by_space(inst, tgt):
-    """(space oracle, rows) per space object of the indices ``tgt``; rows
-    ascending."""
-    for key, rows in _by_target(inst.space_keys[tgt]):
-        yield inst.space_oracle(key), rows
+def _by_block(inst, us):
+    """(block, slots, rows) per block of the spaces of the indices ``us``:
+    ``rows`` ascending, ``slots`` the slots of ``us[rows]`` in the block."""
+    blocks, block_of, slot_of = inst.blocks
+    for b, rows in _by_target(block_of[us]):
+        yield blocks[b], slot_of[us[rows]], rows
 
 
-# Most entries one sweep of _rho_sweeps holds, in its distances or in the
-# caller's ``width`` entries per set.
-SWEEP_CAP = 1 << 16
+def _per_index(inst, per_slot):
+    """Per index, the entry of its slot in ``per_slot(block)``."""
+    blocks, block_of, slot_of = inst.blocks
+    first = np.cumsum([0] + [len(block.graphs) for block in blocks])
+    return np.concatenate([per_slot(block) for block in blocks])[
+        first[block_of] + slot_of]
 
 
-def _rho_sweeps(inst, sets, tgt, rows, width=0):
-    """Distances to the sets ``rows`` of ``sets``, rho^s_t of the needs
-    (s, t) with t in ``tgt``, grouped by the space object of t.
+def _vertex_counts(inst):
+    return _per_index(inst, lambda block: np.full(len(block.graphs), block.n))
 
-    Yields ``(rows, dist)``: ``dist`` is that space's ``dist_to_sets`` of a
-    chunk of needs, a multiple of WORD with at most SWEEP_CAP entries.
-    """
-    for oracle, group in _by_space(inst, tgt[rows]):
-        step = WORD * max(1, SWEEP_CAP // (WORD * max(oracle.n, width, 1)))
-        for lo in range(0, len(group), step):
-            part = rows[group[lo:lo + step]]
-            yield part, oracle.dist_to_sets(sets.take(part))
+
+def _rep_distances(inst, us, xs, ys):
+    """(rows, d) per chunk: ``d[i, p]`` is the ``_pi_rep_distance`` of index
+    ``us[rows[i]]`` between ``xs[p]`` and ``ys[p]``.  One call per block;
+    one-vertex spaces, where every distance is 0, are left out."""
+    for block, slots, rows in _by_block(inst, us):
+        if block.n > 1:
+            for lo, hi, d in block.table_pairs(slots, inst.reps, us[rows],
+                                               xs, ys):
+                yield rows[lo:hi], d
+
+
+def _min_to_sets(inst, sets, tgt, rows, xs):
+    """(part, m) per chunk of ``rows``: ``m[i, p]`` is the least d_t(y,
+    sets[k]) over y in pi_t(xs[p]), for k = ``part[i]`` and t = ``tgt[k]``.
+
+    The sets named are nonempty.  One call per block of the targets; a
+    target of one vertex, where every distance is 0, is left out."""
+    for block, slots, group in _by_block(inst, tgt[rows]):
+        if block.n > 1:
+            part = rows[group]
+            for lo, hi, dist in block.set_rows(slots, sets, part, len(xs)):
+                yield part[lo:hi], inst.store.min_over_pairs(
+                    tgt[part[lo:hi]], xs, dist)
 
 
 def _pi_min_to_rho(inst, src, tgt, xs):
@@ -94,12 +115,19 @@ def _pi_min_to_rho(inst, src, tgt, xs):
 
     Also says which rho were reached; rows whose rho is not are -1.
     """
-    out = np.full((len(src), len(xs)), -1, dtype=np.int32)
     sets, reached = inst.rho_sets(src, tgt)
-    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(reached),
-                                  len(xs)):
-        out[rows] = inst.store.min_over_pairs(tgt[rows], xs, dist)
+    out = np.zeros((len(src), len(xs)), dtype=np.int32)
+    out[~reached] = -1
+    for rows, got in _min_to_sets(inst, sets, tgt, np.flatnonzero(reached),
+                                  xs):
+        out[rows] = got
     return out, reached
+
+
+def _max_diameter(inst, sets, us):
+    """The largest diameter of ``sets[i]`` in C(us[i]), 0 for none."""
+    return max((int(block.diameters(slots, sets.take(rows)).max())
+                for block, slots, rows in _by_block(inst, us)), default=0)
 
 
 def _first_max(values, kappa):
@@ -246,19 +274,19 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     complexity = max((int(depth(i)) for i in range(n)), default=0)
 
     # pi and rho set diameters
+    keyed = inst.store.keyed
     xi = 0
-    for u in range(n):
-        table = inst.projections[u]
-        if not table.all_singletons():
-            xi = max(xi, table.max_set_diameter(inst.space_oracle(u)))
+    if not keyed.all_singletons():
+        big = np.flatnonzero(np.diff(keyed.indptr) > 1)
+        xi = _max_diameter(inst, RaggedSets(keyed.data, keyed.indptr).take(big),
+                           big // inst.X.n)
     us, vs, spec = _sample_pairs(
         lambda lo, hi: (rel[lo:hi] == NESTED) | (rel[lo:hi] == TRANSVERSE), n,
         rho_pair_budget, seed)
     sets, reached = inst.rho_sets(us, vs)
     unreached = int((~reached).sum())
     big = np.flatnonzero(reached & (sets.sizes() > 1))
-    for oracle, rows in _by_space(inst, vs[big]):
-        xi = max(xi, int(ragged_diameters(oracle, sets.take(big[rows])).max()))
+    xi = max(xi, _max_diameter(inst, sets.take(big), vs[big]))
     return StructuralReport(not failures, complexity, xi, failures, spec,
                             unreached,
                             {"container_cases": container_checked})
@@ -272,15 +300,19 @@ def check_projection_lipschitz(inst, seed=0):
     edges = np.asarray(inst.X.edges, dtype=np.int64)
     idx, spec = sample_indices(len(edges), 100_000, seed)
     us, vs = edges[idx, 0], edges[idx, 1]
-    K = 0
+    # per index its largest jump and the first edge with it; the witness
+    # is the first index with the largest
+    n = inst.n_indices()
+    best, first = np.zeros((2, n), dtype=np.int64)
+    for rows, d in _rep_distances(inst, np.arange(n), us, vs):
+        first[rows] = np.argmax(d, axis=1)
+        best[rows] = d[np.arange(len(rows)), first[rows]]
+    K = int(best.max(initial=0))
     witness = None
-    for u in range(inst.n_indices()):
-        d = _pi_rep_distance(inst, u, us, vs)
-        i = int(np.argmax(d))
-        if d[i] > K:
-            K = int(d[i])
-            witness = {"index": inst.labels[u],
-                       "edge": (int(us[i]), int(vs[i]))}
+    if K > 0:
+        u = int(np.argmax(best))
+        witness = {"index": inst.labels[u],
+                   "edge": (int(us[first[u]]), int(vs[first[u]]))}
     return {"K": K, "witness": witness, "sample": spec.to_dict()}
 
 
@@ -342,11 +374,11 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     sets, hit = inst.rho_sets(np.concatenate([tv, tu]), tgt)
     ok = hit[:len(tu)] & hit[len(tu):]
     m = np.full((len(tu), len(xs)), np.iinfo(np.int32).max, dtype=np.int32)
-    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(hit),
-                                  len(xs)):
-        # both directions of a pair may share a sweep, so each direction's
+    # a one-vertex target answers 0
+    m[np.flatnonzero(hit & (_vertex_counts(inst)[tgt] == 1)) % len(tu)] = 0
+    for rows, got in _min_to_sets(inst, sets, tgt, np.flatnonzero(hit), xs):
+        # both directions of a pair may share a chunk, so each direction's
         # rows fold in apart; within one direction the pairs are distinct
-        got = inst.store.min_over_pairs(tgt[rows], xs, dist)
         for side in (rows < len(tu), rows >= len(tu)):
             k = rows[side] % len(tu)
             m[k] = np.minimum(m[k], got[side])
@@ -367,18 +399,16 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     mw, ok = _pi_min_to_rho(inst, nv, nw, xs)
     unreached += int((~ok).sum())
     # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
-    # one pairs query per space of V
+    # one call per block of the spaces of V
     ws, w_of = np.unique(nw, return_inverse=True)
     down_x = np.asarray([_carrier(inst, w)[inst.pi_rep(w)[xs]] for w in ws],
                         dtype=np.int64).reshape(len(ws), len(xs))
     mv = np.zeros_like(mw)
-    first = nv[:, None] * inst.X.n     # the store key of (v, x) is first + x
-    rep = inst.store.keyed.rep
-    for oracle, rows in _by_space(inst, nv):
-        mv[rows] = oracle.pairs(
-            rep[first[rows] + xs].ravel(),
-            rep[first[rows] + down_x[w_of[rows]]].ravel()).reshape(
-                len(rows), len(xs))
+    for block, slots, rows in _by_block(inst, nv):
+        if block.n > 1:
+            for lo, hi, d in block.table_pairs(slots, inst.reps, nv[rows], xs,
+                                               down_x[w_of[rows]]):
+                mv[rows[lo:hi]] = d
     m = np.minimum(mw, mv, out=mw)
     m[~ok] = -1
     k = _first_max(m.ravel(), kappa)
@@ -397,11 +427,13 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
                                   np.concatenate([cw, cw]))
     hit = np.flatnonzero(reached[:len(cw)] & reached[len(cw):])
     unreached += len(cw) - len(hit)
-    for oracle, rows in _by_space(inst, cw[hit]):
-        k = hit[rows]
-        ends = sets.take(np.concatenate([k, k + len(cw)]))
-        d[k] = ragged_set_distances(oracle, ends, np.arange(len(k)), ends,
-                                    np.arange(len(k), 2 * len(k)))
+    d[hit] = 0      # the distance in a one-vertex space
+    for block, slots, rows in _by_block(inst, cw[hit]):
+        if block.n > 1:
+            k = hit[rows]
+            ends = sets.take(np.concatenate([k, k + len(cw)]))
+            d[k] = block.set_distances(slots, ends, np.arange(len(k)),
+                                       np.arange(len(k), 2 * len(k)))
     k = _first_max(d, kappa)
     if k is not None:
         kappa = int(d[k])
@@ -451,9 +483,11 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
     all_rhos, all_reached = inst.rho_sets(*nested.T)
     for w, rows in _by_target(nested[:, 1]):
         children = nested[rows, 0]
-        ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
-                       for t in children])           # (|children|, pairs)
-        dw = _pi_rep_distance(inst, w, us, vs) + 1.0
+        # (|children| + 1, pairs): the children's distances, then W's
+        ds = np.zeros((len(rows) + 1, len(us)), dtype=np.int32)
+        for at, d in _rep_distances(inst, np.append(children, w), us, vs):
+            ds[at] = d
+        ds, dw = ds[:-1], ds[-1] + 1.0
         reached = all_reached[rows]
         # per child, the largest d over the children it is nested in: a
         # join of the children with the nested pairs, which lists each
@@ -472,11 +506,10 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
         blocked = np.any(maximal, axis=1, where=~reached[:, None])
         # d_W(pi_W(x), rho^T_W) per child T and pair (x, y), and its
         # largest value over each cover
-        to_rho = np.empty(ds.shape, dtype=np.int32)
-        for part, dist in _rho_sweeps(inst, all_rhos, nested[:, 1], rows,
-                                      len(us)):
-            to_rho[np.searchsorted(rows, part)] = inst.store.min_over_pairs(
-                nested[part, 1], us, dist)
+        to_rho = np.zeros(ds.shape, dtype=np.int32)
+        for part, got in _min_to_sets(inst, all_rhos, nested[:, 1],
+                                      rows[reached], us):
+            to_rho[np.searchsorted(rows, part)] = got
         side = np.maximum.reduce(np.broadcast_to(to_rho, maximal.shape),
                                  axis=1, where=maximal, initial=lowest)
         need = np.maximum(cover / dw, side / dw)
@@ -514,56 +547,60 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     unreached = len(vs) - len(keep)
     # 12 geodesics per pair from one rng stream, drawn in sample order for
     # the reached pairs only: the bounds are laid out (pair, draw, a/b), as
-    # scalar draws would take them
-    sizes = np.asarray([space.n for space in inst.spaces])
-    draws = rng.integers(0, np.repeat(sizes[ws[keep]], 24))
-    ends = np.zeros((len(vs), 12, 2), dtype=np.int64)
-    ends[keep] = draws.reshape(len(keep), 12, 2)
-    observations = []   # (sample position, avoid_dist, V, W)
-    images = []         # the pi_V image of each observation's geodesic
-    for oracle, group in _by_space(inst, ws[keep]):
-        # every geodesic into the space in one query, in (pair, draw) order
-        src, dst = ends[keep[group]].reshape(-1, 2).T
-        drawn = src != dst
-        paths = iter(oracle.geodesics(src[drawn], dst[drawn]))
-        for rows, dist_rho in _rho_sweeps(inst, sets, ws, keep[group]):
-            for k, dist in zip(rows.tolist(), dist_rho):
-                v, w = int(vs[k]), int(ws[k])
-                carrier = _carrier(inst, w)
-                for a, b in ends[k].tolist():
-                    if a == b:
-                        continue
-                    path = np.asarray(next(paths), dtype=np.int64)
-                    images.append(inst.pi_rep(v)[carrier[path]])
-                    observations.append((k, int(dist[path].min()), v, w))
-    # an image of one vertex has diameter 0; the others are measured by
-    # one ragged_diameters call per space of V
-    sets = RaggedSets.union(np.repeat(np.arange(len(images)),
-                                      [len(x) for x in images]),
-                            np.concatenate(images) if images else [],
-                            len(images))
-    wide = np.flatnonzero(sets.sizes() > 1)
-    diam = np.zeros(len(images), dtype=np.int64)
-    by_v = np.asarray([o[2] for o in observations], dtype=np.int64)[wide]
-    for oracle, rows in _by_space(inst, by_v):
-        diam[wide[rows]] = ragged_diameters(oracle, sets.take(wide[rows]),
-                                            np.arange(len(rows)))
-    # sample order, and draw order within a pair (the sort is stable)
-    observations = [(avoid, int(diam[i]), inst.labels[v], inst.labels[w])
-                    for i, (_, avoid, v, w) in sorted(
-                        enumerate(observations), key=lambda o: o[1][0])]
+    # scalar draws would take them; a draw with a == b is no geodesic
+    sizes = _vertex_counts(inst)
+    src, dst = rng.integers(0, np.repeat(sizes[ws[keep]], 24)).reshape(-1,
+                                                                        2).T
+    k = np.repeat(keep, 12)
+    drawn = src != dst
+    k, src, dst = k[drawn], src[drawn], dst[drawn]
+    # per observation (sample position, draw): the least distance from its
+    # geodesic in C(W) to rho^V_W, and its image through the carrier of W
+    # and pi_V, one (observation, vertex) entry per geodesic vertex
+    avoid = np.zeros(len(k), dtype=np.int64)
+    owner, image = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    at_w, w_of = np.unique(ws[k], return_inverse=True)
+    carriers = RaggedSets.from_arrays([_carrier(inst, w) for w in at_w])
+    for block, slots, rows in _by_block(inst, ws[k]):
+        paths = block.walks(slots, src[rows], dst[rows])
+        obs = rows[paths.owners()]
+        owner.append(obs)
+        image.append(inst.reps[vs[k[obs]], carriers.flat[
+            carriers.offsets[w_of[obs]] + paths.flat]])
+        # k ascends along rows, so each pair's observations are one run
+        pairs, first = np.unique(k[rows], return_index=True)
+        first = np.append(first, len(rows))
+        for lo, hi, dist in block.set_rows(slots[first[:-1]], sets, pairs,
+                                           0):
+            run = np.arange(first[lo], first[hi])
+            on, at = segments(paths.offsets, run)
+            pair = np.searchsorted(first, run, side="right") - 1 - lo
+            avoid[rows[run]] = np.minimum.reduceat(
+                dist[pair[on], paths.flat[at]],
+                paths.offsets[run] - paths.offsets[run[0]])
+    images = RaggedSets.union(np.concatenate(owner), np.concatenate(image),
+                              len(k))
+    # an image of one vertex has diameter 0; the others are measured by one
+    # ragged_diameters call per space of V, on its matrix in the stack
+    wide = np.flatnonzero(images.sizes() > 1)
+    diam = np.zeros(len(k), dtype=np.int64)
+    for key, rows in _by_target(inst.space_keys[vs[k[wide]]]):
+        diam[wide[rows]] = ragged_diameters(inst.space_oracle(key), images,
+                                            wide[rows])
     E_bgi = None
     for E in sorted(E_grid):
-        if all(diam <= E for avoid, diam, *_ in observations if avoid > E):
+        if (diam[avoid > E] <= E).all():
             E_bgi = E
             break
     violations = []
     if E_bgi is None:
         Emax = max(E_grid)
-        violations = [{"V": v, "W": w, "avoid": a, "diam": d}
-                      for a, d, v, w in observations if a > Emax and d > Emax]
+        bad = np.flatnonzero((avoid > Emax) & (diam > Emax))[:8]
+        violations = [{"V": inst.labels[vs[j]], "W": inst.labels[ws[j]],
+                       "avoid": int(avoid[i]), "diam": int(diam[i])}
+                      for i, j in zip(bad.tolist(), k[bad].tolist())]
     return {"E_bgi": E_bgi, "violations": violations[:8],
-            "observations": len(observations), "unreached": unreached,
+            "observations": len(k), "unreached": unreached,
             "sample": spec.to_dict()}
 
 
@@ -577,12 +614,11 @@ def _rho_terms(inst, vs):
     out = np.zeros((len(vs), inst.X.n), dtype=np.int64)
     src, tgt = np.repeat(vs, n), np.tile(np.arange(n), len(vs))
     sets, reached = inst.rho_sets(src, tgt)
-    for rows, dist in _rho_sweeps(inst, sets, tgt, np.flatnonzero(reached),
-                                  len(all_x)):
-        # one v may have several W in a sweep; rows ascend, so each v's
+    for rows, got in _min_to_sets(inst, sets, tgt, np.flatnonzero(reached),
+                                  all_x):
+        # one v may have several W in a chunk; rows ascend, so each v's
         # rows are one run
         v = rows // n
-        got = inst.store.min_over_pairs(tgt[rows], all_x, dist)
         first = np.flatnonzero(np.diff(v, prepend=-1))
         if len(first) < len(v):
             got = np.maximum.reduceat(got, first)
@@ -590,15 +626,19 @@ def _rho_terms(inst, vs):
     return dict(zip(vs, out))
 
 
-def _gap(inst, assignments, rho_terms):
-    all_x = np.arange(inst.X.n, dtype=np.int64)
-    need = np.zeros(inst.X.n, dtype=np.int64)
-    for v, p in assignments:
-        dist = inst.space_oracle(v).dist_to_set([int(p)])
-        np.maximum(need, inst.projections[v].min_over_sets(all_x, dist),
-                   out=need)
-        np.maximum(need, rho_terms[v], out=need)
-    return need
+def _gaps(inst, families, rho_terms):
+    """Per family of (index, target point) assignments, the per-x
+    realization defect: the largest of the three realization conditions
+    over its indices.  One call per block over all the assignments."""
+    vs, ps = np.asarray([a for fam in families for a in fam],
+                        dtype=np.int64).reshape(-1, 2).T
+    need = np.stack([rho_terms[v] for v in vs.tolist()])
+    for rows, got in _min_to_sets(inst, RaggedSets.singletons(ps), vs,
+                                  np.arange(len(vs)),
+                                  np.arange(inst.X.n, dtype=np.int64)):
+        need[rows] = np.maximum(need[rows], got)
+    return np.maximum.reduceat(need, np.cumsum([0] + [len(f) for f in
+                                                      families[:-1]]))
 
 
 def realization_gap(inst, assignments):
@@ -609,7 +649,7 @@ def realization_gap(inst, assignments):
     realizer.
     """
     vs = sorted({int(v) for v, _ in assignments})
-    return _gap(inst, assignments, _rho_terms(inst, vs))
+    return _gaps(inst, [assignments], _rho_terms(inst, vs))[0]
 
 
 def check_partial_realization(inst, family_budget=12, seed=0):
@@ -631,20 +671,23 @@ def check_partial_realization(inst, family_budget=12, seed=0):
                for fam in families]
     # the rho term of an index does not depend on its target point
     rho_terms = _rho_terms(inst, sorted({v for fam in families for v in fam}))
+    needs = _gaps(inst, [list(zip(fam, point)) for fam, points
+                         in zip(families, targets) for point in points],
+                  rho_terms)
     alpha = 0
     witness = None
     failures = []
-    for fam, points in zip(families, targets):
-        for point in points:
-            need = _gap(inst, list(zip(fam, point)), rho_terms)
-            i = int(np.argmin(need))
-            if need[i] > alpha:
-                alpha = int(need[i])
-                witness = {"family": [inst.labels[v] for v in fam],
-                           "realizer": i}
-            if need[i] > 8:
-                failures.append({"family": [inst.labels[v] for v in fam],
-                                 "best": int(need[i])})
+    for fam, need in zip(np.repeat(np.arange(len(families)), 3).tolist(),
+                         needs):
+        fam = families[fam]
+        i = int(np.argmin(need))
+        if need[i] > alpha:
+            alpha = int(need[i])
+            witness = {"family": [inst.labels[v] for v in fam],
+                       "realizer": i}
+        if need[i] > 8:
+            failures.append({"family": [inst.labels[v] for v in fam],
+                             "best": int(need[i])})
     return {"alpha": alpha, "witness": witness,
             "no_realizer": failures[:8],
             "families_scanned": len(families), "seed": seed}
@@ -659,8 +702,8 @@ def check_uniqueness(inst, kappa_grid=DEFAULT_KAPPA_GRID, pair_budget=20_000,
     n = inst.n_indices()
     us, vs, spec = sample_unordered_pairs(inst.X.n, pair_budget, seed)
     m = np.zeros(len(us), dtype=np.int64)
-    for u in range(n):
-        np.maximum(m, _pi_rep_distance(inst, u, us, vs), out=m)
+    for _, d in _rep_distances(inst, np.arange(n), us, vs):
+        np.maximum(m, d.max(axis=0), out=m)
     dx = inst.X.oracle().pairs(us, vs).astype(np.int64)
     table = {}
     witnesses = {}
@@ -687,16 +730,16 @@ def check_uniqueness(inst, kappa_grid=DEFAULT_KAPPA_GRID, pair_budget=20_000,
 
 def distance_formula_fit(inst, s=3, pair_budget=None, seed=0):
     """Fit (K, C) for d_X against the thresholded projection sum."""
-    n = inst.n_indices()
     exhaustive = (pair_budget is None
                   or inst.X.n * (inst.X.n - 1) // 2 <= pair_budget)
     us, vs, spec = sample_unordered_pairs(
         inst.X.n, None if exhaustive else pair_budget, seed)
+    # every term below s is zeroed, so an index whose space has no distance
+    # of s or more adds nothing
+    counted = np.flatnonzero(_per_index(inst, GraphBlock.spans) >= s)
     total = np.zeros(len(us), dtype=np.int64)
-    for u in range(n):
-        d = _pi_rep_distance(inst, u, us, vs).astype(np.int64)
-        d[d < s] = 0
-        total += d
+    for _, d in _rep_distances(inst, counted, us, vs):
+        total += np.where(d >= s, d, 0).sum(axis=0, dtype=np.int64)
     dx = inst.X.oracle().pairs(us, vs).astype(np.int64)
     for K, C in DEFAULT_K_GRID:
         upper_ok = (dx <= K * total + C).all()
@@ -800,22 +843,22 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), seed=0):
     yverts = np.asarray(sorted(set(int(v) for v in
                                (Y.vertices if hasattr(Y, "vertices") else Y))),
                         dtype=np.int64)
-    n = inst.n_indices()
-    k0 = 0
-    k0_witness = None
-    all_x = np.arange(inst.X.n, dtype=np.int64)
+    # the projection image of Y in each index space; an empty Y has none
+    us = np.arange(inst.n_indices() if len(yverts) else 0)
+    images = inst.store.images_of(us, RaggedSets(yverts, [0, len(yverts)]),
+                                  np.zeros(len(us), dtype=np.int64))
+    q = np.zeros(inst.n_indices(), dtype=np.int64)
+    for block, slots, rows in _by_block(inst, us):
+        if block.n > 1:
+            q[rows] = block.quasiconvexity(slots, images.take(rows), 20_000,
+                                           seed)
+    # the first index with the largest constant
+    k0 = int(q.max(initial=0))
+    k0_witness = inst.labels[int(np.argmax(q))] if k0 > 0 else None
     worst_gap = np.zeros(inst.X.n, dtype=np.int64)
-    for u in range(n):
-        table = inst.projections[u]
-        proj = table.image(yverts)
-        rep = quasiconvexity_constant(inst.spaces[u], proj,
-                                      pair_budget=20_000, seed=seed)
-        if rep.q > k0:
-            k0 = rep.q
-            k0_witness = inst.labels[u]
-        dist_proj = inst.space_oracle(u).dist_to_set(proj).astype(np.int64)
-        np.maximum(worst_gap, table.min_over_sets(all_x, dist_proj),
-                   out=worst_gap)
+    for _, got in _min_to_sets(inst, images, us, us,
+                               np.arange(inst.X.n, dtype=np.int64)):
+        np.maximum(worst_gap, got.max(axis=0), out=worst_gap)
     dist_y = inst.X.oracle().dist_to_set(yverts)
     k_table = {}
     witnesses = {}
@@ -932,6 +975,7 @@ def run_axiom_battery(inst, seed=0):
 
     The space delta is measured once per distinct space object: indices
     that share a space (the cosets of an absorbed structure) share it."""
+    inst.blocks     # the delta scan reads the blocks' matrices
     delta = 0.0
     for space in {id(s): s for s in inst.spaces}.values():
         budget = None if space.n <= 40 else 40_000

@@ -15,12 +15,14 @@ here.
 """
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import (MetricGraph, RaggedSets, Subgraph, connected_hull,
-                         ragged_diameters, segments)
+from . import graph_core
+from .graph_core import (GraphBlock, MetricGraph, RaggedSets, Subgraph,
+                         connected_hull, ragged_diameters, segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
@@ -70,9 +72,8 @@ class ProjectionTable:
         return self.images(RaggedSets(xs, [0, len(xs)])).flat.astype(np.int32)
 
     def all_singletons(self):
-        if not hasattr(self, "_all_singletons"):
-            self._all_singletons = bool((np.diff(self.indptr) == 1).all())
-        return self._all_singletons
+        # n nonempty sets with n entries
+        return bool(self.indptr[-1] - self.indptr[0] == self.n)
 
     def min_over_sets(self, xs, values):
         """Per x in xs: min of ``values`` over the projection set of x.
@@ -156,12 +157,7 @@ class ProjectionStore:
     def min_over_pairs(self, us, xs, values):
         """Per row i of ``values`` and x in xs: min of ``values[i]`` over
         pi_us[i](x), shape ``(len(us), len(xs))``."""
-        us = np.asarray(us, dtype=np.int64)
-        if (us == us[0]).all():
-            # one table picks the same columns of every row, several times
-            # faster than a gather per entry
-            return self.table(us[0]).min_over_sets(xs, values)
-        keys = us[:, None] * self.n_x + xs
+        keys = np.asarray(us, dtype=np.int64)[:, None] * self.n_x + xs
         if self.keyed.all_singletons():
             return values[np.arange(len(keys))[:, None], self.keyed.rep[keys]]
         owner, pos = segments(self.keyed.indptr, keys.ravel())
@@ -203,7 +199,9 @@ class HHSInstance:
     which were reached (an unreached set is empty), or None when none is.
     It is only asked for pairs with u nested in v or transverse to it.
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
-    is carried by X; None otherwise.  The battery maps C(w) down to C(v),
+    is carried by X; None otherwise.  ``space_keys[u]`` names index u's
+    space object by its first index, and ``blocks`` holds each distinct
+    space once, in the ``GraphBlock`` of its vertex count.  The battery maps C(w) down to C(v),
     at representative level, through ``space_to_x[w]`` or else through the
     reverse projection of w, followed by pi_v.
     """
@@ -224,6 +222,8 @@ class HHSInstance:
             raise ValueError("index data sizes disagree")
         self.store = ProjectionStore(X.n, n, projections)
         self.projections = [self.store.table(u) for u in range(n)]
+        # index u's projection representatives are row u
+        self.reps = self.store.keyed.rep.reshape(n, X.n)
         first = {}
         # per index, the first index with the same space object
         self.space_keys = np.asarray([first.setdefault(id(space), u)
@@ -249,6 +249,26 @@ class HHSInstance:
 
     def space_oracle(self, u):
         return self.spaces[u].oracle()
+
+    @cached_property
+    def blocks(self):
+        """The distinct index spaces (``space_keys``) as ``GraphBlock``s: one
+        block per vertex count up to MATRIX_CAP, and one per space over it.
+        ``(blocks, block_of, slot_of)``: index u's space is slot
+        ``slot_of[u]`` of block ``block_of[u]``."""
+        keys = np.flatnonzero(self.space_keys == np.arange(len(self.spaces)))
+        sizes = np.asarray([self.spaces[k].n for k in keys])
+        order = np.argsort(sizes, kind="stable")
+        ordered = sizes[order]
+        groups = np.split(order, np.flatnonzero(
+            (np.diff(ordered) != 0)
+            | (ordered[1:] > graph_core.MATRIX_CAP)) + 1)
+        block, slot = np.empty((2, len(keys)), dtype=np.int64)
+        for b, group in enumerate(groups):
+            block[group], slot[group] = b, np.arange(len(group))
+        at = np.searchsorted(keys, self.space_keys)
+        return ([GraphBlock([self.spaces[k] for k in keys[group]])
+                 for group in groups], block[at], slot[at])
 
     def rho_sets(self, us, vs):
         """rho^us[i]_vs[i] for every pair: ``(RaggedSets, reached)``.

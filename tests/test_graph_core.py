@@ -417,6 +417,30 @@ def test_dist_to_sets_answers_like_multi_source_bfs(g, data):
             assert oracle.dist_to_sets(ragged).tolist() == expect
 
 
+@pytest.mark.parametrize("count", [10, 3 * graph_core.WORD])
+def test_dist_to_sets_sweeps_at_most_the_matrix(monkeypatch, count):
+    """Without a held matrix, sets that need at least as many sweeps as the
+    matrix build it (ceil(n / WORD) sweeps, not ceil(len(sets) / WORD));
+    fewer sets are swept themselves, and no matrix is kept."""
+    calls = []
+
+    def spy(graph, sets, *cols, _real=graph_core.bfs_many):
+        calls.append(len(sets))
+        return _real(graph, sets, *cols)
+
+    g = cycle_graph(graph_core.WORD + 6)
+    rng = np.random.default_rng(count)
+    sets = [rng.choice(g.n, size=rng.integers(1, 4), replace=False)
+            for _ in range(count)]
+    oracle = g.oracle()
+    monkeypatch.setattr(graph_core, "bfs_many", spy)
+    got = oracle.dist_to_sets(RaggedSets.from_arrays(sets))
+    assert got.tolist() == [bfs_levels(g, x).tolist() for x in sets]
+    built = count >= g.n
+    assert len(calls) == -(-(g.n if built else count) // graph_core.WORD)
+    assert (oracle._matrix is not None) == built
+
+
 def frontier_neighbors_loop(graph, frontier):
     """Reference: the neighbors and sources of a frontier, vertex by vertex."""
     nbrs = [int(w) for u in frontier for w in graph.neighbors(u)]

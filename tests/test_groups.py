@@ -154,6 +154,23 @@ def test_step_fold_equals_piling(graph, data):
             assert free_abelian_group(labels).normal_form(w) == expect
 
 
+@given(commutation_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sliced_step_equals_the_list_step(graph, data):
+    """``step`` slices its tuple; on normal forms of every commutation
+    graph (edgeless: free, complete: free-abelian) it equals the list path
+    ``_steps`` with one letter."""
+    rank, edges = graph
+    labels = "abcde"[:rank]
+    model = raag_group(labels, [(labels[i - 1], labels[j - 1])
+                                for i, j in edges])
+    for _ in range(5):
+        w = model.normal_form(data.draw(words(model, max_len=12)))
+        s = data.draw(st.sampled_from([i * e for i in range(1, rank + 1)
+                                       for e in (1, -1)]))
+        assert model.step(w, s) == model._steps(w, (s,))
+
+
 def product_normal_form(word, factors):
     """Reference normal form of the free product of ``factors`` by
     syllables: consecutive letters of one factor form a syllable, each

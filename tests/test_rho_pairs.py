@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hhskit import groups as G
-from hhskit import hhs_checks, hhs_core
+from hhskit import graph_core, hhs_core
 from hhskit.embedding import build_augmented_structure
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
@@ -356,9 +356,9 @@ def test_min_over_pairs_matches_each_table(name):
 
 @pytest.mark.parametrize("name", ["augmented4", "product"])
 def test_sweep_cap_leaves_the_battery_unchanged(monkeypatch, name):
-    """With SWEEP_CAP at 1 every sweep holds one word of sets, so the
-    scatter back to sample rows crosses many sweep boundaries."""
+    """With BLOCK_CHUNK at 1 every chunk of a block query holds one row, so
+    the scatter back to sample rows crosses many chunk boundaries."""
     inst = dict((n, i) for n, i, _ in CASES)[name]
     whole = run_axiom_battery(inst, seed=0).to_dict()
-    monkeypatch.setattr(hhs_checks, "SWEEP_CAP", 1)
+    monkeypatch.setattr(graph_core, "BLOCK_CHUNK", 1)
     assert run_axiom_battery(inst, seed=0).to_dict() == whole
