@@ -676,8 +676,6 @@ class GraphBlock:
     def __init__(self, graphs):
         self.n, self.graphs = graphs[0].n, graphs
         if self.n > MATRIX_CAP:
-            if len(graphs) > 1:
-                raise ValueError("a graph over MATRIX_CAP is a block of one")
             self.stack, self.oracle = None, graphs[0].oracle()
             return
         k, n = len(graphs), self.n
@@ -780,7 +778,8 @@ class GraphBlock:
             return q
         used = np.flatnonzero(np.bincount(slots[whole]))
         if (self.stack[used] < 0).any():
-            raise Disconnected("quasiconvexity scan requires a connected graph")
+            raise Disconnected("quasiconvexity scan requires a connected "
+                               "graph")
         for lo, hi in _chunks(sizes[whole] ** 2 * self.n, BLOCK_CHUNK):
             idx = whole[lo:hi]
             part = sets.take(idx)

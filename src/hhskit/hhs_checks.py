@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coneoff import measure_quasigeodesic
-from .graph_core import (GraphBlock, RaggedSets, four_point_delta,
-                         quasiconvexity_constant, ragged_diameters, segments)
+from .graph_core import (RaggedSets, four_point_delta, quasiconvexity_constant,
+                         ragged_diameters, segments)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -73,16 +73,9 @@ def _by_block(inst, us):
         yield blocks[b], slot_of[us[rows]], rows
 
 
-def _per_index(inst, per_slot):
-    """Per index, the entry of its slot in ``per_slot(block)``."""
-    blocks, block_of, slot_of = inst.blocks
-    first = np.cumsum([0] + [len(block.graphs) for block in blocks])
-    return np.concatenate([per_slot(block) for block in blocks])[
-        first[block_of] + slot_of]
-
-
 def _vertex_counts(inst):
-    return _per_index(inst, lambda block: np.full(len(block.graphs), block.n))
+    blocks, block_of, _ = inst.blocks
+    return np.asarray([block.n for block in blocks])[block_of]
 
 
 def _rep_distances(inst, us, xs, ys):
@@ -278,8 +271,8 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     xi = 0
     if not keyed.all_singletons():
         big = np.flatnonzero(np.diff(keyed.indptr) > 1)
-        xi = _max_diameter(inst, RaggedSets(keyed.data, keyed.indptr).take(big),
-                           big // inst.X.n)
+        sets = RaggedSets(keyed.data, keyed.indptr).take(big)
+        xi = _max_diameter(inst, sets, big // inst.X.n)
     us, vs, spec = _sample_pairs(
         lambda lo, hi: (rel[lo:hi] == NESTED) | (rel[lo:hi] == TRANSVERSE), n,
         rho_pair_budget, seed)
@@ -736,7 +729,9 @@ def distance_formula_fit(inst, s=3, pair_budget=None, seed=0):
         inst.X.n, None if exhaustive else pair_budget, seed)
     # every term below s is zeroed, so an index whose space has no distance
     # of s or more adds nothing
-    counted = np.flatnonzero(_per_index(inst, GraphBlock.spans) >= s)
+    counted = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        rows[block.spans()[slots] >= s] for block, slots, rows
+        in _by_block(inst, np.arange(inst.n_indices()))])
     total = np.zeros(len(us), dtype=np.int64)
     for _, d in _rep_distances(inst, counted, us, vs):
         total += np.where(d >= s, d, 0).sum(axis=0, dtype=np.int64)

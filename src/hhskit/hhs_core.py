@@ -199,11 +199,11 @@ class HHSInstance:
     which were reached (an unreached set is empty), or None when none is.
     It is only asked for pairs with u nested in v or transverse to it.
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
-    is carried by X; None otherwise.  ``space_keys[u]`` names index u's
-    space object by its first index, and ``blocks`` holds each distinct
-    space once, in the ``GraphBlock`` of its vertex count.  The battery maps C(w) down to C(v),
+    is carried by X; None otherwise.  The battery maps C(w) down to C(v),
     at representative level, through ``space_to_x[w]`` or else through the
-    reverse projection of w, followed by pi_v.
+    reverse projection of w, followed by pi_v.  ``space_keys[u]`` names
+    index u's space object by its first index, and ``blocks`` holds each
+    distinct space once, in the ``GraphBlock`` of its vertex count.
     """
 
     def __init__(self, X, labels, spaces, rel, maximal, projections,
