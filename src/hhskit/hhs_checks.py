@@ -103,20 +103,6 @@ def _min_to_sets(inst, sets, tgt, rows, xs):
                     tgt[part[lo:hi]], xs, dist)
 
 
-def _pi_min_to_rho(inst, src, tgt, xs):
-    """min over pi_t(x) of d_t(., rho^s_t), per need (s, t) and x in xs.
-
-    Also says which rho were reached; rows whose rho is not are -1.
-    """
-    sets, reached = inst.rho_sets(src, tgt)
-    out = np.zeros((len(src), len(xs)), dtype=np.int32)
-    out[~reached] = -1
-    for rows, got in _min_to_sets(inst, sets, tgt, np.flatnonzero(reached),
-                                  xs):
-        out[rows] = got
-    return out, reached
-
-
 def _max_diameter(inst, sets, us):
     """The largest diameter of ``sets[i]`` in C(us[i]), 0 for none."""
     return max((int(block.diameters(slots, sets.take(rows)).max())
@@ -389,8 +375,11 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     nidx, nspec = sample_indices(len(nested), pair_budget, seed + 1)
     nv, nw = nested[nidx].T
     # first term: d_W(pi_W(x), rho^V_W), exact set minimum
-    mw, ok = _pi_min_to_rho(inst, nv, nw, xs)
+    sets, ok = inst.rho_sets(nv, nw)
     unreached += int((~ok).sum())
+    mw = np.zeros((len(nv), len(xs)), dtype=np.int32)
+    for rows, got in _min_to_sets(inst, sets, nw, np.flatnonzero(ok), xs):
+        mw[rows] = got
     # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
     # one call per block of the spaces of V
     ws, w_of = np.unique(nw, return_inverse=True)

@@ -23,9 +23,10 @@ from hhskit.graph_core import (DistanceOracle, GraphBlock, MetricGraph,
                                RaggedSets, quasiconvexity_constant)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import _pi_rep_distance
-from hhskit.hhs_core import (HHSInstance, ProjectionTable, check_hqc,
-                             distance_formula_fit, instance_from_ball,
-                             product_hhs, run_axiom_battery)
+from hhskit.hhs_core import (NESTED, HHSInstance, ProjectionTable,
+                             check_hqc, distance_formula_fit,
+                             instance_from_ball, product_hhs,
+                             run_axiom_battery)
 from hhskit.sampling import sample_indices, sample_unordered_pairs
 from test_graph_core import (bfs_levels, connected_graphs, diameter_loop,
                              path_graph, scattered_graphs)
@@ -333,7 +334,7 @@ def test_battery_asks_one_distance_call_per_block_and_section(monkeypatch):
             assert name == "check_bgi" and method == "pairs"
         else:
             per_block[name, key] += count
-    parents = len(np.unique(np.argwhere(inst.rel == 1)[:, 1]))
+    parents = len(np.unique(np.argwhere(inst.rel == NESTED)[:, 1]))
     for block in blocks:
         for name, sections in SECTIONS.items():
             assert per_block[name, id(block)] <= sections
