@@ -9,7 +9,8 @@ Each check asks for all the relative projections rho^u_v it needs in one
 ``HHSInstance.rho_sets`` call over their (u, v) pairs, and asks the index
 spaces by block (``HHSInstance.blocks``): every distinct space sits in the
 ``GraphBlock`` of its vertex count, so each section of a check makes one
-call per block where it made one per space.  Representative distances are
+call per block where it made one per space (BGI's image diameters stay one
+``ragged_diameters`` call per space of V).  Representative distances are
 one gather from a block's stack of matrices, distances to relative
 projections its row minima, and BGI geodesics parent walks over its
 arrays.  A one-vertex space has every distance 0: where a check takes a
