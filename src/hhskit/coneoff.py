@@ -95,9 +95,6 @@ class DeElectrificationRecord:
     output_path: PathRecord
     pieces: tuple        # (family index, vertex tuple of the geodesic piece)
 
-    def piece_lengths(self):
-        return tuple(len(p) - 1 for _, p in self.pieces)
-
 
 def _member_geodesic(cg, mi, u, v):
     """Shortlex-first geodesic inside a family member, in parent ids."""
@@ -113,10 +110,7 @@ def _member_geodesic(cg, mi, u, v):
 
 def de_electrify(cg, path):
     """Replace every cone edge of the path by a member geodesic."""
-    if isinstance(path, PathRecord):
-        verts = list(path.vertices)
-    else:
-        verts = list(path)
+    verts = list(path)
     out = [verts[0]] if verts else []
     pieces = []
     base_edges = set(cg.base.edges)
@@ -173,11 +167,6 @@ def _path_taus(cg, coned_path):
     tau2 = measure_quasigeodesic(record.output_path.vertices,
                                  cg.base.oracle())
     return {"tau1": tau1, "tau2": tau2, "record": record}
-
-
-def tau_quasigeodesic_check(cg, x, y):
-    """Cone a geodesic, de-electrify it, measure both path constants."""
-    return _path_taus(cg, cg.coned.oracle().geodesic(x, y))
 
 
 def _paths(graph, row, u, targets):

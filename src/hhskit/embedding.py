@@ -155,8 +155,7 @@ def _intrinsic_lengths(model, sub, needed_words):
     return targets
 
 
-def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
-                                  delta_budget=40_000):
+def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0):
     """The four desk-scale checks for a hyperbolically embedded family."""
     ball = cayley_ball(model, radius, gens)
     small = cayley_ball(model, max(radius - 2, 1), gens)
@@ -165,8 +164,8 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
     # (i) coned hyperbolicity, radius-stable
     cg, owners = coned_over_cosets(ball, subs)
     cg_small, _ = coned_over_cosets(small, subs)
-    d_big = four_point_delta(cg.coned, budget=delta_budget, seed=seed).delta
-    d_small = four_point_delta(cg_small.coned, budget=delta_budget,
+    d_big = four_point_delta(cg.coned, budget=40_000, seed=seed).delta
+    d_small = four_point_delta(cg_small.coned, budget=40_000,
                                seed=seed).delta
     hyperbolicity = {"delta": d_big, "delta_smaller_radius": d_small,
                      "passed": d_big == d_small}
@@ -254,7 +253,7 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0,
                               properness, qi, separation, flags)
 
 
-def check_hh_embedded(base, subs, seed=0, delta_budget=40_000):
+def check_hh_embedded(base, subs, seed=0):
     """Three-part verdict for hierarchical embedding against a base instance.
 
     The base instance must carry its Cayley tag (CS realized as a Cayley
@@ -291,8 +290,7 @@ def check_hh_embedded(base, subs, seed=0, delta_budget=40_000):
     parts["generated_by_T"] = generated
     parts["cs_is_cayley"] = {"passed": True, "gens": list(gens)}
     witness = check_hyperbolically_embedded(ball.model, subs, ball.radius,
-                                            gens=gens, seed=seed,
-                                            delta_budget=delta_budget)
+                                            gens=gens, seed=seed)
     parts["hyperbolically_embedded"] = witness.to_dict()
     passed = generated["passed"] and witness.passed
     return {"passed": passed, "vacuous": False, "parts": parts,
@@ -341,9 +339,6 @@ class AugmentedStructure:
     phi_records: list
     coned: object                 # the ConedGraph realizing the new top space
     clamped: int                  # coset elements clamped into the sub ball
-
-    def coset_level_indices(self):
-        return [i for i, p in enumerate(self.provenance) if p[0] == "coset"]
 
 
 def _sub_vertex_of(sub_ball, model, rep, word, clamp_log):

@@ -74,18 +74,6 @@ class FactorSystemReport:
                                       self.coarse_containment, self.chains,
                                       self.separation))
 
-    @property
-    def K(self):
-        return self.embedding.constant
-
-    @property
-    def xi(self):
-        return self.projections.constant
-
-    @property
-    def chain_bound(self):
-        return self.chains.constant
-
     def to_dict(self):
         return {"passed": self.passed,
                 "xi_candidate": self.xi_candidate, "B": self.B,
@@ -233,7 +221,7 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
     ax5_failures = []
     members = _member_sets(family)
     member_diams = np.zeros(m, dtype=np.int64)
-    scanned = np.unique(us)
+    scanned = np.flatnonzero(np.bincount(us, minlength=m))
     member_diams[scanned] = ragged_diameters(oracle, members, scanned)
 
     def pair_label(i, j):

@@ -91,12 +91,6 @@ class MetricGraph:
     def neighbors(self, v):
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v):
-        return int(self.degrees[v])
-
-    def is_tree(self):
-        return self.is_connected and len(self.edges) == self.n - 1
-
     def oracle(self):
         # held weakly by its oracle, a dropped graph frees its matrix at once
         if self._oracle is None:
@@ -513,12 +507,15 @@ class DistanceOracle:
     def row(self, u):
         return self.block([u], np.arange(self.n))[0]
 
+    def _ids(self, ids):
+        """``ids`` as int64; IndexError for an id outside [0, n)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+            raise IndexError(f"vertex id out of range for n={self.n}")
+        return ids
+
     def pairs(self, us, vs):
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        for ids in (us, vs):
-            if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-                raise IndexError(f"vertex id out of range for n={self.n}")
+        us, vs = self._ids(us), self._ids(vs)
         if self._use_matrix:
             flat = self.matrix().ravel()
             out = np.empty(len(us), dtype=np.int32)
@@ -536,8 +533,7 @@ class DistanceOracle:
 
     def block(self, a, b):
         """The distances d(a[i], b[j]) as an array of shape (len(a), len(b))."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = self._ids(a), self._ids(b)
         if self._use_matrix:
             return self.matrix()[np.ix_(a, b)].astype(np.int32)
         if len(b) < len(a):
@@ -558,6 +554,7 @@ class DistanceOracle:
         when the sets need at least as many sweeps as it does; otherwise
         the sets are swept WORD at a time.
         """
+        self._ids(sets.flat)
         out = np.full((len(sets), self.n), -1, dtype=np.int32)
         if self._matrix is not None or (self._use_matrix
                                         and len(sets) >= self.n):
@@ -584,9 +581,9 @@ class DistanceOracle:
         of its source's row back from vs[i].  Raises Disconnected on an
         unreached pair.
         """
-        vs = np.asarray(vs, dtype=np.int64)
+        vs = self._ids(vs)
         paths = [None] * len(vs)
-        for sel, sources, r in self._sweeps(np.asarray(us, dtype=np.int64)):
+        for sel, sources, r in self._sweeps(self._ids(us)):
             rows = self.block(sources.flat, np.arange(self.n))
             parents = [row_parents(self.graph, row) for row in rows]
             for i, s in zip(sel.tolist(), r.tolist()):
@@ -893,12 +890,9 @@ class Subgraph:
 
 @dataclass
 class PathRecord:
-    """A vertex path; length is the number of edges."""
+    """A vertex path."""
 
     vertices: tuple
-
-    def length(self):
-        return len(self.vertices) - 1
 
     def validate(self, graph):
         for a, b in zip(self.vertices, self.vertices[1:]):
@@ -955,14 +949,6 @@ def connected_hull(graph, verts, label=None, flags=()):
                     flags=tuple(flags) + ("hull-completed",))
 
 
-def shortest_path(graph, u, v):
-    """A geodesic from u to v as a PathRecord; raises Disconnected."""
-    if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise ValueError("endpoint not in graph")
-    path = graph.oracle().geodesic(u, v)
-    return PathRecord(vertices=tuple(path))
-
-
 def _quad_deltas(oracle, quads):
     """Half the gap between the largest and middle pair sums, per quadruple.
 
@@ -975,12 +961,6 @@ def _quad_deltas(oracle, quads):
     sums = np.sort(np.stack([d[0] + d[1], d[2] + d[3], d[4] + d[5]], axis=1),
                    axis=1)
     return (sums[:, 2] - sums[:, 1]) / 2.0
-
-
-def four_point_value(graph, quad):
-    """Re-evaluate the four-point gap of one quadruple (witness replay)."""
-    quads = np.asarray([quad], dtype=np.int64)
-    return float(_quad_deltas(graph.oracle(), quads)[0])
 
 
 def four_point_delta(graph, budget=None, seed=0):
@@ -1030,20 +1010,6 @@ def four_point_delta(graph, budget=None, seed=0):
             best = float(deltas[i])
             witness = tuple(int(q) for q in chunk[i])
     return HyperbolicityReport(best, witness, budget is None, spec)
-
-
-def closest_point_projection(graph, h, x):
-    """All vertices of h at minimal distance from x (the full tie set)."""
-    verts = _vertex_array(h)
-    if len(verts) == 0:
-        raise ValueError("projection target is empty")
-    row = graph.oracle().row(x)
-    sub = row[verts]
-    reachable = sub >= 0
-    if not reachable.any():
-        raise Disconnected(f"vertex {x} cannot reach the target set")
-    m = sub[reachable].min()
-    return [int(v) for v in verts[reachable][sub[reachable] == m]]
 
 
 @dataclass
@@ -1274,32 +1240,13 @@ def ragged_diameters(oracle, sets, idx=None):
 
 
 # ---------------------------------------------------------------------------
-# import/export
+# export
 
 def write_edge_list(graph):
     lines = [f"# vertices {graph.n}"]
     for u, v in graph.edges:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def read_edge_list(text):
-    n = 0
-    edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "vertices":
-                n = max(n, int(parts[1]))
-            continue
-        u, v = line.split()
-        u, v = int(u), int(v)
-        edges.append((u, v))
-        n = max(n, u + 1, v + 1)
-    return MetricGraph(n, edges)
 
 
 def to_dot(graph, styled_edges=None):

@@ -410,9 +410,6 @@ class BallGraph:
         return (f"BallGraph({self.model.kind}, r={self.radius}, "
                 f"{self.graph.n} vertices)")
 
-    def word_of(self, v):
-        return self.words[v]
-
     def id_of(self, word):
         return self.index[self.model.normal_form(tuple(word))]
 

@@ -40,7 +40,7 @@ EQUAL, NESTED, CONTAINS, ORTHOGONAL, TRANSVERSE = 0, 1, 2, 3, 4
 
 DEFAULT_E_GRID = (1, 2, 3, 4, 6, 8)
 DEFAULT_BGI_GRID = (0, 1, 2, 3, 4, 6, 8)
-DEFAULT_KAPPA_GRID = (1, 2, 3, 4, 6, 8)
+KAPPA_GRID = (1, 2, 3, 4, 6, 8)
 DEFAULT_K_GRID = ((1, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (8, 8),
                   (12, 12), (16, 16))
 
@@ -624,17 +624,6 @@ def _gaps(inst, families, rho_terms):
                                                       families[:-1]]))
 
 
-def realization_gap(inst, assignments):
-    """Per-x realization defect for (index, target-point) assignments.
-
-    For each X-vertex the value is the largest of the three realization
-    conditions over all assigned indices; a zero entry is an exact
-    realizer.
-    """
-    vs = sorted({int(v) for v, _ in assignments})
-    return _gaps(inst, [assignments], _rho_terms(inst, vs))[0]
-
-
 def check_partial_realization(inst, family_budget=12, seed=0):
     """Smallest alpha realizing three sampled points per orthogonal family;
     a point that needs alpha above 8 has no realizer."""
@@ -679,11 +668,11 @@ def check_partial_realization(inst, family_budget=12, seed=0):
 # ---------------------------------------------------------------------------
 # uniqueness
 
-def check_uniqueness(inst, kappa_grid=DEFAULT_KAPPA_GRID, pair_budget=20_000,
-                     seed=0):
-    """Table kappa -> max d_X over pairs whose projections all stay < kappa."""
+def check_uniqueness(inst, seed=0):
+    """Table kappa -> max d_X over pairs whose projections all stay < kappa,
+    on 20,000 sampled pairs (all of them when there are fewer)."""
     n = inst.n_indices()
-    us, vs, spec = sample_unordered_pairs(inst.X.n, pair_budget, seed)
+    us, vs, spec = sample_unordered_pairs(inst.X.n, 20_000, seed)
     m = np.zeros(len(us), dtype=np.int64)
     for _, d in _rep_distances(inst, np.arange(n), us, vs):
         np.maximum(m, d.max(axis=0), out=m)
@@ -691,17 +680,17 @@ def check_uniqueness(inst, kappa_grid=DEFAULT_KAPPA_GRID, pair_budget=20_000,
     table = {}
     witnesses = {}
     max_dx = int(dx.max()) if len(dx) else 0
-    for kappa in kappa_grid:
+    for kappa in KAPPA_GRID:
         mask = m < kappa
         if mask.any():
             i = int(np.argmax(np.where(mask, dx, -1)))
-            table[int(kappa)] = int(dx[i])
-            witnesses[int(kappa)] = (int(us[i]), int(vs[i]))
+            table[kappa] = int(dx[i])
+            witnesses[kappa] = (int(us[i]), int(vs[i]))
         else:
-            table[int(kappa)] = 0
-            witnesses[int(kappa)] = None
+            table[kappa] = 0
+            witnesses[kappa] = None
     # collapsed projections: far-apart pairs that no index can tell apart
-    kmin = int(min(kappa_grid))
+    kmin = KAPPA_GRID[0]
     saturated = max_dx > kmin and table[kmin] >= max_dx
     return {"theta": table, "witnesses": witnesses,
             "saturated_at_grid_max": saturated,
@@ -937,22 +926,6 @@ class AxiomBatteryReport:
                 "partial_realization": self.partial_realization,
                 "uniqueness": self.uniqueness,
                 "seed": self.seed}
-
-
-def constants_bundle(battery, df_fit=None, hierarchy=None):
-    """All measured constants of one instance in a single table.
-
-    Combines the battery headline with the distance-formula fit and the
-    hierarchy-path constant when those were run.
-    """
-    out = battery.headline()
-    if df_fit is not None:
-        out["s"] = df_fit["s"]
-        out["K_df"] = df_fit["K"]
-        out["C_df"] = df_fit["C"]
-    if hierarchy is not None:
-        out["D0"] = hierarchy.D
-    return out
 
 
 def run_axiom_battery(inst, seed=0):

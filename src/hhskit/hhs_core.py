@@ -22,17 +22,16 @@ import numpy as np
 from .errors import BudgetExceeded
 from . import graph_core
 from .graph_core import (GraphBlock, MetricGraph, RaggedSets, Subgraph,
-                         connected_hull, ragged_diameters, segments)
+                         connected_hull, segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
                          TRANSVERSE, AxiomBatteryReport, HierarchyPathResult,
                          HQCReport, check_bgi, check_consistency, check_hqc,
                          check_large_links, check_partial_realization,
-                         check_structural, check_uniqueness, constants_bundle,
+                         check_structural, check_uniqueness,
                          distance_formula_fit, find_hierarchy_path,
-                         hqc_qc_equivalence, realization_gap,
-                         run_axiom_battery)
+                         hqc_qc_equivalence, run_axiom_battery)
 
 # Largest vertex count of a product fixture's total space.
 PRODUCT_CAP = 200_000
@@ -66,33 +65,9 @@ class ProjectionTable:
         return RaggedSets.union(sets.owners()[owner], self.data[pos],
                                 len(sets))
 
-    def image(self, xs):
-        """Union of the projection sets of the vertices xs, sorted."""
-        xs = np.asarray(xs, dtype=np.int64)
-        return self.images(RaggedSets(xs, [0, len(xs)])).flat.astype(np.int32)
-
     def all_singletons(self):
         # n nonempty sets with n entries
         return bool(self.indptr[-1] - self.indptr[0] == self.n)
-
-    def min_over_sets(self, xs, values):
-        """Per x in xs: min of ``values`` over the projection set of x.
-
-        For 2-D ``values`` every row is reduced, giving ``(rows, len(xs))``.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        if self.all_singletons():
-            return values[..., self.rep[xs]]
-        owner, pos = segments(self.indptr, xs)
-        return np.minimum.reduceat(values[..., self.data[pos]],
-                                   np.searchsorted(owner, np.arange(len(xs))),
-                                   axis=-1)
-
-    def max_set_diameter(self, space_oracle):
-        big = np.flatnonzero(np.diff(self.indptr) > 1)
-        return int(ragged_diameters(space_oracle,
-                                    RaggedSets(self.data, self.indptr),
-                                    big).max(initial=0))
 
     def entries(self):
         """``(x, vertex)`` for every entry of the table, x ascending."""
@@ -234,13 +209,6 @@ class HHSInstance:
     def n_indices(self):
         return len(self.labels)
 
-    def nested_below(self, v):
-        """Indices properly nested in v."""
-        return np.flatnonzero(self.rel[:, v] == NESTED)
-
-    def children_exist(self, v):
-        return bool((self.rel[:, v] == NESTED).any())
-
     def pi(self, u, x):
         return self.projections[u].get(x)
 
@@ -299,11 +267,6 @@ class HHSInstance:
             offsets[lo + 1:lo + 1 + len(inv)] = got.offsets[1:] + offsets[lo]
             reached[lo:lo + len(inv)] = (hit & (sets.sizes() > 0))[inv]
         return RaggedSets(np.concatenate(flat), offsets), reached
-
-    def rho(self, u, v):
-        """rho^u_v as C(v)-vertex ids, or None when unreached."""
-        sets, reached = self.rho_sets([u], [v])
-        return sets[0].astype(np.int32) if reached[0] else None
 
     def _reverse_projection(self, u):
         """One X-vertex per C(u)-vertex whose projection contains it."""

@@ -149,12 +149,13 @@ def test_criterion_3_factor_system_r8():
     cand8 = family_from_cosets(ball8, [SUB_A, SUB_B])
     report = verify_factor_system(cand8, seed=7)
     assert report.passed
-    assert report.xi <= 2 and report.xi == xi_oracle
-    assert report.chain_bound == 1 == links_oracle
+    xi = report.projections.constant
+    assert xi <= 2 and xi == xi_oracle
+    assert report.chains.constant == 1 == links_oracle
     sf = simple_family_check(cand8, (0,), seed=7)
     assert sf["R"][0] == 0 == r0_oracle
     print(f"criterion 3: PASS (r=8 family of {len(cand8.family)}: "
-          f"xi={report.xi}, c={report.chain_bound}, R(0)={sf['R'][0]}, "
+          f"xi={xi}, c={report.chains.constant}, R(0)={sf['R'][0]}, "
           f"oracle-confirmed at r=4)")
 
 

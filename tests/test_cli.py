@@ -1,6 +1,9 @@
 """Scenario driver: configs, bundles, determinism, exports."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -69,6 +72,25 @@ def test_bundled_scenarios_run_clean(tmp_path):
                                            "radius": 4})
     assert code == 0
     assert bundle["results"][0]["report"]["passed"]
+
+
+def test_bundled_scenarios_leave_numpy_ma_unimported(tmp_path):
+    """Neither bundled scenario needs ``numpy.ma``, whose first import costs
+    10-17 ms and 1.7 MB in a fresh process (a plain ``np.unique`` pulls it
+    in), so a fresh process that runs both never imports it."""
+    script = ("import sys\n"
+              "from hhskit.cli import run_scenario\n"
+              "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    run_scenario(cfg, overrides={'seed': 7, 'out': out})\n"
+              "print('numpy.ma' in sys.modules)")
+    args = [str(a) for name in ("tree-factor-system", "amalgam-pipeline")
+            for a in (SCENARIOS / f"{name}.json", tmp_path / name)]
+    src = str(Path(hhskit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_unknown_generator_is_config_error(tmp_path):

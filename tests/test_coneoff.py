@@ -7,11 +7,11 @@ import pytest
 
 from hhskit import graph_core
 from hhskit import groups as G
-from hhskit.coneoff import (build_coneoff, coneoff_report, de_electrify,
-                            kapovich_rafi_report, measure_quasigeodesic,
-                            tau_quasigeodesic_check)
+from hhskit.coneoff import (_path_taus, build_coneoff, coneoff_report,
+                            de_electrify, kapovich_rafi_report,
+                            measure_quasigeodesic)
 from hhskit.graph_core import (MetricGraph, RaggedSets, Subgraph,
-                               ragged_diameters, shortest_path)
+                               ragged_diameters)
 from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
 from hhskit.sampling import rng_for
 from test_graph_core import bfs_parents
@@ -80,9 +80,9 @@ def test_distance_non_increasing():
 def test_de_electrify_no_cone_edges_is_identity():
     ball = G.cayley_ball(F2, 4)
     cg = build_coneoff(ball.graph, coset_family(ball, ["a"]))
-    p = shortest_path(ball.graph, ball.id_of(()), ball.id_of_text("b b b"))
+    p = ball.graph.oracle().geodesic(ball.id_of(()), ball.id_of_text("b b b"))
     rec = de_electrify(cg, p)
-    assert rec.output_path.vertices == p.vertices
+    assert rec.output_path.vertices == tuple(p)
     assert rec.pieces == ()
 
 
@@ -104,31 +104,38 @@ def test_de_electrify_length_identity():
     path = [e, a2, a2b]   # cone edge then base edge
     rec = de_electrify(cg, path)
     cone_edges = len(rec.pieces)
-    assert (rec.output_path.length()
-            == len(path) - 1 - cone_edges + sum(rec.piece_lengths()))
-    assert rec.output_path.length() == 3
+    length = len(rec.output_path.vertices) - 1
+    assert length == len(path) - 1 - cone_edges + sum(
+        len(p) - 1 for _, p in rec.pieces)
+    assert length == 3
     assert rec.output_path.vertices[0] == e
     assert rec.output_path.vertices[-1] == a2b
+
+
+def taus_of_geodesic(cg, x, y):
+    """Both path constants of the coned geodesic from x to y, measured as
+    ``coneoff_report`` measures each sampled pair."""
+    return _path_taus(cg, cg.coned.oracle().geodesic(x, y))
 
 
 def test_tau_trivial_family_both_one():
     g = path_graph(6)
     cg = build_coneoff(g, [])
-    taus = tau_quasigeodesic_check(cg, 0, 5)
+    taus = taus_of_geodesic(cg, 0, 5)
     assert taus["tau1"] == taus["tau2"] == 1.0
 
 
 def test_tau_axis_geodesic():
     ball = G.cayley_ball(F2, 5)
     cg = build_coneoff(ball.graph, coset_family(ball, ["a"]))
-    taus = tau_quasigeodesic_check(cg, ball.id_of(()), ball.id_of_text("a a a a"))
+    taus = taus_of_geodesic(cg, ball.id_of(()), ball.id_of_text("a a a a"))
     assert taus["tau2"] == 1.0
 
 
 def test_tau_mixed_target_measured():
     ball = G.cayley_ball(F2, 6)
     cg = build_coneoff(ball.graph, coset_family(ball, ["a", "b"]))
-    taus = tau_quasigeodesic_check(cg, ball.id_of(()), ball.id_of_text("a a a b b b"))
+    taus = taus_of_geodesic(cg, ball.id_of(()), ball.id_of_text("a a a b b b"))
     assert taus["tau1"] >= 1.0 and taus["tau2"] >= 1.0
     # the de-electrified path here is the plain geodesic (oracle value)
     assert taus["tau2"] == 1.0

@@ -25,6 +25,7 @@ from hhskit.hhs_core import (ProjectionTable, check_structural,
 from hhskit.graph_core import MetricGraph, bfs_distances
 from hhskit.sampling import rng_for, sample_indices
 from test_graph_core import diameter_loop
+from test_hhs_core import image_of
 
 F2 = G.free_group(["a", "b"])
 Z2 = G.free_abelian_group(["a", "b"])
@@ -197,8 +198,8 @@ def test_separation_matches_per_coset_loop(model, gens, radius, monkeypatch):
     monkeypatch.setattr(embedding, "WORD", 3)
     subs = ([SubgroupSpec(model, [g], label=g) for g in gens]
             if len(gens) > 1 else [SubgroupSpec(model, gens, label="H")])
-    got = check_hyperbolically_embedded(model, subs, radius, seed=3,
-                                        delta_budget=2000).separation
+    got = check_hyperbolically_embedded(model, subs, radius,
+                                        seed=3).separation
     assert got == separation_loop(model, subs, radius)
     assert (got["witness"] is None) == (model is F2)
 
@@ -245,8 +246,7 @@ def test_qi_part_reports_enumeration_budget(monkeypatch):
     monkeypatch.setattr(G, "MEMBERSHIP_BUDGET", 3)
     with pytest.raises(Inconclusive, match="MEMBERSHIP_BUDGET = 3"):
         embedding._intrinsic_lengths(F2, SUB_A, [F2.parse("a a a")])
-    w = check_hyperbolically_embedded(F2, [SUB_A], 3, seed=3,
-                                      delta_budget=2000)
+    w = check_hyperbolically_embedded(F2, [SUB_A], 3, seed=3)
     assert w.qi_embedding == {"passed": False, "per_subgroup": {
         "A": {"passed": False, "reason": "enumeration budget"}}}
 
@@ -299,7 +299,7 @@ def ref_generated_by_T(ball, sub, gens):
 def test_generated_by_T_matches_walk_inside_members(gens):
     base = instance_from_ball(G.cayley_ball(F2, 5))
     sub = SubgroupSpec(F2, gens, label="H")
-    got = check_hh_embedded(base, [sub], seed=3, delta_budget=2000)
+    got = check_hh_embedded(base, [sub], seed=3)
     expected = ref_generated_by_T(base.meta["ball"], sub,
                                   base.meta["cs_generating_set"])
     assert got["parts"]["generated_by_T"] == expected
@@ -343,7 +343,7 @@ def projection_bound_loop(base, sub, seed):
     C, witness, memo = 0, None, {}
     for k in idx:
         u, ci = pairs[int(k)]
-        image = tuple(base.projections[u].image(cosets[ci].vertices).tolist())
+        image = tuple(image_of(base.projections[u], cosets[ci].vertices))
         key = (id(base.spaces[u]), image)
         if key not in memo:
             memo[key] = diameter_loop(base.spaces[u], image)
@@ -374,7 +374,7 @@ def test_augmented_index_count_and_relations(aug5):
             assert result.rel[u, S] == 1      # nested in the top element
     # no orthogonality anywhere, cross-coset pairs transverse
     assert not (result.rel == 3).any()
-    levels = aug5.coset_level_indices()
+    levels = [i for i, p in enumerate(aug5.provenance) if p[0] == "coset"]
     assert (result.rel[np.ix_(levels, levels)][
         ~np.eye(len(levels), dtype=bool)] == 4).all()
 
@@ -384,11 +384,11 @@ def test_augmented_projection_factors_through_gate(aug5):
     result = aug5.result
     ball = result.meta["ball"]
     rng = np.random.default_rng(5)
-    levels = aug5.coset_level_indices()
+    levels = [i for i, p in enumerate(aug5.provenance) if p[0] == "coset"]
     oracle = result.X.oracle()
     for u in rng.choice(levels, size=12, replace=False):
         u = int(u)
-        rho_set = np.asarray(result.rho(u, result.maximal), dtype=np.int64)
+        rho_set = result.rho_sets([u], [result.maximal])[0][0]
         for x in rng.integers(0, result.X.n, size=8):
             x = int(x)
             d = oracle.block([x], rho_set)[0]
@@ -446,8 +446,7 @@ def test_augmentation_refuses_bad_embedding():
 def test_augmented_hierarchy_path(aug5):
     from hhskit.hhs_core import find_hierarchy_path
     ball = aug5.result.meta["ball"]
-    res = find_hierarchy_path(aug5.result, 0, ball.id_of_text("a a a b b"),
-                              D_budget=4.0)
+    res = find_hierarchy_path(aug5.result, 0, ball.id_of_text("a a a b b"))
     assert res.success and res.D <= 4.0
 
 
@@ -578,7 +577,7 @@ def decomposition_loop(aug, rep):
             continue
 
         def diam_of(seg):
-            image = result.projections[u].image(xmap[list(seg)])
+            image = image_of(result.projections[u], xmap[list(seg)])
             return diameter_loop(result.spaces[u], image)
 
         whole = diam_of(verts)

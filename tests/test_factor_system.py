@@ -121,8 +121,8 @@ def test_cosets_match_naive_oracle_small_radius():
     report = verify_factor_system(cand)
     assert report.passed
     assert report.projections.sample.mode == "exhaustive"
-    assert report.xi == xi_oracle == 0
-    assert report.chain_bound == links == 1
+    assert report.projections.constant == xi_oracle == 0
+    assert report.chains.constant == links == 1
 
     sf = simple_family_check(cand, (0, 1))
     R0_oracle = 0

@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 
 from hhskit import graph_core, groups
 from hhskit.errors import BudgetExceeded, Disconnected
-from hhskit.graph_core import (MetricGraph, RaggedBlocks, RaggedSets, Subgraph,
-                               bfs_distances, bfs_many,
-                               closest_point_projection, four_point_delta,
-                               four_point_value, quasiconvexity_constant,
+from hhskit.graph_core import (MetricGraph, PathRecord, RaggedBlocks,
+                               RaggedSets, Subgraph, bfs_distances, bfs_many,
+                               four_point_delta, quasiconvexity_constant,
                                ragged_diameters, ragged_hausdorff,
-                               ragged_set_distances, read_edge_list,
-                               row_parents, segments, shortest_path, to_dot,
-                               write_edge_list)
+                               ragged_set_distances, row_parents, segments,
+                               to_dot, write_edge_list)
 from hhskit.sampling import sample_unordered_pairs
 
 
@@ -97,15 +95,20 @@ def hausdorff_distance(graph, a, b):
                max(min(rows[y][x] for x in a) for y in b))
 
 
+def four_point_gap(rows, quad):
+    """Half the gap between the largest and middle pair sums of a
+    quadruple, from full distance rows (witness replay)."""
+    x, y, z, w = quad
+    sums = sorted([rows[x][y] + rows[z][w],
+                   rows[x][z] + rows[y][w],
+                   rows[x][w] + rows[y][z]])
+    return (sums[2] - sums[1]) / 2.0
+
+
 def delta_oracle(edges, n):
     rows = [bfs_oracle(edges, n, v) for v in range(n)]
-    best = 0.0
-    for x, y, z, w in itertools.combinations(range(n), 4):
-        sums = sorted([rows[x][y] + rows[z][w],
-                       rows[x][z] + rows[y][w],
-                       rows[x][w] + rows[y][z]])
-        best = max(best, (sums[2] - sums[1]) / 2.0)
-    return best
+    return max((four_point_gap(rows, q)
+                for q in itertools.combinations(range(n), 4)), default=0.0)
 
 
 def path_graph(n):
@@ -165,20 +168,17 @@ def trees(draw, max_n=40, min_n=1):
 # shortest paths and distances
 
 def test_shortest_path_identity():
-    g = path_graph(5)
-    rec = shortest_path(g, 2, 2)
-    assert rec.vertices == (2,) and rec.length() == 0
+    assert path_graph(5).oracle().geodesic(2, 2) == [2]
 
 
 def test_six_cycle_antipodal():
-    g = cycle_graph(6)
-    assert shortest_path(g, 0, 3).length() == 3
+    assert len(cycle_graph(6).oracle().geodesic(0, 3)) - 1 == 3
 
 
 def test_shortest_path_disconnected():
     g = MetricGraph(4, [(0, 1), (2, 3)])
     with pytest.raises(Disconnected):
-        shortest_path(g, 0, 3)
+        g.oracle().geodesic(0, 3)
 
 
 @given(st.integers(0, 9), st.data())
@@ -194,7 +194,6 @@ def test_is_connected_is_one_bfs_on_first_use(n, data):
     assert "is_connected" not in vars(g)
     expect = n == 0 or min(bfs_oracle(g.edges, n, 0)) >= 0
     assert g.is_connected == expect
-    assert g.is_tree() == (expect and len(g.edges) == n - 1)
 
 
 @given(scattered_graphs())
@@ -270,11 +269,9 @@ def test_geodesic_is_valid_and_minimal(g):
     for u in range(g.n):
         for v in range(g.n):
             path = oracle.geodesic(u, v)
-            rec = shortest_path(g, u, v)
-            rec.validate(g)
+            PathRecord(tuple(path)).validate(g)
             assert path[0] == u and path[-1] == v
             assert len(path) - 1 == bfs_oracle(g.edges, g.n, u)[v]
-            assert rec.length() == len(path) - 1
 
 
 @given(st.one_of(connected_graphs(), trees()), st.data())
@@ -766,14 +763,21 @@ def test_block_strategy_on_large_blocks(make):
     ("lca", STRATEGIES["capped"], path_graph(9)),
     ("rows", STRATEGIES["capped"], cycle_graph(9))])
 def test_pairs_rejects_ids_out_of_range(strategy, matrix_cap, g):
-    """A negative id or one past the last vertex raises, on either side,
-    where indexing would wrap or fail by accident."""
+    """A negative id or one past the last vertex raises, on either side and
+    at every entry point, where indexing would wrap or fail by accident."""
     assert_strategy(strategy, g, matrix_cap)
     oracle = oracle_with(g, matrix_cap)
     for bad in (-1, g.n):
         for us, vs in (([0, bad], [1, 2]), ([0, 1], [2, bad])):
+            for query in (oracle.pairs, oracle.block, oracle.geodesics,
+                          lambda us, vs: oracle.geodesic(us[-1], vs[-1])):
+                with pytest.raises(IndexError):
+                    query(us, vs)
+        sets = RaggedSets.from_arrays([np.asarray([1]), np.asarray([bad])])
+        for query in (lambda: oracle.dist_to_set([0, bad]),
+                      lambda: oracle.dist_to_sets(sets)):
             with pytest.raises(IndexError):
-                oracle.pairs(us, vs)
+                query()
     assert oracle.pairs([], []).tolist() == []
 
 
@@ -855,7 +859,8 @@ def test_four_cycle_delta_exhaustive():
     report = four_point_delta(cycle_graph(4))
     assert report.delta == delta_oracle(cycle_graph(4).edges, 4) == 1.0
     assert report.exhaustive
-    assert four_point_value(cycle_graph(4), report.witness) == report.delta
+    rows = [bfs_oracle(cycle_graph(4).edges, 4, v) for v in range(4)]
+    assert four_point_gap(rows, report.witness) == report.delta
 
 
 @given(trees())
@@ -870,7 +875,8 @@ def test_delta_matches_oracle_on_grid():
     g = grid_graph(4, 4)
     report = four_point_delta(g)
     assert report.delta == delta_oracle(g.edges, g.n)
-    assert four_point_value(g, report.witness) == report.delta
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    assert four_point_gap(rows, report.witness) == report.delta
 
 
 def test_sampled_delta_is_lower_bound_and_deterministic():
@@ -889,11 +895,12 @@ def test_delta_monotone_in_quadruple_set():
     rng = __import__("numpy").random.default_rng(2)
     quads = [tuple(int(x) for x in rng.choice(g.n, size=4, replace=False))
              for _ in range(40)]
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
     best = 0.0
     seen = []
     for q in quads:
         seen.append(q)
-        val = max(four_point_value(g, t) for t in seen)
+        val = max(four_point_gap(rows, t) for t in seen)
         assert val >= best
         best = val
 
@@ -901,17 +908,23 @@ def test_delta_monotone_in_quadruple_set():
 # ---------------------------------------------------------------------------
 # projections
 
+def projection(g, h, x):
+    """The tie-complete projection of x onto the set h, as
+    ``RaggedBlocks.projection`` gives it for the set {x}."""
+    sets = RaggedSets.from_arrays([np.asarray(h, dtype=np.int64),
+                                   np.asarray([x], dtype=np.int64)])
+    blocks = RaggedBlocks(g.oracle(), sets, np.asarray([0]), sets,
+                          np.asarray([1]))
+    return blocks.projection()[0].tolist()
+
+
 def test_projection_of_member_is_itself():
-    g = path_graph(7)
-    h = Subgraph(g, [2, 3, 4])
-    assert closest_point_projection(g, h, 3) == [3]
+    assert projection(path_graph(7), [2, 3, 4], 3) == [3]
 
 
 def test_projection_full_tie_set():
-    g = cycle_graph(4)
-    h = Subgraph(g, [1, 2, 3])
     # vertex 0 is adjacent to both 1 and 3
-    assert closest_point_projection(g, h, 0) == [1, 3]
+    assert projection(cycle_graph(4), [1, 2, 3], 0) == [1, 3]
 
 
 @given(connected_graphs())
@@ -920,7 +933,7 @@ def test_projection_properties(g):
     verts = list(range(0, g.n, 2))
     sub = sorted(set(verts))
     for x in range(g.n):
-        proj = closest_point_projection(g, sub, x)
+        proj = projection(g, sub, x)
         assert proj
         assert set(proj) <= set(sub)
         row = bfs_oracle(g.edges, g.n, x)
@@ -1066,7 +1079,8 @@ def test_ragged_blocks_match_per_set_queries(chunk, g):
     for k, (a, b) in enumerate(zip(a_idx, b_idx)):
         expect = set()
         for x in sets[b]:
-            expect |= set(closest_point_projection(g, sets[a], x))
+            near = min(rows[x][v] for v in sets[a])
+            expect |= {v for v in sets[a] if rows[x][v] == near}
         assert list(proj[k]) == sorted(expect)
 
 
@@ -1087,12 +1101,14 @@ def test_ragged_take_and_union(m, data):
 
 
 # ---------------------------------------------------------------------------
-# io
+# export
 
 def test_edge_list_round_trip():
     g = grid_graph(3, 4)
-    again = read_edge_list(write_edge_list(g))
-    assert again.n == g.n and again.edges == g.edges
+    header, *lines = write_edge_list(g).splitlines()
+    assert header == f"# vertices {g.n}"
+    again = MetricGraph(g.n, [tuple(map(int, line.split())) for line in lines])
+    assert again.edges == g.edges
 
 
 def test_dot_export_styles_requested_edges():

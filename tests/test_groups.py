@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hhskit.errors import UnknownGenerator
 from hhskit.factor_system import family_from_cosets
-from hhskit.graph_core import shortest_path
 from hhskit.groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                            enumerate_cosets, format_word, free_abelian_group,
                            free_group, free_product, inverse_word, raag_group,
@@ -319,7 +318,7 @@ def test_z2_ball_is_l1_lattice_count():
 def test_ball_edges_exactly_generator_moves():
     ball = cayley_ball(F2, 3)
     for v in range(ball.graph.n):
-        w = ball.word_of(v)
+        w = ball.words[v]
         for s in [1, -1, 2, -2]:
             w2 = ball.model.multiply(w, (s,))
             if w2 in ball.index:
@@ -328,7 +327,7 @@ def test_ball_edges_exactly_generator_moves():
                 assert e in set(ball.graph.edges)
     # and nothing else: every edge is a generator move
     for u, v in ball.graph.edges:
-        diff = ball.model.multiply(inverse_word(ball.word_of(u)), ball.word_of(v))
+        diff = ball.model.multiply(inverse_word(ball.words[u]), ball.words[v])
         assert len(diff) == 1
 
 
@@ -344,11 +343,12 @@ def test_ball_distance_equals_word_length():
     ball = cayley_ball(F2, 4)
     e = ball.id_of(())
     target = ball.id_of_text("a b a b")
-    assert shortest_path(ball.graph, e, target).length() == 4
+    assert len(ball.graph.oracle().geodesic(e, target)) - 1 == 4
 
 
 def test_raag_ball_is_tree_free_case_and_grid_z2_case():
-    assert cayley_ball(raag_group(["a", "b"], []), 3).graph.is_tree()
+    free = cayley_ball(raag_group(["a", "b"], []), 3).graph
+    assert free.is_connected and len(free.edges) == free.n - 1
     ballz = cayley_ball(R2, 3)
     assert ballz.graph.n == cayley_ball(Z2, 3).graph.n
 
@@ -651,7 +651,7 @@ def test_coset_partition_multi_generator_subgroup():
         for c in cosets:
             rep_inv = inverse_word(c.representative)
             for v in c.vertices:
-                assert model.multiply(rep_inv, ball.word_of(v)) in elements
+                assert model.multiply(rep_inv, ball.words[v]) in elements
         # each family member holds its whole coset
         family = family_from_cosets(ball, [h]).family
         assert len(family) == count

@@ -1,7 +1,7 @@
 """The per-target battery against the per-pair loops it replaced.
 
 Each reference below is the earlier per-pair form of a check, with its own
-distances (plain multi-source BFS) and one ``inst.rho(u, v)`` per pair.
+distances (plain multi-source BFS) and one ``rho_sets`` call per pair.
 The fixtures include instances whose kappa0 is positive and whose
 relative projections are partly unreached, so that witness order and the
 unreached counts are compared, not only zeros.
@@ -28,8 +28,7 @@ from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
                                TRANSVERSE, _carrier, _pi_rep_distance,
                                _rho_chain_triples, check_bgi,
                                check_consistency, check_large_links,
-                               check_partial_realization, check_structural,
-                               realization_gap)
+                               check_partial_realization, check_structural)
 from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
                              instance_from_bundle, instance_to_bundle,
                              normalize, product_hhs)
@@ -122,8 +121,8 @@ def pi_min_loop(inst, u, xs, target):
 
 def rho_or_none(inst, u, v):
     """rho^u_v, or None when it is unreached or empty."""
-    r = inst.rho(u, v)
-    return r if r is not None and len(r) else None
+    sets, reached = inst.rho_sets([u], [v])
+    return sets[0] if reached[0] else None
 
 
 def consistency_loop(inst, pair_budget=20_000, point_budget=60,
@@ -190,14 +189,16 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
 def structural_rho_loop(inst, rho_pair_budget, seed):
     """(xi, unreached, sample) from the pi set diameters and a per-pair
     scan of the sampled rho diameters."""
-    xi = max(t.max_set_diameter(inst.space_oracle(u))
-             for u, t in enumerate(inst.projections))
+    xi = max((diameter_loop(inst.spaces[u], s)
+              for u, t in enumerate(inst.projections)
+              for s in {tuple(t.get(x).tolist()) for x in range(t.n)}
+              if len(s) > 1), default=0)
     us, vs = inst.eligible_rho_pairs()
     idx, spec = sample_indices(len(us), rho_pair_budget, seed)
     unreached = 0
     for u, v in zip(us[idx].tolist(), vs[idx].tolist()):
-        r = inst.rho(u, v)
-        if r is None or len(r) == 0:
+        r = rho_or_none(inst, u, v)
+        if r is None:
             unreached += 1
         elif len(r) > 1:
             xi = max(xi, diameter_loop(inst.spaces[v], r))
@@ -215,8 +216,8 @@ def bgi_observations(inst, pair_budget=4000, geodesics_per_pair=12, seed=0):
     unreached = 0
     for k in idx:
         v, w = int(nested[k][0]), int(nested[k][1])
-        rho = inst.rho(v, w)
-        if rho is None or len(rho) == 0:
+        rho = rho_or_none(inst, v, w)
+        if rho is None:
             unreached += 1
             continue
         cw = inst.spaces[w]
@@ -260,7 +261,7 @@ def large_links_loop(inst, E_grid=hhs_checks.DEFAULT_E_GRID, pair_budget=150,
                      seed=0):
     rng = rng_for(seed)
     n = inst.n_indices()
-    parents = [w for w in range(n) if inst.children_exist(w)]
+    parents = np.flatnonzero((inst.rel == NESTED).any(axis=0))
     if inst.X.n * (inst.X.n - 1) // 2 <= pair_budget:
         us, vs, spec = sample_unordered_pairs(inst.X.n, pair_budget, seed)
     else:
@@ -274,7 +275,7 @@ def large_links_loop(inst, E_grid=hhs_checks.DEFAULT_E_GRID, pair_budget=150,
     witnesses = {}
     no_finite = []
     for w in parents:
-        children = inst.nested_below(w)
+        children = np.flatnonzero(inst.rel[:, w] == NESTED)
         ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
         dw = _pi_rep_distance(inst, w, us, vs)
@@ -319,8 +320,8 @@ def realization_gap_loop(inst, assignments):
         np.maximum(need, pi_min_loop(inst, v, all_x, [int(p)]), out=need)
         for w in range(inst.n_indices()):
             if inst.rel[v, w] in (NESTED, TRANSVERSE):
-                rw = inst.rho(v, w)
-                if rw is None or len(rw) == 0:
+                rw = rho_or_none(inst, v, w)
+                if rw is None:
                     continue
                 np.maximum(need, pi_min_loop(inst, w, all_x, rw), out=need)
     return need
@@ -447,7 +448,7 @@ def test_fixtures_cover_large_link_edge_cases():
     nested_children = False
     for inst in FIXTURES.values():
         for w in range(inst.n_indices()):
-            children = inst.nested_below(w)
+            children = np.flatnonzero(inst.rel[:, w] == NESTED)
             sub = inst.rel[np.ix_(children, children)]
             nested_children |= bool((sub == NESTED).any())
     assert nested_children
@@ -457,8 +458,8 @@ def test_fixtures_cover_large_link_edge_cases():
               for u, v in zip(us.tolist(), vs.tolist())]
     empty = [reached[0] and sets.sizes()[0] == 0 for sets, reached in stored]
     assert any(empty)
-    assert [inst.rho(u, v) is None for u, v in zip(us, vs)] == [
-        not reached[0] or e for (_, reached), e in zip(stored, empty)]
+    assert inst.rho_sets(us, vs)[1].tolist() == [
+        reached[0] and not e for (_, reached), e in zip(stored, empty)]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -477,11 +478,6 @@ def test_partial_realization_matches_per_point_loop(name):
     inst = FIXTURES[name]
     assert check_partial_realization(inst, family_budget=4, seed=4) == \
         partial_realization_loop(inst, family_budget=4, seed=4)
-    v, w = 0, inst.n_indices() - 1
-    pairs = [(v, int(inst.pi_rep(v)[0])), (w, int(inst.pi_rep(w)[-1])),
-             (v, int(inst.pi_rep(v)[-1]))]
-    assert realization_gap(inst, pairs).tolist() == \
-        realization_gap_loop(inst, pairs).tolist()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -493,7 +489,7 @@ def test_rho_columns_match_one_pair_calls(name):
     for v in range(n):
         sets, reached = inst.rho_sets(us, v)
         for i, u in enumerate(us.tolist()):
-            r = inst.rho(u, v)
+            r = rho_or_none(inst, u, v)
             assert reached[i] == (r is not None)
             assert sets[i].tolist() == ([] if r is None else r.tolist())
 
@@ -509,11 +505,11 @@ def test_augmented_cross_rho_unreached_where_top_rho_is():
     base._rho_provider = holed
     aug = build_augmented_structure(base, [(SUB_A, line(2, "line"))],
                                     force=True, seed=3).result
-    assert base.rho(0, base.maximal) is None
+    assert rho_or_none(base, 0, base.maximal) is None
     new = np.flatnonzero(aug.rel[0] == TRANSVERSE)
     new = new[new >= base.n_indices()]
-    assert len(new) and all(aug.rho(0, int(v)) is None for v in new)
-    assert all(aug.rho(1, int(v)) is not None for v in new)
+    assert len(new) and not aug.rho_sets(0, new)[1].any()
+    assert aug.rho_sets(1, new)[1].all()
 
 
 # ---------------------------------------------------------------------------
@@ -626,25 +622,6 @@ def test_images_match_set_union_loop(tm, data):
                                            for x in xsets]))
     assert [got[i].tolist() for i in range(len(xsets))] == \
         [image_loop(t, x) for x in xsets]
-    for x in xsets:
-        assert t.image(x).tolist() == image_loop(t, x)
-        assert t.image(x).dtype == np.int32
-
-
-@given(tables(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_min_over_sets_2d_matches_its_rows(tm, data):
-    t, m = tm
-    xs = np.asarray(data.draw(st.lists(st.integers(0, len(t.rep) - 1),
-                                       min_size=1, max_size=12)))
-    k = data.draw(st.integers(0, 5))
-    values = np.asarray(data.draw(st.lists(st.integers(-1, 30),
-                                           min_size=k * m, max_size=k * m)),
-                        dtype=np.int32).reshape(k, m)
-    got = t.min_over_sets(xs, values)
-    assert got.shape == (k, len(xs))
-    assert got.tolist() == [t.min_over_sets(xs, row).tolist()
-                            for row in values]
 
 
 # ---------------------------------------------------------------------------

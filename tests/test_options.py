@@ -1,11 +1,16 @@
-"""Every optional parameter of a public hhskit function is set somewhere.
+"""Program code uses every option and every public name of hhskit.
 
-The guard parses ``src/hhskit`` and every call in ``src/``, ``tests/``,
-``bench/`` and ``scenario_bench/``.  An optional parameter of a
-module-level public function passes when some call of that name passes
-it, by keyword or by position.  A call with a ``**mapping`` argument
-counts as passing every keyword, and one with ``*args`` every position.
-A default that nothing overrides is a constant, and belongs in the code.
+Both guards parse ``src/hhskit`` and count only the code in ``src/``,
+``bench/`` and ``scenario_bench/`` as users; what only tests reach stays
+only in an allow-list, with its reason, and a stale entry fails.
+
+An optional parameter of a public function passes when some call of that
+name passes it, by keyword or position (``**mapping`` passes every
+keyword, ``*args`` every position): a default that nothing overrides is a
+constant, and belongs in the code.  A public function or class passes
+when program code names it by a name, an attribute or a string (tracing
+wraps functions named in strings), a public method by an attribute or a
+string; a ``def`` or an import does not count.
 """
 
 import ast
@@ -13,20 +18,76 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hhskit"
-CALLER_DIRS = ("src", "tests", "bench", "scenario_bench")
+CALLER_DIRS = ("src", "bench", "scenario_bench")
+
+LOOP = "a loop-reference test reaches a small sampled case with it"
+UNCALLED = "a paper check that no op calls yet: a caller changes the bundles"
+ROUND_TRIP = "the serialization round trip: a bundle read back"
+
+# options that only tests set: how a test reaches a small case, and argv
+ALLOWED = {
+    "cli.main(argv)": "the command line's arguments; tests pass their own",
+    "coneoff.build_coneoff(clique_threshold)":
+        "tests reach the apex cone on members of a few vertices",
+    "embedding.projection_uniform_bound(seed)": LOOP + "; " + UNCALLED,
+    "factor_system.verify_factor_system(xi_candidate)":
+        "hand-built cycle and segment families set the constants at "
+        "which their axiom cases show",
+    "factor_system.verify_factor_system(B)":
+        "the 16-cycle arcs reach the nested-witness case at B = 3",
+    "factor_system.verify_factor_system(axiom5_threshold)":
+        "hand-built cycle families set the separation threshold 1",
+    "factor_system.build_group_factor_closure(xi_candidate)":
+        "xi = 0 makes the closure adjoin a member on a radius-3 ball",
+    "hhs_checks.check_consistency(pair_budget)": LOOP,
+    "hhs_checks.check_consistency(point_budget)": LOOP,
+    "hhs_checks.check_consistency(triple_budget)": LOOP,
+    "hhs_checks.check_large_links(E_grid)": LOOP,
+    "hhs_checks.check_large_links(pair_budget)": LOOP,
+    "hhs_checks.check_bgi(E_grid)": LOOP,
+    "hhs_checks.check_bgi(pair_budget)": LOOP,
+    "hhs_checks.check_partial_realization(family_budget)": LOOP,
+    "hhs_checks.find_hierarchy_path(D_budget)":
+        "the detour test lowers it to reach the gate detour; " + UNCALLED,
+}
+
+# public names that only tests use
+PUBLIC_ALLOWED = {
+    "cli.load_bundle": ROUND_TRIP,
+    "hhs_core.instance_from_bundle": ROUND_TRIP,
+    "hhs_core.instances_structurally_equal": ROUND_TRIP,
+    "gog.GraphOfGroups.validate_edge_maps":
+        "ROADMAP item 3 gives it a caller in the pipeline",
+    "groups.BallGraph.id_of_text": "how tests name ball vertices by word",
+    "hhs_core.normalize": UNCALLED,
+    "hhs_checks.find_hierarchy_path": UNCALLED,
+    "embedding.projection_uniform_bound": UNCALLED,
+    "embedding.decomposition_projection_check": UNCALLED,
+}
 
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _program_trees():
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield _parse(path)
+
+
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def optional_parameters():
     """(module, function, parameter, position or None) of every option."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _parse(path).body:
-            if (not isinstance(node, ast.FunctionDef)
-                    or node.name.startswith("_")):
+        for node in _public(_parse(path).body):
+            if not isinstance(node, ast.FunctionDef):
                 continue
             a = node.args
             positional = a.posonlyargs + a.args
@@ -51,21 +112,20 @@ def _callee(call):
 def passed_arguments():
     """callee name -> (largest positional count, keywords passed)."""
     seen = {}
-    for d in CALLER_DIRS:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _callee(node)
-                if name is None:
-                    continue
-                npos, kws = seen.setdefault(name, [0, set()])
-                if any(isinstance(x, ast.Starred) for x in node.args):
-                    seen[name][0] = float("inf")
-                else:
-                    seen[name][0] = max(npos, len(node.args))
-                for kw in node.keywords:
-                    kws.add(kw.arg if kw.arg is not None else "**")
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            if name is None:
+                continue
+            npos, kws = seen.setdefault(name, [0, set()])
+            if any(isinstance(x, ast.Starred) for x in node.args):
+                seen[name][0] = float("inf")
+            else:
+                seen[name][0] = max(npos, len(node.args))
+            for kw in node.keywords:
+                kws.add(kw.arg if kw.arg is not None else "**")
     return seen
 
 
@@ -82,10 +142,57 @@ def unset_options():
     return unset
 
 
+def public_names():
+    """(qualified name, is a method) of every public function, class and
+    method of a public class in ``src/hhskit``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _public(_parse(path).body):
+            out.append((f"{path.stem}.{node.name}", False))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{m.name}", True)
+                        for m in _public(node.body)
+                        if isinstance(m, ast.FunctionDef)]
+    return out
+
+
+def program_references():
+    """(names, attributes, strings) that program code mentions."""
+    names, attrs, strings = set(), set(), set()
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                strings.add(node.value)
+    return names, attrs, strings
+
+
+def unused_public_names():
+    names, attrs, strings = program_references()
+    return [qual for qual, method in public_names()
+            if qual.rsplit(".", 1)[1] not in
+            (attrs | strings if method else names | attrs | strings)]
+
+
+def _check(found, allowed, what):
+    """Every found name is allowed, and every allowed one is found."""
+    for names, say in ((set(found) - set(allowed), what),
+                       (set(allowed) - set(found), "stale allow-list "
+                        "entries (now used by program code, or gone)")):
+        assert not names, say + ": " + ", ".join(sorted(names))
+
+
 def test_every_option_is_set_by_some_call():
-    unset = unset_options()
-    assert not unset, ("optional parameters that no call sets: "
-                       + ", ".join(unset))
+    _check(unset_options(), ALLOWED, "options that no program code sets")
+
+
+def test_every_public_name_is_used_by_program_code():
+    _check(unused_public_names(), PUBLIC_ALLOWED,
+           "public names that only tests use")
 
 
 def test_guard_sees_options_and_calls():
@@ -93,3 +200,6 @@ def test_guard_sees_options_and_calls():
     assert ("graph_core", "four_point_delta", "budget") in opts
     seen = passed_arguments()
     assert "budget" in seen["four_point_delta"][1]
+    # a method, and the string that tracing.py wraps a function by
+    assert ("graph_core.DistanceOracle.pairs", True) in public_names()
+    assert "four_point_delta" in program_references()[2]

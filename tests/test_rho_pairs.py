@@ -170,12 +170,13 @@ def augmented_column(aug):
 
     def rho_into_top(u):
         if coset_of[u] < 0:
-            r = base.rho(u, S)
-            return np.zeros(0) if r is None else r
+            sets, reached = base.rho_sets([u], [S])
+            return sets[0] if reached[0] else np.zeros(0)
         sub_inst, rep, verts = coset_data[coset_of[u]]
         if local_of[u] == sub_inst.maximal:
             return verts
-        r = sub_inst.rho(local_of[u], sub_inst.maximal)
+        sets, reached = sub_inst.rho_sets([local_of[u]], [sub_inst.maximal])
+        r = sets[0] if reached[0] else None
         sub_ball = sub_inst.meta["ball"]
         carrier = sub_inst.space_to_x[sub_inst.maximal]
         words = (ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
@@ -350,7 +351,7 @@ def test_min_over_pairs_matches_each_table(name):
         values = rng.integers(0, 50, size=(len(us), width))
         got = inst.store.min_over_pairs(us, xs, values)
         assert got.tolist() == [
-            inst.projections[u].min_over_sets(xs, values[i]).tolist()
+            [int(values[i][inst.pi(u, x)].min()) for x in xs]
             for i, u in enumerate(us.tolist())]
 
 

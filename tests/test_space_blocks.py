@@ -30,6 +30,7 @@ from hhskit.hhs_core import (NESTED, HHSInstance, ProjectionTable,
 from hhskit.sampling import sample_indices, sample_unordered_pairs
 from test_graph_core import (bfs_levels, connected_graphs, diameter_loop,
                              path_graph, scattered_graphs)
+from test_hhs_core import image_of
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -215,13 +216,17 @@ def hqc_loop(inst, yverts, seed=0):
     worst_gap = np.zeros(inst.X.n, dtype=np.int64)
     for u in range(inst.n_indices()):
         table = inst.projections[u]
-        proj = table.image(yverts)
+        proj = image_of(table, yverts)
         q = quasiconvexity_constant(inst.spaces[u], proj, pair_budget=20_000,
                                     seed=seed).q
         if q > k0:
             k0, witness = q, inst.labels[u]
         dist = inst.space_oracle(u).dist_to_set(proj).astype(np.int64)
-        np.maximum(worst_gap, table.min_over_sets(all_x, dist), out=worst_gap)
+        # the least distance over each x's projection set, by its CSR
+        lo = table.indptr[0]
+        np.maximum(worst_gap, np.minimum.reduceat(
+            dist[table.data[lo:table.indptr[-1]]], table.indptr[:-1] - lo),
+            out=worst_gap)
     return k0, witness, worst_gap
 
 
