@@ -14,7 +14,9 @@ above (244 indices, the structure ``amalgam-pipeline`` checks).
 identity coset of <a>, and an exhaustive ``distance_formula_fit`` (s=3,
 1,060,696 pairs) on the r=6 one.
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
-factor-system instance (1459 indices; its top index has 1458 children).
+factor-system instance (1459 indices; its top index has 1458 children),
+and ``check_consistency`` (seed 11) on the r=7 one, one round: the peak
+RSS of its fresh process is the larger of the build's and the check's.
 ``rho_sets`` over every eligible pair (u nested in v or transverse to it)
 is timed on the augmented r=5 instance (59,049 pairs) and on the r=6
 factor-system instance; a ``rho_sets`` that takes one target index per
@@ -169,6 +171,13 @@ def test_bgi_factor_f2_r6(benchmark):
     got = benchmark.pedantic(hhs_checks.check_bgi, setup=fresh_factor_f2_r6,
                              rounds=3)
     assert got["observations"] > 0
+
+
+def test_consistency_factor_f2_r7(benchmark):
+    got = benchmark.pedantic(hhs_checks.check_consistency,
+                             setup=lambda: ((factor_f2(7),), {"seed": 11}),
+                             rounds=1)
+    assert got.samples["rho_chain"]["mode"] == "sampled"
 
 
 def hyperbolically_embedded_f2(benchmark, radius):

@@ -310,12 +310,8 @@ def projection_uniform_bound(base, sub, seed=0):
     # sample k is the pair (proper[k // len(cosets)], coset k % len(cosets))
     idx, spec = sample_indices(len(proper) * len(cosets), 20_000, seed)
     at, ci = np.divmod(idx, len(cosets))
-    images = base.store.images_of(np.asarray(proper)[at], coset_sets, ci)
-    diams = np.zeros(len(idx), dtype=np.int64)
-    for a in np.unique(at).tolist():
-        sel = np.flatnonzero(at == a)
-        diams[sel] = ragged_diameters(base.space_oracle(proper[a]), images,
-                                      sel)
+    us = np.asarray(proper)[at]
+    diams = base.diameters(us, base.store.images_of(us, coset_sets, ci))
     # the first sample of the largest diameter, the one a scan in order keeps
     k = int(np.argmax(diams))
     C = int(diams[k])
@@ -502,12 +498,6 @@ def build_augmented_structure(base, subgroup_structures, force=False,
                               len(clamp_log))
 
 
-def _largest_diameter(oracle, sets):
-    """The largest diameter of the vertex lists ``sets`` (0 for none)."""
-    return int(ragged_diameters(oracle, RaggedSets.from_arrays(sets))
-               .max(initial=0))
-
-
 def verify_augmented(aug, seed=0, equivariance_samples=100):
     """Full battery on the absorbed structure plus the morphism contract.
 
@@ -543,8 +533,10 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
                 theirs = set(int(p) for p in sub_inst.pi(u, hv))
                 if mine != theirs:
                     differ[u].append(sorted(mine | theirs))
-        commute_gap = max((_largest_diameter(sub_inst.space_oracle(u), sets)
-                           for u, sets in enumerate(differ)), default=0)
+        commute_gap = int(sub_inst.diameters(
+            np.repeat(np.arange(len(differ)), [len(d) for d in differ]),
+            RaggedSets.from_arrays([s for d in differ for s in d]))
+            .max(initial=0))
 
         # coarse equivariance of left multiplication by subgroup elements
         rng = rng_for(seed)
@@ -572,7 +564,9 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
                 if moved and target != moved:
                     moved_apart.append(sorted(target | moved))
             checked += 1
-        eq_gap = _largest_diameter(sub_ball.graph.oracle(), moved_apart)
+        eq_gap = int(ragged_diameters(sub_ball.graph.oracle(),
+                                      RaggedSets.from_arrays(moved_apart))
+                     .max(initial=0))
         morphisms.append({"sub": sub.label,
                           "index_map_injective": labels_ok,
                           "relations_preserved": rel_ok,
@@ -650,9 +644,8 @@ def decomposition_projection_check(aug, x, y, theta):
     k = len(runs)
     images = result.store.images_of(np.repeat(old_proper, k), runs,
                                     np.tile(np.arange(k), len(old_proper)))
-    for i, u in enumerate(old_proper):
-        d = ragged_diameters(result.space_oracle(u), images,
-                             np.arange(i * k, (i + 1) * k)).tolist()
+    diams = result.diameters(np.repeat(old_proper, k), images).reshape(-1, k)
+    for u, d in zip(old_proper, diams.tolist()):
         whole, best = d[0], max(d[1:])
         gap = whole - best
         per_index.append({"U": result.labels[u], "whole": whole,

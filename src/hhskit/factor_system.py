@@ -115,33 +115,46 @@ def _containment_dag(family):
 
 
 def _longest_chain(above):
-    """Longest run of strict inclusions (number of links, not elements)."""
+    """A longest chain i_0 < i_1 < ... of the relation ``above`` (i lies
+    below each index of ``above[i]``), as its indices; [] for none.  It
+    starts at the first index whose chain is longest, and each step goes to
+    the first index of ``above[i]`` that continues a longest one.  An index
+    on a cycle is in no chain: Tarjan's walk, without recursion, closes a
+    component after every component above it, and a lone index without a
+    loop then knows its chain."""
     n = len(above)
-    memo = [-1] * n
-    parent = [-1] * n
-
-    def depth(i):
-        if memo[i] >= 0:
-            return memo[i]
-        best = 0
-        for j in above[i]:
-            d = depth(j) + 1
-            if d > best:
-                best = d
-                parent[i] = j
-        memo[i] = best
-        return best
-
-    best_i = 0
-    best = 0
-    for i in range(n):
-        if depth(i) > best:
-            best = depth(i)
-            best_i = i
-    chain = [best_i]
-    while parent[chain[-1]] >= 0:
-        chain.append(parent[chain[-1]])
-    return best, chain
+    order, low, links = [-1] * n, [0] * n, [-1] * n     # links -1: on a cycle
+    stack, seen = [], 0
+    for root in range(n):
+        path = [(root, iter(above[root]))] if order[root] < 0 else []
+        while path:
+            i, ups = path[-1]
+            if order[i] < 0:
+                order[i] = low[i] = seen
+                seen += 1
+                stack.append(i)
+            for j in ups:
+                if order[j] < 0:
+                    path.append((j, iter(above[j])))
+                    break
+                low[i] = min(low[i], order[j])
+            else:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[i])
+                if low[i] == order[i]:
+                    component = stack[stack.index(i):]
+                    del stack[-len(component):]
+                    for j in component:     # closed: lowers no low
+                        order[j] = n
+                    if component == [i] and i not in above[i]:
+                        links[i] = 1 + max((links[j] for j in above[i]),
+                                           default=-1)
+    chain = [links.index(max(links))] if max(links, default=-1) >= 0 else []
+    while chain and links[chain[-1]] > 0:
+        chain.append(next(j for j in above[chain[-1]]
+                          if links[j] == links[chain[-1]] - 1))
+    return chain
 
 
 def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
@@ -198,7 +211,8 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
 
     # ---- axiom 4: exact chain bound
     above, vsets = _containment_dag(family)
-    c_links, chain = _longest_chain(above)
+    chain = _longest_chain(above)
+    c_links = max(len(chain) - 1, 0)
     dups = len(vsets) != len(set(vsets))
     details4 = {"convention": "links (strict inclusions) per chain"}
     if whole:

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import BudgetExceeded, MalformedMove, MissingStructure
 from .embedding import build_augmented_structure, check_hh_embedded
 from .factor_system import build_group_factor_closure, verify_factor_system
-from .graph_core import (MetricGraph, RaggedSets, quasiconvexity_constant,
-                         ragged_diameters)
+from .graph_core import MetricGraph, quasiconvexity_constant
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word)
 from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, check_hqc,
@@ -355,16 +354,19 @@ def check_combination_hypotheses(gog, seed=0):
                         blab = vert_inst.labels[int(bidx)]
                         if blab in image_labels:
                             continue
-                        space = vert_inst.spaces[int(bidx)]
-                        # spaces of over 64 vertices count as unbounded
-                        diam = 3 if space.n > 64 else ragged_diameters(
-                            space.oracle(),
-                            RaggedSets(np.arange(space.n), [0, space.n]))[0]
-                        if int(diam) <= 2:
+                        # the space's largest distance, from its block; a
+                        # space over MATRIX_CAP is not scanned and counts as
+                        # unbounded
+                        blocks, block_of, slot_of = vert_inst.blocks
+                        diam = blocks[block_of[bidx]].spans()[slot_of[bidx]]
+                        if diam <= 2:
                             exempt += 1
                         else:
-                            missing.append({"target": lab, "unmatched": blab,
-                                            "diam": int(diam)})
+                            assumed = bool(np.isinf(diam))
+                            missing.append({
+                                "target": lab, "unmatched": blab,
+                                "diam": None if assumed else int(diam),
+                                "assumed_unbounded": assumed})
                 fentry.update({"relations_preserved": rel_ok, "xi": xi,
                                "bounded_exemptions": exempt,
                                "unmatched_unbounded": missing[:4],

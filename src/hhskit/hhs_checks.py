@@ -9,13 +9,13 @@ Each check asks for all the relative projections rho^u_v it needs in one
 ``HHSInstance.rho_sets`` call over their (u, v) pairs, and asks the index
 spaces by block (``HHSInstance.blocks``): every distinct space sits in the
 ``GraphBlock`` of its vertex count, so each section of a check makes one
-call per block where it made one per space (BGI's image diameters stay one
-``ragged_diameters`` call per space of V).  Representative distances are
-one gather from a block's stack of matrices, distances to relative
-projections its row minima, and BGI geodesics parent walks over its
-arrays.  A one-vertex space has every distance 0: where a check takes a
-maximum of such terms, its block is left out.  Witnesses stay the first
-strict maximum in sample order.
+call per block where it made one per space; no check asks a space's own
+oracle.  Representative distances are one gather from a block's stack of
+matrices, distances to relative projections its row minima, and BGI
+geodesics parent walks over its arrays.  A one-vertex space has every
+distance 0: where a check takes a maximum of such terms, its block is left
+out.  Relation-masked samples are all drawn by ``_sample_pairs``.
+Witnesses stay the first strict maximum in sample order.
 
 Set-distance conventions, applied uniformly and recorded here: distances
 from a projection set to a relative-projection set (or any fixed target
@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coneoff import measure_quasigeodesic
+from .factor_system import _longest_chain
 from .graph_core import (RaggedSets, four_point_delta, quasiconvexity_constant,
-                         ragged_diameters, segments)
+                         segments)
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, rng_for,
                        sample_indices, sample_unordered_pairs)
 
@@ -43,19 +44,6 @@ DEFAULT_BGI_GRID = (0, 1, 2, 3, 4, 6, 8)
 KAPPA_GRID = (1, 2, 3, 4, 6, 8)
 DEFAULT_K_GRID = ((1, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (8, 8),
                   (12, 12), (16, 16))
-
-
-def _carrier(inst, u):
-    """C(u)-vertex -> X-vertex used by representative-level downward maps."""
-    if inst.space_to_x[u] is not None:
-        return np.asarray(inst.space_to_x[u], dtype=np.int64)
-    return inst._reverse_projection(u)
-
-
-def _pi_rep_distance(inst, u, xs, ys):
-    """d_{C(u)} between projection representatives of X-vertex arrays."""
-    rep = inst.pi_rep(u)
-    return inst.space_oracle(u).pairs(rep[xs], rep[ys])
 
 
 def _by_target(tgt):
@@ -80,9 +68,9 @@ def _vertex_counts(inst):
 
 
 def _rep_distances(inst, us, xs, ys):
-    """(rows, d) per chunk: ``d[i, p]`` is the ``_pi_rep_distance`` of index
-    ``us[rows[i]]`` between ``xs[p]`` and ``ys[p]``.  One call per block;
-    one-vertex spaces, where every distance is 0, are left out."""
+    """(rows, d) per chunk: ``d[i, p]`` is d_{C(u)}, u = ``us[rows[i]]``,
+    between the representatives of pi_u(xs[p]) and pi_u(ys[p]).  One call
+    per block; one-vertex spaces, where every distance is 0, are left out."""
     for block, slots, rows in _by_block(inst, us):
         if block.n > 1:
             for lo, hi, d in block.table_pairs(slots, inst.reps, us[rows],
@@ -104,12 +92,6 @@ def _min_to_sets(inst, sets, tgt, rows, xs):
                     tgt[part[lo:hi]], xs, dist)
 
 
-def _max_diameter(inst, sets, us):
-    """The largest diameter of ``sets[i]`` in C(us[i]), 0 for none."""
-    return max((int(block.diameters(slots, sets.take(rows)).max())
-                for block, slots, rows in _by_block(inst, us)), default=0)
-
-
 def _first_max(values, kappa):
     """Index of the first strict maximum above kappa, else None."""
     if len(values) == 0:
@@ -122,24 +104,25 @@ def _first_max(values, kappa):
 MASK_BLOCK = 1 << 20
 
 
-def _sample_pairs(mask_rows, n, budget, seed):
-    """Sampled (u, v) with ``mask_rows(lo, hi)[u - lo, v]``, row-major.
+def _sample_pairs(mask_rows, rows, width, budget, seed):
+    """Sampled (i, j) with ``mask_rows(lo, hi)[i - lo, j]``, row-major, over
+    ``rows`` rows of ``width`` columns.
 
     The rows are masked a block at a time.  The ranks ``sample_indices``
     draws are unranked from per-block counts: rank k of a block is its k-th
     set entry in row-major order, so the full pair list is never built.
     """
-    rows = max(1, MASK_BLOCK // max(n, 1))
-    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    step = max(1, MASK_BLOCK // max(width, 1))
+    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     ends = np.cumsum([0] + [np.count_nonzero(mask_rows(*b)) for b in blocks])
     idx, spec = sample_indices(int(ends[-1]), budget, seed)
     cuts = np.searchsorted(idx, ends)
     flat = np.empty_like(idx)
     for b, (lo, hi) in enumerate(blocks):
         sel = slice(cuts[b], cuts[b + 1])
-        flat[sel] = lo * n + np.flatnonzero(mask_rows(lo, hi))[
+        flat[sel] = lo * width + np.flatnonzero(mask_rows(lo, hi))[
             idx[sel] - ends[b]]
-    return *np.divmod(flat, n), spec
+    return *np.divmod(flat, width), spec
 
 
 def _composed(first, second, n):
@@ -241,17 +224,10 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
                 failures.append({"check": "container",
                                  "witness": (inst.labels[t], inst.labels[u])})
 
-    # complexity: longest chain of comparable elements
-    memo = np.full(n, -1, dtype=np.int64)
-
-    def depth(i):
-        if memo[i] >= 0:
-            return memo[i]
-        ups = np.flatnonzero(N[i])
-        memo[i] = 1 + max((depth(int(j)) for j in ups), default=0)
-        return memo[i]
-
-    complexity = max((int(depth(i)) for i in range(n)), default=0)
+    # complexity: the elements of a longest chain of comparable indices,
+    # over the indices on no nesting cycle
+    complexity = len(_longest_chain([np.flatnonzero(row).tolist()
+                                     for row in N]))
 
     # pi and rho set diameters
     keyed = inst.store.keyed
@@ -259,14 +235,14 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
     if not keyed.all_singletons():
         big = np.flatnonzero(np.diff(keyed.indptr) > 1)
         sets = RaggedSets(keyed.data, keyed.indptr).take(big)
-        xi = _max_diameter(inst, sets, big // inst.X.n)
+        xi = int(inst.diameters(big // inst.X.n, sets).max(initial=0))
     us, vs, spec = _sample_pairs(
         lambda lo, hi: (rel[lo:hi] == NESTED) | (rel[lo:hi] == TRANSVERSE), n,
-        rho_pair_budget, seed)
+        n, rho_pair_budget, seed)
     sets, reached = inst.rho_sets(us, vs)
     unreached = int((~reached).sum())
     big = np.flatnonzero(reached & (sets.sizes() > 1))
-    xi = max(xi, _max_diameter(inst, sets.take(big), vs[big]))
+    xi = max(xi, int(inst.diameters(vs[big], sets.take(big)).max(initial=0)))
     return StructuralReport(not failures, complexity, xi, failures, spec,
                             unreached,
                             {"container_cases": container_checked})
@@ -311,28 +287,6 @@ class ConsistencyReport:
                 "samples": self.samples, "unreached": self.unreached}
 
 
-# Most relation entries one eligibility mask of check_consistency holds.
-TRIPLE_MASK_CAP = 1 << 22
-
-
-def _rho_chain_triples(rel, nested):
-    """Rho-chain triples (U, V, W) over the nested pairs (U, V).
-
-    W is nested in V, or transverse to V and not orthogonal to U.  Two int32
-    arrays: the row of (U, V) in ``nested`` and W, in the order of a scan
-    over ``nested`` and then over W.
-    """
-    chunk = max(1, TRIPLE_MASK_CAP // len(rel))
-    parts = [np.empty((2, 0), dtype=np.int32)]
-    for lo in range(0, len(nested), chunk):
-        u, v = nested[lo:lo + chunk].T
-        eligible = (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
-                                         & (rel[:, u].T != ORTHOGONAL))
-        k, w = np.nonzero(eligible)
-        parts.append(np.stack([k + lo, w]).astype(np.int32))
-    return np.concatenate(parts, axis=1)
-
-
 def check_consistency(inst, pair_budget=20_000, point_budget=60,
                       triple_budget=40_000, seed=0):
     """max over scanned configurations of the three consistency minima."""
@@ -348,7 +302,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     # each direction's sweep folds into the pair's row as it arrives, so
     # the scan holds one row per pair, not one per direction
     tu, tv, tspec = _sample_pairs(
-        lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo), n,
+        lambda lo, hi: np.triu(rel[lo:hi] == TRANSVERSE, 1 + lo), n, n,
         pair_budget, seed)
     tgt = np.concatenate([tu, tv])
     sets, hit = inst.rho_sets(np.concatenate([tv, tu]), tgt)
@@ -372,9 +326,8 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
                    "pair": (inst.labels[tu[k]], inst.labels[tv[k]]),
                    "x": int(xs[i])}
 
-    nested = np.argwhere(rel == NESTED)
-    nidx, nspec = sample_indices(len(nested), pair_budget, seed + 1)
-    nv, nw = nested[nidx].T
+    nv, nw, nspec = _sample_pairs(lambda lo, hi: rel[lo:hi] == NESTED, n, n,
+                                  pair_budget, seed + 1)
     # first term: d_W(pi_W(x), rho^V_W), exact set minimum
     sets, ok = inst.rho_sets(nv, nw)
     unreached += int((~ok).sum())
@@ -384,7 +337,7 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
     # second: diam(pi_V(x) u rho^W_V(pi_W(x))) at representative level,
     # one call per block of the spaces of V
     ws, w_of = np.unique(nw, return_inverse=True)
-    down_x = np.asarray([_carrier(inst, w)[inst.pi_rep(w)[xs]] for w in ws],
+    down_x = np.asarray([inst.carrier(w)[inst.pi_rep(w)[xs]] for w in ws],
                         dtype=np.int64).reshape(len(ws), len(xs))
     mv = np.zeros_like(mw)
     for block, slots, rows in _by_block(inst, nv):
@@ -401,10 +354,17 @@ def check_consistency(inst, pair_budget=20_000, point_budget=60,
                    "pair": (inst.labels[nv[k]], inst.labels[nw[k]]),
                    "x": int(xs[i])}
 
-    # rho-consistency: U nested in V, W sees both
-    tk, tw = _rho_chain_triples(rel, nested)
-    tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
-    (cu, cv), cw = nested[tk[tridx]].T, tw[tridx]
+    # rho-consistency: U nested in V, and W nested in V or transverse to V
+    # and not orthogonal to U; a mask row per nested pair (U, V)
+    nested = np.argwhere(rel == NESTED)
+
+    def chains(lo, hi):
+        u, v = nested[lo:hi].T
+        return (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
+                                     & (rel[:, u].T != ORTHOGONAL))
+    tk, cw, trspec = _sample_pairs(chains, len(nested), n, triple_budget,
+                                   seed + 2)
+    cu, cv = nested[tk].T
     d = np.full(len(cw), -1, dtype=np.int64)
     sets, reached = inst.rho_sets(np.concatenate([cu, cv]),
                                   np.concatenate([cw, cw]))
@@ -522,9 +482,9 @@ def check_large_links(inst, E_grid=DEFAULT_E_GRID, pair_budget=150, seed=0):
 def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     """Minimal grid E bounding projections of geodesics missing N_E(rho)."""
     rng = rng_for(seed)
-    nested = np.argwhere(inst.rel == NESTED)
-    idx, spec = sample_indices(len(nested), pair_budget, seed)
-    vs, ws = nested[idx].T
+    n = inst.n_indices()
+    vs, ws, spec = _sample_pairs(lambda lo, hi: inst.rel[lo:hi] == NESTED, n,
+                                 n, pair_budget, seed)
     sets, reached = inst.rho_sets(vs, ws)
     keep = np.flatnonzero(reached)
     unreached = len(vs) - len(keep)
@@ -543,7 +503,7 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
     avoid = np.zeros(len(k), dtype=np.int64)
     owner, image = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     at_w, w_of = np.unique(ws[k], return_inverse=True)
-    carriers = RaggedSets.from_arrays([_carrier(inst, w) for w in at_w])
+    carriers = RaggedSets.from_arrays([inst.carrier(w) for w in at_w])
     for block, slots, rows in _by_block(inst, ws[k]):
         paths = block.walks(slots, src[rows], dst[rows])
         obs = rows[paths.owners()]
@@ -563,13 +523,11 @@ def check_bgi(inst, E_grid=DEFAULT_BGI_GRID, pair_budget=4000, seed=0):
                 paths.offsets[run] - paths.offsets[run[0]])
     images = RaggedSets.union(np.concatenate(owner), np.concatenate(image),
                               len(k))
-    # an image of one vertex has diameter 0; the others are measured by one
-    # ragged_diameters call per space of V, on its matrix in the stack
+    # an image of one vertex has diameter 0; the others are measured in
+    # C(V), one call per block
     wide = np.flatnonzero(images.sizes() > 1)
     diam = np.zeros(len(k), dtype=np.int64)
-    for key, rows in _by_target(inst.space_keys[vs[k[wide]]]):
-        diam[wide[rows]] = ragged_diameters(inst.space_oracle(key), images,
-                                            wide[rows])
+    diam[wide] = inst.diameters(vs[k[wide]], images.take(wide))
     E_bgi = None
     for E in sorted(E_grid):
         if (diam[avoid > E] <= E).all():
@@ -750,16 +708,17 @@ def _path_constant(inst, path):
     ii, jj = np.triu_indices(len(verts), k=1)
     span = (jj - ii).astype(np.float64)
     D = measure_quasigeodesic(verts, inst.X.oracle())
-    worst = [("X", D)]
-    for u in range(inst.n_indices()):
-        d = _pi_rep_distance(inst, u, verts[ii], verts[jj]).astype(np.float64)
-        # lower bound d >= |i-j|/D - D  =>  D >= (-d + sqrt(d^2+4|i-j|))/2
-        lower = ((-d + np.sqrt(d * d + 4.0 * span)) / 2.0).max() if len(ii) else 1.0
-        upper = (d / (span + 1.0)).max() if len(ii) else 1.0
-        Du = max(1.0, lower, upper)
-        if Du > D:
-            D = Du
-        worst.append((inst.labels[u], Du))
+    # a one-vertex space, which _rep_distances leaves out, has them all 0
+    d = np.zeros((inst.n_indices(), len(ii)))
+    for rows, got in _rep_distances(inst, np.arange(len(d)), verts[ii],
+                                    verts[jj]):
+        d[rows] = got
+    # lower bound d >= |i-j|/D - D  =>  D >= (-d + sqrt(d^2+4|i-j|))/2
+    lower = ((-d + np.sqrt(d * d + 4.0 * span)) / 2.0).max(axis=1,
+                                                           initial=1.0)
+    Du = np.maximum(lower, (d / (span + 1.0)).max(axis=1, initial=1.0))
+    worst = [("X", D)] + list(zip(inst.labels, Du.tolist()))
+    D = max(D, *Du.tolist())
     worst.sort(key=lambda t: -t[1])
     return D, worst[:5]
 

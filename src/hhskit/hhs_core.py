@@ -27,11 +27,12 @@ from .graph_core import (GraphBlock, MetricGraph, RaggedSets, Subgraph,
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
                          TRANSVERSE, AxiomBatteryReport, HierarchyPathResult,
-                         HQCReport, check_bgi, check_consistency, check_hqc,
-                         check_large_links, check_partial_realization,
-                         check_structural, check_uniqueness,
-                         distance_formula_fit, find_hierarchy_path,
-                         hqc_qc_equivalence, run_axiom_battery)
+                         HQCReport, _by_block, check_bgi, check_consistency,
+                         check_hqc, check_large_links,
+                         check_partial_realization, check_structural,
+                         check_uniqueness, distance_formula_fit,
+                         find_hierarchy_path, hqc_qc_equivalence,
+                         run_axiom_battery)
 
 # Largest vertex count of a product fixture's total space.
 PRODUCT_CAP = 200_000
@@ -175,10 +176,10 @@ class HHSInstance:
     It is only asked for pairs with u nested in v or transverse to it.
     ``space_to_x[u]`` maps C(u)-vertices to X-vertices when the index space
     is carried by X; None otherwise.  The battery maps C(w) down to C(v),
-    at representative level, through ``space_to_x[w]`` or else through the
-    reverse projection of w, followed by pi_v.  ``space_keys[u]`` names
-    index u's space object by its first index, and ``blocks`` holds each
-    distinct space once, in the ``GraphBlock`` of its vertex count.
+    at representative level, through ``carrier(w)`` followed by pi_v.
+    ``space_keys[u]`` names index u's space object by its first index, and
+    ``blocks`` holds each distinct space once, in the ``GraphBlock`` of its
+    vertex count: every query of an index space goes through its block.
     """
 
     def __init__(self, X, labels, spaces, rel, maximal, projections,
@@ -191,7 +192,7 @@ class HHSInstance:
         self._rho_provider = rho_provider
         self.space_to_x = space_to_x or [None] * len(self.labels)
         self.meta = dict(meta or {})
-        self._reverse_proj = {}
+        self._carriers = {}
         n = len(self.labels)
         if not (self.rel.shape == (n, n) and len(self.spaces) == n):
             raise ValueError("index data sizes disagree")
@@ -215,9 +216,6 @@ class HHSInstance:
     def pi_rep(self, u):
         return self.projections[u].rep
 
-    def space_oracle(self, u):
-        return self.spaces[u].oracle()
-
     @cached_property
     def blocks(self):
         """The distinct index spaces (``space_keys``) as ``GraphBlock``s: one
@@ -237,6 +235,15 @@ class HHSInstance:
         at = np.searchsorted(keys, self.space_keys)
         return ([GraphBlock([self.spaces[k] for k in keys[group]])
                  for group in groups], block[at], slot[at])
+
+    def diameters(self, us, sets):
+        """The diameter of ``sets[i]`` in C(us[i]), per i: one
+        ``GraphBlock.diameters`` call per block (none for no sets)."""
+        out = np.zeros(len(us), dtype=np.int64)
+        if len(us):
+            for block, slots, rows in _by_block(self, us):
+                out[rows] = block.diameters(slots, sets.take(rows))
+        return out
 
     def rho_sets(self, us, vs):
         """rho^us[i]_vs[i] for every pair: ``(RaggedSets, reached)``.
@@ -268,15 +275,21 @@ class HHSInstance:
             reached[lo:lo + len(inv)] = (hit & (sets.sizes() > 0))[inv]
         return RaggedSets(np.concatenate(flat), offsets), reached
 
-    def _reverse_projection(self, u):
-        """One X-vertex per C(u)-vertex whose projection contains it."""
-        if u not in self._reverse_proj:
-            xs, verts = self.projections[u].entries()
-            rev = np.full(self.spaces[u].n, self.X.n, dtype=np.int64)
-            np.minimum.at(rev, verts, xs)
-            rev[rev == self.X.n] = 0
-            self._reverse_proj[u] = rev
-        return self._reverse_proj[u]
+    def carrier(self, u):
+        """The downward map C(u) -> X, one X-vertex per C(u)-vertex:
+        ``space_to_x[u]``, else the least X-vertex whose projection set
+        holds the vertex, cached per index.  A C(u)-vertex in no projection
+        set goes to X-vertex 0, unflagged (the apex of ``product_hhs``'s top
+        space is one)."""
+        if u not in self._carriers:
+            rev = self.space_to_x[u]
+            if rev is None:
+                xs, verts = self.projections[u].entries()
+                rev = np.full(self.spaces[u].n, self.X.n, dtype=np.int64)
+                np.minimum.at(rev, verts, xs)
+                rev[rev == self.X.n] = 0
+            self._carriers[u] = np.asarray(rev, dtype=np.int64)
+        return self._carriers[u]
 
     def eligible_rho_pairs(self):
         """Ordered pairs (u, v) with rho^u_v defined: u nested in v or transverse.

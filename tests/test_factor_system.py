@@ -5,12 +5,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhskit import graph_core
 from hhskit import groups as G
 from hhskit.errors import FactorSystemViolated
 from hhskit.factor_system import (DEFAULT_MEMBER_BUDGET, AxiomOutcome,
-                                  FactorSystemCandidate,
+                                  FactorSystemCandidate, _longest_chain,
                                   build_group_factor_closure,
                                   build_hhs_from_factor_system, connected_hull,
                                   family_from_cosets, simple_family_check,
@@ -95,6 +97,50 @@ def _cycle_arcs(with_gate):
         fam.append(connected_hull(g, [0, 6], label="gate"))
         kwargs["B"] = 3
     return FactorSystemCandidate(g, fam, radius=8), kwargs
+
+
+def longest_chain_recursive(above):
+    """Reference: the recursive chain walk over an acyclic relation; the
+    first longest chain in index order, each step to the first parent in
+    ``above`` order that continues a longest one."""
+    memo, parent = {}, {}
+
+    def depth(i):
+        if i not in memo:
+            memo[i] = 0
+            for j in above[i]:
+                if depth(j) + 1 > memo[i]:
+                    memo[i], parent[i] = depth(j) + 1, j
+        return memo[i]
+
+    if not above:
+        return []
+    chain = [max(range(len(above)), key=depth)]
+    while chain[-1] in parent:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_longest_chain_matches_recursive_walk_off_cycles(above):
+    """On any relation, loops and cycles included, the chain is the
+    recursive walk's over the indices that lie on no cycle."""
+    n = len(above)
+    reach = np.zeros((n, n), dtype=bool)
+    for i, ups in enumerate(above):
+        reach[i, ups] = True
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[k]
+    off = [not reach[i, i] for i in range(n)]
+    # the relation on the acyclic indices, renumbered in index order
+    keep = [i for i in range(n) if off[i]]
+    new = {i: k for k, i in enumerate(keep)}
+    sub = [[new[j] for j in above[i] if off[j]] for i in keep]
+    assert _longest_chain(above) == [keep[k] for k in
+                                     longest_chain_recursive(sub)]
 
 
 def test_cosets_match_naive_oracle_small_radius():

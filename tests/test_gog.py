@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhskit import embedding
+from hhskit import embedding, graph_core
 from hhskit import gog as gog_mod
 from hhskit import groups as G
 from hhskit.cli import _jsonable, stable_json
@@ -13,9 +13,10 @@ from hhskit.gog import (GraphOfGroups, MoveRecord, _absorbed_edge_instance,
                         apply_star_move, build_tree_of_spaces,
                         check_combination_hypotheses,
                         check_hyperbolic_obtainable, run_main_pipeline)
-from hhskit.graph_core import four_point_delta
+from hhskit.graph_core import MetricGraph, four_point_delta
 from hhskit.groups import SubgroupSpec, enumerate_cosets
-from hhskit.hhs_core import instance_from_ball
+from hhskit.hhs_core import (CONTAINS, NESTED, HHSInstance,
+                             instance_from_ball)
 
 
 def amalgam():
@@ -196,6 +197,38 @@ def test_sphere_edge_image_fails_hqc():
     bad = [k for k, v in broken.hqc["per_edge"].items() if not v["passed"]]
     assert bad == ["e@Q"]
     assert not broken.passed
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_nesting_surjectivity_measures_large_spaces(monkeypatch, cap):
+    """An index nested in an edge image's target but outside the image is
+    exempt when its space has diameter at most 2, however many vertices it
+    has: here a 70-vertex star.  A space over MATRIX_CAP is not scanned and
+    stays unbounded, flagged as assumed."""
+    if cap is not None:
+        monkeypatch.setattr(graph_core, "MATRIX_CAP", cap)
+    gog, _ = run_main_pipeline(amalgam(), base_vertices=["Q"], radius=4,
+                               seed=5)
+    vi = gog.vertices["G"].instance
+    t = vi.index_of_label(gog.edges["e"].instance["G"].meta["index_map"][
+        "e@G-coset[e]"])
+    b = next(u for u in range(vi.n_indices()) if u not in (t, vi.maximal))
+    rel, spaces = vi.rel.copy(), list(vi.spaces)
+    rel[b, t], rel[t, b] = NESTED, CONTAINS
+    spaces[b] = MetricGraph(70, [(0, v) for v in range(1, 70)])
+    gog.vertices["G"].instance = HHSInstance(
+        vi.X, vi.labels, spaces, rel, vi.maximal, vi.projections,
+        vi._rho_provider, vi.space_to_x, vi.meta)
+    entry = check_combination_hypotheses(gog, seed=5).fullness["per_edge"][
+        "e@G"]
+    if cap is None:
+        assert entry["bounded_exemptions"] == 1 and entry["passed"]
+        assert entry["unmatched_unbounded"] == []
+    else:
+        assert entry["bounded_exemptions"] == 0 and not entry["passed"]
+        assert entry["unmatched_unbounded"] == [
+            {"target": "e@G-coset[e]", "unmatched": vi.labels[b],
+             "diam": None, "assumed_unbounded": True}]
 
 
 def test_obtainability_rejects_duplicate_subgroup_family():

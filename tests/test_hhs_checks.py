@@ -21,20 +21,20 @@ from hhskit.embedding import build_augmented_structure
 from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         run_main_pipeline)
-from hhskit.graph_core import (MetricGraph, RaggedSets, bfs_distances,
-                               four_point_delta, ragged_diameters)
+from hhskit.graph_core import (GraphBlock, MetricGraph, RaggedSets,
+                               bfs_distances, four_point_delta)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
-                               TRANSVERSE, _carrier, _pi_rep_distance,
-                               _rho_chain_triples, check_bgi,
-                               check_consistency, check_large_links,
-                               check_partial_realization, check_structural)
+                               TRANSVERSE, check_bgi, check_consistency,
+                               check_large_links, check_partial_realization,
+                               check_structural)
 from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
                              instance_from_bundle, instance_to_bundle,
                              normalize, product_hhs)
 from hhskit.sampling import (SampleSpec, rng_for, sample_indices,
                              sample_unordered_pairs)
 from test_graph_core import diameter_loop
+from test_hhs_core import carrier_loop, pi_rep_distance, rho_chain_triples_loop
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -156,7 +156,7 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
             unreached += 1
             continue
         mw = pi_min_loop(inst, w, xs, rho_vw)
-        down = inst.pi_rep(v)[_carrier(inst, w)[inst.pi_rep(w)[xs]]]
+        down = inst.pi_rep(v)[carrier_loop(inst, w)[inst.pi_rep(w)[xs]]]
         mv = np.asarray([bfs_distances(inst.spaces[v], [a])[b] for a, b
                          in zip(inst.pi_rep(v)[xs], down)])
         m = np.minimum(mw, mv)
@@ -166,9 +166,9 @@ def consistency_loop(inst, pair_budget=20_000, point_budget=60,
             witness = {"kind": "nested",
                        "pair": (inst.labels[v], inst.labels[w]),
                        "x": int(xs[i])}
-    tk, tw = _rho_chain_triples(inst.rel, nested)
-    tridx, trspec = sample_indices(len(tk), triple_budget, seed + 2)
-    for k, w in zip(tk[tridx].tolist(), tw[tridx].tolist()):
+    triples = rho_chain_triples_loop(inst.rel, nested)
+    tridx, trspec = sample_indices(len(triples), triple_budget, seed + 2)
+    for k, w in (triples[i] for i in tridx):
         u, v = int(nested[k][0]), int(nested[k][1])
         ru, rv = rho_or_none(inst, u, w), rho_or_none(inst, v, w)
         if ru is None or rv is None:
@@ -221,9 +221,9 @@ def bgi_observations(inst, pair_budget=4000, geodesics_per_pair=12, seed=0):
             unreached += 1
             continue
         cw = inst.spaces[w]
-        oracle_w = inst.space_oracle(w)
+        oracle_w = cw.oracle()
         dist_rho = bfs_distances(cw, rho)
-        carrier = _carrier(inst, w)
+        carrier = carrier_loop(inst, w)
         rep_v = inst.pi_rep(v)
         for _ in range(geodesics_per_pair):
             a, b = int(rng.integers(0, cw.n)), int(rng.integers(0, cw.n))
@@ -276,13 +276,13 @@ def large_links_loop(inst, E_grid=hhs_checks.DEFAULT_E_GRID, pair_budget=150,
     no_finite = []
     for w in parents:
         children = np.flatnonzero(inst.rel[:, w] == NESTED)
-        ds = np.stack([_pi_rep_distance(inst, int(t), us, vs)
+        ds = np.stack([pi_rep_distance(inst, int(t), us, vs)
                        for t in children])           # (|children|, pairs)
-        dw = _pi_rep_distance(inst, w, us, vs)
+        dw = pi_rep_distance(inst, w, us, vs)
         rhos, reached = inst.rho_sets(children, w)
         reached &= rhos.sizes() > 0
         rel_sub = inst.rel[np.ix_(children, children)]
-        oracle_w = inst.space_oracle(w)
+        oracle_w = inst.spaces[w].oracle()
         for pi in range(len(us)):
             col = ds[:, pi]
             pi_set = inst.pi(w, int(us[pi]))
@@ -420,18 +420,20 @@ def bgi_instances():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bgi_diameters_match_per_image_loop(monkeypatch, bgi_instances,
                                             name, seed):
-    """Every geodesic image of two or more vertices is measured once, to
-    the largest ``pairs`` distance over it; the others are 0."""
+    """Every geodesic image of two or more vertices is measured once, by
+    its block, to the largest ``pairs`` distance over it; the others are
+    0."""
     inst = bgi_instances[name]
     measured = []
+    diameters = GraphBlock.diameters
 
-    def spy(oracle, sets, idx):
-        d = ragged_diameters(oracle, sets, idx)
+    def spy(block, slots, sets):
+        d = diameters(block, slots, sets)
         measured.extend((tuple(sets[i].tolist()), int(x))
-                        for i, x in zip(idx.tolist(), d.tolist()))
+                        for i, x in enumerate(d.tolist()))
         return d
 
-    monkeypatch.setattr(hhs_checks, "ragged_diameters", spy)
+    monkeypatch.setattr(GraphBlock, "diameters", spy)
     report = check_bgi(inst, seed=seed)
     observations, _, _ = bgi_observations(inst, seed=seed)
     assert Counter(measured) == Counter(
@@ -537,8 +539,6 @@ def test_relation_joins_match_dense_products(n, data):
     rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
                                         min_size=n * n, max_size=n * n)),
                      dtype=np.int8).reshape(n, n)
-    # nesting only upward in index order, so chains are finite
-    rel[np.tril(rel == NESTED)] = TRANSVERSE
     point = MetricGraph(1, [])
     inst = HHSInstance(point, [str(i) for i in range(n)], [point] * n, rel,
                        0, [ProjectionTable.identity(1)] * n,
@@ -584,7 +584,8 @@ def test_sample_pairs_match_row_walk(block, n, budget, seed, data):
         if block is not None:
             mp.setattr(hhs_checks, "MASK_BLOCK", block * max(n, 1))
         for mask_row, mask_rows in masks:
-            us, vs, spec = hhs_checks._sample_pairs(mask_rows, n, budget, seed)
+            us, vs, spec = hhs_checks._sample_pairs(mask_rows, n, n, budget,
+                                                    seed)
             eus, evs, espec = sample_pairs_walk(mask_row, n, budget, seed)
             assert (us.tolist(), vs.tolist(), spec) == \
                 (eus.tolist(), evs.tolist(), espec)

@@ -20,6 +20,7 @@ from hhskit.hhs_core import (HHSInstance, ProjectionTable, check_bgi,
                              hqc_qc_equivalence, instance_from_ball,
                              instances_structurally_equal, normalize, product_hhs,
                              run_axiom_battery, trivial_instance)
+from hhskit.sampling import sample_indices
 
 F2 = G.free_group(["a", "b"])
 SUB_A = SubgroupSpec(F2, ["a"], label="A")
@@ -84,37 +85,62 @@ def rho_chain_triples_loop(rel, nested):
     return triples
 
 
-@pytest.mark.parametrize("cap", [None, 1, 500])
-def test_rho_chain_triples_in_loop_order(factor4, monkeypatch, cap):
-    """Chunked mask scan lists the triples as the loop does, also when the
-    chunks (one nested pair, three nested pairs) split the scan."""
-    if cap is not None:
-        monkeypatch.setattr(hhs_checks, "TRIPLE_MASK_CAP", cap)
-    nested = np.argwhere(factor4.rel == NESTED)
-    ks, ws = hhs_checks._rho_chain_triples(factor4.rel, nested)
-    assert ks.dtype == ws.dtype == np.int32
-    assert list(zip(ks.tolist(), ws.tolist())) == \
-        rho_chain_triples_loop(factor4.rel, nested)
-
-
-@given(st.integers(1, 9), st.data(), st.sampled_from([1, 7, 1 << 22]))
-@settings(max_examples=60, deadline=None)
-def test_rho_chain_triples_on_any_relation_matrix(n, data, cap):
-    """Every relation code, orthogonality included, against the loop."""
+@pytest.mark.parametrize("block", [1, None])
+@given(st.integers(1, 9), st.data(), st.sampled_from([None, 0, 1, 7, 60]),
+       st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_rho_chain_sample_matches_listed_triples(block, n, data, budget,
+                                                 seed):
+    """``_sample_pairs`` over the rho-chain mask (a row per nested pair, a
+    column per index) draws what ``sample_indices`` draws from the listed
+    triples, for every relation code, with blocks of one row and of
+    MASK_BLOCK entries."""
     codes = [hhs_checks.EQUAL, NESTED, hhs_checks.CONTAINS,
              hhs_checks.ORTHOGONAL, TRANSVERSE]
     rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
                                         min_size=n * n, max_size=n * n)),
                      dtype=np.int8).reshape(n, n)
     nested = np.argwhere(rel == NESTED)
-    saved = hhs_checks.TRIPLE_MASK_CAP
-    hhs_checks.TRIPLE_MASK_CAP = cap
-    try:
-        ks, ws = hhs_checks._rho_chain_triples(rel, nested)
-    finally:
-        hhs_checks.TRIPLE_MASK_CAP = saved
-    assert list(zip(ks.tolist(), ws.tolist())) == \
-        rho_chain_triples_loop(rel, nested)
+
+    def chains(lo, hi):
+        u, v = nested[lo:hi].T
+        return (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
+                                     & (rel[:, u].T != hhs_checks.ORTHOGONAL))
+    triples = rho_chain_triples_loop(rel, nested)
+    idx, spec = sample_indices(len(triples), budget, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(hhs_checks, "MASK_BLOCK", block)
+        ks, ws, got = hhs_checks._sample_pairs(chains, len(nested), n, budget,
+                                               seed)
+    assert list(zip(ks.tolist(), ws.tolist())) == [triples[i] for i in idx]
+    assert got == spec
+
+
+def test_structural_reports_nesting_cycles():
+    """A 2-cycle and a 3-cycle of nesting fail the relation checks, and the
+    complexity counts the chains over the indices on no cycle."""
+    point = MetricGraph(1, [])
+
+    def structural(n, nested):
+        rel = np.full((n, n), TRANSVERSE, dtype=np.int8)
+        np.fill_diagonal(rel, hhs_checks.EQUAL)
+        for u, v in nested:
+            rel[u, v] = NESTED
+        inst = HHSInstance(point, [str(i) for i in range(n)], [point] * n,
+                           rel, n - 1, [ProjectionTable.identity(1)] * n,
+                           lambda inst, us, vs: None)
+        return check_structural(inst)
+
+    # a < b < a, both below S; the mirror of a nesting is a nesting
+    rep = structural(3, [(0, 1), (1, 0), (0, 2), (1, 2)])
+    assert not rep.passed and rep.complexity == 1
+    assert {f["check"] for f in rep.failures} >= {"nesting-antisymmetric",
+                                                  "nesting-mirror"}
+    # a < b < c < a, and d < S below none of them
+    rep = structural(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    assert not rep.passed and rep.complexity == 2
+    assert "nesting-transitive" in {f["check"] for f in rep.failures}
 
 
 def test_structural_catches_broken_relation(factor4):
@@ -202,6 +228,21 @@ def reverse_projection_loop(table, n_space):
     return rev
 
 
+def carrier_loop(inst, u):
+    """Reference downward map C(u) -> X: ``space_to_x[u]``, else the
+    reverse projection."""
+    if inst.space_to_x[u] is not None:
+        return np.asarray(inst.space_to_x[u], dtype=np.int64)
+    return reverse_projection_loop(inst.projections[u], inst.spaces[u].n)
+
+
+def pi_rep_distance(inst, u, xs, ys):
+    """d_{C(u)} between the projection representatives of X-vertex arrays,
+    asked of the space's own oracle."""
+    rep = inst.pi_rep(u)
+    return inst.spaces[u].oracle().pairs(rep[xs], rep[ys])
+
+
 def same_table(a, b):
     return (a.indptr.dtype == b.indptr.dtype and a.data.dtype == b.data.dtype
             and a.indptr.tolist() == b.indptr.tolist()
@@ -241,8 +282,7 @@ def test_table_operations_match_per_vertex_loops(tm, data):
     inst = HHSInstance(MetricGraph(rows, []), ["S"], [MetricGraph(m, [])],
                        np.zeros((1, 1), dtype=np.int8), 0, [t],
                        lambda inst, u, v: None)
-    assert inst._reverse_projection(0).tolist() == \
-        reverse_projection_loop(t, m).tolist()
+    assert inst.carrier(0).tolist() == reverse_projection_loop(t, m).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +346,8 @@ def test_distance_formula_summand_example():
     assert int(inst.X.oracle().dist(e, x)) == 5
     total = 0
     for u in range(inst.n_indices()):
-        d = inst.space_oracle(u).dist(int(inst.pi_rep(u)[e]),
-                                      int(inst.pi_rep(u)[x]))
+        d = inst.spaces[u].oracle().dist(int(inst.pi_rep(u)[e]),
+                                         int(inst.pi_rep(u)[x]))
         total += d if d >= 1 else 0
     # oracle: a-axis contributes 3, the b-coset at a3 contributes 2, the
     # coned top space contributes 2, gates elsewhere contribute 0

@@ -7,6 +7,8 @@ references below are the per-index loops the battery ran before, one
 oracle query per index space.
 """
 
+import pathlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,6 @@ from hhskit.factor_system import build_hhs_from_factor_system, family_from_coset
 from hhskit.graph_core import (DistanceOracle, GraphBlock, MetricGraph,
                                RaggedSets, quasiconvexity_constant)
 from hhskit.groups import SubgroupSpec
-from hhskit.hhs_checks import _pi_rep_distance
 from hhskit.hhs_core import (NESTED, HHSInstance, ProjectionTable,
                              check_hqc, distance_formula_fit,
                              instance_from_ball, product_hhs,
@@ -30,7 +31,7 @@ from hhskit.hhs_core import (NESTED, HHSInstance, ProjectionTable,
 from hhskit.sampling import sample_indices, sample_unordered_pairs
 from test_graph_core import (bfs_levels, connected_graphs, diameter_loop,
                              path_graph, scattered_graphs)
-from test_hhs_core import image_of
+from test_hhs_core import image_of, pi_rep_distance
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -166,7 +167,7 @@ def lipschitz_loop(inst, seed=0):
     us, vs = edges[idx, 0], edges[idx, 1]
     K, witness = 0, None
     for u in range(inst.n_indices()):
-        d = _pi_rep_distance(inst, u, us, vs)
+        d = pi_rep_distance(inst, u, us, vs)
         i = int(np.argmax(d))
         if d[i] > K:
             K = int(d[i])
@@ -181,7 +182,7 @@ def projection_max_loop(inst, pair_budget=20_000, seed=0):
     us, vs, _ = sample_unordered_pairs(inst.X.n, pair_budget, seed)
     m = np.zeros(len(us), dtype=np.int64)
     for u in range(inst.n_indices()):
-        np.maximum(m, _pi_rep_distance(inst, u, us, vs), out=m)
+        np.maximum(m, pi_rep_distance(inst, u, us, vs), out=m)
     return m
 
 
@@ -192,7 +193,7 @@ def distance_formula_loop(inst, s=3, pair_budget=None, seed=0):
         inst.X.n, None if exhaustive else pair_budget, seed)
     total = np.zeros(len(us), dtype=np.int64)
     for u in range(inst.n_indices()):
-        d = _pi_rep_distance(inst, u, us, vs).astype(np.int64)
+        d = pi_rep_distance(inst, u, us, vs).astype(np.int64)
         d[d < s] = 0
         total += d
     dx = inst.X.oracle().pairs(us, vs).astype(np.int64)
@@ -221,7 +222,7 @@ def hqc_loop(inst, yverts, seed=0):
                                     seed=seed).q
         if q > k0:
             k0, witness = q, inst.labels[u]
-        dist = inst.space_oracle(u).dist_to_set(proj).astype(np.int64)
+        dist = inst.spaces[u].oracle().dist_to_set(proj).astype(np.int64)
         # the least distance over each x's projection set, by its CSR
         lo = table.indptr[0]
         np.maximum(worst_gap, np.minimum.reduceat(
@@ -292,16 +293,15 @@ def test_hqc_matches_the_loop(instances, name):
 # one distance call per block
 
 SECTIONS = {"check_structural": 2, "check_projection_lipschitz": 1,
-            "check_consistency": 4, "check_bgi": 2,
+            "check_consistency": 4, "check_bgi": 3,
             "check_partial_realization": 2, "check_uniqueness": 1}
 
 
 def test_battery_asks_one_distance_call_per_block_and_section(monkeypatch):
     """On the F2 r=4 factor instance (163 indices, 6 blocks) every check
     section asks each block once, where the per-space loops asked each of
-    its spaces.  Large links asks twice per block for each W; the image
-    diameters of BGI stay one ``ragged_diameters`` per space of V, and
-    they are the only oracle queries of an index space in any check."""
+    its spaces.  Large links asks twice per block for each W, and no
+    check, BGI included, asks an index space's own oracle."""
     inst = factor(4)
     blocks, _, _ = inst.blocks
     oracles = {id(space.oracle()) for space in inst.spaces}
@@ -333,15 +333,28 @@ def test_battery_asks_one_distance_call_per_block_and_section(monkeypatch):
                 check[0] = None
         monkeypatch.setattr(hhs_checks, name, entered)
     run_axiom_battery(inst, seed=0)
+    assert [key for key in calls if isinstance(key[2], tuple)] == []
     per_block = Counter()
     for (name, method, key), count in calls.items():
-        if isinstance(key, tuple):
-            assert name == "check_bgi" and method == "pairs"
-        else:
-            per_block[name, key] += count
+        per_block[name, key] += count
     parents = len(np.unique(np.argwhere(inst.rel == NESTED)[:, 1]))
     for block in blocks:
         for name, sections in SECTIONS.items():
             assert per_block[name, id(block)] <= sections
         assert per_block["check_large_links", id(block)] <= 2 * parents
     assert len(blocks) == 6 and per_block
+
+
+def test_checks_ask_index_spaces_only_through_blocks():
+    """The battery, the absorption checks and the pipeline ask an index
+    space through ``HHSInstance`` and its blocks, never through the space's
+    own oracle."""
+    direct = re.compile(r"space_oracle|spaces\[[^]]*\]\.oracle\("
+                        r"|space\.oracle\(")
+    src = pathlib.Path(graph_core.__file__).parent
+    offenders = [f"{name}:{i}"
+                 for name in ("hhs_checks.py", "embedding.py", "gog.py")
+                 for i, line in enumerate(
+                     (src / name).read_text().splitlines(), 1)
+                 if direct.search(line)]
+    assert offenders == []
