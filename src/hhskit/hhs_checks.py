@@ -716,9 +716,10 @@ def _path_constant(inst, path):
     # lower bound d >= |i-j|/D - D  =>  D >= (-d + sqrt(d^2+4|i-j|))/2
     lower = ((-d + np.sqrt(d * d + 4.0 * span)) / 2.0).max(axis=1,
                                                            initial=1.0)
-    Du = np.maximum(lower, (d / (span + 1.0)).max(axis=1, initial=1.0))
-    worst = [("X", D)] + list(zip(inst.labels, Du.tolist()))
-    D = max(D, *Du.tolist())
+    upper = (d / (span + 1.0)).max(axis=1, initial=1.0)
+    Du = np.maximum(lower, upper).tolist()
+    worst = [("X", D)] + list(zip(inst.labels, Du))
+    D = max([D] + Du)
     worst.sort(key=lambda t: -t[1])
     return D, worst[:5]
 
