@@ -85,34 +85,54 @@ def rho_chain_triples_loop(rel, nested):
     return triples
 
 
-@pytest.mark.parametrize("block", [1, None])
-@given(st.integers(1, 9), st.data(), st.sampled_from([None, 0, 1, 7, 60]),
-       st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_rho_chain_sample_matches_listed_triples(block, n, data, budget,
-                                                 seed):
-    """``_sample_pairs`` over the rho-chain mask (a row per nested pair, a
-    column per index) draws what ``sample_indices`` draws from the listed
-    triples, for every relation code, with blocks of one row and of
-    MASK_BLOCK entries."""
+def rho_chain_mask(rel, nested):
+    """Rows ``lo:hi`` of the rho-chain mask: a row per nested pair (u, v), a
+    column per index w with (u, v, w) a rho-consistency triple."""
+    def chains(lo, hi):
+        u, v = nested[lo:hi].T
+        return (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
+                                     & (rel[:, u].T != hhs_checks.ORTHOGONAL))
+    return chains
+
+
+@pytest.mark.parametrize("cap", [None, 1, 500])
+def test_rho_chain_triples_in_loop_order(factor4, monkeypatch, cap):
+    """An exhaustive ``_sample_pairs`` over the rho-chain mask lists the
+    triples as the loop does, also when the mask blocks (one nested pair,
+    several nested pairs) split the scan."""
+    if cap is not None:
+        monkeypatch.setattr(hhs_checks, "MASK_BLOCK", cap)
+    nested = np.argwhere(factor4.rel == NESTED)
+    ks, ws, spec = hhs_checks._sample_pairs(
+        rho_chain_mask(factor4.rel, nested), len(nested),
+        factor4.n_indices(), None, 0)
+    triples = rho_chain_triples_loop(factor4.rel, nested)
+    assert list(zip(ks.tolist(), ws.tolist())) == triples
+    assert spec.mode == "exhaustive" and spec.drawn == len(triples)
+
+
+@given(st.integers(1, 9), st.data(), st.sampled_from([1, 7, None]),
+       st.sampled_from([None, 0, 1, 7, 60]), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_rho_chain_triples_on_any_relation_matrix(n, data, block, budget,
+                                                  seed):
+    """``_sample_pairs`` over the rho-chain mask draws what
+    ``sample_indices`` draws from the listed triples, for every relation
+    code, orthogonality included, with blocks of one row, of a few rows and
+    of MASK_BLOCK entries."""
     codes = [hhs_checks.EQUAL, NESTED, hhs_checks.CONTAINS,
              hhs_checks.ORTHOGONAL, TRANSVERSE]
     rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
                                         min_size=n * n, max_size=n * n)),
                      dtype=np.int8).reshape(n, n)
     nested = np.argwhere(rel == NESTED)
-
-    def chains(lo, hi):
-        u, v = nested[lo:hi].T
-        return (rel[v] == NESTED) | ((rel[v] == TRANSVERSE)
-                                     & (rel[:, u].T != hhs_checks.ORTHOGONAL))
     triples = rho_chain_triples_loop(rel, nested)
     idx, spec = sample_indices(len(triples), budget, seed)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(hhs_checks, "MASK_BLOCK", block)
-        ks, ws, got = hhs_checks._sample_pairs(chains, len(nested), n, budget,
-                                               seed)
+        ks, ws, got = hhs_checks._sample_pairs(rho_chain_mask(rel, nested),
+                                               len(nested), n, budget, seed)
     assert list(zip(ks.tolist(), ws.tolist())) == [triples[i] for i in idx]
     assert got == spec
 
