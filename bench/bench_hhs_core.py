@@ -15,8 +15,12 @@ identity coset of <a>, and an exhaustive ``distance_formula_fit`` (s=3,
 1,060,696 pairs) on the r=6 one.
 ``check_large_links`` and ``check_bgi`` are also timed on the r=6
 factor-system instance (1459 indices; its top index has 1458 children),
-and ``check_consistency`` (seed 11) on the r=7 one, one round: the peak
-RSS of its fresh process is the larger of the build's and the check's.
+``check_consistency`` (seed 11) on the r=7 one, one round (the peak RSS of
+its fresh process is the larger of the build's and the check's), and
+``check_structural`` on the r=7 one, three rounds (4375 indices, no
+orthogonal pair, so no container case).  The factor-system instances are
+built by ``instance_from_factor_system``, without the axiom verdict that
+``build_hhs_from_factor_system`` computes first.
 ``rho_sets`` over every eligible pair (u nested in v or transverse to it)
 is timed on the augmented r=5 instance (59,049 pairs) and on the r=6
 factor-system instance; a ``rho_sets`` that takes one target index per
@@ -45,7 +49,7 @@ from hhskit import hhs_checks
 from hhskit.embedding import (build_augmented_structure, check_hh_embedded,
                               check_hyperbolically_embedded,
                               coned_over_cosets, relative_metric)
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.factor_system import family_from_cosets
 from hhskit.groups import SubgroupSpec, coset_subgraph, enumerate_cosets
 from hhskit.hhs_core import (check_hqc, distance_formula_fit,
                              instance_from_ball, instance_from_factor_system,
@@ -73,7 +77,7 @@ def augmented():
 
 
 def factor_f2(radius):
-    return build_hhs_from_factor_system(
+    return instance_from_factor_system(
         family_from_cosets(G.cayley_ball(F2, radius), [SUB_A, SUB_B]))
 
 
@@ -186,6 +190,13 @@ def hyperbolically_embedded_f2(benchmark, radius):
                                             {"seed": 3}),
                              rounds=3)
     assert got.passed
+
+
+def test_structural_factor_f2_r7(benchmark):
+    got = benchmark.pedantic(hhs_checks.check_structural,
+                             setup=lambda: ((factor_f2(7),), {"seed": 1}),
+                             rounds=3)
+    assert got.passed and got.details["container_cases"] == 0
 
 
 def test_hyperbolically_embedded_f2_r6(benchmark):

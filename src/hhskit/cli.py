@@ -25,16 +25,15 @@ from .errors import ConfigError, HHSKitError
 from .coneoff import build_coneoff, coneoff_report
 from .embedding import (build_augmented_structure,
                         check_hyperbolically_embedded, verify_augmented)
-from .factor_system import (build_group_factor_closure,
-                            build_hhs_from_factor_system, family_from_cosets,
+from .factor_system import (build_group_factor_closure, family_from_cosets,
                             simple_family_check, verify_factor_system)
 from .gog import (GraphOfGroups, MoveRecord, apply_star_move,
                   build_tree_of_spaces, run_main_pipeline)
 from .graph_core import four_point_delta, to_dot, write_edge_list
 from .groups import SubgroupSpec, cayley_ball, coset_subgraph, enumerate_cosets
-from .hhs_core import (distance_formula_fit, hqc_qc_equivalence,
-                       instance_from_ball, instance_to_bundle,
-                       run_axiom_battery)
+from .hhs_core import (build_hhs_from_factor_system, distance_formula_fit,
+                       hqc_qc_equivalence, instance_from_ball,
+                       instance_to_bundle, run_axiom_battery)
 
 SUBCOMMANDS = ("delta", "coneoff", "factor-system", "hhs-check",
                "distance-formula", "hqc", "embed", "construct", "gog",
@@ -299,8 +298,10 @@ def op_gog(scn, op, seed):
     result, report = run_main_pipeline(
         gog, base_vertices=_require(gcfg, "base_vertices", where),
         radius=_require(op, "radius", where), seed=seed)
-    out = {"refused": report["refused"],
-           "obtainable": _jsonable(report["obtainable"])}
+    out = {"refused": report["refused"]}
+    for key in ("edge_maps", "obtainable"):
+        if key in report:
+            out[key] = _jsonable(report[key])
     if report["refused"] is None:
         out.update({"step1": report["step1"], "step2": report["step2"],
                     "structural": report["structural"],

@@ -13,7 +13,9 @@ of each subgroup's index set per coset, projections factoring through
 closest-point projection onto the coset, and relative projections
 composed through the coset gates.  Relative projections that cannot be
 populated inside the ball are 'unreached' and excluded from constant
-estimation, with counts reported.
+estimation, with counts reported.  ``verify_augmented`` runs the battery
+on the result and measures the morphisms from each subgroup structure into
+it (index map, relations, projection commute gap, equivariance gap).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
 from .hhs_core import (CONTAINS, EQUAL, NESTED, TRANSVERSE, HHSInstance,
                        _projection_sets_onto, assemble_sets,
                        run_axiom_battery)
-from .sampling import rng_for, sample_indices
+from .sampling import rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +299,6 @@ def check_hh_embedded(base, subs, seed=0):
             "witness": witness}
 
 
-def projection_uniform_bound(base, sub, seed=0):
-    """max over proper indices and cosets of the projection diameter."""
-    proper = [u for u in range(base.n_indices()) if u != base.maximal]
-    if not proper:
-        return {"C": 0, "witness": None, "vacuous": True}
-    ball = base.meta.get("ball")
-    if ball is None:
-        raise StructureMismatch("base instance carries no ball metadata")
-    cosets = enumerate_cosets(ball, sub)
-    coset_sets = RaggedSets.from_arrays([c.vertices for c in cosets])
-    # sample k is the pair (proper[k // len(cosets)], coset k % len(cosets))
-    idx, spec = sample_indices(len(proper) * len(cosets), 20_000, seed)
-    at, ci = np.divmod(idx, len(cosets))
-    us = np.asarray(proper)[at]
-    diams = base.diameters(us, base.store.images_of(us, coset_sets, ci))
-    # the first sample of the largest diameter, the one a scan in order keeps
-    k = int(np.argmax(diams))
-    C = int(diams[k])
-    witness = None if C == 0 else {
-        "U": base.labels[proper[at[k]]],
-        "g": ball.model.format(cosets[ci[k]].representative)}
-    return {"C": C, "witness": witness, "vacuous": False,
-            "sample": spec.to_dict()}
-
-
 # ---------------------------------------------------------------------------
 # the absorption construction
 
@@ -579,77 +556,3 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
         for m in morphisms)
     return {"passed": passed, "battery": battery, "morphisms": morphisms,
             "clamped": aug.clamped, "seed": seed}
-
-
-@dataclass
-class DecompositionReport:
-    input_path: tuple
-    pieces: tuple              # (kind, vertex tuple); kind 'gamma' or 'beta'
-    theta: int
-    T: int
-    per_index: list
-
-    def to_dict(self):
-        return {"theta": self.theta, "T": self.T,
-                "pieces": [(k, len(p)) for k, p in self.pieces],
-                "per_index": self.per_index[:8]}
-
-
-def decomposition_projection_check(aug, x, y, theta):
-    """Split a de-electrified top geodesic into coset runs and short rest.
-
-    Coset pieces shorter than theta are merged into the neighboring
-    segments (the coarser subdivision); the report measures the largest
-    gap T between the projection diameter of the whole path and the best
-    piece, over all proper old indices.
-    """
-    from .coneoff import de_electrify
-    result = aug.result
-    coned = aug.coned
-    path = coned.coned.oracle().geodesic(x, y)
-    record = de_electrify(coned, path)
-
-    # rebuild as alternating segments, merging short coset pieces
-    verts = record.output_path.vertices
-    piece_at = {}
-    for mi, piece in record.pieces:
-        piece_at[piece[0]] = piece
-    segments = []
-    i = 0
-    current = [verts[0]]
-    while i + 1 <= len(verts) - 1:
-        nxt = verts[i + 1]
-        key = verts[i]
-        piece = piece_at.get(key)
-        if piece is not None and len(piece) - 1 > theta and \
-                tuple(verts[i:i + len(piece)]) == tuple(piece):
-            if len(current) > 1 or segments == []:
-                segments.append(("gamma", tuple(current)))
-            segments.append(("beta", tuple(piece)))
-            i += len(piece) - 1
-            current = [verts[i]]
-        else:
-            current.append(nxt)
-            i += 1
-    segments.append(("gamma", tuple(current)))
-
-    old_proper = [u for u, p in enumerate(aug.provenance)
-                  if p[0] == "old" and u != result.maximal]
-    T = 0
-    per_index = []
-    xmap = result.space_to_x[result.maximal]
-    # the whole path, then each segment
-    runs = RaggedSets.from_arrays(
-        [xmap[list(seg)] for seg in [verts] + [s for _, s in segments]])
-    k = len(runs)
-    images = result.store.images_of(np.repeat(old_proper, k), runs,
-                                    np.tile(np.arange(k), len(old_proper)))
-    diams = result.diameters(np.repeat(old_proper, k), images).reshape(-1, k)
-    for u, d in zip(old_proper, diams.tolist()):
-        whole, best = d[0], max(d[1:])
-        gap = whole - best
-        per_index.append({"U": result.labels[u], "whole": whole,
-                          "best_piece": best, "gap": gap})
-        T = max(T, gap)
-    return DecompositionReport(tuple(path), tuple(segments), theta, T,
-                               per_index)

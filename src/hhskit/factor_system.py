@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, FactorSystemViolated
+from .errors import BudgetExceeded
 from .graph_core import (RaggedSets, connected_hull,
                          four_point_delta, iter_ragged_blocks,
                          quasiconvexity_constant, ragged_diameters,
                          ragged_hausdorff)
+from .groups import coset_subgraph, enumerate_cosets
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, sample_indices,
                        sample_ordered_pairs)
 
@@ -339,26 +340,8 @@ def simple_family_check(cand, eps_grid=(0, 1, 2), pair_budget=DEFAULT_PAIR_BUDGE
             "flags": flags, "small_members": small_members}
 
 
-def build_hhs_from_factor_system(cand, force=False, report=None):
-    """Assemble the induced hierarchical structure (see hhs_core).
-
-    Index set = family + the whole graph; each index space is the cone-off
-    of the member over strictly contained members; projections are
-    closest-point projections; nesting is containment, no orthogonality,
-    transversality otherwise.
-    """
-    if report is None:
-        report = verify_factor_system(cand)
-    if not report.passed and not force:
-        raise FactorSystemViolated(
-            "factor-system axioms failed; pass force=True to build anyway")
-    from .hhs_core import instance_from_factor_system
-    return instance_from_factor_system(cand, report)
-
-
 def family_from_cosets(ball, subs):
     """All coset subgraphs of the given subgroups in the ball."""
-    from .groups import coset_subgraph, enumerate_cosets
     fam = []
     for sub in subs:
         for c in enumerate_cosets(ball, sub):

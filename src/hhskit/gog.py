@@ -18,9 +18,9 @@ from .factor_system import build_group_factor_closure, verify_factor_system
 from .graph_core import MetricGraph, quasiconvexity_constant
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word)
-from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance, check_hqc,
+from .hhs_core import (NESTED, ORTHOGONAL, HHSInstance,
+                       build_hhs_from_factor_system, check_hqc,
                        check_structural, instance_from_ball)
-from .factor_system import build_hhs_from_factor_system
 
 # Largest piece count times piece size of a tree of spaces.
 TREE_OF_SPACES_CAP = 60_000
@@ -439,8 +439,15 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0):
     """Equip, absorb, and check: the three steps of the main construction.
 
     Returns the equipped graph of groups and the combination report.
-    Refuses when the obtainability check fails.
+    Refuses when an edge map is not a homomorphism or not injective on the
+    edge group's ball of this radius, and when the obtainability check
+    fails.
     """
+    edge_maps = gog.validate_edge_maps(radius)
+    if not all(end["homomorphism"] and end["injective_on_ball"]
+               for entry in edge_maps.values() for end in entry.values()):
+        return gog, {"refused": "edge-map check failed",
+                     "edge_maps": edge_maps}
     gog = gog.copy()
     # step 0: base vertices need instances already (trivial or supplied)
     for v in base_vertices:

@@ -15,7 +15,9 @@ matrices, distances to relative projections its row minima, and BGI
 geodesics parent walks over its arrays.  A one-vertex space has every
 distance 0: where a check takes a maximum of such terms, its block is left
 out.  Relation-masked samples are all drawn by ``_sample_pairs``.
-Witnesses stay the first strict maximum in sample order.
+Witnesses stay the first strict maximum in sample order.  The exact
+relation checks work on the relation matrix; the container axiom walks only
+the pairs (T, U) with U orthogonal to some index.
 
 Set-distance conventions, applied uniformly and recorded here: distances
 from a projection set to a relative-projection set (or any fixed target
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coneoff import measure_quasigeodesic
 from .factor_system import _longest_chain
 from .graph_core import (RaggedSets, four_point_delta, quasiconvexity_constant,
                          segments)
@@ -138,6 +139,28 @@ def _composed(first, second, n):
 # ---------------------------------------------------------------------------
 # structural checks (exact)
 
+def _container_cases(below_eq, O):
+    """(cases, failures) of the container axiom, row-major in (T, U).
+
+    A case is U below or equal to T and orthogonal to some index below T; it
+    fails when no W properly below T holds every such index.  Only the U
+    orthogonal to something are walked.
+    """
+    cases, failures = 0, []
+    orthogonal = np.flatnonzero(O.any(axis=1))
+    ts, k = np.nonzero(below_eq[orthogonal].T)
+    for t, u in zip(ts, orthogonal[k]):
+        orth = O[u] & below_eq[:, t]
+        if not orth.any():
+            continue
+        cases += 1
+        holds = below_eq[orth].all(axis=0) & below_eq[:, t]
+        holds[t] = False
+        if not holds.any():
+            failures.append((int(t), int(u)))
+    return cases, failures
+
+
 @dataclass
 class StructuralReport:
     passed: bool
@@ -202,27 +225,10 @@ def check_structural(inst, rho_pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
         failures.append({"check": "orthogonal-incomparable"})
 
     # container axiom
-    below_eq = N | np.eye(n, dtype=bool)
-    container_checked = 0
-    for t in range(n):
-        members_t = np.flatnonzero(below_eq[:, t])
-        if len(members_t) <= 1:
-            continue
-        for u in members_t:
-            orth = np.flatnonzero(O[u] & below_eq[:, t])
-            if len(orth) == 0:
-                continue
-            container_checked += 1
-            ok = False
-            for w in members_t:
-                if w == t:
-                    continue
-                if below_eq[orth, w].all():
-                    ok = True
-                    break
-            if not ok:
-                failures.append({"check": "container",
-                                 "witness": (inst.labels[t], inst.labels[u])})
+    container_checked, bad = _container_cases(N | np.eye(n, dtype=bool), O)
+    failures += [{"check": "container",
+                  "witness": (inst.labels[t], inst.labels[u])}
+                 for t, u in bad]
 
     # complexity: the elements of a longest chain of comparable indices,
     # over the indices on no nesting cycle
@@ -685,74 +691,6 @@ def distance_formula_fit(inst, s=3, pair_budget=None, seed=0):
     return {"K": None, "C": None, "violations": int(bad.sum()), "s": s,
             "witnesses": [(int(us[i]), int(vs[i])) for i in idx],
             "pairs": len(us), "sample": spec.to_dict()}
-
-
-# ---------------------------------------------------------------------------
-# hierarchy paths
-
-@dataclass
-class HierarchyPathResult:
-    vertices: tuple
-    D: float
-    worst_indices: list
-    success: bool
-
-    def to_dict(self):
-        return {"vertices": list(self.vertices), "D": self.D,
-                "worst_indices": self.worst_indices, "success": self.success}
-
-
-def _path_constant(inst, path):
-    """Measured hierarchy constant: the path and all its projections."""
-    verts = np.asarray(path, dtype=np.int64)
-    ii, jj = np.triu_indices(len(verts), k=1)
-    span = (jj - ii).astype(np.float64)
-    D = measure_quasigeodesic(verts, inst.X.oracle())
-    # a one-vertex space, which _rep_distances leaves out, has them all 0
-    d = np.zeros((inst.n_indices(), len(ii)))
-    for rows, got in _rep_distances(inst, np.arange(len(d)), verts[ii],
-                                    verts[jj]):
-        d[rows] = got
-    # lower bound d >= |i-j|/D - D  =>  D >= (-d + sqrt(d^2+4|i-j|))/2
-    lower = ((-d + np.sqrt(d * d + 4.0 * span)) / 2.0).max(axis=1,
-                                                           initial=1.0)
-    upper = (d / (span + 1.0)).max(axis=1, initial=1.0)
-    Du = np.maximum(lower, upper).tolist()
-    worst = [("X", D)] + list(zip(inst.labels, Du))
-    D = max([D] + Du)
-    worst.sort(key=lambda t: -t[1])
-    return D, worst[:5]
-
-
-def find_hierarchy_path(inst, x, y, D_budget=4.0):
-    """Geodesic-first search with gate detours; returns the best path found."""
-    oracle = inst.X.oracle()
-    candidates = [oracle.geodesic(x, y)]
-    base_D, base_worst = _path_constant(inst, candidates[0])
-    if base_D > D_budget:
-        # detour through the closest-point gates of the worst member index
-        for label, _ in base_worst:
-            if label == "X":
-                continue
-            u = inst.index_of_label(label)
-            if inst.space_to_x[u] is None:
-                continue
-            member = np.asarray(inst.space_to_x[u], dtype=np.int64)
-            gx, gy = member[np.argmin(oracle.block([x, y], member),
-                                      axis=1)].tolist()
-            to_gx, across, from_gy = oracle.geodesics([x, gx, gy],
-                                                      [gx, gy, y])
-            candidates.append(to_gx[:-1] + across[:-1] + from_gy)
-            break
-    best = None
-    for path in candidates:
-        D, worst = _path_constant(inst, path)
-        if best is None or D < best[0]:
-            best = (D, worst, path)
-    D, worst, path = best
-    return HierarchyPathResult(tuple(int(v) for v in path), D,
-                               [(l, float(d)) for l, d in worst],
-                               D <= D_budget)
 
 
 # ---------------------------------------------------------------------------

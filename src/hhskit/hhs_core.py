@@ -10,8 +10,12 @@ reported separately as part of xi.  Relative projections that a
 construction cannot populate inside the built ball are 'unreached': they
 are excluded from constant estimation and counted in reports.
 
-The verification battery itself lives in hhs_checks and is re-exported
-here.
+Constructions: the trivial structure (on any graph, or a Cayley ball),
+the structure induced by a factor system (``instance_from_factor_system``;
+``build_hhs_from_factor_system`` verifies the axioms first and refuses a
+failed system unless forced), and products.  Instances round-trip through
+bundles.  The verification battery itself lives in hhs_checks and is
+re-exported here.
 """
 
 import itertools
@@ -19,19 +23,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from . import graph_core
+from .coneoff import build_coneoff
+from .errors import BudgetExceeded, FactorSystemViolated
+from .factor_system import _containment_dag, verify_factor_system
 from .graph_core import (GraphBlock, MetricGraph, RaggedSets, Subgraph,
-                         connected_hull, segments)
+                         segments)
 # the battery is re-exported so callers only deal with this module; it also
 # owns the relation codes
 from .hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,  # noqa: F401
-                         TRANSVERSE, AxiomBatteryReport, HierarchyPathResult,
-                         HQCReport, _by_block, check_bgi, check_consistency,
-                         check_hqc, check_large_links,
-                         check_partial_realization, check_structural,
-                         check_uniqueness, distance_formula_fit,
-                         find_hierarchy_path, hqc_qc_equivalence,
+                         TRANSVERSE, AxiomBatteryReport, HQCReport, _by_block,
+                         check_bgi, check_consistency, check_hqc,
+                         check_large_links, check_partial_realization,
+                         check_structural, check_uniqueness,
+                         distance_formula_fit, hqc_qc_equivalence,
                          run_axiom_battery)
 
 # Largest vertex count of a product fixture's total space.
@@ -347,9 +352,6 @@ def instance_from_factor_system(cand, report=None):
     orthogonality, everything else transverse.  rho^U_V is the projection
     image of U (U itself in the coned top space).
     """
-    from .coneoff import build_coneoff
-    from .factor_system import _containment_dag
-
     graph, family = cand.graph, cand.family
     m = len(family)
     oracle = graph.oracle()
@@ -408,64 +410,20 @@ def instance_from_factor_system(cand, report=None):
                        rho_provider, space_to_x, meta)
 
 
-def normalize(inst):
-    """Restrict every index space to the projection image (hull-repaired).
+def build_hhs_from_factor_system(cand, force=False, report=None):
+    """Assemble the induced hierarchical structure.
 
-    Returns a new instance plus a hieromorphism record: identity on X,
-    bijection on indices.  Already-normalized instances come back intact.
+    Index set = family + the whole graph; each index space is the cone-off
+    of the member over strictly contained members; projections are
+    closest-point projections; nesting is containment, no orthogonality,
+    transversality otherwise.
     """
-    n_idx = inst.n_indices()
-    new_spaces = []
-    new_projections = []
-    new_space_to_x = []
-    changed = []
-    keep_maps = []
-    for u in range(n_idx):
-        space = inst.spaces[u]
-        table = inst.projections[u]
-        verts = table.entries()[1]
-        image = np.unique(verts)
-        if len(image) == space.n:
-            new_spaces.append(space)
-            new_projections.append(table)
-            new_space_to_x.append(inst.space_to_x[u])
-            keep_maps.append(np.arange(space.n))
-            continue
-        sub = connected_hull(space, image, label=inst.labels[u])
-        repaired = "hull-completed" in sub.flags
-        kept = sub.vertex_array()
-        remap = np.full(space.n, -1, dtype=np.int32)
-        remap[kept] = np.arange(len(kept))
-        new_spaces.append(sub.induced_graph())
-        new_projections.append(ProjectionTable(table.indptr - table.indptr[0],
-                                               remap[verts]))
-        if inst.space_to_x[u] is not None:
-            new_space_to_x.append(inst.space_to_x[u][kept])
-        else:
-            new_space_to_x.append(None)
-        keep_maps.append(remap)
-        changed.append({"index": inst.labels[u], "removed": int(space.n - len(kept)),
-                        "hull_repaired": repaired})
-
-    maps = RaggedSets.from_arrays(keep_maps)
-
-    def rho_provider(new_inst, us, vs):
-        # the maps are increasing on the kept vertices, so sets stay sorted
-        sets, reached = inst.rho_sets(us, vs)
-        mapped = maps.flat[maps.offsets[vs][sets.owners()] + sets.flat]
-        return (RaggedSets.from_mask(mapped, mapped >= 0, sets.offsets[:-1]),
-                reached)
-
-    meta = dict(inst.meta)
-    meta["normalized"] = True
-    meta["normalization_changes"] = changed
-    out = HHSInstance(inst.X, inst.labels, new_spaces, inst.rel.copy(),
-                      inst.maximal, new_projections, rho_provider,
-                      new_space_to_x, meta)
-    record = {"map": "identity", "index_bijection": dict(zip(inst.labels,
-                                                             out.labels)),
-              "changed": changed}
-    return out, record
+    if report is None:
+        report = verify_factor_system(cand)
+    if not report.passed and not force:
+        raise FactorSystemViolated(
+            "factor-system axioms failed; pass force=True to build anyway")
+    return instance_from_factor_system(cand, report)
 
 
 def product_hhs(a, b):

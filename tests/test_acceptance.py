@@ -21,14 +21,14 @@ from hhskit.cli import run_scenario
 from hhskit.coneoff import build_coneoff, kapovich_rafi_report
 from hhskit.embedding import (build_augmented_structure,
                               check_hyperbolically_embedded, verify_augmented)
-from hhskit.factor_system import (build_hhs_from_factor_system,
-                                  family_from_cosets, simple_family_check,
+from hhskit.factor_system import (family_from_cosets, simple_family_check,
                                   verify_factor_system)
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         check_combination_hypotheses, run_main_pipeline)
 from hhskit.graph_core import MetricGraph, four_point_delta
 from hhskit.groups import SubgroupSpec, enumerate_cosets
-from hhskit.hhs_core import (distance_formula_fit, hqc_qc_equivalence,
+from hhskit.hhs_core import (build_hhs_from_factor_system,
+                             distance_formula_fit, hqc_qc_equivalence,
                              instance_from_ball, run_axiom_battery)
 
 F2 = G.free_group(["a", "b"])

@@ -9,13 +9,12 @@ import pytest
 from hhskit import coneoff, gog, graph_core, groups, hhs_core
 from hhskit.coneoff import build_coneoff
 from hhskit.errors import BudgetExceeded
-from hhskit.factor_system import (build_group_factor_closure,
-                                  build_hhs_from_factor_system,
-                                  family_from_cosets)
+from hhskit.factor_system import build_group_factor_closure, family_from_cosets
 from hhskit.graph_core import (MetricGraph, RaggedSets, Subgraph,
                                four_point_delta, ragged_diameters)
 from hhskit.groups import SubgroupSpec
-from hhskit.hhs_core import instance_to_bundle, product_hhs, trivial_instance
+from hhskit.hhs_core import (build_hhs_from_factor_system, instance_to_bundle,
+                             product_hhs, trivial_instance)
 from test_gog import amalgam
 
 F2 = groups.free_group(["a", "b"])

@@ -15,10 +15,10 @@ from hhskit import groups as G
 from hhskit.cli import (load_bundle, load_scenario, main, run_scenario,
                         stable_json)
 from hhskit.errors import ConfigError
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.factor_system import family_from_cosets
 from hhskit.groups import SubgroupSpec
-from hhskit.hhs_core import (instance_from_bundle, instance_to_bundle,
-                             instances_structurally_equal)
+from hhskit.hhs_core import (build_hhs_from_factor_system, instance_from_bundle,
+                             instance_to_bundle, instances_structurally_equal)
 
 SCENARIOS = Path(hhskit.__file__).parent / "scenarios"
 
@@ -160,6 +160,30 @@ def test_expected_failure_flips_to_pass(tmp_path):
     path.write_text(json.dumps(cfg))
     bundle, code = run_scenario(str(path))
     assert code == 0
+
+
+def test_pipeline_refuses_edge_maps_that_are_no_homomorphism(tmp_path):
+    """amalgam-pipeline with the edge group Z^2 = <s, t> sent to free
+    letters, s -> a, t -> b and s -> c, t -> d: the commutator of s and t
+    goes to a word other than e at both ends, so the gog op refuses the
+    graph of groups before anything else, says why, and fails."""
+    cfg = json.loads((SCENARIOS / "amalgam-pipeline.json").read_text())
+    cfg["out"] = str(tmp_path / "out")
+    cfg["groups"]["Z2"] = {"kind": "free_abelian", "generators": ["s", "t"]}
+    cfg["operations"] = [op for op in cfg["operations"] if op["op"] == "gog"]
+    move, = cfg["operations"][0]["graph"]["moves"]
+    move["connections"][0].update(
+        group="Z2", maps={"W": {"s": "c", "t": "d"}, "Q": {"s": "a", "t": "b"}})
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(cfg))
+    bundle, code = run_scenario(str(path))
+    report = bundle["results"][0]["report"]
+    assert code == 2 and not report["passed"]
+    assert report["refused"] == "edge-map check failed"
+    assert "obtainable" not in report
+    assert report["edge_maps"]["e"] == {
+        v: {"homomorphism": False, "injective_on_ball": True, "radius": 4}
+        for v in ("W", "Q")}
 
 
 def test_export_edge_list_counts(tmp_path):

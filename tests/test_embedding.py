@@ -10,22 +10,17 @@ import pytest
 
 from hhskit import embedding
 from hhskit import groups as G
-from hhskit.coneoff import de_electrify
 from hhskit.errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from hhskit.embedding import (build_augmented_structure,
                               check_hh_embedded,
-                              check_hyperbolically_embedded,
-                              decomposition_projection_check,
-                              projection_uniform_bound, relative_metric,
+                              check_hyperbolically_embedded, relative_metric,
                               subgroup_ball_vertices, verify_augmented)
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
 from hhskit.groups import SubgroupSpec, subgroup_membership
 from hhskit.hhs_core import (ProjectionTable, check_structural,
                              instance_from_ball, trivial_instance)
 from hhskit.graph_core import MetricGraph, bfs_distances
-from hhskit.sampling import rng_for, sample_indices
+from hhskit.sampling import rng_for
 from test_graph_core import diameter_loop
-from test_hhs_core import image_of
 
 F2 = G.free_group(["a", "b"])
 Z2 = G.free_abelian_group(["a", "b"])
@@ -316,53 +311,6 @@ def test_hh_embedded_vacuous_and_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# projection bound
-
-def test_projection_bound_vacuous_on_trivial_base():
-    base = instance_from_ball(G.cayley_ball(F2, 4))
-    rep = projection_uniform_bound(base, SUB_A)
-    assert rep["vacuous"] and rep["C"] == 0
-
-
-def test_projection_bound_on_factor_base():
-    base = build_hhs_from_factor_system(
-        family_from_cosets(G.cayley_ball(F2, 4), [SUB_B]))
-    rep = projection_uniform_bound(base, SUB_A, seed=1)
-    assert rep["C"] <= 1
-    assert rep == projection_bound_loop(base, SUB_A, seed=1)
-
-
-def projection_bound_loop(base, sub, seed):
-    """``projection_uniform_bound`` over its sampled (index, coset) pairs
-    in order, one pairwise diameter per image."""
-    proper = [u for u in range(base.n_indices()) if u != base.maximal]
-    ball = base.meta["ball"]
-    cosets = G.enumerate_cosets(ball, sub)
-    pairs = [(u, c) for u in proper for c in range(len(cosets))]
-    idx, spec = sample_indices(len(pairs), 20_000, seed)
-    C, witness, memo = 0, None, {}
-    for k in idx:
-        u, ci = pairs[int(k)]
-        image = tuple(image_of(base.projections[u], cosets[ci].vertices))
-        key = (id(base.spaces[u]), image)
-        if key not in memo:
-            memo[key] = diameter_loop(base.spaces[u], image)
-        if memo[key] > C:
-            C = memo[key]
-            witness = {"U": base.labels[u],
-                       "g": ball.model.format(cosets[ci].representative)}
-    return {"C": C, "witness": witness, "vacuous": False,
-            "sample": spec.to_dict()}
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_projection_bound_matches_per_pair_loop(aug5, seed):
-    rep = projection_uniform_bound(aug5.result, SUB_A, seed=seed)
-    assert rep["sample"]["mode"] == "sampled" and rep["C"] > 0
-    assert rep == projection_bound_loop(aug5.result, SUB_A, seed)
-
-
-# ---------------------------------------------------------------------------
 # absorption
 
 def test_augmented_index_count_and_relations(aug5):
@@ -441,13 +389,6 @@ def test_augmentation_refuses_bad_embedding():
     forced = build_augmented_structure(base, [(sub, line_instance(4))],
                                        seed=1, force=True)
     assert forced.result.n_indices() == 1 + forced.result.meta["cosets"]
-
-
-def test_augmented_hierarchy_path(aug5):
-    from hhskit.hhs_core import find_hierarchy_path
-    ball = aug5.result.meta["ball"]
-    res = find_hierarchy_path(aug5.result, 0, ball.id_of_text("a a a b b"))
-    assert res.success and res.D <= 4.0
 
 
 def test_verify_augmented_battery_and_morphisms(aug5):
@@ -533,56 +474,3 @@ def test_morphism_gaps_match_per_set_loop(aug5, aug5_perturbed, perturbed,
     assert (m["projection_commute_gap"], m["equivariance_gap"],
             m["equivariance_samples"]) == expected
     assert (expected[0] > 0) == perturbed
-
-
-# ---------------------------------------------------------------------------
-# decomposition
-
-def test_decomposition_vacuous_without_proper_base_indices(aug5):
-    ball = aug5.result.meta["ball"]
-    rep = decomposition_projection_check(
-        aug5, 0, ball.id_of_text("a a b b"), theta=2)
-    assert rep.T == 0
-    assert rep.per_index == []
-
-
-def test_decomposition_on_factor_base():
-    # base with proper indices: the b-coset factor structure; absorb <a>
-    ball = G.cayley_ball(F2, 4)
-    base = build_hhs_from_factor_system(family_from_cosets(ball, [SUB_B]))
-    aug = build_augmented_structure(base, [(SUB_A, line_instance(4))],
-                                    seed=2, force=True)
-    x, y = 0, ball.id_of_text("a a b b")
-    rep = decomposition_projection_check(aug, x, y, theta=1)
-    assert rep.T >= 0
-    assert rep.per_index
-    assert (rep.T, rep.per_index) == decomposition_loop(aug, rep)
-    # theta larger than any piece: everything merges into one segment
-    rep_big = decomposition_projection_check(aug, x, y, theta=50)
-    assert rep_big.T == 0
-    kinds = {k for k, _ in rep_big.pieces}
-    assert kinds == {"gamma"}
-    assert (rep_big.T, rep_big.per_index) == decomposition_loop(aug, rep_big)
-
-
-def decomposition_loop(aug, rep):
-    """(T, per_index) of a decomposition report, one pairwise diameter per
-    projected segment."""
-    result = aug.result
-    verts = de_electrify(aug.coned, list(rep.input_path)).output_path.vertices
-    xmap = result.space_to_x[result.maximal]
-    T, per_index = 0, []
-    for u, p in enumerate(aug.provenance):
-        if p[0] != "old" or u == result.maximal:
-            continue
-
-        def diam_of(seg):
-            image = image_of(result.projections[u], xmap[list(seg)])
-            return diameter_loop(result.spaces[u], image)
-
-        whole = diam_of(verts)
-        best = max(diam_of(seg) for _, seg in rep.pieces)
-        per_index.append({"U": result.labels[u], "whole": whole,
-                          "best_piece": best, "gap": whole - best})
-        T = max(T, whole - best)
-    return T, per_index

@@ -13,12 +13,12 @@ from hhskit import groups as G
 from hhskit.errors import FactorSystemViolated
 from hhskit.factor_system import (DEFAULT_MEMBER_BUDGET, AxiomOutcome,
                                   FactorSystemCandidate, _longest_chain,
-                                  build_group_factor_closure,
-                                  build_hhs_from_factor_system, connected_hull,
+                                  build_group_factor_closure, connected_hull,
                                   family_from_cosets, simple_family_check,
                                   verify_factor_system)
 from hhskit.graph_core import MetricGraph, Subgraph
 from hhskit.groups import SubgroupSpec
+from hhskit.hhs_core import build_hhs_from_factor_system
 from hhskit.sampling import sample_indices, sample_ordered_pairs
 
 F2 = G.free_group(["a", "b"])

@@ -17,10 +17,10 @@ from hhskit import graph_core, groups
 from hhskit.errors import BudgetExceeded, Disconnected
 from hhskit.graph_core import (MetricGraph, PathRecord, RaggedBlocks,
                                RaggedSets, Subgraph, bfs_distances, bfs_many,
-                               four_point_delta, quasiconvexity_constant,
-                               ragged_diameters, ragged_hausdorff,
-                               ragged_set_distances, row_parents, segments,
-                               to_dot, write_edge_list)
+                               connected_hull, four_point_delta,
+                               quasiconvexity_constant, ragged_diameters,
+                               ragged_hausdorff, ragged_set_distances,
+                               row_parents, segments, to_dot, write_edge_list)
 from hhskit.sampling import sample_unordered_pairs
 
 
@@ -949,6 +949,16 @@ def test_subtree_is_convex():
     g = path_graph(9)
     rep = quasiconvexity_constant(g, Subgraph(g, [3, 4, 5]))
     assert rep.q == 0
+
+
+def test_connected_hull_keeps_connected_sets_and_bridges_split_ones():
+    g = MetricGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    kept = connected_hull(g, [3, 0, 2, 1, 0], label="K")
+    assert kept.vertices == (0, 1, 2, 3) and kept.flags == ()
+    assert kept.label == "K" and kept.induced_graph().n == 4
+    bridged = connected_hull(g, [0, 4])
+    assert bridged.vertices == (0, 1, 2, 3, 4)
+    assert bridged.flags == ("hull-completed",)
 
 
 def test_half_cycle_all_geodesics():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hhskit import groups as G
 from hhskit import hhs_checks
 from hhskit.embedding import build_augmented_structure
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.factor_system import family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         run_main_pipeline)
 from hhskit.graph_core import (GraphBlock, MetricGraph, RaggedSets,
@@ -28,13 +28,15 @@ from hhskit.hhs_checks import (CONTAINS, EQUAL, NESTED, ORTHOGONAL,
                                TRANSVERSE, check_bgi, check_consistency,
                                check_large_links, check_partial_realization,
                                check_structural)
-from hhskit.hhs_core import (HHSInstance, ProjectionTable, instance_from_ball,
+from hhskit.hhs_core import (HHSInstance, ProjectionTable,
+                             build_hhs_from_factor_system, instance_from_ball,
                              instance_from_bundle, instance_to_bundle,
-                             normalize, product_hhs)
+                             product_hhs)
 from hhskit.sampling import (SampleSpec, rng_for, sample_indices,
                              sample_unordered_pairs)
 from test_graph_core import diameter_loop
-from test_hhs_core import carrier_loop, pi_rep_distance, rho_chain_triples_loop
+from test_hhs_core import (carrier_loop, container_loop, normalized,
+                           pi_rep_distance, rho_chain_triples_loop)
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -83,7 +85,7 @@ def fixtures():
         "lines": product_hhs(line(4, "L1"), line(4, "L2")),
         # kappa0 = 1 from the nested section
         "product": prod,
-        "normalized": normalize(aug)[0],
+        "normalized": normalized(aug),
         "bundle": instance_from_bundle(instance_to_bundle(prod)),
         # every third rho unreached
         "holes": edited_bundle(prod, lambda i, r, n: None if i % 3 == 0 else r),
@@ -397,6 +399,35 @@ def test_structural_rho_scan_matches_per_pair_loop(monkeypatch, name, budget):
     rep = check_structural(inst, rho_pair_budget=budget, seed=2)
     assert (rep.xi, rep.unreached_rho, rep.rho_sample.to_dict()) == \
         structural_rho_loop(inst, budget, 2)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_structural_container_cases_match_loop(name):
+    """The container axiom counts the loop's cases and reports its
+    failures in its order; the product fixtures have orthogonal pairs."""
+    inst = FIXTURES[name]
+    below_eq = (inst.rel == NESTED) | np.eye(inst.n_indices(), dtype=bool)
+    cases, failures = container_loop(below_eq, inst.rel == ORTHOGONAL)
+    rep = check_structural(inst, seed=2)
+    assert rep.details["container_cases"] == cases
+    assert [f["witness"] for f in rep.failures if f["check"] == "container"] \
+        == [(inst.labels[t], inst.labels[u]) for t, u in failures]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rep_distances_match_each_space(name):
+    """``_rep_distances`` over every index gives each space's distance
+    between the representatives, and leaves out the one-vertex spaces."""
+    inst = FIXTURES[name]
+    n = inst.n_indices()
+    xs, ys, _ = sample_unordered_pairs(inst.X.n, 300, 0)
+    got = np.zeros((n, len(xs)), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    for rows, d in hhs_checks._rep_distances(inst, np.arange(n), xs, ys):
+        got[rows], seen[rows] = d, True
+    assert seen.tolist() == [space.n > 1 for space in inst.spaces]
+    for u in range(n):
+        assert got[u].tolist() == pi_rep_distance(inst, u, xs, ys).tolist()
 
 
 @pytest.mark.parametrize("name", NAMES)

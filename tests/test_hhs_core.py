@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from hhskit import graph_core, hhs_checks
 from hhskit import groups as G
 from hhskit.errors import BudgetExceeded
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
-from hhskit.graph_core import MetricGraph, RaggedSets, bfs_distances
+from hhskit.factor_system import family_from_cosets
+from hhskit.graph_core import (MetricGraph, RaggedSets, bfs_distances,
+                               connected_hull)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_checks import NESTED, TRANSVERSE
-from hhskit.hhs_core import (HHSInstance, ProjectionTable, check_bgi,
+from hhskit.hhs_core import (HHSInstance, ProjectionTable,
+                             build_hhs_from_factor_system, check_bgi,
                              check_consistency, check_hqc,
                              check_large_links, check_partial_realization,
                              check_structural, check_uniqueness,
-                             distance_formula_fit, find_hierarchy_path,
-                             hqc_qc_equivalence, instance_from_ball,
-                             instances_structurally_equal, normalize, product_hhs,
-                             run_axiom_battery, trivial_instance)
+                             distance_formula_fit, hqc_qc_equivalence,
+                             instance_from_ball, instances_structurally_equal,
+                             product_hhs, run_axiom_battery, trivial_instance)
 from hhskit.sampling import sample_indices
 
 F2 = G.free_group(["a", "b"])
@@ -174,6 +175,47 @@ def test_structural_catches_broken_relation(factor4):
                          factor4.meta)
     rep = check_structural(broken, rho_pair_budget=10)
     assert not rep.passed
+
+
+def container_loop(below_eq, O):
+    """Reference: the container axiom as a loop over every T and every U
+    below T, with each W below T tried in turn."""
+    cases, failures = 0, []
+    for t in range(len(below_eq)):
+        members_t = np.flatnonzero(below_eq[:, t])
+        if len(members_t) <= 1:
+            continue
+        for u in members_t:
+            orth = np.flatnonzero(O[u] & below_eq[:, t])
+            if len(orth) == 0:
+                continue
+            cases += 1
+            if not any(w != t and below_eq[orth, w].all() for w in members_t):
+                failures.append((t, int(u)))
+    return cases, failures
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_container_cases_on_any_relation_matrix(n, data):
+    """The container scan over the orthogonal U counts the cases and lists
+    the failures of the loop over every (T, U), in its order, for every
+    relation code off the diagonal, whether or not orthogonality is
+    symmetric.  (The loop's skip of a T with nothing below it differs only
+    where an index is orthogonal to itself, which the diagonal check
+    fails.)"""
+    codes = [hhs_checks.EQUAL, NESTED, hhs_checks.CONTAINS,
+             hhs_checks.ORTHOGONAL, TRANSVERSE]
+    rel = np.asarray(data.draw(st.lists(st.sampled_from(codes),
+                                        min_size=n * n, max_size=n * n)),
+                     dtype=np.int8).reshape(n, n)
+    np.fill_diagonal(rel, hhs_checks.EQUAL)
+    below_eq = (rel == NESTED) | np.eye(n, dtype=bool)
+    orth = rel == hhs_checks.ORTHOGONAL
+    if data.draw(st.booleans()):
+        orth |= orth.T
+    assert (hhs_checks._container_cases(below_eq, orth)
+            == container_loop(below_eq, orth))
 
 
 # ---------------------------------------------------------------------------
@@ -375,57 +417,6 @@ def test_distance_formula_summand_example():
 
 
 # ---------------------------------------------------------------------------
-# hierarchy paths
-
-def test_hierarchy_path_identity(factor4):
-    res = find_hierarchy_path(factor4, 3, 3)
-    assert res.D == 1.0 and res.success
-
-
-def test_hierarchy_path_geodesic_in_tree(factor4):
-    ball_words = factor4.X.labels
-    y = ball_words.index("a a b b")
-    res = find_hierarchy_path(factor4, 0, y)
-    assert res.success and res.D <= 4.0
-    assert res.vertices[0] == 0 and res.vertices[-1] == y
-
-
-def hierarchy_detour_loop(inst, x, y):
-    """The gate detour as three one-pair geodesics, gates from full rows."""
-    oracle = inst.X.oracle()
-    _, worst = hhs_checks._path_constant(inst, oracle.geodesic(x, y))
-    for label, _ in worst:
-        u = None if label == "X" else inst.index_of_label(label)
-        if u is None or inst.space_to_x[u] is None:
-            continue
-        member = np.asarray(inst.space_to_x[u], dtype=np.int64)
-        gx = int(member[np.argmin(oracle.row(x)[member])])
-        gy = int(member[np.argmin(oracle.row(y)[member])])
-        return (oracle.geodesic(x, gx)[:-1] + oracle.geodesic(gx, gy)[:-1]
-                + oracle.geodesic(gy, y))
-
-
-@pytest.mark.parametrize("x,y", [("e", "a b'"), ("e", "a' a' b'"),
-                                 ("e", "a a b a")])
-def test_hierarchy_path_detour_matches_three_geodesics(factor4, monkeypatch,
-                                                       x, y):
-    x, y = (factor4.X.labels.index(w) for w in (x, y))
-    path_constant = hhs_checks._path_constant
-    geodesic = factor4.X.oracle().geodesic(x, y)
-    budget = path_constant(factor4, geodesic)[0] / 2
-    detour = hierarchy_detour_loop(factor4, x, y)
-    assert detour != geodesic
-    scored = []
-    monkeypatch.setattr(hhs_checks, "_path_constant",
-                        lambda inst, path: scored.append(list(path))
-                        or path_constant(inst, path))
-    res = find_hierarchy_path(factor4, x, y, D_budget=budget)
-    assert scored == [geodesic, geodesic, detour]
-    # on a tree the geodesic is the best path
-    assert list(res.vertices) == geodesic and not res.success
-
-
-# ---------------------------------------------------------------------------
 # hierarchical quasi-convexity
 
 def test_hqc_whole_space_is_zero(factor4):
@@ -482,12 +473,48 @@ def test_hqc_sphere_fixture_large_constants(factor4):
 
 
 # ---------------------------------------------------------------------------
-# normalize
+# normalized instances (a fixture: spaces that are proper subgraphs)
+
+def normalized(inst):
+    """Every index space cut down to the connected hull of its projection
+    image, the projections and relative projections mapped onto the kept
+    vertices; a space its projections cover stays the same object."""
+    spaces, tables, carriers, maps = [], [], [], []
+    for u, space in enumerate(inst.spaces):
+        table = inst.projections[u]
+        verts = table.entries()[1]
+        carrier = inst.space_to_x[u]
+        remap = np.arange(space.n)
+        if len(np.unique(verts)) < space.n:
+            sub = connected_hull(space, verts)
+            kept = sub.vertex_array()
+            remap = np.full(space.n, -1, dtype=np.int32)
+            remap[kept] = np.arange(len(kept))
+            space = sub.induced_graph()
+            table = ProjectionTable(table.indptr - table.indptr[0],
+                                    remap[verts])
+            carrier = None if carrier is None else carrier[kept]
+        spaces.append(space)
+        tables.append(table)
+        carriers.append(carrier)
+        maps.append(remap)
+    maps = RaggedSets.from_arrays(maps)
+
+    def rho_provider(new_inst, us, vs):
+        # the maps are increasing on the kept vertices, so sets stay sorted
+        sets, reached = inst.rho_sets(us, vs)
+        mapped = maps.flat[maps.offsets[vs][sets.owners()] + sets.flat]
+        return (RaggedSets.from_mask(mapped, mapped >= 0, sets.offsets[:-1]),
+                reached)
+
+    return HHSInstance(inst.X, inst.labels, spaces, inst.rel.copy(),
+                       inst.maximal, tables, rho_provider, carriers,
+                       dict(inst.meta, normalized=True))
+
 
 def test_normalize_identity_on_factor_instance(factor4):
-    out, record = normalize(factor4)
-    assert record["changed"] == []
-    assert out.spaces[0] is factor4.spaces[0]
+    out = normalized(factor4)
+    assert all(a is b for a, b in zip(out.spaces, factor4.spaces))
 
 
 def test_normalize_removes_spur():
@@ -497,9 +524,8 @@ def test_normalize_removes_spur():
         g, ["S"], [spur_space], np.zeros((1, 1), dtype=np.int8), 0,
         [ProjectionTable.identity(4)], lambda i, u, v: None,
         space_to_x=[np.arange(4)])
-    out, record = normalize(inst)
+    out = normalized(inst)
     assert out.spaces[0].n == 4
-    assert record["changed"][0]["removed"] == 1
     rep = check_structural(out, rho_pair_budget=10)
     assert rep.passed
 
@@ -516,8 +542,8 @@ def test_normalize_maps_rho_down_through_kept_vertices():
          ProjectionTable(np.arange(5), np.arange(1, 5))],
         lambda i, u, v: None,
         space_to_x=[np.arange(4), np.asarray([0, 0, 1, 2, 3])])
-    out, record = normalize(inst)
-    assert record["changed"][0]["index"] == "S"
+    out = normalized(inst)
+    assert out.spaces[0] is x and out.spaces[1].n == 4
     assert out.pi(1, 0).tolist() == [0]
     # local 0 and 2 of the restricted S are vertices 1 and 3, over X 0 and
     # 2: the carrier map the battery reads

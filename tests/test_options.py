@@ -1,4 +1,5 @@
-"""Program code uses every option and every public name of hhskit.
+"""Program code uses every option and every public name of hhskit, and
+the modules of hhskit import each other at the top, in a DAG.
 
 Both guards parse ``src/hhskit`` and count only the code in ``src/``,
 ``bench/`` and ``scenario_bench/`` as users; what only tests reach stays
@@ -14,6 +15,7 @@ string; a ``def`` or an import does not count.
 """
 
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,7 +23,6 @@ PACKAGE = ROOT / "src" / "hhskit"
 CALLER_DIRS = ("src", "bench", "scenario_bench")
 
 LOOP = "a loop-reference test reaches a small sampled case with it"
-UNCALLED = "a paper check that no op calls yet: a caller changes the bundles"
 ROUND_TRIP = "the serialization round trip: a bundle read back"
 
 # options that only tests set: how a test reaches a small case, and argv
@@ -29,7 +30,6 @@ ALLOWED = {
     "cli.main(argv)": "the command line's arguments; tests pass their own",
     "coneoff.build_coneoff(clique_threshold)":
         "tests reach the apex cone on members of a few vertices",
-    "embedding.projection_uniform_bound(seed)": LOOP + "; " + UNCALLED,
     "factor_system.verify_factor_system(xi_candidate)":
         "hand-built cycle and segment families set the constants at "
         "which their axiom cases show",
@@ -47,8 +47,6 @@ ALLOWED = {
     "hhs_checks.check_bgi(E_grid)": LOOP,
     "hhs_checks.check_bgi(pair_budget)": LOOP,
     "hhs_checks.check_partial_realization(family_budget)": LOOP,
-    "hhs_checks.find_hierarchy_path(D_budget)":
-        "the detour test lowers it to reach the gate detour; " + UNCALLED,
 }
 
 # public names that only tests use
@@ -56,13 +54,7 @@ PUBLIC_ALLOWED = {
     "cli.load_bundle": ROUND_TRIP,
     "hhs_core.instance_from_bundle": ROUND_TRIP,
     "hhs_core.instances_structurally_equal": ROUND_TRIP,
-    "gog.GraphOfGroups.validate_edge_maps":
-        "ROADMAP item 3 gives it a caller in the pipeline",
     "groups.BallGraph.id_of_text": "how tests name ball vertices by word",
-    "hhs_core.normalize": UNCALLED,
-    "hhs_checks.find_hierarchy_path": UNCALLED,
-    "embedding.projection_uniform_bound": UNCALLED,
-    "embedding.decomposition_projection_check": UNCALLED,
 }
 
 
@@ -178,6 +170,31 @@ def unused_public_names():
             (attrs | strings if method else names | attrs | strings)]
 
 
+def function_imports():
+    """(module, line) of every relative import inside a function body."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((path.stem, sub.lineno) for sub in ast.walk(node)
+                             if isinstance(sub, ast.ImportFrom) and sub.level)
+    return sorted(found)
+
+
+def module_imports():
+    """module -> the hhskit modules its code imports, wherever."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = ([node.module] if node.module
+                         else [a.name for a in node.names])
+                deps.update(set(names) & modules)
+    return graph
+
+
 def _check(found, allowed, what):
     """Every found name is allowed, and every allowed one is found."""
     for names, say in ((set(found) - set(allowed), what),
@@ -193,6 +210,14 @@ def test_every_option_is_set_by_some_call():
 def test_every_public_name_is_used_by_program_code():
     _check(unused_public_names(), PUBLIC_ALLOWED,
            "public names that only tests use")
+
+
+def test_modules_import_at_the_top_in_a_dag():
+    """No function imports a module of the package, and the module graph
+    has no cycle: graph_core <- coneoff, groups <- factor_system <-
+    hhs_checks <- hhs_core <- embedding <- gog <- cli."""
+    assert function_imports() == []
+    TopologicalSorter(module_imports()).prepare()    # CycleError on a cycle
 
 
 def test_guard_sees_options_and_calls():

@@ -14,15 +14,16 @@ import pytest
 from hhskit import groups as G
 from hhskit import graph_core, hhs_core
 from hhskit.embedding import build_augmented_structure
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.factor_system import family_from_cosets
 from hhskit.gog import (GraphOfGroups, MoveRecord, apply_star_move,
                         restrict_to_edge_group)
 from hhskit.graph_core import RaggedSets, connected_hull
 from hhskit.groups import SubgroupSpec, enumerate_cosets
 from hhskit.hhs_core import (EQUAL, NESTED, ORTHOGONAL, TRANSVERSE,
-                             instance_from_ball, instance_from_bundle,
-                             instance_to_bundle, normalize, product_hhs,
-                             run_axiom_battery)
+                             build_hhs_from_factor_system, instance_from_ball,
+                             instance_from_bundle, instance_to_bundle,
+                             product_hhs, run_axiom_battery)
+from test_hhs_core import normalized
 
 F2 = G.free_group(["a", "b"])
 LINE = G.free_group(["a"])
@@ -251,7 +252,7 @@ def cases():
                                                   l2, trivial_column))]
     for name, old, old_column in (("augmented4", aug4.result, aug4_column),
                                   ("product", prod, prod_column)):
-        new = normalize(old)[0]
+        new = normalized(old)
         out.append((f"normalized_{name}", new,
                     normalize_column(old, old_column, new)))
     bundle = instance_to_bundle(aug4.result)

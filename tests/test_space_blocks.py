@@ -20,14 +20,14 @@ from hhskit import graph_core, hhs_checks
 from hhskit import groups as G
 from hhskit.embedding import build_augmented_structure
 from hhskit.errors import Disconnected
-from hhskit.factor_system import build_hhs_from_factor_system, family_from_cosets
+from hhskit.factor_system import family_from_cosets
 from hhskit.graph_core import (DistanceOracle, GraphBlock, MetricGraph,
                                RaggedSets, quasiconvexity_constant)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_core import (NESTED, HHSInstance, ProjectionTable,
-                             check_hqc, distance_formula_fit,
-                             instance_from_ball, product_hhs,
-                             run_axiom_battery)
+                             build_hhs_from_factor_system, check_hqc,
+                             distance_formula_fit, instance_from_ball,
+                             product_hhs, run_axiom_battery)
 from hhskit.sampling import sample_indices, sample_unordered_pairs
 from test_graph_core import (bfs_levels, connected_graphs, diameter_loop,
                              path_graph, scattered_graphs)
