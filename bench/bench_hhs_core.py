@@ -30,9 +30,11 @@ battery in one timed call (``instance_from_factor_system`` then
 ``run_axiom_battery``, seed 11), one round.
 On the F2 r=6 and r=7 balls (1457 and 4373 vertices; the r=7 ball is over
 the 4096-vertex matrix cap, so its distances come from sweeps and the
-block-cut tree), ``check_hyperbolically_embedded`` of <a> builds its own
-balls and cone-offs in the timed call, and ``relative_metric`` of <a> is
-timed on the r=6 cone-off built in set-up.  Every
+block-cut tree), ``check_hyperbolically_embedded`` of <a> is timed with
+its balls and cone-offs built in the timed call (the ball it is given
+too), and ``relative_metric`` of <a> on the r=6 cone-off built in set-up.
+``enumerate_cosets`` of the special subgroup <a, b> of F3 = F(a, b, c) is
+timed on the r=5 ball (1563 cosets).  Every
 round gets fresh graphs and a fresh instance, so no round reads distances,
 projections or relative projections that an earlier one cached; a check
 timed apart therefore also pays for the distance matrices it is the first
@@ -56,6 +58,7 @@ from hhskit.hhs_core import (check_hqc, distance_formula_fit,
                              product_hhs, run_axiom_battery)
 
 F2 = G.free_group(["a", "b"])
+F3 = G.free_group(["a", "b", "c"])
 LINE = G.free_group(["a"])
 SUB_A = SubgroupSpec(F2, ["a"], label="A")
 SUB_B = SubgroupSpec(F2, ["b"], label="B")
@@ -185,10 +188,11 @@ def test_consistency_factor_f2_r7(benchmark):
 
 
 def hyperbolically_embedded_f2(benchmark, radius):
-    got = benchmark.pedantic(check_hyperbolically_embedded,
-                             setup=lambda: ((F2, [SUB_A], radius),
-                                            {"seed": 3}),
-                             rounds=3)
+    def check():
+        return check_hyperbolically_embedded(G.cayley_ball(F2, radius),
+                                             [SUB_A], seed=3)
+
+    got = benchmark.pedantic(check, rounds=3)
     assert got.passed
 
 
@@ -210,7 +214,16 @@ def test_hyperbolically_embedded_f2_r7(benchmark):
 def test_relative_metric_f2_r6(benchmark):
     def fresh():
         ball = G.cayley_ball(F2, 6)
-        return (ball, SUB_A, coned_over_cosets(ball, [SUB_A])[0]), {}
+        return (ball, SUB_A, coned_over_cosets(ball, [SUB_A])), {}
 
     got = benchmark.pedantic(relative_metric, setup=fresh, rounds=10)
-    assert got.entry(0, 0) == 0
+    assert got.row[0] == 0
+
+
+def test_enumerate_cosets_f3_special_r5(benchmark):
+    got = benchmark.pedantic(enumerate_cosets,
+                             setup=lambda: ((G.cayley_ball(F3, 5),
+                                             SubgroupSpec(F3, ["a", "b"])),
+                                            {}),
+                             rounds=5)
+    assert len(got) == 1563

@@ -2,9 +2,10 @@
 
     python bench/run_bench.py PARENT CHANGE bench/bench_hhs_core.py BENCH_6.json
 
-Run from the repository root.  Both sides run the bench file of the
-working tree against the ``src`` of their own commit, exported with
-``git archive`` into a temporary directory, on the same machine.  Each
+Run from the repository root.  Each side runs its own commit's copy of
+the bench file against its own commit's ``src``, both exported with
+``git archive`` into a temporary directory, on the same machine, so a
+bench file that follows a changed signature is timed at both commits.  Each
 side runs twice, in the order parent, change, change, parent, so host
 drift during the session falls on both sides alike.  Every run records
 its commit's full SHA, the pytest-benchmark statistics of every case
@@ -23,7 +24,8 @@ import sys
 import tempfile
 
 STATS = ("min", "median", "mean", "max", "iqr", "stddev")
-PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          "--rootdir", "."]
 
 
 def machine():
@@ -38,10 +40,10 @@ def machine():
             "python": platform.python_version(), "system": platform.system()}
 
 
-def peak_rss_mb(nodeid, env):
+def peak_rss_mb(nodeid, env, cwd):
     """Peak RSS of a fresh process that runs one case once."""
     proc = subprocess.Popen(PYTEST + [nodeid, "--benchmark-disable"], env=env,
-                            stdout=subprocess.DEVNULL)
+                            cwd=cwd, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
@@ -52,13 +54,13 @@ def peak_rss_mb(nodeid, env):
 def run_side(rev, bench):
     sha = subprocess.check_output(["git", "rev-parse", rev], text=True).strip()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", sha, "src"], check=True,
-                                 capture_output=True).stdout
+        archive = subprocess.run(["git", "archive", sha, "src", bench],
+                                 check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
         out = os.path.join(tmp, "bench.json")
         subprocess.run(PYTEST + [bench, "--benchmark-json", out], env=env,
-                       check=True)
+                       cwd=tmp, check=True)
         with open(out) as f:
             data = json.load(f)
         cases = {}
@@ -66,7 +68,7 @@ def run_side(rev, bench):
             stats = case["stats"]
             cases[case["name"]] = dict(
                 rounds=stats["rounds"], **{k: stats[k] for k in STATS},
-                peak_rss_mb=peak_rss_mb(case["fullname"], env))
+                peak_rss_mb=peak_rss_mb(case["fullname"], env, tmp))
     return {"commit": sha, "machine": machine(),
             "datetime": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(), "benchmarks": cases}
@@ -80,7 +82,7 @@ def main():
         runs[side].append(run_side(rev, bench))
     result = {"command": "python bench/run_bench.py " + " ".join(sys.argv[1:5]),
               "unit": "s",
-              "note": "both sides run the bench file of the change, twice "
+              "note": "each side runs its own commit's bench file, twice "
                       "each, in the order parent, change, change, parent; "
                       "each side lists its runs in that order; peak_rss_mb "
                       "is one fresh process per case",

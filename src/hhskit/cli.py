@@ -239,11 +239,10 @@ def op_hqc(scn, op, seed):
 
 def op_embed(scn, op, seed):
     where = "operations.embed"
-    group = scn.group(_require(op, "group", where), where)
+    ball = scn.ball(_require(op, "group", where),
+                    _require(op, "radius", where), where)
     subs = scn.subs(op.get("subgroups", []), where)
-    witness = check_hyperbolically_embedded(group, subs,
-                                            _require(op, "radius", where),
-                                            seed=seed)
+    witness = check_hyperbolically_embedded(ball, subs, seed=seed)
     out = witness.to_dict()
     out["passed"] = witness.passed
     if "expect" in op:

@@ -1,12 +1,13 @@
 """Relative metrics, hyperbolically embedded subgroups, and absorption.
 
-The relative metric of a subgroup is measured in the coset-coned Cayley
-ball with every edge between two subgroup elements removed.  A family is
-accepted as hyperbolically embedded when four desk-scale checks pass:
-the coned ball is hyperbolic with radius-stable delta, the relative
-metric is proper (radius-stable growth profile), the subgroup is
-quasi-isometrically embedded, and distinct cosets have uniformly bounded
-coarse intersections.
+The relative metric of a subgroup is measured from the identity in the
+coset-coned Cayley ball with every edge between two subgroup elements,
+its identity coset, removed.  A family is accepted as hyperbolically
+embedded when four desk-scale checks pass on the caller's ball, whose
+cosets are walked once for all four: the coned ball is hyperbolic with
+radius-stable delta, the relative metric is proper (radius-stable growth
+profile), the subgroup is quasi-isometrically embedded, and distinct
+cosets have uniformly bounded coarse intersections.
 
 The absorption construction rebuilds the ambient structure with one copy
 of each subgroup's index set per coset, projections factoring through
@@ -24,8 +25,8 @@ import numpy as np
 
 from .coneoff import build_coneoff
 from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
-from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph, bfs_many,
-                         four_point_delta, ragged_diameters)
+from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph,
+                         bfs_distances, four_point_delta, ragged_diameters)
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
                      enumerate_cosets, inverse_word, subgroup_membership,
                      walk_subgroup)
@@ -40,74 +41,50 @@ from .sampling import rng_for
 
 @dataclass
 class RelativeMetricTable:
-    subgroup: SubgroupSpec
-    elements: list          # ball vertex ids of subgroup elements, sorted
+    elements: tuple         # ball vertex ids of subgroup elements, sorted
     words: list
-    table: dict             # (i, j) in element order -> distance or None
-    coned_graph: object
-    radius: int
-
-    def entry(self, i, j):
-        return self.table.get((min(i, j), max(i, j)))
-
-    def row_of_identity(self):
-        return [self.entry(0, j) for j in range(len(self.elements))]
+    row: list               # d-hat from the identity, None = unreached
 
     def profile(self):
         """n -> number of elements with d-hat from the identity <= n."""
-        row = self.row_of_identity()
-        finite = sorted(d for d in row if d is not None)
+        finite = sorted(d for d in self.row if d is not None)
         out = {}
         for n in range(0, (finite[-1] if finite else 0) + 1):
             out[n] = sum(1 for d in finite if d <= n)
         return out
 
 
-def subgroup_ball_vertices(ball, sub):
-    """Vertices of the ball lying in the subgroup (identity coset)."""
-    out = []
-    for v in range(ball.graph.n):
-        if subgroup_membership(ball.model, sub, ball.words[v]):
-            out.append(v)
-    return out
-
-
 def coned_over_cosets(ball, subs):
-    """The ball coned over every coset of every subgroup in the family."""
-    family = []
-    owners = []
-    for sub in subs:
-        for c in enumerate_cosets(ball, sub):
-            family.append(coset_subgraph(ball, c))
-            owners.append((sub, c.representative))
-    cg = build_coneoff(ball.graph, family)
-    return cg, owners
+    """The ball coned over every coset of every subgroup in the family.
 
-
-def relative_metric(ball, sub, cg=None):
-    """BFS distances between subgroup elements avoiding internal edges.
-
-    The ambient space is the cone-off ``cg`` of the ball (default: the ball
-    coned over the cosets of ``sub``); removed edges are every coned or
-    base edge joining two identity-coset vertices.  One ``bfs_many`` sweep
-    per WORD members, read at the members only.
+    Returns the cone-off and the coset descriptors of its family, each
+    subgroup's in ``enumerate_cosets`` order, so its identity coset first.
     """
-    if cg is None:
-        cg, _ = coned_over_cosets(ball, [sub])
-    members = subgroup_ball_vertices(ball, sub)
-    member_set = set(members)
-    kept = [(u, v) for (u, v) in cg.coned.edges
-            if not (u in member_set and v in member_set)]
-    punctured = MetricGraph(cg.coned.n, kept, cg.coned.labels)
+    cosets = [c for sub in subs for c in enumerate_cosets(ball, sub)]
+    cg = build_coneoff(ball.graph, [coset_subgraph(ball, c) for c in cosets])
+    return cg, cosets
+
+
+def relative_metric(ball, sub, coned=None):
+    """d-hat from the identity to every ball element of ``sub``.
+
+    ``coned`` is a cone-off of the ball with its cosets, as
+    ``coned_over_cosets`` returns them (default: the ball coned over the
+    cosets of ``sub``); the elements are ``sub``'s identity coset among
+    them.  d-hat is the distance in the cone-off with every coned or base
+    edge joining two elements removed: one BFS from the identity, read at
+    the elements.
+    """
+    cg, cosets = coned or coned_over_cosets(ball, [sub])
+    members = next(c for c in cosets if c.subgroup is sub).vertices
     at = np.asarray(members, dtype=np.int64)
-    table = {}
-    for lo in range(0, len(at), WORD):
-        rows = bfs_many(punctured, RaggedSets.singletons(at[lo:lo + WORD]), at)
-        for i, row in enumerate(rows.tolist(), start=lo):
-            table.update(((i, j), d if d >= 0 else None)
-                         for j, d in enumerate(row[i:], start=i))
-    words = [ball.words[v] for v in members]
-    return RelativeMetricTable(sub, members, words, table, cg, ball.radius)
+    inside = np.zeros(cg.coned.n, dtype=bool)
+    inside[at] = True
+    edges = np.asarray(cg.coned.edges, dtype=np.int64).reshape(-1, 2)
+    punctured = MetricGraph(cg.coned.n, edges[~inside[edges].all(axis=1)])
+    row = bfs_distances(punctured, [ball.id_of(())])[at]
+    return RelativeMetricTable(members, [ball.words[v] for v in members],
+                               [d if d >= 0 else None for d in row.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +134,27 @@ def _intrinsic_lengths(model, sub, needed_words):
     return targets
 
 
-def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0):
-    """The four desk-scale checks for a hyperbolically embedded family."""
-    ball = cayley_ball(model, radius, gens)
-    small = cayley_ball(model, max(radius - 2, 1), gens)
-    flags = []
+def check_hyperbolically_embedded(ball, subs, seed=0):
+    """The four desk-scale checks for a hyperbolically embedded family, on
+    the given Cayley ball and one of radius two less over its generators."""
+    model, radius = ball.model, ball.radius
+    small = cayley_ball(model, max(radius - 2, 1), ball.gens)
 
     # (i) coned hyperbolicity, radius-stable
-    cg, owners = coned_over_cosets(ball, subs)
-    cg_small, _ = coned_over_cosets(small, subs)
+    coned = coned_over_cosets(ball, subs)
+    coned_small = coned_over_cosets(small, subs)
+    cg, cosets = coned
     d_big = four_point_delta(cg.coned, budget=40_000, seed=seed).delta
-    d_small = four_point_delta(cg_small.coned, budget=40_000,
+    d_small = four_point_delta(coned_small[0].coned, budget=40_000,
                                seed=seed).delta
     hyperbolicity = {"delta": d_big, "delta_smaller_radius": d_small,
                      "passed": d_big == d_small}
 
     # (ii) properness of the relative metric, radius-stable profile
     properness = {"passed": True, "per_subgroup": {}}
-    tables = [relative_metric(ball, sub, cg) for sub in subs]
+    tables = [relative_metric(ball, sub, coned) for sub in subs]
     for sub, t_big in zip(subs, tables):
-        t_small = relative_metric(small, sub, cg_small)
+        t_small = relative_metric(small, sub, coned_small)
         p_big, p_small = t_big.profile(), t_small.profile()
         small_total = len(t_small.elements)
         stable = True
@@ -189,7 +167,7 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0):
                 witness = {"n": n, "count_small": count,
                            "count_big": p_big.get(n, 0)}
                 break
-        unreached = sum(1 for d in t_big.row_of_identity() if d is None)
+        unreached = t_big.row.count(None)
         properness["per_subgroup"][sub.label] = {
             "profile": p_big, "stable": stable, "witness": witness,
             "unreached": unreached}
@@ -228,7 +206,7 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0):
         dist = oracle.dist_to_sets(RaggedSets.from_arrays(
             [c.vertices for c in cg.family[lo:lo + WORD]]))
         for k, near in enumerate(dist, start=lo):
-            sub_j, rep = owners[k]
+            sub_j, rep = cosets[k].subgroup, cosets[k].representative
             for sub_i, hi in zip(subs, member_sets):
                 if (sub_i is sub_j and rep == ()):
                     continue
@@ -243,16 +221,24 @@ def check_hyperbolically_embedded(model, subs, radius, gens=None, seed=0):
         if diam > R[e]:
             R[e] = diam
             if diam >= caps[e]:
-                sub_j, rep = owners[k]
                 separation["passed"] = False
                 separation["witness"] = {
-                    "g": ball.model.format(rep),
-                    "i": sub_i.label, "j": sub_j.label,
+                    "g": model.format(cosets[k].representative),
+                    "i": sub_i.label, "j": cosets[k].subgroup.label,
                     "eps": e, "diam": diam}
     separation["R"] = R
 
     return HHEmbeddingWitness(tuple(ball.gens), radius, hyperbolicity,
-                              properness, qi, separation, flags)
+                              properness, qi, separation)
+
+
+def _cayley_ball(base):
+    """The Cayley ball that carries the base instance's CS."""
+    if not base.meta.get("cayley"):
+        raise StructureMismatch("base CS is not tagged as a Cayley graph")
+    if "ball" not in base.meta:     # read back from a bundle
+        raise StructureMismatch("base CS carries no Cayley ball")
+    return base.meta["ball"]
 
 
 def check_hh_embedded(base, subs, seed=0):
@@ -263,26 +249,22 @@ def check_hh_embedded(base, subs, seed=0):
     by its intersection with that generating set; and the family must be
     hyperbolically embedded over the same generators.
     """
-    if not base.meta.get("cayley"):
-        raise StructureMismatch("base CS is not tagged as a Cayley graph")
-    ball = base.meta["ball"]
-    gens = tuple(base.meta["cs_generating_set"])
+    ball = _cayley_ball(base)
     if not subs:
         return {"passed": True, "vacuous": True, "parts": {}}
 
     parts = {}
     generated = {"passed": True, "per_subgroup": {}}
     for sub in subs:
-        letters_in_h = [g for g in gens
+        letters_in_h = [g for g in ball.gens
                         if subgroup_membership(ball.model, sub,
                                                ball.model.parse(g))]
-        members = set(subgroup_ball_vertices(ball, sub))
-        # T's letters in H generate a special subgroup of H whose normal
-        # forms are prefix-closed: its ball elements are what a walk by
-        # those letters from the identity reaches inside the ball
-        reach = subgroup_ball_vertices(
-            ball, SubgroupSpec(ball.model, letters_in_h))
-        missing = sorted(members.difference(reach))
+        members = enumerate_cosets(ball, sub)[0].vertices
+        # T's letters in H generate a special subgroup of H; its ball
+        # elements are its identity coset
+        reach = enumerate_cosets(
+            ball, SubgroupSpec(ball.model, letters_in_h))[0].vertices
+        missing = sorted(set(members).difference(reach))
         entry = {"generators_in_T": letters_in_h,
                  "covered": len(reach), "of": len(members)}
         if missing:
@@ -290,9 +272,8 @@ def check_hh_embedded(base, subs, seed=0):
             generated["passed"] = False
         generated["per_subgroup"][sub.label] = entry
     parts["generated_by_T"] = generated
-    parts["cs_is_cayley"] = {"passed": True, "gens": list(gens)}
-    witness = check_hyperbolically_embedded(ball.model, subs, ball.radius,
-                                            gens=gens, seed=seed)
+    parts["cs_is_cayley"] = {"passed": True, "gens": list(ball.gens)}
+    witness = check_hyperbolically_embedded(ball, subs, seed=seed)
     parts["hyperbolically_embedded"] = witness.to_dict()
     passed = generated["passed"] and witness.passed
     return {"passed": passed, "vacuous": False, "parts": parts,
@@ -334,9 +315,7 @@ def build_augmented_structure(base, subgroup_structures, force=False,
     per coset; the new top space is the old one coned over all cosets.
     Refuses (unless forced) when the hierarchical-embedding verdict fails.
     """
-    if not base.meta.get("cayley"):
-        raise StructureMismatch("base CS is not tagged as a Cayley graph")
-    ball = base.meta["ball"]
+    ball = _cayley_ball(base)
     subs = [sub for sub, _ in subgroup_structures]
     if embed_report is None:
         embed_report = check_hh_embedded(base, subs, seed=seed)
@@ -500,7 +479,7 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
         # absorbed projection of h equals the subgroup's own projection
         sub_ball = sub_inst.meta["ball"]
         differ = [[] for _ in range(sub_inst.n_indices())]
-        members = subgroup_ball_vertices(ball, sub)
+        members = enumerate_cosets(ball, sub)[0].vertices
         for v in members:
             hv = sub_ball.index.get(ball.words[v])
             if hv is None:

@@ -543,9 +543,6 @@ class DistanceOracle:
             out[sel] = bfs_many(self.graph, sources, b)[r]
         return out
 
-    def dist(self, u, v):
-        return int(self.pairs([u], [v])[0])
-
     def dist_to_sets(self, sets):
         """Distances from every vertex to the nearest vertex of each set.
 

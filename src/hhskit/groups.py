@@ -544,14 +544,17 @@ def enumerate_cosets(ball, sub):
     """Coset descriptors partitioning the ball, minimal reps, shortlex order.
 
     Walk components are merged across ball-exit gaps by a membership check
-    (bucketed by abelianization); single-generator subgroups have connected
-    walks, so the merge pass is skipped for them.  Each descriptor carries
-    its merged class's vertices, truncated when any of them has a step
-    that leaves the ball.
+    (bucketed by abelianization).  The walks of a single-generator subgroup
+    are connected, and so are a special one's (every generator one letter:
+    g = g'k with g' the minimal representative and |g| = |g'| + |k|), so
+    the merge pass is skipped for both.  Each descriptor carries its merged
+    class's vertices, truncated when any of them has a step that leaves the
+    ball; the identity coset, the subgroup's ball elements, comes first.
     """
     classes, exits = _walk_classes(ball, sub)
     reps = sorted(classes)
-    if len(sub.generators) > 1 and len(reps) > 1:
+    if (len(sub.generators) > 1 and len(reps) > 1
+            and not all(len(g) == 1 for g in sub.generators)):
         if len(reps) > POSTMERGE_CAP:
             raise BudgetExceeded(f"{len(reps)} walk components exceed "
                                  f"POSTMERGE_CAP = {POSTMERGE_CAP}")

@@ -225,14 +225,14 @@ def test_criterion_6_hqc_equivalence(factor_instances):
 
 def test_criterion_7_embedding_verdicts():
     t0 = time.time()
-    pos = check_hyperbolically_embedded(F2, [SUB_A], 6, seed=3)
+    pos = check_hyperbolically_embedded(G.cayley_ball(F2, 6), [SUB_A], seed=3)
     t_pos = time.time() - t0
     assert pos.passed and t_pos < 60.0
     assert pos.hyperbolicity["passed"] and pos.properness["passed"]
     assert pos.qi_embedding["passed"] and pos.separation["passed"]
     t0 = time.time()
     neg = check_hyperbolically_embedded(
-        Z2, [SubgroupSpec(Z2, ["a"], label="A")], 6, seed=3)
+        G.cayley_ball(Z2, 6), [SubgroupSpec(Z2, ["a"], label="A")], seed=3)
     t_neg = time.time() - t0
     assert not neg.passed and t_neg < 60.0
     assert neg.separation["witness"] is not None

@@ -60,10 +60,10 @@ def test_coned_distance_matches_bfs_oracle():
     x = ball.id_of_text("a a a b b")
     cg_a = build_coneoff(ball.graph, coset_family(ball, ["a"]))
     cg_ab = build_coneoff(ball.graph, coset_family(ball, ["a", "b"]))
-    assert cg_a.coned.oracle().dist(e, x) == 3
-    assert cg_ab.coned.oracle().dist(e, x) == 2
+    assert cg_a.coned.oracle().pairs([e], [x])[0] == 3
+    assert cg_ab.coned.oracle().pairs([e], [x])[0] == 2
     a2, a3 = ball.id_of_text("a a"), ball.id_of_text("a a a")
-    assert cg_a.coned.oracle().dist(a2, a3) == 1
+    assert cg_a.coned.oracle().pairs([a2], [a3])[0] == 1
 
 
 def test_distance_non_increasing():
@@ -173,7 +173,7 @@ def test_apex_mode_flags_and_bounded_error():
     da = apex.coned.oracle()
     for u in range(g.n):
         for v in range(g.n):
-            assert 0 <= da.dist(u, v) - dc.dist(u, v) <= 1
+            assert 0 <= da.pairs([u], [v])[0] - dc.pairs([u], [v])[0] <= 1
 
 
 def test_full_report_shape():

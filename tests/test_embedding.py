@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 from functools import reduce
 from types import SimpleNamespace
 
@@ -14,10 +15,11 @@ from hhskit.errors import EmbeddingViolated, Inconclusive, StructureMismatch
 from hhskit.embedding import (build_augmented_structure,
                               check_hh_embedded,
                               check_hyperbolically_embedded, relative_metric,
-                              subgroup_ball_vertices, verify_augmented)
-from hhskit.groups import SubgroupSpec, subgroup_membership
+                              verify_augmented)
+from hhskit.groups import SubgroupSpec, enumerate_cosets, subgroup_membership
 from hhskit.hhs_core import (ProjectionTable, check_structural,
-                             instance_from_ball, trivial_instance)
+                             instance_from_ball, instance_from_bundle,
+                             instance_to_bundle, trivial_instance)
 from hhskit.graph_core import MetricGraph, bfs_distances
 from hhskit.sampling import rng_for
 from test_graph_core import diameter_loop
@@ -33,10 +35,36 @@ def line_instance(r=5):
     return instance_from_ball(G.cayley_ball(LINE_MODEL, r), label="line")
 
 
+def members_loop(ball, sub):
+    """The ball vertices in the subgroup, one membership call per vertex."""
+    return [v for v in range(ball.graph.n)
+            if subgroup_membership(ball.model, sub, ball.words[v])]
+
+
 @pytest.fixture(scope="module")
 def aug5():
     base = instance_from_ball(G.cayley_ball(F2, 5))
     return build_augmented_structure(base, [(SUB_A, line_instance(5))], seed=3)
+
+
+# ---------------------------------------------------------------------------
+# a subgroup's ball elements
+
+RAAG3 = G.raag_group(["a", "b", "c"], [("a", "b")])
+FREE_PRODUCT = G.free_product(Z2, G.free_group(["c"]))
+
+
+@pytest.mark.parametrize("model, gens", [
+    (F2, ["a"]), (F2, ["a", "b"]), (F2, ["a b"]), (F2, ["b a", "b"]),
+    (Z2, ["a"]), (Z2, ["a b", "a a"]), (RAAG3, ["a", "b"]),
+    (RAAG3, ["a", "c'"]), (FREE_PRODUCT, ["a", "c"]),
+    (FREE_PRODUCT, ["b"])],
+    ids=lambda x: x.kind if hasattr(x, "kind") else "+".join(x))
+def test_identity_coset_is_the_membership_loop(model, gens):
+    ball = G.cayley_ball(model, 4)
+    sub = SubgroupSpec(model, gens, label="H")
+    assert list(enumerate_cosets(ball, sub)[0].vertices) == \
+        members_loop(ball, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +73,14 @@ def aug5():
 def test_relative_metric_identity_zero():
     ball = G.cayley_ball(F2, 3)
     t = relative_metric(ball, SUB_A)
-    assert t.entry(0, 0) == 0
+    assert t.row[0] == 0
 
 
 def test_relative_metric_free_axis_is_unreached():
     # the free group separates its factors: every coset clique hangs off a
     # single component of the punctured tree, so no detour exists at all
     ball = G.cayley_ball(F2, 4)
-    t = relative_metric(ball, SUB_A)
-    row = t.row_of_identity()
+    row = relative_metric(ball, SUB_A).row
     assert row[0] == 0
     assert all(d is None for d in row[1:])
 
@@ -62,7 +89,7 @@ def test_relative_metric_z2_detour_is_three():
     # in Z^2 the detour 1 -> b -> (coset cone) -> b a^k -> a^k has length 3
     ball = G.cayley_ball(Z2, 4)
     t = relative_metric(ball, SubgroupSpec(Z2, ["a"], label="A"))
-    row = {ball.model.format(w): d for w, d in zip(t.words, t.row_of_identity())}
+    row = {ball.model.format(w): d for w, d in zip(t.words, t.row)}
     assert row["e"] == 0
     assert row["a"] == 3
     assert row["a a a"] == 3
@@ -72,7 +99,7 @@ def test_relative_metric_monotone_with_none_as_infinity():
     ball = G.cayley_ball(Z2, 4)
     t = relative_metric(ball, SubgroupSpec(Z2, ["a"], label="A"))
     by_power = {}
-    for w, d in zip(t.words, t.row_of_identity()):
+    for w, d in zip(t.words, t.row):
         k = sum(1 for x in w if x == 1) - sum(1 for x in w if x == -1)
         if k >= 0:
             by_power[k] = d
@@ -81,18 +108,20 @@ def test_relative_metric_monotone_with_none_as_infinity():
     assert as_inf == sorted(as_inf)
 
 def test_relative_metric_dominates_coned_metric():
+    # d-hat(e, h) >= d_coned(e, h): the punctured cone-off has fewer edges
     ball = G.cayley_ball(Z2, 3)
-    t = relative_metric(ball, SubgroupSpec(Z2, ["a"], label="A"))
-    coned = t.coned_graph.coned.oracle()
-    for (i, j), d in t.table.items():
-        if d is not None:
-            assert d >= coned.dist(t.elements[i], t.elements[j])
+    sub = SubgroupSpec(Z2, ["a"], label="A")
+    coned = embedding.coned_over_cosets(ball, [sub])
+    t = relative_metric(ball, sub, coned)
+    d_coned = coned[0].coned.oracle().row(ball.id_of(()))
+    assert all(d >= d_coned[v] for v, d in zip(t.elements, t.row)
+               if d is not None)
 
 
-def ref_relative_table(t):
-    """The table of ``relative_metric``, one BFS row per member."""
-    members, inside = t.elements, set(t.elements)
-    coned = t.coned_graph.coned
+def ref_relative_table(coned, members):
+    """d-hat between members in the cone-off ``coned``, one BFS row per
+    member, with the edges between members found by a set test."""
+    inside = set(members)
     punctured = MetricGraph(coned.n, [(u, v) for u, v in coned.edges
                                       if not (u in inside and v in inside)])
     table = {}
@@ -105,20 +134,22 @@ def ref_relative_table(t):
 
 
 @pytest.mark.parametrize("model, radius", [(F2, 5), (Z2, 6)])
-def test_relative_metric_matches_per_member_bfs(model, radius, monkeypatch):
-    # with three members per sweep, sweep boundaries fall inside the list
-    monkeypatch.setattr(embedding, "WORD", 3)
+def test_relative_metric_matches_per_member_bfs(model, radius):
     ball = G.cayley_ball(model, radius)
-    t = relative_metric(ball, SubgroupSpec(model, ["a"], label="A"))
-    assert len(t.elements) > 3
-    assert list(t.table.items()) == list(ref_relative_table(t).items())
+    sub = SubgroupSpec(model, ["a"], label="A")
+    coned = embedding.coned_over_cosets(ball, [sub])
+    t = relative_metric(ball, sub, coned)
+    members = members_loop(ball, sub)
+    assert list(t.elements) == members and len(members) > 3
+    table = ref_relative_table(coned[0].coned, members)
+    assert t.row == [table[(0, j)] for j in range(len(members))]
 
 
 # ---------------------------------------------------------------------------
 # hyperbolically embedded verdicts
 
 def test_free_axis_is_hyperbolically_embedded():
-    w = check_hyperbolically_embedded(F2, [SUB_A], 6, seed=3)
+    w = check_hyperbolically_embedded(G.cayley_ball(F2, 6), [SUB_A], seed=3)
     assert w.passed
     assert w.hyperbolicity["passed"]
     assert w.properness["per_subgroup"]["A"]["stable"]
@@ -128,7 +159,7 @@ def test_free_axis_is_hyperbolically_embedded():
 
 def test_central_axis_in_z2_fails_with_witness():
     sub = SubgroupSpec(Z2, ["a"], label="A")
-    w = check_hyperbolically_embedded(Z2, [sub], 6, seed=3)
+    w = check_hyperbolically_embedded(G.cayley_ball(Z2, 6), [sub], seed=3)
     assert not w.passed
     assert not w.separation["passed"]
     assert w.separation["witness"]["g"] == "b"
@@ -136,7 +167,8 @@ def test_central_axis_in_z2_fails_with_witness():
 
 
 def test_two_axes_pairwise_separation_finite():
-    w = check_hyperbolically_embedded(F2, [SUB_A, SUB_B], 5, seed=3)
+    w = check_hyperbolically_embedded(G.cayley_ball(F2, 5), [SUB_A, SUB_B],
+                                      seed=3)
     assert w.passed
     assert all(v < 5 for v in w.separation["R"].values())
 
@@ -146,13 +178,13 @@ def separation_loop(model, subs, radius):
     and one pairwise diameter per set, R and the witness kept in loop
     order."""
     ball = G.cayley_ball(model, radius)
-    cg, owners = embedding.coned_over_cosets(ball, subs)
-    member_sets = [np.asarray(subgroup_ball_vertices(ball, sub))
-                   for sub in subs]
+    cg, cosets = embedding.coned_over_cosets(ball, subs)
+    member_sets = [np.asarray(members_loop(ball, sub)) for sub in subs]
     caps = {e: max(radius, 2 * e + 2) for e in (0, 1, 2)}
     separation = {"passed": True, "R": {}, "witness": None, "cap": caps}
     R = {e: 0 for e in caps}
-    for coset, (sub_j, rep) in zip(cg.family, owners):
+    for coset, c in zip(cg.family, cosets):
+        sub_j, rep = c.subgroup, c.representative
         dist = bfs_distances(ball.graph, coset.vertices)
         for sub_i, hi in zip(subs, member_sets):
             if sub_i is sub_j and rep == ():
@@ -193,7 +225,7 @@ def test_separation_matches_per_coset_loop(model, gens, radius, monkeypatch):
     monkeypatch.setattr(embedding, "WORD", 3)
     subs = ([SubgroupSpec(model, [g], label=g) for g in gens]
             if len(gens) > 1 else [SubgroupSpec(model, gens, label="H")])
-    got = check_hyperbolically_embedded(model, subs, radius,
+    got = check_hyperbolically_embedded(G.cayley_ball(model, radius), subs,
                                         seed=3).separation
     assert got == separation_loop(model, subs, radius)
     assert (got["witness"] is None) == (model is F2)
@@ -241,7 +273,7 @@ def test_qi_part_reports_enumeration_budget(monkeypatch):
     monkeypatch.setattr(G, "MEMBERSHIP_BUDGET", 3)
     with pytest.raises(Inconclusive, match="MEMBERSHIP_BUDGET = 3"):
         embedding._intrinsic_lengths(F2, SUB_A, [F2.parse("a a a")])
-    w = check_hyperbolically_embedded(F2, [SUB_A], 3, seed=3)
+    w = check_hyperbolically_embedded(G.cayley_ball(F2, 3), [SUB_A], seed=3)
     assert w.qi_embedding == {"passed": False, "per_subgroup": {
         "A": {"passed": False, "reason": "enumeration budget"}}}
 
@@ -271,7 +303,7 @@ def ref_generated_by_T(ball, sub, gens):
     model = ball.model
     letters = [g for g in gens
                if subgroup_membership(model, sub, model.parse(g))]
-    members = set(subgroup_ball_vertices(ball, sub))
+    members = set(members_loop(ball, sub))
     steps = [model.parse(token) for g in letters for token in (g, g + "'")]
     reach = {ball.id_of(())}
     stack = [ball.id_of(())]
@@ -308,6 +340,19 @@ def test_hh_embedded_vacuous_and_mismatch():
     bare = trivial_instance(MetricGraph(3, [(0, 1), (1, 2)]))
     with pytest.raises(StructureMismatch):
         check_hh_embedded(bare, [SUB_A])
+
+
+def test_round_tripped_instance_is_refused():
+    """A bundle keeps the Cayley tag of an instance but not its ball: the
+    embedding verdict and the absorption refuse the instance read back."""
+    base = instance_from_ball(G.cayley_ball(F2, 3))
+    again = instance_from_bundle(json.loads(json.dumps(
+        instance_to_bundle(base))))
+    assert again.meta["cayley"] and "ball" not in again.meta
+    with pytest.raises(StructureMismatch, match="no Cayley ball"):
+        check_hh_embedded(again, [SUB_A])
+    with pytest.raises(StructureMismatch, match="no Cayley ball"):
+        build_augmented_structure(again, [(SUB_A, line_instance(3))])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +456,7 @@ def morphism_gaps_loop(aug, seed, samples=100):
     start = aug.phi_records[0]["identity_coset_block"]
     sub_ball = sub_inst.meta["ball"]
     commute_gap = 0
-    members = subgroup_ball_vertices(ball, sub)
+    members = members_loop(ball, sub)
     for v in members:
         hv = sub_ball.index.get(ball.words[v])
         if hv is None:

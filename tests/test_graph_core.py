@@ -651,7 +651,7 @@ def test_strategy_follows_graph_size(monkeypatch):
     graphs = path_graph(cap), path_graph(cap + 1), cycle_graph(cap + 1)
     small = graphs[0].oracle()
     assert small.matrix().shape == (cap, cap)
-    assert small.dist(0, cap - 1) == cap - 1
+    assert small.pairs([0], [cap - 1])[0] == cap - 1
     # decided (and the blocks built) before the spies go in: building the
     # blocks runs a BFS from the root
     tree, cycle = graphs[1].oracle(), graphs[2].oracle()
@@ -666,9 +666,9 @@ def test_strategy_follows_graph_size(monkeypatch):
     for oracle in (tree, cycle):
         with pytest.raises(BudgetExceeded):
             oracle.matrix()
-    assert tree.dist(0, cap) == cap and set(calls) == {"entries"}
+    assert tree.pairs([0], [cap])[0] == cap and set(calls) == {"entries"}
     calls.clear()
-    assert cycle.dist(0, cap) == 1 and set(calls) == {"bfs_many"}
+    assert cycle.pairs([0], [cap])[0] == 1 and set(calls) == {"bfs_many"}
 
 
 def test_dropped_graph_frees_its_matrix_without_the_collector():

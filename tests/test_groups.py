@@ -657,3 +657,49 @@ def test_coset_partition_multi_generator_subgroup():
         assert len(family) == count
         for c, member in zip(cosets, family):
             assert set(c.vertices) <= set(member.vertices)
+
+
+F3 = free_group(["a", "b", "c"])
+Z3 = free_abelian_group(["a", "b", "c"])
+RAAG3 = raag_group(["a", "b", "c"], [("a", "b")])
+Z2_Z = free_product(Z2, free_group(["c"]))
+
+
+def cosets_by_membership(ball, sub):
+    """(representative, vertices, truncated) of each coset in the ball: each
+    vertex, in id order, joins the first coset whose representative it
+    differs from by an element of ``sub``, or starts a coset of its own."""
+    model = ball.model
+    found = {}
+    for v, w in enumerate(ball.words):
+        rep = next((r for r in found if subgroup_membership(
+            model, sub, model.multiply(inverse_word(r), w))), w)
+        found.setdefault(rep, []).append(v)
+    steps = sub.generator_words_with_inverses()
+    return [(rep, tuple(vs), any(reduce(model.step, g, ball.words[v])
+                                 not in ball.index for v in vs for g in steps))
+            for rep, vs in found.items()]
+
+
+@pytest.mark.parametrize("model, radius, gens", [
+    (F3, 3, ["a", "b"]), (F3, 3, ["a'", "c"]), (Z3, 4, ["a", "b"]),
+    (RAAG3, 4, ["a", "b"]), (RAAG3, 4, ["b", "c"]), (Z2_Z, 4, ["a", "c"]),
+    (Z2_Z, 4, ["a", "b"])],
+    ids=["F3-a+b", "F3-a'+c", "Z3-a+b", "RAAG-a+b", "RAAG-b+c", "Z2*Z-a+c",
+         "Z2*Z-a+b"])
+def test_special_subgroup_cosets_are_its_walk_classes(model, radius, gens):
+    """A special subgroup (every generator a single letter) has each coset
+    walk-connected inside the ball, so ``enumerate_cosets`` merges nothing
+    and gives the membership partition."""
+    ball = cayley_ball(model, radius)
+    sub = SubgroupSpec(model, gens)
+    got = [(c.representative, c.vertices, c.truncated)
+           for c in enumerate_cosets(ball, sub)]
+    assert got == cosets_by_membership(ball, sub)
+
+
+def test_special_subgroup_cosets_are_not_capped():
+    # 7813 walk classes, over POSTMERGE_CAP = 2000, which only a merge
+    # pass reads
+    ball = cayley_ball(F3, 6)
+    assert len(enumerate_cosets(ball, SubgroupSpec(F3, ["a", "b"]))) == 7813

@@ -405,11 +405,11 @@ def test_distance_formula_summand_example():
         family_from_cosets(ball, [SUB_A, SUB_B]))
     e = ball.id_of(())
     x = ball.id_of_text("a a a b b")
-    assert int(inst.X.oracle().dist(e, x)) == 5
+    assert inst.X.oracle().pairs([e], [x])[0] == 5
     total = 0
     for u in range(inst.n_indices()):
-        d = inst.spaces[u].oracle().dist(int(inst.pi_rep(u)[e]),
-                                         int(inst.pi_rep(u)[x]))
+        d = int(inst.spaces[u].oracle().pairs([inst.pi_rep(u)[e]],
+                                              [inst.pi_rep(u)[x]])[0])
         total += d if d >= 1 else 0
     # oracle: a-axis contributes 3, the b-coset at a3 contributes 2, the
     # coned top space contributes 2, gates elsewhere contribute 0
