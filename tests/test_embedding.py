@@ -118,19 +118,15 @@ def test_relative_metric_dominates_coned_metric():
                if d is not None)
 
 
-def ref_relative_table(coned, members):
-    """d-hat between members in the cone-off ``coned``, one BFS row per
-    member, with the edges between members found by a set test."""
+def ref_identity_row(coned, members):
+    """d-hat from the identity, ``members[0]``, to each member: one BFS in
+    the cone-off ``coned`` less the edges between members, found by a set
+    test."""
     inside = set(members)
     punctured = MetricGraph(coned.n, [(u, v) for u, v in coned.edges
                                       if not (u in inside and v in inside)])
-    table = {}
-    for i, v in enumerate(members):
-        dist = bfs_distances(punctured, [v])
-        for j in range(i, len(members)):
-            d = int(dist[members[j]])
-            table[(i, j)] = d if d >= 0 else None
-    return table
+    dist = bfs_distances(punctured, [members[0]])
+    return [int(dist[v]) if dist[v] >= 0 else None for v in members]
 
 
 @pytest.mark.parametrize("model, radius", [(F2, 5), (Z2, 6)])
@@ -141,8 +137,7 @@ def test_relative_metric_matches_per_member_bfs(model, radius):
     t = relative_metric(ball, sub, coned)
     members = members_loop(ball, sub)
     assert list(t.elements) == members and len(members) > 3
-    table = ref_relative_table(coned[0].coned, members)
-    assert t.row == [table[(0, j)] for j in range(len(members))]
+    assert t.row == ref_identity_row(coned[0].coned, members)
 
 
 # ---------------------------------------------------------------------------
