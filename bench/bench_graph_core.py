@@ -123,8 +123,9 @@ def test_rows_delta_r6_budget40000(benchmark, ball6):
 
 
 def test_rows_quasiconvexity_r6(benchmark, ball6):
-    """Quasi-convexity scan of 3000 pairs of ball vertices: 4906 distinct
-    rows, each kept only until the last window of pairs that reads it."""
+    """Quasi-convexity scan of 3000 sampled pairs of ball vertices (4906
+    distinct ends): one ``block`` of the 64 ends of each 32 pairs, one
+    sweep each, no row kept past its chunk."""
     rep = benchmark.pedantic(
         lambda g: quasiconvexity_constant(g, range(g.n), pair_budget=3000,
                                           seed=2), rounds=2,

@@ -9,21 +9,27 @@ bench file that follows a changed signature is timed at both commits.  Each
 side runs twice, in the order parent, change, change, parent, so host
 drift during the session falls on both sides alike.  Every run records
 its commit's full SHA, the pytest-benchmark statistics of every case
-(seconds), and per case the peak RSS of a fresh process that runs the case
-once (``--benchmark-disable``), read from ``os.wait4``: it covers the
-interpreter, pytest, the case's set-up and the timed call.  Each side's
-entry in the output is the list of its two runs, in the order they ran.
+(seconds), and per case the peak RSS of fresh processes that each run the
+case once (``--benchmark-disable``), read from ``os.wait4``: it covers the
+interpreter, pytest, the case's set-up and the timed call.  A single
+reading is bimodal on the larger cases (421 or 444 MB for the same r=7
+case on the same tree), so each case runs in RSS_RUNS processes;
+``peak_rss_mb`` is their median and ``peak_rss_mb_runs`` keeps every
+reading.  Each side's entry in the output is the list of its two runs, in
+the order they ran.
 """
 
 import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
 
 STATS = ("min", "median", "mean", "max", "iqr", "stddev")
+RSS_RUNS = 3
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
           "--rootdir", "."]
 
@@ -51,6 +57,13 @@ def peak_rss_mb(nodeid, env, cwd):
     return round(usage.ru_maxrss / 1024, 1)
 
 
+def rss_readings(nodeid, env, cwd):
+    """The median and every reading of RSS_RUNS ``peak_rss_mb`` processes,
+    run one after another."""
+    runs = [peak_rss_mb(nodeid, env, cwd) for _ in range(RSS_RUNS)]
+    return {"peak_rss_mb": statistics.median(runs), "peak_rss_mb_runs": runs}
+
+
 def run_side(rev, bench):
     sha = subprocess.check_output(["git", "rev-parse", rev], text=True).strip()
     with tempfile.TemporaryDirectory() as tmp:
@@ -68,7 +81,7 @@ def run_side(rev, bench):
             stats = case["stats"]
             cases[case["name"]] = dict(
                 rounds=stats["rounds"], **{k: stats[k] for k in STATS},
-                peak_rss_mb=peak_rss_mb(case["fullname"], env, tmp))
+                **rss_readings(case["fullname"], env, tmp))
     return {"commit": sha, "machine": machine(),
             "datetime": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(), "benchmarks": cases}
@@ -85,7 +98,8 @@ def main():
               "note": "each side runs its own commit's bench file, twice "
                       "each, in the order parent, change, change, parent; "
                       "each side lists its runs in that order; peak_rss_mb "
-                      "is one fresh process per case",
+                      f"is the median of {RSS_RUNS} fresh processes per "
+                      "case, peak_rss_mb_runs every reading",
               **runs}
     with open(out, "w") as f:
         json.dump(result, f, indent=1)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import graph_core
 from .errors import BudgetExceeded, Disconnected, TruncatedPiece
-from .graph_core import (WORD, MetricGraph, PathRecord, four_point_delta,
-                         row_parents)
+from .graph_core import (WORD, MetricGraph, PathRecord, _paths,
+                         four_point_delta)
 from .sampling import SampleSpec, rng_for, sample_unordered_pairs
 
 DEFAULT_CONE_EDGE_CAP = 2_000_000
@@ -169,16 +169,6 @@ def _path_taus(cg, coned_path):
     return {"tau1": tau1, "tau2": tau2, "record": record}
 
 
-def _paths(graph, row, u, targets):
-    """Column i: the BFS-parent path from targets[i] to u, padded by u."""
-    parent = row_parents(graph, row)
-    parent[u] = u
-    steps = [targets]
-    while (steps[-1] != u).any():
-        steps.append(parent[steps[-1]])
-    return np.stack(steps)
-
-
 def _drift(oracle, a, b):
     """Hausdorff distance between the vertex columns a[:, i] and b[:, i].
 
@@ -232,8 +222,8 @@ def kapovich_rafi_report(cg, pair_budget=None, seed=0,
         rows = zip(batch.tolist(), bo.block(batch, np.arange(n)),
                    co.block(batch, np.arange(coned.n)), scan)
         for u, base_row, coned_row, targets in rows:
-            h = _drift(co, _paths(base, base_row, u, targets),
-                       _paths(coned, coned_row, u, targets))
+            h = _drift(co, _paths(base, base_row, 0, targets),
+                       _paths(coned, coned_row, 0, targets))
             i = int(np.argmax(h))
             if h[i] > best:
                 best, witness = int(h[i]), (u, int(targets[i]))

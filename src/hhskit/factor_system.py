@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graph_core import (RaggedSets, connected_hull,
+from .graph_core import (GraphBlock, RaggedSets, connected_hull,
                          four_point_delta, iter_ragged_blocks,
-                         quasiconvexity_constant, ragged_diameters,
-                         ragged_hausdorff)
+                         ragged_diameters, ragged_hausdorff)
 from .groups import coset_subgraph, enumerate_cosets
 from .sampling import (DEFAULT_PAIR_BUDGET, SampleSpec, sample_indices,
                        sample_ordered_pairs)
@@ -192,18 +191,20 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
 
     # ---- axiom 1: embedding + quasi-convexity constants per member
     member_idx, spec1 = sample_indices(m, DEFAULT_MEMBER_BUDGET, seed)
+    members = _member_sets(family)
+    scan = member_idx[members.sizes()[member_idx] > 1]
+    reports = GraphBlock([graph]).quasiconvexity(
+        np.zeros(len(scan), dtype=np.int64), members.take(scan), None, 0)
     K = 0.0
     worst1 = None
-    for i in member_idx:
-        mem = family[int(i)]
+    for i, rep in zip(scan.tolist(), reports):
+        mem = family[i]
         verts = mem.vertex_array()
-        if len(verts) <= 1:
-            continue
         ii, jj = np.triu_indices(len(verts), k=1)
         d_outer = oracle.pairs(verts[ii], verts[jj]).astype(np.float64)
         d_inner = mem.induced_graph().oracle().pairs(ii, jj).astype(np.float64)
         k_embed = float((d_inner / (d_outer + 1.0)).max())
-        q = quasiconvexity_constant(graph, mem, pair_budget=None).q
+        q = rep.q
         val = max(k_embed, float(q))
         if val > K:
             K = val
@@ -234,7 +235,6 @@ def verify_factor_system(cand, pair_budget=DEFAULT_PAIR_BUDGET, seed=0,
     ax3_failures = []
     ax3_skipped = 0
     ax5_failures = []
-    members = _member_sets(family)
     member_diams = np.zeros(m, dtype=np.int64)
     scanned = np.flatnonzero(np.bincount(us, minlength=m))
     member_diams[scanned] = ragged_diameters(oracle, members, scanned)

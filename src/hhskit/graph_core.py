@@ -4,10 +4,12 @@ Everything downstream (Cayley balls, cone-offs, coordinate spaces of
 hierarchical structures) is one of these graphs, so the module carries the
 shared machinery: BFS distances, deterministic geodesics, a distance oracle
 with a fast path through the block-cut tree, blocks of graphs of one vertex
-count whose distances are asked together, hyperbolicity and
-quasi-convexity estimation, closest-point projections, and ragged distance
-blocks that answer many small set-to-set queries (Hausdorff distances among
-them) in one oracle call.
+count whose distances are asked together (their stack fill is the one
+all-pairs fill, the oracle's matrix a stack of one), hyperbolicity
+estimation, the one quasi-convexity scan (``GraphBlock.quasiconvexity``,
+of which ``quasiconvexity_constant`` is the one-set call), closest-point
+projections, and ragged distance blocks that answer many small set-to-set
+queries (Hausdorff distances among them) in one oracle call.
 
 Distances are integers; hyperbolicity deltas are half-integers.  All "sup
 over the infinite space" quantities are maxima over the built graph and the
@@ -199,12 +201,18 @@ def bfs_many(graph, sets, cols=None):
         return np.unpackbits(words.astype("<u8").view(np.uint8),
                              bitorder="little").reshape(-1, WORD)[:, :k]
 
-    # vertex-major: unpacking fills (m, k) without a transpose
-    out = np.zeros((m, k), dtype=np.int32)
+    # vertex-major: unpacking fills (m, k) without a transpose, in int16
+    # while the levels fit, at about half the cost of int32
+    out = np.zeros((m, k), dtype=np.int16 if len(planes) < 16 else np.int32)
     for p, plane in enumerate(planes):
-        out |= np.left_shift(bits(plane[at]), p, dtype=np.int32)
+        out |= np.left_shift(bits(plane[at]), p, dtype=out.dtype)
     out -= bits(~seen[at])
-    return out.T
+    # the rows, 4096 vertices at a time: one copy of the whole transpose
+    # reads with a stride of 256 bytes at k = WORD, and runs 4x slower
+    rows = np.empty((k, m), dtype=np.int32)
+    for lo in range(0, m, 1 << 12):
+        rows[:, lo:lo + (1 << 12)] = out[lo:lo + (1 << 12)].T
+    return rows
 
 
 def bfs_distances(graph, sources):
@@ -231,6 +239,23 @@ def row_parents(graph, dist):
     parent[graph.has_nbrs] = np.minimum.reduceat(cand, graph.nbr_starts)
     parent[parent == graph.n] = -1
     return parent
+
+
+def _paths(graph, rows, r, targets):
+    """Column i: the path of smallest-id parents (``row_parents``) of row
+    ``rows[r[i]]`` from ``targets[i]`` back to that row's source, padded
+    by the source.  ``rows`` are distance rows from one source each, 1-D
+    for one row; ``r`` may be one row for every target.  Each level of
+    the chase is one gather over every target."""
+    rows = np.atleast_2d(rows)
+    parent = np.stack([row_parents(graph, row) for row in rows])
+    parent[rows == 0] = np.nonzero(rows == 0)[1]
+    base = np.asarray(r) * graph.n
+    flat = (parent + np.arange(0, parent.size, graph.n)[:, None]).ravel()
+    steps = [base + targets]
+    for _ in range(int(rows.ravel()[steps[0]].max(initial=0))):
+        steps.append(flat[steps[-1]])
+    return np.stack(steps) - base
 
 
 def block_cut_tree(graph):
@@ -435,7 +460,8 @@ class DistanceOracle:
     """Exact distance queries with a strategy chosen from the graph alone.
 
     Every graph with at most MATRIX_CAP vertices gets a cached all-pairs
-    matrix, filled WORD rows per ``bfs_many`` sweep.  Above the cap, a
+    matrix, filled WORD rows per ``bfs_many`` sweep (``_fill``, a stack of
+    one).  Above the cap, a
     connected graph answers ``pairs`` from its block-cut tree
     (``_BlockMetric``: distances from the root, binary lifting over the
     block tree and one small matrix per block) when its blocks' matrices
@@ -447,7 +473,7 @@ class DistanceOracle:
     qualify, sweeps its distinct sources WORD at a time, unpacking each
     sweep only at the columns it asks for (a ``pairs`` batch's own
     targets, a ``block``'s columns).  ``row(u)`` is ``block([u], all)[0]``
-    and ``geodesics`` walks the parents of its sources' rows, so callers
+    and ``geodesics`` chases parents over its sources' rows, so callers
     that ask many rows or paths should ask them in one call.  This class
     is the only code that knows which strategy answers; callers ask
     through ``pairs``, ``block``, ``row``, ``dist_to_sets``,
@@ -482,11 +508,7 @@ class DistanceOracle:
             if not self._use_matrix:
                 raise BudgetExceeded(f"distance matrix for n={self.n} over "
                                      f"MATRIX_CAP = {self._cap}")
-            m = np.empty((self.n, self.n), dtype=np.int16)
-            for lo in range(0, self.n, WORD):
-                m[lo:lo + WORD] = bfs_many(self.graph, RaggedSets.singletons(
-                    np.arange(lo, min(lo + WORD, self.n))))
-            self._matrix = m
+            self._matrix = _fill([self.graph], self.graph)[0]
         return self._matrix
 
     def _sweeps(self, us):
@@ -538,10 +560,12 @@ class DistanceOracle:
             return self.matrix()[np.ix_(a, b)].astype(np.int32)
         if len(b) < len(a):
             return self.block(b, a).T
-        out = np.empty((len(a), len(b)), dtype=np.int32)
-        for sel, sources, r in self._sweeps(a):
-            out[sel] = bfs_many(self.graph, sources, b)[r]
-        return out
+        # each distinct source swept once, WORD a sweep, read out by one
+        # gather (and one sweep's rows not joined, which would copy them)
+        src, inv = np.unique(a, return_inverse=True)
+        rows = [bfs_many(self.graph, RaggedSets.singletons(src[lo:lo + WORD]),
+                         b) for lo in range(0, max(len(src), 1), WORD)]
+        return (rows[0] if len(rows) == 1 else np.concatenate(rows))[inv]
 
     def dist_to_sets(self, sets):
         """Distances from every vertex to the nearest vertex of each set.
@@ -574,24 +598,23 @@ class DistanceOracle:
         """A deterministic geodesic from us[i] to vs[i], per i, as vertex lists.
 
         Each distinct source's row is asked once, WORD sources per
-        ``block``; a path walks the smallest-id parents (``row_parents``)
-        of its source's row back from vs[i].  Raises Disconnected on an
-        unreached pair.
+        ``block``, and the paths of all the pairs of those sources are
+        chased back from the vs[i] through the smallest-id parents of their
+        rows at once (``_paths``).  Raises Disconnected on an unreached
+        pair.
         """
         vs = self._ids(vs)
         paths = [None] * len(vs)
         for sel, sources, r in self._sweeps(self._ids(us)):
             rows = self.block(sources.flat, np.arange(self.n))
-            parents = [row_parents(self.graph, row) for row in rows]
-            for i, s in zip(sel.tolist(), r.tolist()):
-                u, w = int(sources.flat[s]), int(vs[i])
-                if rows[s, w] < 0:
-                    raise Disconnected(f"no path from {u} to {w}")
-                path = [w]
-                while w != u:
-                    w = int(parents[s][w])
-                    path.append(w)
-                paths[i] = path[::-1]
+            d = rows[r, vs[sel]]
+            if (d < 0).any():
+                i = int(np.argmax(d < 0))
+                raise Disconnected(f"no path from {sources.flat[r[i]]} to "
+                                   f"{vs[sel[i]]}")
+            steps = _paths(self.graph, rows, r, vs[sel])
+            for i, k, col in zip(sel.tolist(), d.tolist(), steps.T.tolist()):
+                paths[i] = col[k::-1]
         return paths
 
     def geodesic(self, u, v):
@@ -622,6 +645,28 @@ class _Union:
         np.cumsum(self.degrees, out=self.indptr[1:])
         self.has_nbrs = self.degrees > 0
         self.nbr_starts = self.indptr[:-1][self.has_nbrs]
+
+
+def _fill(graphs, union):
+    """The ``(k, n, n)`` int16 stack of the all-pairs matrices of graphs of
+    one vertex count n, from ceil(n / WORD) ``bfs_many`` sweeps of their
+    disjoint ``union`` (``_Union``, or the graph itself for one graph): set
+    i is vertex i of every graph, and the graphs are separate components,
+    so one bit serves them all.  Each graph's ``is_connected`` is recorded
+    from its matrix on the way: connected means no -1 in its first row."""
+    k, n = len(graphs), graphs[0].n
+    stack = np.empty((k, n, n), dtype=np.int16)
+    at = np.arange(k) * n
+    for lo in range(0, n, WORD):
+        hi = min(lo + WORD, n)
+        rows = bfs_many(union, RaggedSets(
+            (np.arange(lo, hi)[:, None] + at).ravel(),
+            np.arange(0, (hi - lo) * k + 1, k)))
+        stack[:, lo:hi] = rows.reshape(hi - lo, k, n).swapaxes(0, 1)
+    connected = stack[:, :1].min(axis=(1, 2), initial=0) >= 0
+    for graph, ok in zip(graphs, connected.tolist()):
+        graph.is_connected = ok
+    return stack
 
 
 # Most entries one chunk of a GraphBlock query holds: its rows' distances,
@@ -655,12 +700,11 @@ class _StackPairs:
 class GraphBlock:
     """Graphs of one vertex count n, whose distances are asked together.
 
-    Up to MATRIX_CAP vertices the block holds one ``(k, n, n)`` int16
-    stack of the graphs' all-pairs matrices, filled by ceil(n / WORD)
-    ``bfs_many`` sweeps of their disjoint union: set i is vertex i of every
-    graph, and the graphs are separate components, so one bit serves them
-    all.  Each graph's oracle then reads its matrix as a view of the stack,
-    so no matrix is held twice.  A graph over the cap is a block of one on
+    Several graphs (at most MATRIX_CAP vertices each) are held as one
+    ``(k, n, n)`` int16 stack of their all-pairs matrices (``_fill``), and
+    each graph's oracle then reads its matrix as a view of the stack, so
+    no matrix is held twice.  A block of one takes the matrix its graph's
+    oracle holds or builds, and a graph over the cap is a block of one on
     its own oracle.  Every query names the graph of each of its rows by
     slot, and one call answers all of them; the queries that yield do so
     per chunk of rows, ``(lo, hi, values)``, each holding at most
@@ -669,23 +713,21 @@ class GraphBlock:
 
     def __init__(self, graphs):
         self.n, self.graphs = graphs[0].n, graphs
-        if self.n > MATRIX_CAP:
+        if len(graphs) > 1:
+            self.stack = _fill(graphs, self.union)
+            for graph, matrix in zip(graphs, self.stack):
+                graph.oracle()._matrix = matrix
+        elif graphs[0].oracle()._use_matrix:
+            self.stack = graphs[0].oracle().matrix()[None]
+        else:
             self.stack, self.oracle = None, graphs[0].oracle()
             return
-        k, n = len(graphs), self.n
-        self.union = _Union(graphs)
-        self.stack = np.empty((k, n, n), dtype=np.int16)
-        at = np.arange(k) * n
-        for lo in range(0, n, WORD):
-            hi = min(lo + WORD, n)
-            rows = bfs_many(self.union, RaggedSets(
-                (np.arange(lo, hi)[:, None] + at).ravel(),
-                np.arange(0, (hi - lo) * k + 1, k)))
-            self.stack[:, lo:hi] = rows.reshape(hi - lo, k, n).swapaxes(0, 1)
-        for graph, matrix in zip(graphs, self.stack):
-            graph.oracle()._matrix = matrix
         self.oracle = _StackPairs(self.stack)
 
+    @cached_property
+    def union(self):
+        """The stacked graphs' disjoint union, which ``walks`` steps in."""
+        return _Union(self.graphs)
 
     def _named(self, slots, sets):
         """``sets`` in the names of ``self.oracle``: vertex v of set i as
@@ -752,45 +794,63 @@ class GraphBlock:
         return self.stack.max(axis=(1, 2), initial=0)
 
     def quasiconvexity(self, slots, sets, pair_budget, seed):
-        """``quasiconvexity_constant(graph, sets[i], pair_budget, seed).q``
-        for graph ``slots[i]``, per i.
+        """The ``QuasiconvexityReport`` of each set ``sets[i]`` in graph
+        ``slots[i]``, over the pairs ``sample_unordered_pairs(len(sets[i]),
+        pair_budget, seed)`` of its entries.
 
-        A stacked set with at most ``pair_budget`` pairs is scanned over all
-        its ordered pairs (a, b) at once: a vertex z lies on a geodesic from
-        a to b iff d(a, z) + d(z, b) = d(a, b), and q is the largest
-        distance from such a z to the set.  The pairs of a == b add only
-        z = a, at distance 0."""
-        q = np.zeros(len(sets), dtype=np.int64)
-        sizes = sets.sizes()
-        whole = (sizes * (sizes - 1) // 2 <= pair_budget
-                 if self.stack is not None else np.zeros(len(sets), bool))
-        for i in np.flatnonzero(~whole).tolist():
-            q[i] = quasiconvexity_constant(self.graphs[slots[i]], sets[i],
-                                           pair_budget, seed).q
-        whole = np.flatnonzero(whole)
-        if not len(whole):
-            return q
-        used = np.flatnonzero(np.bincount(slots[whole]))
-        if (self.stack[used] < 0).any():
+        A vertex z lies on some geodesic from a to b iff d(a, z) + d(z, b)
+        = d(a, b), so the scan covers every geodesic between the pairs
+        without enumerating them; q is the largest distance from such a z
+        to the set, the witnesses the first pair in sample order that
+        attains it and the smallest such z on its geodesics.  Each set's
+        distance-to-set row is computed once (``set_rows``), and its pairs
+        are scanned a chunk at a time: one gather from the stack, or over
+        the cap one ``block`` of the WORD ends of WORD // 2 pairs, which
+        is one sweep.  Raises Disconnected if a set's graph is."""
+        if not all(self.graphs[s].is_connected for s in set(slots.tolist())):
             raise Disconnected("quasiconvexity scan requires a connected "
                                "graph")
-        for lo, hi in _chunks(sizes[whole] ** 2 * self.n, BLOCK_CHUNK):
-            idx = whole[lo:hi]
-            part = sets.take(idx)
-            slot = slots[idx]
-            near = _row_minima(self.stack[slot[part.owners()], part.flat],
-                               part.offsets[:-1])
-            # every ordered pair of entries of each set
-            row_set, row_pos = segments(part.offsets, np.arange(len(idx)))
-            pair_row, col_pos = segments(part.offsets, row_set)
-            owner = row_set[pair_row]
-            a, b = part.flat[row_pos[pair_row]], part.flat[col_pos]
-            s = slot[owner]
-            on = (self.stack[s, a] + self.stack[s, b]
-                  == self.stack[s, a, b][:, None])
-            far = np.where(on, near[owner], -1).max(axis=1)
-            q[idx] = np.maximum.reduceat(far, _starts(part.sizes() ** 2))
-        return q
+        # a set's sample depends on its size alone
+        sizes = sets.sizes().tolist()
+        sample = {m: sample_unordered_pairs(m, pair_budget, seed)
+                  for m in set(sizes)}
+        counts = np.asarray([len(sample[m][0]) for m in sizes], dtype=np.int64)
+        owner = np.repeat(np.arange(len(sizes)), counts)
+        a, b = sets.flat[sets.offsets[owner] + np.concatenate(
+            [np.zeros((2, 0), np.int64)] + [sample[m][:2] for m in sizes],
+            axis=1)]
+        cut = np.append(0, np.cumsum(counts))
+        has = np.flatnonzero(counts)
+        far, arg = np.empty((2, len(owner)), dtype=np.int64)  # max, first z
+        step = WORD // 2 if self.stack is None else max(1, BLOCK_CHUNK
+                                                         // self.n)
+        for lo, hi, near in self.set_rows(slots[has], sets, has, 0):
+            end = cut[has[hi - 1] + 1]
+            for p in range(cut[has[lo]], end, step):
+                at = slice(p, min(p + step, end))
+                if self.stack is None:
+                    da, db = np.split(self.oracle.block(
+                        np.concatenate([a[at], b[at]]), np.arange(self.n)), 2)
+                    dab = da[np.arange(len(da)), b[at]]
+                else:
+                    s = slots[owner[at]]
+                    da, db = self.stack[s, a[at]], self.stack[s, b[at]]
+                    dab = self.stack[s, a[at], b[at]]
+                # the distance to the set of each z on a geodesic, else -1
+                to_set = np.where(da + db == dab[:, None],
+                                  near[np.searchsorted(has, owner[at]) - lo],
+                                  -1)
+                arg[at] = to_set.argmax(axis=1)
+                far[at] = to_set[np.arange(len(to_set)), arg[at]]
+        reports = [QuasiconvexityReport(0, None, None, sample[m][2])
+                   for m in sizes]
+        # a stable sort keeps sample order among each set's maxima
+        for i, p in zip(has.tolist(),
+                        np.lexsort((-far, owner))[cut[has]].tolist()):
+            reports[i] = QuasiconvexityReport(
+                int(far[p]), (int(a[p]), int(b[p])), int(arg[p]),
+                reports[i].sample)
+        return reports
 
     def walks(self, slots, src, dst):
         """The vertices of a geodesic from ``src[i]`` to ``dst[i]`` in graph
@@ -1023,49 +1083,13 @@ class QuasiconvexityReport:
 
 
 def quasiconvexity_constant(graph, h, pair_budget=DEFAULT_PAIR_BUDGET, seed=0):
-    """Smallest q with every geodesic between vertices of h inside N_q(h).
-
-    A vertex z lies on some geodesic from u to v iff d(u,z)+d(z,v)=d(u,v),
-    so the scan covers *all* geodesics between the scanned pairs without
-    enumerating them.
-    """
-    if not graph.is_connected:
-        raise Disconnected("quasiconvexity scan requires a connected graph")
+    """Smallest q with every geodesic between vertices of h inside N_q(h):
+    the one-set call of ``GraphBlock.quasiconvexity`` on a block of one
+    graph, over the pairs of h's sorted distinct vertices."""
     verts = _vertex_array(h)
-    oracle = graph.oracle()
-    dist_to_h = oracle.dist_to_set(verts)
-    us, vs, spec = sample_unordered_pairs(len(verts), pair_budget, seed)
-    q = -1
-    witness_pair = None
-    witness_vertex = None
-    # the pairs' ends in order, WORD (WORD // 2 pairs) a window, so one
-    # query (one sweep) fetches every row the window still lacks; a row is
-    # kept until the last window that reads it, copied out of its block if
-    # it outlives the window, so that the block goes with the window
-    ends = np.stack([verts[us], verts[vs]], axis=1).ravel().tolist()
-    last = {w: p for p, w in enumerate(ends)}
-    rows = {}
-    all_v = np.arange(graph.n)
-    for lo in range(0, len(ends), WORD):
-        window = ends[lo:lo + WORD]
-        distinct = list(dict.fromkeys(window))
-        need = [w for w in distinct if w not in rows]
-        if need:
-            rows.update((w, row if last[w] < lo + WORD else row.copy())
-                        for w, row in zip(need, oracle.block(need, all_v)))
-        for u, v in zip(window[::2], window[1::2]):
-            d = rows[u][v]
-            on_geo = rows[u] + rows[v] == d
-            local = dist_to_h[on_geo]
-            zi = int(np.argmax(local))
-            if local[zi] > q:
-                q = int(local[zi])
-                witness_pair = (u, v)
-                witness_vertex = int(np.flatnonzero(on_geo)[zi])
-        for w in distinct:
-            if last[w] < lo + WORD:
-                del rows[w]
-    return QuasiconvexityReport(max(q, 0), witness_pair, witness_vertex, spec)
+    return GraphBlock([graph]).quasiconvexity(
+        np.zeros(1, dtype=np.int64), RaggedSets(verts, [0, len(verts)]),
+        pair_budget, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -722,8 +722,8 @@ def check_hqc(inst, Y, r_grid=(0, 1, 2, 3), seed=0):
     q = np.zeros(inst.n_indices(), dtype=np.int64)
     for block, slots, rows in _by_block(inst, us):
         if block.n > 1:
-            q[rows] = block.quasiconvexity(slots, images.take(rows), 20_000,
-                                           seed)
+            q[rows] = [rep.q for rep in block.quasiconvexity(
+                slots, images.take(rows), 20_000, seed)]
     # the first index with the largest constant
     k0 = int(q.max(initial=0))
     k0_witness = inst.labels[int(np.argmax(q))] if k0 > 0 else None

@@ -16,7 +16,8 @@ from hhskit.factor_system import (DEFAULT_MEMBER_BUDGET, AxiomOutcome,
                                   build_group_factor_closure, connected_hull,
                                   family_from_cosets, simple_family_check,
                                   verify_factor_system)
-from hhskit.graph_core import MetricGraph, Subgraph
+from hhskit.graph_core import (MetricGraph, Subgraph,
+                               quasiconvexity_constant)
 from hhskit.groups import SubgroupSpec
 from hhskit.hhs_core import build_hhs_from_factor_system
 from hhskit.sampling import sample_indices, sample_ordered_pairs
@@ -345,6 +346,42 @@ def ref_axiom1(cand, member_budget, seed):
             K = val
             worst = {"member": mem.label, "k_embed": k_embed, "q": q}
     return AxiomOutcome(True, K, [worst] if worst else [], spec)
+
+
+def axiom1_member_loop(cand, seed):
+    """Axiom 1 as ``verify_factor_system`` computed it one member at a
+    time, with one ``quasiconvexity_constant`` call per sampled member."""
+    graph, family = cand.graph, cand.family
+    oracle = graph.oracle()
+    member_idx, spec = sample_indices(len(family), DEFAULT_MEMBER_BUDGET, seed)
+    K, worst = 0.0, None
+    for i in member_idx:
+        mem = family[int(i)]
+        verts = mem.vertex_array()
+        if len(verts) <= 1:
+            continue
+        ii, jj = np.triu_indices(len(verts), k=1)
+        d_outer = oracle.pairs(verts[ii], verts[jj]).astype(np.float64)
+        d_inner = mem.induced_graph().oracle().pairs(ii, jj).astype(np.float64)
+        k_embed = float((d_inner / (d_outer + 1.0)).max())
+        q = quasiconvexity_constant(graph, mem, pair_budget=None).q
+        val = max(k_embed, float(q))
+        if val > K:
+            K = val
+            worst = {"member": mem.label, "k_embed": k_embed, "q": q}
+    return AxiomOutcome(True, K, [worst] if worst else [], spec)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("radius", [4, 5])
+def test_batched_axiom1_matches_member_loop(radius, seed):
+    """Axiom 1 asks every sampled member's quasi-convexity in one call and
+    reports what the per-member loop reports."""
+    cand = family_from_cosets(G.cayley_ball(F2, radius), [SUB_A, SUB_B])
+    got = verify_factor_system(cand, pair_budget=1000, seed=seed).embedding
+    ref = axiom1_member_loop(cand, seed)
+    assert got.witnesses == ref.witnesses
+    assert got.to_dict() == ref.to_dict()
 
 
 def ref_pair_scan(cand, report, pair_budget, seed):

@@ -1001,29 +1001,62 @@ QC_CASES = strategy_cases(connected_graphs(min_n=10, max_n=30),
                           trees(max_n=30).filter(lambda t: t.n >= 10))
 
 
+def qc_loop(g, h, budget, seed):
+    """(q, witness pair, witness vertex) of a per-pair, per-vertex scan of
+    the sampled pairs of the sorted set h, over BFS rows."""
+    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
+    to_h = [min(rows[v][x] for x in h) for v in range(g.n)]
+    expect = (0, None, None)
+    us, vs, _ = sample_unordered_pairs(len(h), budget, seed)
+    for u, v in zip((h[i] for i in us), (h[j] for j in vs)):
+        for z in range(g.n):
+            if (rows[u][z] + rows[z][v] == rows[u][v]
+                    and (expect[1] is None or to_h[z] > expect[0])):
+                expect = (to_h[z], (u, v), z)
+    return expect
+
+
 @pytest.mark.parametrize("strategy", sorted(QC_CASES))
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_quasiconvexity_matches_per_pair_scan(strategy, data):
-    """Windowed row fetches give the q and witnesses of a per-pair scan."""
+    """The chunked scan gives the q and witnesses of a per-pair scan, for
+    one set on its own and for several sets of a block: several graphs of
+    one vertex count on a stack, or one graph over the cap, its pairs
+    swept WORD ends at a time."""
     matrix_cap, graphs = QC_CASES[strategy]
     g = data.draw(graphs)
     assert_strategy(strategy, g, matrix_cap)
     h = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=9)))
     budget = data.draw(st.sampled_from([None, 40]))
-    rows = [bfs_oracle(g.edges, g.n, v) for v in range(g.n)]
-    to_h = [min(rows[v][x] for x in h) for v in range(g.n)]
-    expect = (-1, None, None)
-    us, vs, _ = sample_unordered_pairs(len(h), budget, 3)
-    for u, v in zip((h[i] for i in us), (h[j] for j in vs)):
-        for z in range(g.n):
-            if rows[u][z] + rows[z][v] == rows[u][v] and to_h[z] > expect[0]:
-                expect = (to_h[z], (u, v), z)
+    # the stack holds g and g closed into a cycle
+    block_graphs = [MetricGraph(g.n, g.edges)]
+    if strategy == "matrix":
+        block_graphs.append(MetricGraph(g.n, set(g.edges) | {(0, g.n - 1)}))
+    sets = [h] + data.draw(st.lists(st.sets(
+        st.integers(0, g.n - 1), min_size=1).map(sorted), max_size=3))
+    slots = data.draw(st.lists(st.integers(0, len(block_graphs) - 1),
+                               min_size=len(sets), max_size=len(sets)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_core, "MATRIX_CAP", matrix_cap)
+        mp.setattr(graph_core, "BLOCK_CHUNK", data.draw(
+            st.sampled_from([1, graph_core.BLOCK_CHUNK])))
         rep = quasiconvexity_constant(MetricGraph(g.n, g.edges), h,
                                       pair_budget=budget, seed=3)
-    assert (rep.q, rep.witness_pair, rep.witness_vertex) == expect
+        block = graph_core.GraphBlock(block_graphs)
+        assert (block.stack is None) == (strategy != "matrix")
+        reps = block.quasiconvexity(np.asarray(slots),
+                                    RaggedSets.from_arrays(sets), budget, 3)
+    assert (rep.q, rep.witness_pair, rep.witness_vertex) == qc_loop(
+        g, h, budget, 3)
+    assert [(r.q, r.witness_pair, r.witness_vertex) for r in reps] == [
+        qc_loop(block_graphs[s], x, budget, 3) for s, x in zip(slots, sets)]
+
+
+def test_quasiconvexity_raises_on_a_disconnected_graph():
+    g = MetricGraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(Disconnected):
+        quasiconvexity_constant(g, [0, 1])
 
 
 def test_hausdorff_basics():

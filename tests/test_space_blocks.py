@@ -99,6 +99,23 @@ def test_every_stack_equals_per_space_bfs(inst):
         rows = [bfs_levels(space, [v]).tolist() for v in range(space.n)]
         assert block.stack[slot].tolist() == rows
         assert np.shares_memory(space.oracle().matrix(), block.stack)
+        # the fill recorded the connectivity, so asking runs no BFS
+        assert space.__dict__["is_connected"] == (min(rows[0]) >= 0)
+
+
+def test_battery_delta_raises_on_a_disconnected_stacked_space():
+    """The battery's delta loop reads the connectivity the stack fill
+    recorded, and a disconnected space still raises."""
+    spaces = [path_graph(3), MetricGraph(3, [(0, 1)]), path_graph(4)]
+    X = path_graph(7)
+    tables = [ProjectionTable(np.arange(X.n + 1), np.arange(X.n) % g.n)
+              for g in spaces]
+    inst = HHSInstance(X, ["u0", "u1", "u2"], spaces, np.zeros((3, 3)), 0,
+                       tables, lambda inst, us, vs: None)
+    inst.blocks
+    assert [g.__dict__["is_connected"] for g in spaces] == [True, False, True]
+    with pytest.raises(Disconnected):
+        run_axiom_battery(inst)
 
 
 @given(spaced_instances(), st.data())
@@ -153,9 +170,13 @@ def test_block_queries_answer_like_each_space(inst, data):
             sorted(g.oracle().geodesic(int(a), int(b)))
             for g, a, b in zip(graphs, src, dst)]
         if all(g.is_connected for g in graphs):
-            assert block.quasiconvexity(slots, ragged, 3, 1).tolist() == [
-                quasiconvexity_constant(g, x, 3, 1).q
+            # q, the witness pair and vertex, and the sample spec
+            assert block.quasiconvexity(slots, ragged, 3, 1) == [
+                quasiconvexity_constant(g, x, 3, 1)
                 for g, x in zip(graphs, sets)]
+        else:
+            with pytest.raises(Disconnected):
+                block.quasiconvexity(slots, ragged, 3, 1)
 
 
 # ---------------------------------------------------------------------------
