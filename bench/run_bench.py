@@ -1,13 +1,14 @@
 """Run a layer bench at two commits and write one BENCH_*.json file.
 
-    python bench/run_bench.py PARENT CHANGE bench/bench_hhs_core.py BENCH_6.json
+    python bench/run_bench.py PARENT CHANGE bench/bench_hhs_core.py BENCH_6.json [KEYWORDS]
 
-Run from the repository root.  Each side runs its own commit's copy of
-the bench file against its own commit's ``src``, both exported with
-``git archive`` into a temporary directory, on the same machine, so a
-bench file that follows a changed signature is timed at both commits.  Each
-side runs twice, in the order parent, change, change, parent, so host
-drift during the session falls on both sides alike.  Every run records
+Run from the repository root.  KEYWORDS, if given, goes to pytest's
+``-k`` and keeps only the cases it selects.  Each side runs its own
+commit's copy of the bench file against its own commit's ``src``, both
+exported with ``git archive`` into a temporary directory, on the same
+machine, so a bench file that follows a changed signature is timed at
+both commits.  Each side runs twice, in the order parent, change, change,
+parent, so host drift during the session falls on both sides alike.  Every run records
 its commit's full SHA, the pytest-benchmark statistics of every case
 (seconds), and per case the peak RSS of fresh processes that each run the
 case once (``--benchmark-disable``), read from ``os.wait4``: it covers the
@@ -23,6 +24,7 @@ import datetime
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -64,7 +66,7 @@ def rss_readings(nodeid, env, cwd):
     return {"peak_rss_mb": statistics.median(runs), "peak_rss_mb_runs": runs}
 
 
-def run_side(rev, bench):
+def run_side(rev, bench, select):
     sha = subprocess.check_output(["git", "rev-parse", rev], text=True).strip()
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", sha, "src", bench],
@@ -72,8 +74,8 @@ def run_side(rev, bench):
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
         out = os.path.join(tmp, "bench.json")
-        subprocess.run(PYTEST + [bench, "--benchmark-json", out], env=env,
-                       cwd=tmp, check=True)
+        subprocess.run(PYTEST + [bench, "--benchmark-json", out] + select,
+                       env=env, cwd=tmp, check=True)
         with open(out) as f:
             data = json.load(f)
         cases = {}
@@ -89,11 +91,13 @@ def run_side(rev, bench):
 
 def main():
     parent, change, bench, out = sys.argv[1:5]
+    select = ["-k", sys.argv[5]] if len(sys.argv) > 5 else []
     runs = {"parent": [], "change": []}
     for side, rev in (("parent", parent), ("change", change),
                       ("change", change), ("parent", parent)):
-        runs[side].append(run_side(rev, bench))
-    result = {"command": "python bench/run_bench.py " + " ".join(sys.argv[1:5]),
+        runs[side].append(run_side(rev, bench, select))
+    result = {"command": "python bench/run_bench.py "
+                         + shlex.join(sys.argv[1:6]),
               "unit": "s",
               "note": "each side runs its own commit's bench file, twice "
                       "each, in the order parent, change, change, parent; "

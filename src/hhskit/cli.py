@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from . import groups as groups_mod
-from .errors import ConfigError, HHSKitError
+from .errors import ConfigError, EmbeddingViolated, HHSKitError
 from .coneoff import build_coneoff, coneoff_report
-from .embedding import (build_augmented_structure,
+from .embedding import (build_augmented_structure, check_hh_embedded,
                         check_hyperbolically_embedded, verify_augmented)
 from .factor_system import (build_group_factor_closure, family_from_cosets,
                             simple_family_check, verify_factor_system)
@@ -261,7 +261,11 @@ def op_construct(scn, op, seed):
         sub = scn.subs([sname], where)[0]
         sub_ball = cayley_ball(_sub_model(sub), op["radius"])
         pairs.append((sub, instance_from_ball(sub_ball, label="line")))
-    aug = build_augmented_structure(base, pairs, seed=seed)
+    if not check_hh_embedded(base, [sub for sub, _ in pairs],
+                             seed=seed)["passed"]:
+        raise EmbeddingViolated(
+            "family is not hierarchically hyperbolically embedded")
+    aug = build_augmented_structure(base, pairs)
     ver = verify_augmented(aug, seed=seed,
                            equivariance_samples=op.get("equivariance", 100))
     return {"indices": aug.result.n_indices(),

@@ -295,123 +295,124 @@ class AugmentedStructure:
     clamped: int                  # coset elements clamped into the sub ball
 
 
-def _sub_vertex_of(sub_ball, model, rep, word, clamp_log):
-    """Coset element rep*h -> the sub-ball vertex of h, clamped if needed."""
-    h = model.multiply(inverse_word(rep), word)
-    hv = sub_ball.index.get(tuple(h))
-    if hv is not None:
-        return hv
-    clamp_log.append(h)
-    while h and tuple(h) not in sub_ball.index:
-        h = h[:-1]
-    return sub_ball.index[tuple(h)]
+def _subgroup_map(sub, sub_inst):
+    """phi[v], the ambient normal form of ball vertex v's word with letter i
+    read as the subgroup's generator i, and the dict phi[v] -> v."""
+    sub_ball = sub_inst.meta.get("ball")
+    if sub_ball is None:
+        raise StructureMismatch("subgroup instance carries no ball")
+    gens = sub.generators
+    if sub_ball.model.rank() != len(gens):
+        raise StructureMismatch(
+            f"the ball of {sub.label}'s structure has {sub_ball.model.rank()}"
+            f" generators, {sub.label} has {len(gens)}")
+    image = {}
+    for i, g in enumerate(gens, start=1):
+        image[i], image[-i] = g, inverse_word(g)
+    phi = [sub.ambient.normal_form(tuple(x for s in w for x in image[s]))
+           for w in sub_ball.words]
+    return phi, {w: v for v, w in enumerate(phi)}
 
 
-def build_augmented_structure(base, subgroup_structures, force=False,
-                              embed_report=None, seed=0):
+def build_augmented_structure(base, subgroup_structures):
     """Absorb each subgroup's structure into the ambient one, per coset.
 
     The new index set is the old one plus one copy of every subgroup index
     per coset; the new top space is the old one coned over all cosets.
-    Refuses (unless forced) when the hierarchical-embedding verdict fails.
+    This only builds: the caller judges the embedding (``check_hh_embedded``).
+    A subgroup structure lives on the subgroup's own Cayley ball, whose
+    words ``_subgroup_map``'s phi names in the ambient group.  The coset
+    element rep*h goes to the ball vertex phi names h by; an h outside the
+    ball goes to that of its longest prefix phi names, and is counted in
+    ``clamped``.
     """
     ball = _cayley_ball(base)
-    subs = [sub for sub, _ in subgroup_structures]
-    if embed_report is None:
-        embed_report = check_hh_embedded(base, subs, seed=seed)
-    if not embed_report["passed"] and not force:
-        raise EmbeddingViolated(
-            "family is not hierarchically hyperbolically embedded; "
-            "pass force=True to build anyway")
-
+    model = ball.model
     X = base.X
-    S_old = base.maximal
-    cs_graph = base.spaces[S_old]
+    S = base.maximal
+    cs_graph = base.spaces[S]
     if cs_graph.n != X.n:
         raise StructureMismatch("base CS must be carried by the X vertices")
 
-    # cosets and their subgraphs, as subgraphs of CS
-    coset_data = []   # (sub index, sub, sub_inst, rep, vertices array)
-    clamp_log = []
-    for si, (sub, sub_inst) in enumerate(subgroup_structures):
-        sub_ball = sub_inst.meta.get("ball")
-        if sub_ball is None:
-            raise StructureMismatch("subgroup instance carries no ball")
-        for c in enumerate_cosets(ball, sub):
-            coset_data.append((si, sub, sub_inst, c.representative,
-                               np.asarray(c.vertices, dtype=np.int64)))
-    family = [Subgraph(cs_graph, verts,
-                       label=f"{sub.label}[{ball.model.format(rep)}]")
-              for si, sub, sub_inst, rep, verts in coset_data]
-    coned = build_coneoff(cs_graph, family)
-
-    # index bookkeeping
+    # one pass over the cosets: each gets its block of indices, their
+    # projection tables pi_(U,g) = pi_U o (pull back of the coset gate) and
+    # rho^u_S as X-vertices (the coset for its top index; an empty one
+    # leaves the cross pairs of its index unreached)
+    nb = base.n_indices()
     labels = list(base.labels)
     provenance = [("old", l) for l in base.labels]
     spaces = list(base.spaces)
-    spaces[S_old] = coned.coned
     space_to_x = list(base.space_to_x)
+    space_to_x[S] = np.arange(X.n, dtype=np.int64)
     projections = list(base.projections)
-    block_of = {}      # coset id -> (start, count) in the new index range
-    coset_of = [-1] * len(labels)    # per index: its coset, -1 for old ones
-    local_of = [-1] * len(labels)    # and its index in the sub-structure
-    for ci, (si, sub, sub_inst, rep, verts) in enumerate(coset_data):
-        start = len(labels)
-        block_of[ci] = (start, sub_inst.n_indices())
-        for u in range(sub_inst.n_indices()):
-            lab = f"{sub.label}[{ball.model.format(rep)}].{sub_inst.labels[u]}"
-            labels.append(lab)
-            provenance.append(("coset", sub.label, rep, sub_inst.labels[u]))
-            spaces.append(sub_inst.spaces[u])
-            space_to_x.append(None)
-            coset_of.append(ci)
-            local_of.append(u)
-
-        # projection tables: pi_(U,g) = pi_U o (pull back of the coset gate)
-        sub_ball = sub_inst.meta["ball"]
-        gate = _projection_sets_onto(X.oracle(), verts)
-        pull = np.asarray([_sub_vertex_of(sub_ball, ball.model, rep,
-                                          ball.words[int(v)], clamp_log)
-                           for v in verts], dtype=np.int64)
-        projections += [table.compose(gate, pull)
-                        for table in sub_inst.projections]
-
-    n_idx = len(labels)
-    S = S_old
-    rel = np.full((n_idx, n_idx), TRANSVERSE, dtype=np.int8)
-    nb = base.n_indices()
-    rel[:nb, :nb] = base.rel
-    for ci in range(len(coset_data)):
-        start, count = block_of[ci]
-        si, sub, sub_inst, rep, verts = coset_data[ci]
-        rel[start:start + count, start:start + count] = sub_inst.rel
-        rel[start:start + count, S] = NESTED
-        rel[S, start:start + count] = CONTAINS
-    np.fill_diagonal(rel, EQUAL)
-
-    coset_arrays = [verts for *_rest, verts in coset_data]
-    cosets = RaggedSets.from_arrays(coset_arrays)
-    coset_of, local_of = np.asarray(coset_of), np.asarray(local_of)
-    sub_of = np.asarray([cd[0] for cd in coset_data], dtype=np.int64)
-
-    # rho^u_S as X-vertices per index (the coset for new top indices); an
-    # empty one leaves the cross pairs of its index unreached
-    sets, reached = base.rho_sets(np.arange(nb), S_old)
+    sets, reached = base.rho_sets(np.arange(nb), S)
     rho_top = [sets[u] if reached[u] else [] for u in range(nb)]
-    sub_tops = [sub_inst.rho_sets(np.arange(sub_inst.n_indices()),
-                                  sub_inst.maximal)
-                for _, sub_inst in subgroup_structures]
-    for ci, (si, sub, sub_inst, rep, verts) in enumerate(coset_data):
-        sub_ball = sub_inst.meta["ball"]
+    family, coset_sets, blocks = [], [], []   # blocks: (structure, start)
+    coset_of = [-1] * nb     # per index: its coset, -1 for old ones
+    local_of = [-1] * nb     # and its index in the sub-structure
+    phi_records = []
+    clamped = 0
+    for si, (sub, sub_inst) in enumerate(subgroup_structures):
+        phi, named = _subgroup_map(sub, sub_inst)
+        n_sub = sub_inst.n_indices()
         carrier = sub_inst.space_to_x[sub_inst.maximal]
         if carrier is None:
-            carrier = np.arange(sub_ball.graph.n)
-        sets, reached = sub_tops[si]
-        for uu in range(sub_inst.n_indices()):
-            words = (ball.model.multiply(rep, sub_ball.words[int(carrier[sv])])
-                     for sv in (sets[uu] if reached[uu] else []))
-            rho_top.append(verts if uu == sub_inst.maximal else sorted(
-                {ball.index[w] for w in words if w in ball.index}))
+            carrier = np.arange(len(phi))
+        sets, reached = sub_inst.rho_sets(np.arange(n_sub), sub_inst.maximal)
+        for c in enumerate_cosets(ball, sub):
+            rep = c.representative
+            verts = np.asarray(c.vertices, dtype=np.int64)
+            name = f"{sub.label}[{model.format(rep)}]"
+            start = len(labels)
+            if rep == ():
+                phi_records.append({
+                    "sub": sub.label, "identity_coset_block": start,
+                    "index_map": {lab: f"{name}.{lab}"
+                                  for lab in sub_inst.labels}})
+            coset_of += [len(family)] * n_sub
+            local_of += range(n_sub)
+            family.append(Subgraph(cs_graph, verts, label=name))
+            coset_sets.append(verts)
+            blocks.append((si, start))
+            labels += [f"{name}.{lab}" for lab in sub_inst.labels]
+            provenance += [("coset", sub.label, rep, lab)
+                           for lab in sub_inst.labels]
+            spaces += sub_inst.spaces
+            space_to_x += [None] * n_sub
+
+            gate = _projection_sets_onto(X.oracle(), verts)
+            pull, back = [], inverse_word(rep)
+            for v in c.vertices:
+                h = model.multiply(back, ball.words[v])
+                clamped += h not in named
+                while h not in named:
+                    h = h[:-1]
+                pull.append(named[h])
+            pull = np.asarray(pull, dtype=np.int64)
+            projections += [table.compose(gate, pull)
+                            for table in sub_inst.projections]
+
+            for uu in range(n_sub):
+                words = (model.multiply(rep, phi[int(carrier[sv])])
+                         for sv in (sets[uu] if reached[uu] else []))
+                rho_top.append(verts if uu == sub_inst.maximal else sorted(
+                    {ball.index[w] for w in words if w in ball.index}))
+    coned = build_coneoff(cs_graph, family)
+    spaces[S] = coned.coned
+
+    rel = np.full((len(labels),) * 2, TRANSVERSE, dtype=np.int8)
+    rel[:nb, :nb] = base.rel
+    rel[nb:, S] = NESTED
+    rel[S, nb:] = CONTAINS
+    for si, start in blocks:
+        sub_rel = subgroup_structures[si][1].rel
+        block = slice(start, start + len(sub_rel))
+        rel[block, block] = sub_rel
+    np.fill_diagonal(rel, EQUAL)
+
+    cosets = RaggedSets.from_arrays(coset_sets)
+    coset_of, local_of = np.asarray(coset_of), np.asarray(local_of)
+    sub_of = np.asarray([si for si, _ in blocks], dtype=np.int64)
     tops = RaggedSets.from_arrays([np.asarray(t, dtype=np.int64)
                                    for t in rho_top])
 
@@ -433,25 +434,13 @@ def build_augmented_structure(base, subgroup_structures, force=False,
                       True))
         return assemble_sets(len(us), parts)
 
-    space_to_x[S] = np.arange(X.n, dtype=np.int64)
     meta = {"construction": "augmented", "radius": ball.radius,
             "cayley": True, "cs_generating_set": base.meta["cs_generating_set"],
-            "ball": ball, "cosets": len(coset_data)}
+            "ball": ball, "cosets": len(family)}
     result = HHSInstance(X, labels, spaces, rel, S, projections,
                          rho_provider, space_to_x, meta)
-
-    phi_records = []
-    for si, (sub, sub_inst) in enumerate(subgroup_structures):
-        ci = next(i for i, cd in enumerate(coset_data)
-                  if cd[0] == si and cd[3] == ())
-        start, count = block_of[ci]
-        index_map = {sub_inst.labels[u]: labels[start + u]
-                     for u in range(sub_inst.n_indices())}
-        phi_records.append({"sub": sub.label, "identity_coset_block": start,
-                            "index_map": index_map})
     return AugmentedStructure(base, list(subgroup_structures), result,
-                              provenance, phi_records, coned,
-                              len(clamp_log))
+                              provenance, phi_records, coned, clamped)
 
 
 def verify_augmented(aug, seed=0, equivariance_samples=100):
@@ -477,11 +466,12 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
         rel_ok = np.array_equal(result.rel[block, block], sub_inst.rel)
         # projections commute on the identity coset: for h in H, the
         # absorbed projection of h equals the subgroup's own projection
-        sub_ball = sub_inst.meta["ball"]
+        # at the ball vertex that phi names h by
+        phi, named = _subgroup_map(sub, sub_inst)
         differ = [[] for _ in range(sub_inst.n_indices())]
         members = enumerate_cosets(ball, sub)[0].vertices
         for v in members:
-            hv = sub_ball.index.get(ball.words[v])
+            hv = named.get(ball.words[v])
             if hv is None:
                 continue
             for u in range(sub_inst.n_indices()):
@@ -497,14 +487,13 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
         # coarse equivariance of left multiplication by subgroup elements
         rng = rng_for(seed)
         moved_apart = []
-        checked = 0
-        attempts = 0
+        checked = attempts = 0
         while checked < equivariance_samples and attempts < 20 * equivariance_samples:
             attempts += 1
             h = ball.words[members[int(rng.integers(0, len(members)))]]
             x = ball.words[int(rng.integers(0, ball.graph.n))]
             hx = model.multiply(h, x)
-            if hx not in ball.index or h not in sub_ball.index:
+            if hx not in ball.index or h not in named:
                 continue
             xv, hxv = ball.index[x], ball.index[hx]
             for u in range(sub_inst.n_indices()):
@@ -512,15 +501,14 @@ def verify_augmented(aug, seed=0, equivariance_samples=100):
                 if carrier is None:
                     continue
                 # translate pi_U(x) by h inside the subgroup coordinates
-                words = (model.multiply(h, sub_ball.words[int(carrier[p])])
+                words = (model.multiply(h, phi[int(carrier[p])])
                          for p in result.pi(start + u, xv))
-                moved = {sub_ball.index[w] for w in words
-                         if w in sub_ball.index}
+                moved = {named[w] for w in words if w in named}
                 target = set(carrier[result.pi(start + u, hxv)].tolist())
                 if moved and target != moved:
                     moved_apart.append(sorted(target | moved))
             checked += 1
-        eq_gap = int(ragged_diameters(sub_ball.graph.oracle(),
+        eq_gap = int(ragged_diameters(sub_inst.meta["ball"].graph.oracle(),
                                       RaggedSets.from_arrays(moved_apart))
                      .max(initial=0))
         morphisms.append({"sub": sub.label,

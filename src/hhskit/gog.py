@@ -504,12 +504,9 @@ def run_main_pipeline(gog, base_vertices, radius=5, seed=0):
         if not pairs:
             step2[v] = {"absorbed": 0}
             continue
-        # the obtainability check above judged this instance, these
-        # subgroups and this seed already
+        # the obtainability check above judged these subgroups embedded
         aug = build_augmented_structure(vert.instance,
-                                        [(sub, si) for _, sub, si in pairs],
-                                        embed_report=obtainable["per_vertex"][v],
-                                        seed=seed)
+                                        [(sub, si) for _, sub, si in pairs])
         vert.instance = aug.result
         step2[v] = {"absorbed": len(pairs),
                     "indices": aug.result.n_indices(),

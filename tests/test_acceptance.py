@@ -248,7 +248,7 @@ def test_criterion_8_augmentation():
         base = instance_from_ball(G.cayley_ball(F2, r))
         line = instance_from_ball(G.cayley_ball(G.free_group(["a"]), r),
                                   label="line")
-        aug = build_augmented_structure(base, [(SUB_A, line)], seed=3)
+        aug = build_augmented_structure(base, [(SUB_A, line)])
         cosets = enumerate_cosets(base.meta["ball"], SUB_A)
         assert aug.result.n_indices() == 1 + len(cosets)
         ver = verify_augmented(aug, seed=3, equivariance_samples=100)

@@ -128,6 +128,20 @@ def test_missing_op_field_is_config_error(tmp_path, capsys, op, field):
     assert "config error" in err and f"(at {field})" in err
 
 
+def test_construct_refuses_a_family_that_is_not_embedded(tmp_path, capsys):
+    """The construct op judges the embedding before it builds: <a> in Z^2
+    is refused, and the command exits 1 with the verdict's message."""
+    path = small_config(
+        tmp_path,
+        groups={"Z2": {"kind": "free_abelian", "generators": ["a", "b"]}},
+        subgroups={"A": {"ambient": "Z2", "generators": ["a"]}},
+        operations=[{"op": "construct", "group": "Z2", "radius": 4,
+                     "subgroups": ["A"]}])
+    assert main(["construct", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: family is not hierarchically hyperbolically embedded\n")
+
+
 def test_exit_code_two_on_failed_check(tmp_path):
     cfg = {
         "name": "failing",
@@ -312,8 +326,7 @@ def test_augmented_bundle_round_trip():
     base = instance_from_ball(G.cayley_ball(F, 3))
     line = instance_from_ball(G.cayley_ball(G.free_group(["a"]), 3))
     aug = build_augmented_structure(base,
-                                    [(SubgroupSpec(F, ["a"], label="A"), line)],
-                                    seed=1)
+                                    [(SubgroupSpec(F, ["a"], label="A"), line)])
     bundle = instance_to_bundle(aug.result)
     again = instance_from_bundle(json.loads(stable_json(bundle)))
     assert instances_structurally_equal(aug.result, again)

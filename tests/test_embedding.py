@@ -11,7 +11,7 @@ import pytest
 
 from hhskit import embedding
 from hhskit import groups as G
-from hhskit.errors import EmbeddingViolated, Inconclusive, StructureMismatch
+from hhskit.errors import Inconclusive, StructureMismatch
 from hhskit.embedding import (build_augmented_structure,
                               check_hh_embedded,
                               check_hyperbolically_embedded, relative_metric,
@@ -44,7 +44,23 @@ def members_loop(ball, sub):
 @pytest.fixture(scope="module")
 def aug5():
     base = instance_from_ball(G.cayley_ball(F2, 5))
-    return build_augmented_structure(base, [(SUB_A, line_instance(5))], seed=3)
+    return build_augmented_structure(base, [(SUB_A, line_instance(5))])
+
+
+@pytest.fixture(scope="module")
+def aug_b4():
+    """<b> of F(a, b) absorbed at r=4 with the line, whose letter names b."""
+    base = instance_from_ball(G.cayley_ball(F2, 4))
+    return build_augmented_structure(base, [(SUB_B, line_instance(4))])
+
+
+def phi_of(sub, word):
+    """The ambient element a subgroup-ball word names, letter by letter:
+    letter i stands for the subgroup's generator i."""
+    return reduce(sub.ambient.multiply,
+                  (sub.generators[x - 1] if x > 0
+                   else G.inverse_word(sub.generators[-x - 1]) for x in word),
+                  ())
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +423,7 @@ def test_augmented_spot_projection(aug5):
 
 def test_augmented_empty_family_is_base():
     base = instance_from_ball(G.cayley_ball(F2, 3))
-    aug = build_augmented_structure(base, [], seed=1)
+    aug = build_augmented_structure(base, [])
     assert aug.result.n_indices() == 1
     assert aug.result.spaces[0].edges == base.spaces[0].edges
 
@@ -415,20 +431,75 @@ def test_augmented_empty_family_is_base():
 def test_augmented_two_subgroups(aug5):
     base = instance_from_ball(G.cayley_ball(F2, 4))
     aug = build_augmented_structure(
-        base, [(SUB_A, line_instance(4)), (SUB_B, line_instance(4))], seed=2)
+        base, [(SUB_A, line_instance(4)), (SUB_B, line_instance(4))])
     rep = check_structural(aug.result)
     assert rep.passed
     assert aug.result.n_indices() == 1 + aug.result.meta["cosets"]
 
 
-def test_augmentation_refuses_bad_embedding():
+def test_augmentation_builds_without_judging():
+    """The builder leaves the embedding verdict to its callers: <a> in Z^2,
+    which the construct op refuses, is built like any other family."""
     base = instance_from_ball(G.cayley_ball(Z2, 4))
     sub = SubgroupSpec(Z2, ["a"], label="A")
-    with pytest.raises(EmbeddingViolated):
-        build_augmented_structure(base, [(sub, line_instance(4))], seed=1)
-    forced = build_augmented_structure(base, [(sub, line_instance(4))],
-                                       seed=1, force=True)
-    assert forced.result.n_indices() == 1 + forced.result.meta["cosets"]
+    aug = build_augmented_structure(base, [(sub, line_instance(4))])
+    assert aug.result.n_indices() == 1 + aug.result.meta["cosets"]
+
+
+def test_augmentation_refuses_a_ball_of_another_generator_count():
+    """Letter i of a structure's ball names the subgroup's generator i, so
+    a ball over two letters cannot carry a structure of <a>."""
+    base = instance_from_ball(G.cayley_ball(F2, 3))
+    plane = instance_from_ball(G.cayley_ball(F2, 3))
+    with pytest.raises(StructureMismatch, match="2 generators, A has 1"):
+        build_augmented_structure(base, [(SUB_A, plane)])
+
+
+def test_absorbing_b_clamps_nothing(aug_b4):
+    """Every coset element rep*b^k of the r=4 ball has |k| <= 4, so the
+    line's r=4 ball names each b^k."""
+    assert aug_b4.clamped == 0
+
+
+@pytest.mark.parametrize("sub", [SUB_A, SUB_B], ids=["a", "b"])
+def test_coset_elements_pull_back_to_their_subgroup_words(sub):
+    """Brute force: a coset vertex v of rep lies in its own gate, so the
+    line's identity projection reads its pull p off pi; rep * phi(p) is v's
+    word unless rep^-1 v is named by no line-ball word, which is a clamp."""
+    base = instance_from_ball(G.cayley_ball(F2, 4))
+    line = line_instance(4)
+    aug = build_augmented_structure(base, [(sub, line)])
+    ball, line_ball = base.meta["ball"], line.meta["ball"]
+    named = {phi_of(sub, w) for w in line_ball.words}
+    clamped = 0
+    for c in enumerate_cosets(ball, sub):
+        rep = c.representative
+        u = aug.result.index_of_label(f"{sub.label}[{F2.format(rep)}].line")
+        for v in c.vertices:
+            if F2.multiply(G.inverse_word(rep), ball.words[v]) not in named:
+                clamped += 1
+                continue
+            p, = aug.result.pi(u, v).tolist()
+            assert F2.multiply(rep, phi_of(sub, line_ball.words[p])) \
+                == ball.words[v]
+    assert clamped == aug.clamped == 0
+
+
+def test_commute_check_compares_every_identity_coset_member(aug_b4,
+                                                            monkeypatch):
+    """All 9 elements b^k, |k| <= 4, of the identity coset are compared
+    with the line's own projection at the vertex phi names them by."""
+    monkeypatch.setattr(embedding, "run_axiom_battery",
+                        lambda inst, seed: SimpleNamespace(passed=True))
+    (_, line), = aug_b4.subgroup_structures
+    pi, asked = line.pi, set()
+    monkeypatch.setattr(line, "pi",
+                        lambda u, v: asked.add(int(v)) or pi(u, v))
+    m, = verify_augmented(aug_b4, seed=0)["morphisms"]
+    members = enumerate_cosets(aug_b4.result.meta["ball"], SUB_B)[0].vertices
+    assert len(members) == 9
+    assert asked == set(range(line.X.n)) and len(asked) == 9
+    assert m["projection_commute_gap"] == 0
 
 
 def test_verify_augmented_battery_and_morphisms(aug5):
@@ -450,10 +521,12 @@ def morphism_gaps_loop(aug, seed, samples=100):
     (sub, sub_inst), = aug.subgroup_structures
     start = aug.phi_records[0]["identity_coset_block"]
     sub_ball = sub_inst.meta["ball"]
+    phi = [phi_of(sub, w) for w in sub_ball.words]
+    named = {w: v for v, w in enumerate(phi)}
     commute_gap = 0
     members = members_loop(ball, sub)
     for v in members:
-        hv = sub_ball.index.get(ball.words[v])
+        hv = named.get(ball.words[v])
         if hv is None:
             continue
         for u in range(sub_inst.n_indices()):
@@ -469,16 +542,16 @@ def morphism_gaps_loop(aug, seed, samples=100):
         h = ball.words[members[int(rng.integers(0, len(members)))]]
         x = ball.words[int(rng.integers(0, ball.graph.n))]
         hx = model.multiply(h, x)
-        if hx not in ball.index or sub_ball.index.get(h) is None:
+        if hx not in ball.index or named.get(h) is None:
             continue
         xv, hxv = ball.index[x], ball.index[hx]
         for u in range(sub_inst.n_indices()):
             carrier = sub_inst.space_to_x[u]
             if carrier is None:
                 continue
-            moved = {sub_ball.index[w] for w in (
-                model.multiply(h, sub_ball.words[int(carrier[p])])
-                for p in result.pi(start + u, xv)) if w in sub_ball.index}
+            moved = {named[w] for w in (
+                model.multiply(h, phi[int(carrier[p])])
+                for p in result.pi(start + u, xv)) if w in named}
             target = {int(carrier[p]) for p in result.pi(start + u, hxv)}
             if moved and target != moved:
                 eq_gap = max(eq_gap, diameter_loop(sub_ball.graph,
@@ -514,3 +587,12 @@ def test_morphism_gaps_match_per_set_loop(aug5, aug5_perturbed, perturbed,
     assert (m["projection_commute_gap"], m["equivariance_gap"],
             m["equivariance_samples"]) == expected
     assert (expected[0] > 0) == perturbed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_morphism_gaps_of_b_match_per_set_loop(aug_b4, seed, monkeypatch):
+    monkeypatch.setattr(embedding, "run_axiom_battery",
+                        lambda inst, seed: SimpleNamespace(passed=True))
+    m, = verify_augmented(aug_b4, seed=seed)["morphisms"]
+    assert (m["projection_commute_gap"], m["equivariance_gap"],
+            m["equivariance_samples"]) == morphism_gaps_loop(aug_b4, seed)

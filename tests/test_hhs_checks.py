@@ -56,7 +56,7 @@ def line(r, label):
 def augmented():
     """The F2 r=3 instance with the line structure absorbed along <a>."""
     return build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 3)),
-                                     [(SUB_A, line(3, "line"))], seed=3).result
+                                     [(SUB_A, line(3, "line"))]).result
 
 
 def edited_bundle(inst, edit):
@@ -536,8 +536,7 @@ def test_augmented_cross_rho_unreached_where_top_rho_is():
         sets, reached = provider(inst, us, v)
         return sets, reached & ((us != 0) | (v != base.maximal))
     base._rho_provider = holed
-    aug = build_augmented_structure(base, [(SUB_A, line(2, "line"))],
-                                    force=True, seed=3).result
+    aug = build_augmented_structure(base, [(SUB_A, line(2, "line"))]).result
     assert rho_or_none(base, 0, base.maximal) is None
     new = np.flatnonzero(aug.rel[0] == TRANSVERSE)
     new = new[new >= base.n_indices()]
@@ -676,7 +675,7 @@ def test_battery_delta_once_per_distinct_space(monkeypatch, name):
         # the cosets of the absorbed line share one space
         inst = build_augmented_structure(
             instance_from_ball(G.cayley_ball(F2, 3)),
-            [(SUB_A, line(3, "line"))], seed=3).result
+            [(SUB_A, line(3, "line"))]).result
         assert len({id(s) for s in inst.spaces}) < inst.n_indices() - 8
     else:
         inst = FIXTURES[name]

@@ -6,9 +6,10 @@ Both guards parse ``src/hhskit`` and count only the code in ``src/``,
 only in an allow-list, with its reason, and a stale entry fails.
 
 An optional parameter of a public function passes when some call of that
-name passes it, by keyword or position (``**mapping`` passes every
-keyword, ``*args`` every position): a default that nothing overrides is a
-constant, and belongs in the code.  A public function or class passes
+name passes it, by keyword or position; a starred argument passes none,
+since forwarding ``*args`` or ``**kwargs`` does not say which options are
+set: a default that nothing overrides is a constant, and belongs in the
+code.  A public function or class passes
 when program code names it by a name, an attribute or a string (tracing
 wraps functions named in strings), a public method by an attribute or a
 string; a ``def`` or an import does not count.
@@ -112,12 +113,10 @@ def passed_arguments():
             if name is None:
                 continue
             npos, kws = seen.setdefault(name, [0, set()])
-            if any(isinstance(x, ast.Starred) for x in node.args):
-                seen[name][0] = float("inf")
-            else:
-                seen[name][0] = max(npos, len(node.args))
-            for kw in node.keywords:
-                kws.add(kw.arg if kw.arg is not None else "**")
+            known = next((i for i, x in enumerate(node.args)
+                          if isinstance(x, ast.Starred)), len(node.args))
+            seen[name][0] = max(npos, known)
+            kws.update(kw.arg for kw in node.keywords if kw.arg is not None)
     return seen
 
 
@@ -126,7 +125,7 @@ def unset_options():
     unset = []
     for module, fn, param, pos in optional_parameters():
         npos, kws = seen.get(fn, (0, set()))
-        if param in kws or "**" in kws:
+        if param in kws:
             continue
         if pos is not None and npos > pos:
             continue

@@ -40,9 +40,9 @@ def line(r, label="line"):
     return instance_from_ball(G.cayley_ball(LINE, r), label=label)
 
 
-def augmented(r, seed=3):
+def augmented(r):
     return build_augmented_structure(instance_from_ball(G.cayley_ball(F2, r)),
-                                     [(SUB_A, line(r))], seed=seed)
+                                     [(SUB_A, line(r))])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def cases():
     ball = G.cayley_ball(F2, 3)
     aug_factor = build_augmented_structure(
         build_hhs_from_factor_system(family_from_cosets(ball, [SUB_B])),
-        [(SUB_A, line(3))], force=True, seed=2)
+        [(SUB_A, line(3))])
     l3, f2, f3, f4 = line(3, "L"), factor(2), factor(3), factor(4)
     l1, l2 = line(4, "L1"), line(4, "L2")
     prod, lines = product_hhs(l3, f2), product_hhs(l1, l2)

@@ -51,7 +51,7 @@ def line(r, label="line"):
 
 def augmented():
     return build_augmented_structure(instance_from_ball(G.cayley_ball(F2, 4)),
-                                     [(SUB_A, line(4))], seed=3).result
+                                     [(SUB_A, line(4))]).result
 
 
 @st.composite
