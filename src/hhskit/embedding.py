@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coneoff import build_coneoff
-from .errors import EmbeddingViolated, Inconclusive, StructureMismatch
+from .errors import Inconclusive, StructureMismatch
 from .graph_core import (WORD, MetricGraph, RaggedSets, Subgraph,
                          bfs_distances, four_point_delta, ragged_diameters)
 from .groups import (SubgroupSpec, cayley_ball, coset_subgraph,
